@@ -643,7 +643,7 @@ def stationary_statistics(
             state_a = step_imex(state_a, params, stream, dt, check_cfl=False)
             state_b = step_imex(state_b, params, stream, dt, check_cfl=False)
             if j + 1 > burn_steps:
-                u, _ = untransform(state_a)
+                u = untransform(state_a)
                 energy.append(norm_l2(u) ** 2)
                 enstrophy.append(norm_h1(u) ** 2)
                 mean_field += u.coeffs

@@ -243,7 +243,7 @@ def cmd_simulate(config: RunConfig, outdir: str) -> int:
         rows = []
 
         def observer(state):
-            u, _ = untransform(state)
+            u = untransform(state)
             rows.append(
                 (
                     state.step * config.dt,

@@ -2,10 +2,10 @@
 
 The evolved variable z is the mean-zero cosine-family field obtained from
 the physical vorticity u by subtracting the two stationary coefficient
-processes; `untransform` restores u and the streamfunction.  One step is
-semi-implicit: the diffusion-plus-friction part is solved exactly per mode
-(it is diagonal in this basis), all advection terms are explicit at the old
-state, and the coefficient processes advance by their exact recursion.
+processes; `untransform` restores u.  One step is semi-implicit: the
+diffusion-plus-friction part is solved exactly per mode (it is diagonal in
+this basis), all advection terms are explicit at the old state, and the
+coefficient processes advance by their exact recursion.
 
 Trajectories are bit-reproducible functions of (seed, dt, z0, parameters).
 Restarting from a returned state and a shifted stream continues the same
@@ -84,9 +84,8 @@ def rhs_transformed(z: Field, coeff: CoefficientState, params: ModelParams) -> F
     return out - params.r * w
 
 
-def _advective_speed(z: Field, w: Field) -> float:
+def _advective_speed(psi: Field) -> float:
     """Max nodal streamfunction-gradient speed driving the explicit terms."""
-    psi = dirichlet_poisson(z + w)
     gx, gy = gradient(psi)
     return float(max(np.max(np.abs(gx.nodal)), np.max(np.abs(gy.nodal))))
 
@@ -110,19 +109,6 @@ def step_imex(
     z = state.z
     grid = z.grid
 
-    if check_cfl:
-        speed = _advective_speed(z, state.coeff.combined())
-        if dt > 0.5 * grid.h / max(1.0, speed):
-            warnings.warn(
-                f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) "
-                f"at t={state.step * dt} (speed {speed:.3g})",
-                CFLWarning,
-                stacklevel=2,
-            )
-
-    # all explicit terms at the old state; the advection self-term and the
-    # coefficient cross/forcing terms collapse into one bilinear evaluation
-    # of s = z + w by bilinearity, and likewise for the beta terms
     def _diverged() -> DivergenceError:
         with np.errstate(over="ignore", invalid="ignore"):
             zmag = float(np.sqrt(np.nansum(np.square(z.coeffs))))
@@ -130,13 +116,27 @@ def step_imex(
             f"trajectory diverged at t={(state.step + 1) * dt} (|z| was {zmag:.6g})"
         )
 
+    # all explicit terms at the old state; the advection self-term and the
+    # coefficient cross/forcing terms collapse into one bilinear evaluation
+    # of s = z + w by bilinearity, and likewise for the beta terms, so one
+    # streamfunction solve serves the CFL speed, B and the beta term
     w = state.coeff.combined()
     s = z + w
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            explicit = -1.0 * dealias(bilinear_b(s, s)) - params.r * w
+            psi = dirichlet_poisson(s)
+            if check_cfl:
+                speed = _advective_speed(psi)
+                if dt > 0.5 * grid.h / max(1.0, speed):
+                    warnings.warn(
+                        f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) "
+                        f"at t={state.step * dt} (speed {speed:.3g})",
+                        CFLWarning,
+                        stacklevel=2,
+                    )
+            explicit = -1.0 * dealias(bilinear_b(s, s, psi)) - params.r * w
             if params.beta != 0.0:
-                explicit = explicit - params.beta * beta_term(s)
+                explicit = explicit - params.beta * beta_term(s, psi)
     except NonFiniteField:
         raise _diverged() from None
     lam = laplacian_eigenvalues(grid)
@@ -212,11 +212,9 @@ def transform(u: Field, coeff: CoefficientState) -> Field:
     return u - coeff.zw1 - coeff.zw2
 
 
-def untransform(state: CocycleState) -> tuple[Field, Field]:
-    """Recover the physical field and its streamfunction from a trajectory state.
+def untransform(state: CocycleState) -> Field:
+    """Recover the physical field u = z + zw1 + zw2 from a trajectory state.
 
-    u adds the coefficient fields back; psi solves the Dirichlet problem
-    lap(psi) = u, so it vanishes on the boundary by construction.
+    Its streamfunction, when needed, is `dirichlet_poisson(u)`.
     """
-    u = state.z + state.coeff.zw1 + state.coeff.zw2
-    return u, dirichlet_poisson(u)
+    return state.z + state.coeff.zw1 + state.coeff.zw2

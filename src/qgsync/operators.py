@@ -13,6 +13,14 @@ last two arguments (via the exact weighted adjoint), so
 
 hold to round-off for every retained field, not just asymptotically.  Every
 energy estimate downstream relies on this.
+
+The Jacobian's difference operators are zero-diagonal tridiagonal, stored
+as their two off-diagonals.  From n = STENCIL_MIN_N cells per side they are
+applied as O(n)-per-line slice stencils; on smaller grids one BLAS matmul
+against the dense matrix is faster.  At power-of-two n both forms give the
+same bits.  `bilinear_b` and `beta_term`
+accept a precomputed streamfunction, so a caller that already solved for
+it (the time stepper) solves once per step.
 """
 
 from __future__ import annotations
@@ -225,50 +233,96 @@ def harmonicity_residual(u: Field, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Grids with at least this many cells per side apply the difference operators
+# as slice stencils; below it one BLAS matmul per line set is faster (measured
+# on the fused skew Jacobian).  At power-of-two n every coefficient is a power
+# of two, so both forms round once per entry and agree bit for bit.
+STENCIL_MIN_N = 128
+
+
 @lru_cache(maxsize=None)
-def _difference_matrices(n: int):
+def _difference_operators(n: int):
     """Centered differences with reflection closures, and their weighted adjoints.
 
     'even' mirrors the neighbour value across the boundary (natural for
     cosine-family data), 'odd' mirrors with a sign flip (sine family, and
     the flux-form outer differences).  Adjoints are taken in the trapezoid
     inner product so the Jacobian's adjoint is exact, not approximate.
+
+    Each operator is zero-diagonal tridiagonal on the n+1 lattice nodes and
+    is returned as (lower, upper, dense): lower[i] = D[i+1, i],
+    upper[i] = D[i, i+1], and the dense matrix only below STENCIL_MIN_N.
+    Returns the operators (De, Do, DeA, DoA).
     """
     h = 1.0 / n
-    eye = np.arange(1, n)
-    De = np.zeros((n + 1, n + 1))
-    De[eye, eye - 1] = -0.5 / h
-    De[eye, eye + 1] = 0.5 / h
-    Do = De.copy()
-    Do[0, 1] = 1.0 / h
-    Do[n, n - 1] = -1.0 / h
+    lower_e = np.full(n, -0.5 / h)
+    upper_e = np.full(n, 0.5 / h)
+    lower_e[n - 1] = 0.0
+    upper_e[0] = 0.0
+    lower_o = lower_e.copy()
+    upper_o = upper_e.copy()
+    lower_o[n - 1] = -1.0 / h
+    upper_o[0] = 1.0 / h
     w = np.ones(n + 1)
     w[0] = 0.5
     w[-1] = 0.5
-    DeA = np.diag(1.0 / w) @ De.T @ np.diag(w)
-    DoA = np.diag(1.0 / w) @ Do.T @ np.diag(w)
-    return De, Do, DeA, DoA
+    # (diag(1/w) D^T diag(w))[i, j] = D[j, i] * w[j] / w[i]
+    ratio = w[1:] / w[:-1]
+
+    def op(lower, upper):
+        dense = None
+        if n < STENCIL_MIN_N:
+            dense = np.diag(lower, -1) + np.diag(upper, 1)
+        return lower, upper, dense
+
+    return (
+        op(lower_e, upper_e),
+        op(lower_o, upper_o),
+        op(upper_e / ratio, lower_e * ratio),
+        op(upper_o / ratio, lower_o * ratio),
+    )
 
 
-def _jacobian_nodal(psi: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """Arakawa average of the three difference forms on the closed lattice."""
-    De, Do, _, _ = _difference_matrices(n)
-    px, py = Do @ psi, psi @ Do.T
-    qx, qy = De @ q, q @ De.T
+def _diff(op, a: np.ndarray, axis: int) -> np.ndarray:
+    """Apply one difference operator along an axis of a nodal array."""
+    lower, upper, dense = op
+    if dense is not None:
+        return dense @ a if axis == 0 else a @ dense.T
+    out = np.empty_like(a)
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    np.multiply(src[1:], upper[:, np.newaxis], out=dst[:-1])
+    dst[-1] = 0.0
+    dst[1:] += lower[:, np.newaxis] * src[:-1]
+    return out
+
+
+def _jacobian_nodal(psi: np.ndarray, px: np.ndarray, py: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Arakawa average of the three difference forms on the closed lattice.
+
+    px, py are the odd differences of psi along each axis (`_grad_nodal`).
+    """
+    De, Do, _, _ = _difference_operators(psi.shape[0] - 1)
+    qx, qy = _diff(De, q, 0), _diff(De, q, 1)
     t1 = px * qy - py * qx
-    t2 = Do @ (psi * qy) - (psi * qx) @ Do.T
-    t3 = (px * q) @ Do.T - Do @ (py * q)
+    t2 = _diff(Do, psi * qy, 0) - _diff(Do, psi * qx, 1)
+    t3 = _diff(Do, px * q, 1) - _diff(Do, py * q, 0)
     return (t1 + t2 + t3) / 3.0
 
 
-def _jacobian_adjoint_nodal(psi: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+def _jacobian_adjoint_nodal(psi: np.ndarray, px: np.ndarray, py: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Adjoint of q -> J(psi, q) in the trapezoid inner product."""
-    De, Do, DeA, DoA = _difference_matrices(n)
-    px, py = Do @ psi, psi @ Do.T
-    t1 = (px * b) @ DeA.T - DeA @ (py * b)
-    t2 = (psi * (DoA @ b)) @ DeA.T - DeA @ (psi * (b @ DoA.T))
-    t3 = px * (b @ DoA.T) - py * (DoA @ b)
+    _, _, DeA, DoA = _difference_operators(psi.shape[0] - 1)
+    bx, by = _diff(DoA, b, 0), _diff(DoA, b, 1)
+    t1 = _diff(DeA, px * b, 1) - _diff(DeA, py * b, 0)
+    t2 = _diff(DeA, psi * bx, 1) - _diff(DeA, psi * by, 0)
+    t3 = px * by - py * bx
     return (t1 + t2 + t3) / 3.0
+
+
+def _grad_nodal(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Odd-reflection differences of a streamfunction along both axes."""
+    Do = _difference_operators(psi.shape[0] - 1)[1]
+    return _diff(Do, psi, 0), _diff(Do, psi, 1)
 
 
 def jacobian(psi: Field, q: Field) -> Field:
@@ -283,31 +337,39 @@ def jacobian(psi: Field, q: Field) -> Field:
     if psi.grid != q.grid:
         raise DimensionMismatch("jacobian arguments live on different grids")
     grid = psi.grid
-    out = _jacobian_nodal(psi.nodal, q.nodal, grid.n)
+    out = _jacobian_nodal(psi.nodal, *_grad_nodal(psi.nodal), q.nodal)
     return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs_from_nodal(out, Basis.NEUMANN_COSINE, grid))
 
 
-def bilinear_b(v1: Field, v2: Field) -> Field:
+def bilinear_b(v1: Field, v2: Field, psi: Field | None = None) -> Field:
     """Advection operator B(v1, v2) = J(G v1, v2), skew-symmetrized exactly.
 
     The raw Jacobian is averaged with minus its weighted adjoint in the
     second slot, which enforces <B(v1,v2),v2> = 0 and the antisymmetry
     <B(v1,v2),v3> = -<B(v1,v3),v2> to round-off on the retained modes.
+    `psi`, when given, must be `dirichlet_poisson(v1)`; it saves the solve.
     """
     if v1.grid != v2.grid:
         raise DimensionMismatch("bilinear form arguments live on different grids")
     grid = v1.grid
-    psi = dirichlet_poisson(v1).nodal
+    if psi is None:
+        psi = dirichlet_poisson(v1)
+    p = psi.nodal
+    px, py = _grad_nodal(p)
     a = v2.nodal
-    skew = 0.5 * (_jacobian_nodal(psi, a, grid.n) - _jacobian_adjoint_nodal(psi, a, grid.n))
+    skew = 0.5 * (_jacobian_nodal(p, px, py, a) - _jacobian_adjoint_nodal(p, px, py, a))
     return Field(
         grid, Basis.NEUMANN_COSINE, coeffs=coeffs_from_nodal(skew, Basis.NEUMANN_COSINE, grid)
     )
 
 
-def beta_term(z: Field) -> Field:
-    """x-derivative of the streamfunction response, G(z)_x, as a mean-zero field."""
-    psi = dirichlet_poisson(z)
+def beta_term(z: Field, psi: Field | None = None) -> Field:
+    """x-derivative of the streamfunction response, G(z)_x, as a mean-zero field.
+
+    `psi`, when given, must be `dirichlet_poisson(z)`; it saves the solve.
+    """
+    if psi is None:
+        psi = dirichlet_poisson(z)
     dpsi_dx, _ = gradient(psi)
     grid = z.grid
     return Field(

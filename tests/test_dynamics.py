@@ -22,7 +22,7 @@ from qgsync.dynamics import (
 )
 from qgsync.fields import Basis, Field, GridSpec, inner, norm_l2, retained_mask
 from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream
-from qgsync.operators import beta_term, bilinear_b
+from qgsync.operators import beta_term, bilinear_b, dirichlet_poisson
 
 from conftest import random_field
 
@@ -158,6 +158,31 @@ class TestStepImex:
                     warnings.simplefilter("ignore", CFLWarning)
                     state = step_imex(state, params, stream, 10.0)
 
+    def test_overflowing_synthesis_is_a_divergence(self, grid32):
+        # finite coefficients whose nodal values overflow: the CFL speed
+        # must not let the non-finite field escape as NonFiniteField
+        coeffs = np.zeros(grid32.shape)
+        coeffs[1:20, 1:20] = 1e306
+        z0 = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeffs)
+        stream = NoiseStream(seed=8, dt=0.01)
+        state = prepare_state(z0, stream, PARAMS, COV_OFF, COV_OFF)
+        for check_cfl in (True, False):
+            with pytest.raises(DivergenceError):
+                step_imex(state, PARAMS, stream, 0.01, check_cfl=check_cfl)
+
+    def test_cfl_check_leaves_the_step_unchanged(self, grid32):
+        stream = NoiseStream(seed=11, dt=0.01)
+        start = prepare_state(masked_field(grid32, 11), stream, PARAMS, COV1, COV2)
+        states = {}
+        for check_cfl in (True, False):
+            state = start
+            for _ in range(5):
+                state = step_imex(state, PARAMS, stream, 0.01, check_cfl=check_cfl)
+            states[check_cfl] = state
+        assert np.array_equal(states[True].z.coeffs, states[False].z.coeffs)
+        assert np.array_equal(states[True].coeff.zw1.coeffs, states[False].coeff.zw1.coeffs)
+        assert np.array_equal(states[True].coeff.zw2.coeffs, states[False].coeff.zw2.coeffs)
+
     def test_cfl_warning(self, grid32):
         z0 = random_field(grid32, seed=9, scale=100.0)
         stream = NoiseStream(seed=9, dt=0.1)
@@ -249,21 +274,20 @@ class TestUntransform:
     def test_zero_coefficients_identity(self, grid32):
         z = masked_field(grid32, 18)
         state = prepare_state(z, NoiseStream(seed=18, dt=0.01), PARAMS, COV_OFF, COV_OFF)
-        u, psi = untransform(state)
+        u = untransform(state)
         assert np.array_equal(u.coeffs, state.z.coeffs)
-        assert psi.basis is Basis.DIRICHLET_SINE
+        assert dirichlet_poisson(u).basis is Basis.DIRICHLET_SINE
 
     def test_transform_untransform_round_trip(self, grid32):
         state = prepare_state(masked_field(grid32, 19), NoiseStream(seed=19, dt=0.01), PARAMS, COV1, COV2)
-        u, _ = untransform(state)
+        u = untransform(state)
         back = transform(u, state.coeff)
         assert norm_l2(back - state.z) < 1e-14 * max(norm_l2(u), 1.0)
 
     def test_streamfunction_vanishes_on_boundary(self, grid32):
         state = prepare_state(masked_field(grid32, 20), NoiseStream(seed=20, dt=0.01), PARAMS, COV1, COV2)
         state = step_imex(state, PARAMS, NoiseStream(seed=20, dt=0.01), 0.01, check_cfl=False)
-        _, psi = untransform(state)
-        nod = psi.nodal
+        nod = dirichlet_poisson(untransform(state)).nodal
         edge = max(
             np.max(np.abs(nod[0, :])),
             np.max(np.abs(nod[-1, :])),

@@ -30,6 +30,7 @@ from qgsync.operators import (
     neumann_lift,
     semigroup,
 )
+from qgsync.operators import STENCIL_MIN_N, _diff, _difference_operators
 
 from conftest import random_field
 
@@ -236,7 +237,7 @@ class TestJacobian:
         # psi = sin(pi x) sin(pi y), q = cos(2 pi x):
         # J = 2 pi^2 sin(pi x) cos(pi y) sin(2 pi x)
         errs = {}
-        for n in (32, 64):
+        for n in (32, 64, 128):
             g = GridSpec(n)
             x = g.nodes
             psi = Field.from_modes(g, Basis.DIRICHLET_SINE, {(1, 1): 0.5})
@@ -249,6 +250,7 @@ class TestJacobian:
             )
             errs[n] = np.max(np.abs(out.nodal[1:-1, 1:-1] - analytic[1:-1, 1:-1]))
         assert 3.0 < errs[32] / errs[64] < 5.0
+        assert 3.0 < errs[64] / errs[128] < 5.0
 
     def test_grid_mismatch(self, grid32, grid64):
         psi = random_field(grid32, Basis.DIRICHLET_SINE, seed=12)
@@ -262,22 +264,67 @@ class TestJacobian:
             jacobian(psi, psi)
 
 
-class TestBilinearForm:
-    def test_self_orthogonality(self, grid32):
-        for seed in range(25):
-            v1 = random_field(grid32, seed=3 * seed)
-            v2 = random_field(grid32, seed=3 * seed + 1)
-            val = inner(bilinear_b(v1, v2), v2)
-            assert abs(val) <= 1e-12 * norm_l2(v1) * norm_h1(v2) ** 2
+def reference_difference_matrices(n):
+    """Dense difference matrices as first written: the reference for the stencils."""
+    h = 1.0 / n
+    eye = np.arange(1, n)
+    De = np.zeros((n + 1, n + 1))
+    De[eye, eye - 1] = -0.5 / h
+    De[eye, eye + 1] = 0.5 / h
+    Do = De.copy()
+    Do[0, 1] = 1.0 / h
+    Do[n, n - 1] = -1.0 / h
+    w = np.ones(n + 1)
+    w[0] = w[-1] = 0.5
+    DeA = np.diag(1.0 / w) @ De.T @ np.diag(w)
+    DoA = np.diag(1.0 / w) @ Do.T @ np.diag(w)
+    return De, Do, DeA, DoA
 
-    def test_antisymmetry(self, grid32):
-        for seed in range(25):
-            v1 = random_field(grid32, seed=100 + 3 * seed)
-            v2 = random_field(grid32, seed=101 + 3 * seed)
-            v3 = random_field(grid32, seed=102 + 3 * seed)
-            resid = inner(bilinear_b(v1, v2), v3) + inner(bilinear_b(v1, v3), v2)
-            scale = norm_l2(v1) * norm_h1(v2) * norm_h1(v3)
-            assert abs(resid) <= 1e-12 * scale
+
+class TestDifferenceOperators:
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_stencil_and_matrix_forms_agree_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n + 1, n + 1))
+        for op, ref in zip(_difference_operators(n), reference_difference_matrices(n)):
+            lower, upper, dense = op
+            assert np.array_equal(np.diag(lower, -1) + np.diag(upper, 1), ref)
+            assert dense is None or np.array_equal(dense, ref)
+            stencil = (lower, upper, None)
+            assert np.array_equal(_diff(stencil, a, 0), ref @ a)
+            assert np.array_equal(_diff(stencil, a, 1), a @ ref.T)
+
+    def test_matrices_only_below_the_stencil_switch(self):
+        assert all(op[2] is not None for op in _difference_operators(STENCIL_MIN_N - 2))
+        assert all(op[2] is None for op in _difference_operators(STENCIL_MIN_N))
+
+
+class TestBilinearForm:
+    # n = 32 runs the difference operators as matrices, n = 128 as stencils
+    def test_self_orthogonality(self):
+        for grid in (GridSpec(32), GridSpec(128)):
+            for seed in range(25):
+                v1 = random_field(grid, seed=3 * seed)
+                v2 = random_field(grid, seed=3 * seed + 1)
+                val = inner(bilinear_b(v1, v2), v2)
+                assert abs(val) <= 1e-12 * norm_l2(v1) * norm_h1(v2) ** 2
+
+    def test_antisymmetry(self):
+        for grid in (GridSpec(32), GridSpec(128)):
+            for seed in range(25):
+                v1 = random_field(grid, seed=100 + 3 * seed)
+                v2 = random_field(grid, seed=101 + 3 * seed)
+                v3 = random_field(grid, seed=102 + 3 * seed)
+                resid = inner(bilinear_b(v1, v2), v3) + inner(bilinear_b(v1, v3), v2)
+                scale = norm_l2(v1) * norm_h1(v2) * norm_h1(v3)
+                assert abs(resid) <= 1e-12 * scale
+
+    def test_precomputed_streamfunction_changes_nothing(self, grid32):
+        v1 = random_field(grid32, seed=204)
+        v2 = random_field(grid32, seed=205)
+        psi = dirichlet_poisson(v1)
+        assert np.array_equal(bilinear_b(v1, v2, psi).coeffs, bilinear_b(v1, v2).coeffs)
+        assert np.array_equal(beta_term(v1, psi).coeffs, beta_term(v1).coeffs)
 
     def test_consistent_with_raw_jacobian(self, grid32):
         # the skew-symmetrization is a correction of the same order as the
