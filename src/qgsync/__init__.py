@@ -19,11 +19,8 @@ from .fields import (
     norm_h1,
     norm_l2,
     quadrature_inner,
-    to_nodal,
-    to_spectral,
 )
 from .operators import (
-    LiftingMatrix,
     OperatorConstants,
     apply_a,
     beta_term,
@@ -53,7 +50,6 @@ from .dynamics import (
     DivergenceError,
     ModelParams,
     evolve,
-    rhs_transformed,
     step_imex,
     transform,
     untransform,

@@ -39,7 +39,7 @@ from .dynamics import (
     step_imex,
     untransform,
 )
-from .fields import Basis, Field, GridSpec, norm_h1, norm_l2, retained_mask
+from .fields import Basis, Field, GridSpec, norm_h1, norm_l2, random_field
 from .noise import (
     CoefficientState,
     CovarianceSpec,
@@ -49,7 +49,7 @@ from .noise import (
     ou_step,
     wiener_shift,
 )
-from .operators import OperatorConstants, estimate_constants, lifting_matrix
+from .operators import OperatorConstants, estimate_constants
 
 NORM_CONVENTION = "first-order norm = gradient seminorm |grad(.)|"
 
@@ -176,10 +176,7 @@ def _coefficient_window(
     be transported into a forward run.
     """
     past = wiener_shift(stream, -steps * stream.dt)
-    k1 = cov1.cutoff if cov1.amplitude > 0 else 1
-    lift = lifting_matrix(grid, params.nu, n_modes=min(k1, grid.n - 1))
-    kernel = OUKernel(grid, params.nu, cov1, cov2, lift, stream.dt)
-    state = ou_init(params, cov1, cov2, lift, past, kernel=kernel)
+    state = ou_init(OUKernel(grid, params.nu, cov1, cov2, stream.dt), past)
     g = np.empty(steps + 1)
     r = np.empty(steps + 1)
     for j in range(steps + 1):
@@ -200,12 +197,10 @@ def estimate_grad2(
     samples: int = 256,
 ) -> float:
     """Plug-in estimate of E|grad w|^2 from independent stationary draws."""
-    k1 = cov1.cutoff if cov1.amplitude > 0 else 1
-    lift = lifting_matrix(grid, params.nu, n_modes=min(k1, grid.n - 1))
-    kernel = OUKernel(grid, params.nu, cov1, cov2, lift, stream.dt)
+    kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
     vals = np.empty(samples)
     for i in range(samples):
-        st = ou_init(params, cov1, cov2, lift, wiener_shift(stream, -i * stream.dt), kernel=kernel)
+        st = ou_init(kernel, wiener_shift(stream, -i * stream.dt))
         vals[i] = norm_h1(st.combined()) ** 2
     return float(np.mean(vals))
 
@@ -283,11 +278,7 @@ def radius_invariance_experiment(
         )
         rho0 = math.sqrt(max(rho2_0, 0.0))
         rng = np.random.default_rng((seed, 0xABCD))
-        direction = rng.standard_normal(grid.shape)
-        direction *= retained_mask(grid, Basis.NEUMANN_COSINE)
-        kc = grid.dealias_cutoff()
-        k = np.arange(grid.n + 1)
-        direction *= np.outer(k <= kc, k <= kc)
+        direction = dealias(random_field(grid, rng)).coeffs
         dnorm = float(np.sqrt(np.sum(direction**2)))
         scale = rng.uniform(0.0, 1.0) * rho0 if z0_norm is None else z0_norm
         if scale > rho0 * (1.0 + 1e-12):
@@ -402,16 +393,11 @@ def check_condition(
     if constants is None:
         constants = estimate_constants(grid, params.nu, seed=stream.seed & 0xFFFF)
 
-    k1 = cov1.cutoff if cov1.amplitude > 0 else 1
-    lift = lifting_matrix(grid, params.nu, n_modes=min(k1, grid.n - 1))
-    kernel = OUKernel(grid, params.nu, cov1, cov2, lift, stream.dt)
-
+    kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
     g_vals = np.empty(samples)
     r_vals = np.empty(samples)
     for i in range(samples):
-        st = ou_init(
-            params, cov1, cov2, lift, wiener_shift(stream, -(i + 1) * stream.dt), kernel=kernel
-        )
+        st = ou_init(kernel, wiener_shift(stream, -(i + 1) * stream.dt))
         w = st.combined()
         g_vals[i] = norm_h1(w) ** 2
         r_vals[i] = compute_r(st, params, constants)
@@ -622,13 +608,8 @@ def stationary_statistics(
     for seed in sorted(seeds):
         stream = NoiseStream(seed=seed, dt=dt)
         rng = np.random.default_rng((seed, 0xFEED))
-        mask = retained_mask(grid, Basis.NEUMANN_COSINE).astype(float)
-        kc = grid.dealias_cutoff()
-        k = np.arange(grid.n + 1)
-        mask *= np.outer(k <= kc, k <= kc)
-        envelope = (1.0 + np.add.outer(k.astype(float) ** 2, k.astype(float) ** 2)) ** -1.5
-        z0a = Field(grid, Basis.NEUMANN_COSINE, coeffs=0.5 * rng.standard_normal(grid.shape) * envelope * mask)
-        z0b = Field(grid, Basis.NEUMANN_COSINE, coeffs=0.5 * rng.standard_normal(grid.shape) * envelope * mask)
+        z0a = dealias(random_field(grid, rng, 0.5, 3.0))
+        z0b = dealias(random_field(grid, rng, 0.5, 3.0))
 
         state_a = prepare_state(z0a, stream, params, cov1, cov2)
         state_b = CocycleState(step=0, z=dealias(z0b), coeff=state_a.coeff)

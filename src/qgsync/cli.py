@@ -23,17 +23,16 @@ from .fields import (
     Basis,
     Field,
     inner,
+    laplacian_eigenvalues,
     norm_h1,
     norm_l2,
-    retained_mask,
+    random_field,
     save_field,
 )
-from .fields import laplacian_eigenvalues
 from .noise import ConfigError, NoiseStream, OUKernel, ou_init, wiener_shift
 from .operators import (
     bilinear_b,
     dirichlet_poisson,
-    lifting_matrix,
     neumann_lift,
     semigroup,
 )
@@ -67,9 +66,10 @@ def _jsonable(obj):
 
 
 def write_json(path, payload: dict) -> None:
+    """Write strict JSON: a NaN in a report is an error, never the token NaN."""
+    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _report_payload(name: str, config: RunConfig, body: dict) -> dict:
@@ -84,14 +84,10 @@ def _report_payload(name: str, config: RunConfig, body: dict) -> dict:
 def _suite_bilinear(config: RunConfig) -> dict:
     grid = config.grid()
     rng = np.random.default_rng(2024)
-    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
     worst_self = 0.0
     worst_anti = 0.0
     for _ in range(20):
-        v1, v2, v3 = (
-            Field(grid, Basis.NEUMANN_COSINE, coeffs=rng.standard_normal(grid.shape) * mask)
-            for _ in range(3)
-        )
+        v1, v2, v3 = (random_field(grid, rng) for _ in range(3))
         b12 = bilinear_b(v1, v2)
         b13 = bilinear_b(v1, v3)
         scale_self = max(norm_l2(v1) * norm_h1(v2) ** 2, 1e-300)
@@ -109,11 +105,10 @@ def _suite_bilinear(config: RunConfig) -> dict:
 def _suite_poisson(config: RunConfig) -> dict:
     grid = config.grid()
     rng = np.random.default_rng(7)
-    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
     worst = 0.0
     lam = laplacian_eigenvalues(grid)
     for _ in range(5):
-        u = Field(grid, Basis.NEUMANN_COSINE, coeffs=rng.standard_normal(grid.shape) * mask)
+        u = random_field(grid, rng)
         psi = dirichlet_poisson(u)
         lap_psi = Field(grid, Basis.DIRICHLET_SINE, coeffs=-lam * psi.coeffs)
         # the sine synthesis vanishes on the boundary, so compare in the interior
@@ -146,9 +141,7 @@ def _suite_lift(config: RunConfig) -> dict:
 
 def _suite_semigroup(config: RunConfig) -> dict:
     grid = config.grid()
-    rng = np.random.default_rng(11)
-    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
-    f = Field(grid, Basis.NEUMANN_COSINE, coeffs=rng.standard_normal(grid.shape) * mask)
+    f = random_field(grid, np.random.default_rng(11))
     s, t = 0.21, 0.34
     once = semigroup(f, config.nu, s + t)
     twice = semigroup(semigroup(f, config.nu, s), config.nu, t)
@@ -166,18 +159,14 @@ def _suite_semigroup(config: RunConfig) -> dict:
 
 def _suite_ou(config: RunConfig) -> dict:
     grid = config.grid()
-    params = config.params()
-    cov1, cov2 = config.cov1(), config.cov2()
     stream = NoiseStream(seed=424242, dt=config.dt)
-    k1 = cov1.cutoff if cov1.amplitude > 0 else 1
-    lift = lifting_matrix(grid, params.nu, n_modes=min(k1, grid.n - 1))
-    kernel = OUKernel(grid, params.nu, cov1, cov2, lift, config.dt)
+    kernel = OUKernel(grid, config.nu, config.cov1(), config.cov2(), config.dt)
     v1, v2 = kernel.stationary_variances()
     samples = 3000
     acc1 = np.zeros(grid.shape)
     acc2 = np.zeros(grid.shape)
     for i in range(samples):
-        st = ou_init(params, cov1, cov2, lift, wiener_shift(stream, -i * config.dt), kernel=kernel)
+        st = ou_init(kernel, wiener_shift(stream, -i * config.dt))
         acc1 += st.zw1.coeffs**2
         acc2 += st.zw2.coeffs**2
     acc1 /= samples
@@ -197,9 +186,7 @@ def _suite_cocycle(config: RunConfig) -> dict:
     grid = config.grid()
     params = config.params()
     cov1, cov2 = config.cov1(), config.cov2()
-    rng = np.random.default_rng(31)
-    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
-    z0 = Field(grid, Basis.NEUMANN_COSINE, coeffs=0.1 * rng.standard_normal(grid.shape) * mask)
+    z0 = random_field(grid, np.random.default_rng(31), 0.1)
     stream = NoiseStream(seed=9001, dt=config.dt)
     ok = analysis.cocycle_check(stream, params, cov1, cov2, 5 * config.dt, 7 * config.dt, z0)
     bad = analysis.cocycle_check(
@@ -289,13 +276,12 @@ def cmd_synchronize(config: RunConfig, outdir: str) -> int:
     grid = config.grid()
     params = config.params()
     cov1, cov2 = config.cov1(), config.cov2()
-    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
     all_converged = True
     summary = []
     for seed in sorted(config.seeds):
         rng = np.random.default_rng((seed, 0x51AC))
-        z0a = Field(grid, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(grid.shape) * mask)
-        z0b = Field(grid, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(grid.shape) * mask)
+        z0a = random_field(grid, rng, 0.05)
+        z0b = random_field(grid, rng, 0.05)
         report = analysis.synchronization_experiment(
             seed, params, cov1, cov2, grid, z0a, z0b, config.t_end, config.dt
         )

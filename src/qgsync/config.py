@@ -9,6 +9,7 @@ reads the clock or OS entropy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import ModelParams
@@ -38,6 +39,14 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for key, value in (
+            ("time.dt", self.dt),
+            ("time.t_end", self.t_end),
+            ("time.burn", self.burn),
+            ("rho.window", self.rho_window),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.dt <= 0:
             raise ConfigError(f"time.dt must be positive, got {self.dt}")
         if self.t_end <= 0:

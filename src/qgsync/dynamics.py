@@ -15,14 +15,16 @@ checks.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .fields import Basis, Field, NonFiniteField, gradient, laplacian_eigenvalues, retained_mask
 from .noise import CoefficientState, CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step
-from .operators import beta_term, bilinear_b, dirichlet_poisson, lifting_matrix
+from .operators import beta_term, bilinear_b, dirichlet_poisson
 
 
 class DivergenceError(RuntimeError):
@@ -42,6 +44,10 @@ class ModelParams:
     beta: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.nu, self.r, self.beta)):
+            raise ValueError(
+                f"model parameters must be finite, got nu={self.nu}, r={self.r}, beta={self.beta}"
+            )
         if self.nu <= 0:
             raise ValueError(f"viscosity must be positive, got {self.nu}")
         if self.r <= 0:
@@ -59,29 +65,16 @@ class CocycleState:
     coeff: CoefficientState
 
 
+@lru_cache(maxsize=None)
+def _dealias_mask(n: int) -> np.ndarray:
+    """2/3-rule mask on grid n: keeps modes k, l <= 2n // 3."""
+    keep = np.arange(n + 1) <= (2 * n) // 3
+    return np.outer(keep, keep)
+
+
 def dealias(f: Field) -> Field:
     """Zero modes above the 2/3 cutoff (applied to advection products only)."""
-    grid = f.grid
-    kc = grid.dealias_cutoff()
-    k = np.arange(grid.n + 1)
-    keep = np.outer(k <= kc, k <= kc)
-    return Field(grid, f.basis, coeffs=f.coeffs * keep)
-
-
-def rhs_transformed(z: Field, coeff: CoefficientState, params: ModelParams) -> Field:
-    """Coefficient-process part of the transformed tendency.
-
-    With w the sum of the two stationary processes this is
-    -B(z,w) - B(w,z) - B(w,w) - beta*G(w)_x - r*w; the z-only terms
-    (advection self-term, diffusion, friction, beta term) are handled by
-    the stepper.  Bilinearity in the first slot lets B(z,w) + B(w,w)
-    collapse into B(z+w, w).
-    """
-    w = coeff.combined()
-    out = -1.0 * dealias(bilinear_b(z + w, w) + bilinear_b(w, z))
-    if params.beta != 0.0:
-        out = out - params.beta * beta_term(w)
-    return out - params.r * w
+    return Field(f.grid, f.basis, coeffs=f.coeffs * _dealias_mask(f.grid.n))
 
 
 def _advective_speed(psi: Field) -> float:
@@ -163,20 +156,9 @@ def prepare_state(
     transported as-is so that restarts continue the same noise path.
     """
     if isinstance(z0, CocycleState):
-        return CocycleState(step=0, z=z0.z, coeff=replace_step(z0.coeff, 0))
-    grid = z0.grid
-    k1 = cov1.cutoff if cov1.amplitude > 0 else 1
-    lift = lifting_matrix(grid, params.nu, n_modes=min(k1, grid.n - 1))
-    kernel = OUKernel(grid, params.nu, cov1, cov2, lift, stream.dt)
-    coeff = ou_init(params, cov1, cov2, lift, stream, kernel=kernel)
-    return CocycleState(step=0, z=dealias(z0), coeff=coeff)
-
-
-def replace_step(coeff: CoefficientState, step: int) -> CoefficientState:
-    """Relabel a coefficient state's clock (used when rebasing onto a shifted stream)."""
-    return CoefficientState(
-        t=step * coeff.kernel.dt, step=step, zw1=coeff.zw1, zw2=coeff.zw2, kernel=coeff.kernel
-    )
+        return CocycleState(step=0, z=z0.z, coeff=replace(z0.coeff, t=0.0, step=0))
+    kernel = OUKernel(z0.grid, params.nu, cov1, cov2, stream.dt)
+    return CocycleState(step=0, z=dealias(z0), coeff=ou_init(kernel, stream))
 
 
 def evolve(

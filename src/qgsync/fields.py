@@ -87,10 +87,6 @@ class GridSpec:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.h
 
-    def dealias_cutoff(self) -> int:
-        """Largest mode index kept by the 2/3-rule mask."""
-        return (2 * self.n) // 3
-
 
 @lru_cache(maxsize=None)
 def _grid_tables(n: int):
@@ -279,14 +275,6 @@ class Field:
             self._nodal = v
         return self._nodal
 
-    @property
-    def has_coeffs(self) -> bool:
-        return self._coeffs is not None
-
-    @property
-    def has_nodal(self) -> bool:
-        return self._nodal is not None
-
     # -- arithmetic (coefficient space) -------------------------------------
 
     def _check_compatible(self, other: "Field"):
@@ -316,16 +304,18 @@ class Field:
         return f"Field({self.basis.name}, n={self.grid.n})"
 
 
-def to_spectral(f: Field) -> Field:
-    """Return a field that holds coefficients (computing them if needed)."""
-    f.coeffs
-    return f
+def random_field(
+    grid: GridSpec, rng: np.random.Generator, scale: float = 1.0, slope: float = 0.0
+) -> Field:
+    """Gaussian mean-zero cosine field: scale * N(0,1) * (1+k^2+l^2)^(-slope/2).
 
-
-def to_nodal(f: Field) -> Field:
-    """Return a field that holds nodal values (computing them if needed)."""
-    f.nodal
-    return f
+    One `rng.standard_normal(grid.shape)` draw, zeroed off the retained modes.
+    """
+    kx, ky, _, _ = _grid_tables(grid.n)
+    envelope = (1.0 + kx**2 + ky**2) ** (-slope / 2.0)
+    coeffs = scale * rng.standard_normal(grid.shape) * envelope
+    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
+    return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs * mask)
 
 
 def inner(f: Field, g: Field) -> float:
@@ -379,11 +369,6 @@ def quadrature_inner(f: Field, g: Field) -> float:
     _, _, _, w = _grid_tables(f.grid.n)
     h = f.grid.h
     return float(h * h * np.sum(np.outer(w, w) * f.nodal * g.nodal))
-
-
-def trapezoid_weights(grid: GridSpec) -> np.ndarray:
-    """1D trapezoid weights (1/2 at the two boundary nodes)."""
-    return _grid_tables(grid.n)[3].copy()
 
 
 class BoundaryField:

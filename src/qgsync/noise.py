@@ -12,6 +12,11 @@ interior forcing) are advanced with the exact per-mode Ornstein-Uhlenbeck
 recursion, so their stationary law is exact at any step size: there is no
 discretization bias to calibrate away in the stationarity tests.
 
+`OUKernel(grid, nu, cov1, cov2, dt)` is the one place the coefficient
+processes are set up: it builds the boundary lift itself, sized to the
+boundary covariance.  `ou_init(kernel, stream)` is the only stationary
+draw and `ou_step` the only update.
+
 Channel layout per step, in one fixed vector of length 2C:
 
     [ boundary increments | interior increments | boundary init | interior init ]
@@ -23,16 +28,13 @@ simulation never re-reads channels that a later forward run consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fields import Basis, Field, GridSpec, laplacian_eigenvalues, retained_mask
-from .operators import LiftingMatrix
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import ModelParams
+from .operators import lifting_matrix
 
 
 class ConfigError(ValueError):
@@ -95,6 +97,8 @@ class CovarianceSpec:
     cutoff: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.decay)):
+            raise ConfigError("covariance amplitude and decay must be finite")
         if self.amplitude < 0:
             raise ConfigError("covariance amplitude must be nonnegative")
         if self.cutoff < 1:
@@ -159,7 +163,8 @@ class OUKernel:
     per-mode variance matched to the exact stochastic convolution; the
     interior-driven process is diagonal.  Within-step cross-mode weighting
     of shared channels is approximate at O(dt) weak order, marginal laws
-    are exact.
+    are exact.  The lift is built here, with one column per boundary
+    channel, and only when the boundary noise is on.
     """
 
     def __init__(
@@ -168,7 +173,6 @@ class OUKernel:
         nu: float,
         cov1: CovarianceSpec,
         cov2: CovarianceSpec,
-        lift: LiftingMatrix,
         dt: float,
     ):
         if nu <= 0:
@@ -191,9 +195,8 @@ class OUKernel:
         q1 = cov1.boundary_variances(grid) if cov1.amplitude > 0 else np.zeros(0)
         self.n_boundary = q1.size
         if self.n_boundary:
-            if lift.n_modes < self.n_boundary:
-                raise ConfigError("lifting matrix has fewer columns than the covariance cutoff")
-            gain = rate[:, 1 : 1 + self.n_boundary] * lift.xcoeffs[:, : self.n_boundary]
+            lift = lifting_matrix(grid, nu, n_modes=self.n_boundary)
+            gain = rate[:, 1 : 1 + self.n_boundary] * lift
             gain = gain * np.sqrt(q1)[np.newaxis, :]
             self.w1_step = gain * np.sqrt(ou_var_scale[:, 1 : 1 + self.n_boundary])
             self.w1_stat = gain * np.sqrt(stat_scale[:, 1 : 1 + self.n_boundary])
@@ -258,21 +261,12 @@ def _field(grid: GridSpec, coeffs: np.ndarray) -> Field:
     return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs)
 
 
-def ou_init(
-    params: "ModelParams",
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
-    lift: LiftingMatrix,
-    stream: NoiseStream,
-    kernel: OUKernel | None = None,
-) -> CoefficientState:
+def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
     """Sample the exact stationary law of both coefficient processes at t = 0.
 
     Boundary-channel amplitudes are drawn first and mapped through the lift,
     so modes sharing an edge channel come out correlated.
     """
-    if kernel is None:
-        kernel = OUKernel(lift.grid, params.nu, cov1, cov2, lift, stream.dt)
     zw1, zw2 = kernel.stationary_sample(stream)
     grid = kernel.grid
     return CoefficientState(t=0.0, step=0, zw1=_field(grid, zw1), zw2=_field(grid, zw2), kernel=kernel)

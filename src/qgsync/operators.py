@@ -3,7 +3,9 @@
 The streamfunction solve, the Neumann boundary lift, the mean-zero Laplacian
 with its heat semigroup, and an Arakawa-type discrete Jacobian are collected
 here together with numerical estimates of the constants that enter the
-contraction analysis.
+contraction analysis.  The lift is a plain (n+1, K) coefficient array from
+`lifting_matrix`; `neumann_lift` and the coefficient kernel
+`noise.OUKernel` are the only places that build it.
 
 The load-bearing discrete property is exact skew-symmetry of the advection
 operator: `bilinear_b` antisymmetrizes the Jacobian trilinear form in its
@@ -18,9 +20,9 @@ The Jacobian's difference operators are zero-diagonal tridiagonal, stored
 as their two off-diagonals.  From n = STENCIL_MIN_N cells per side they are
 applied as O(n)-per-line slice stencils; on smaller grids one BLAS matmul
 against the dense matrix is faster.  At power-of-two n both forms give the
-same bits.  `bilinear_b` and `beta_term`
-accept a precomputed streamfunction, so a caller that already solved for
-it (the time stepper) solves once per step.
+same bits.  `bilinear_b` and `beta_term` accept a precomputed
+streamfunction, so a caller that already solved for it (the time stepper)
+solves once per step.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .fields import (
     laplacian_eigenvalues,
     norm_h1,
     norm_l2,
+    random_field,
     retained_mask,
 )
 
@@ -53,22 +56,21 @@ C_GX_EXACT = 1.0 / (2.0 * np.pi)  # max_k,l k*pi / (pi^2 (k^2+l^2)), at (1,1)
 class OperatorConstants:
     """Constants of the discrete operators used by the condition evaluator.
 
-    c_b is an empirical supremum over random triples refined by local
-    ascent, hence a lower bound of the true discrete trilinear norm; c_g
-    is informational only.
+    lambda1 is the first mean-zero Neumann eigenvalue and c_gx bounds
+    |G(z)_x| / |z|, both exact on the mode lattice.  c_b is an empirical
+    supremum over random triples refined by local ascent, hence a lower
+    bound of the true discrete trilinear norm.
     """
 
     lambda1: float
     c_b: float
     c_gx: float
-    c_g: float
 
     def to_dict(self) -> dict:
         return {
             "lambda1": self.lambda1,
             "c_b": self.c_b,
             "c_gx": self.c_gx,
-            "c_g": self.c_g,
         }
 
 
@@ -123,44 +125,6 @@ def _require_neumann(f: Field):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftingMatrix:
-    """Cosine coefficients of the harmonic lift of each edge mode.
-
-    Column k holds the x-mode coefficients of the field responding to the
-    unit edge datum sqrt(2) cos(k pi y); its y-dependence is exactly the
-    cosine mode k, so the full 2D coefficient of interior mode (m, k) is
-    xcoeffs[m, k-1] = c_m / (nu pi^2 (k^2 + m^2)) with c_0 = 1 and
-    c_m = sqrt(2).  This is the variational (Galerkin) solution on the
-    retained modes and equals the projection of the classical profile
-    cosh(k pi (1 - x)) cos(k pi y) / (nu k pi sinh(k pi)).
-
-    The defining identity A(lift of g) = edge delta layer times g makes
-    the flux readout and the interior-harmonicity residual exact: see
-    `boundary_flux`.
-    """
-
-    grid: GridSpec
-    nu: float
-    xcoeffs: np.ndarray  # shape (n+1, K), column k-1 for edge mode k
-
-    @property
-    def n_modes(self) -> int:
-        return self.xcoeffs.shape[1]
-
-    def entry(self, m1: int, m2: int, k: int) -> float:
-        """Dense accessor: coefficient of interior mode (m1, m2) for edge mode k."""
-        if m2 != k or not 1 <= k <= self.n_modes:
-            return 0.0
-        return float(self.xcoeffs[m1, k - 1])
-
-    def column_field(self, k: int) -> Field:
-        coeffs = np.zeros(self.grid.shape)
-        coeffs[:, k] = self.xcoeffs[:, k - 1]
-        coeffs[~retained_mask(self.grid, Basis.NEUMANN_COSINE)] = 0.0
-        return Field(self.grid, Basis.NEUMANN_COSINE, coeffs=coeffs)
-
-
 @lru_cache(maxsize=None)
 def _edge_scales(n: int) -> np.ndarray:
     c = np.full(n + 1, np.sqrt(2.0))
@@ -169,8 +133,23 @@ def _edge_scales(n: int) -> np.ndarray:
     return c
 
 
-def lifting_matrix(grid: GridSpec, nu: float, n_modes: int | None = None) -> LiftingMatrix:
-    """Assemble the lift response for edge modes k = 1..n_modes."""
+def lifting_matrix(grid: GridSpec, nu: float, n_modes: int | None = None) -> np.ndarray:
+    """Cosine coefficients of the harmonic lift of edge modes k = 1..n_modes.
+
+    Returns an (n+1, n_modes) array whose column k-1 holds the x-mode
+    coefficients of the field responding to the unit edge datum
+    sqrt(2) cos(k pi y).  Its y-dependence is exactly the cosine mode k, so
+    the full 2D coefficient of interior mode (m, k) is
+    c_m / (nu pi^2 (k^2 + m^2)) with c_0 = 1 and c_m = sqrt(2).  This is the
+    variational (Galerkin) solution on the retained modes and equals the
+    projection of the classical profile
+    cosh(k pi (1 - x)) cos(k pi y) / (nu k pi sinh(k pi)).
+
+    The defining identity A(lift of g) = edge delta layer times g makes the
+    flux readout and the interior-harmonicity residual exact: see
+    `boundary_flux`.  Each column is computed on its own, so fewer modes
+    give the same leading columns.
+    """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
     if n_modes is None:
@@ -180,8 +159,7 @@ def lifting_matrix(grid: GridSpec, nu: float, n_modes: int | None = None) -> Lif
     c = _edge_scales(grid.n)
     m = np.arange(grid.n + 1, dtype=float)[:, np.newaxis]
     k = np.arange(1, n_modes + 1, dtype=float)[np.newaxis, :]
-    xc = c[:, np.newaxis] / (nu * np.pi**2 * (k**2 + m**2))
-    return LiftingMatrix(grid=grid, nu=nu, xcoeffs=xc)
+    return c[:, np.newaxis] / (nu * np.pi**2 * (k**2 + m**2))
 
 
 def neumann_lift(g: BoundaryField, nu: float) -> Field:
@@ -193,7 +171,7 @@ def neumann_lift(g: BoundaryField, nu: float) -> Field:
     """
     lift = lifting_matrix(g.grid, nu, n_modes=g.coeffs.size)
     coeffs = np.zeros(g.grid.shape)
-    coeffs[:, 1 : 1 + g.coeffs.size] = lift.xcoeffs * g.coeffs[np.newaxis, :]
+    coeffs[:, 1 : 1 + g.coeffs.size] = lift * g.coeffs[np.newaxis, :]
     coeffs[~retained_mask(g.grid, Basis.NEUMANN_COSINE)] = 0.0
     return Field(g.grid, Basis.NEUMANN_COSINE, coeffs=coeffs)
 
@@ -384,15 +362,6 @@ def beta_term(z: Field, psi: Field | None = None) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _random_field(rng: np.random.Generator, grid: GridSpec, slope: float) -> Field:
-    """Gaussian coefficients with an algebraic spectral envelope."""
-    kx, ky = np.meshgrid(np.arange(grid.n + 1), np.arange(grid.n + 1), indexing="ij")
-    envelope = (1.0 + kx**2 + ky**2) ** (-slope / 2.0)
-    coeffs = rng.standard_normal(grid.shape) * envelope
-    coeffs[~retained_mask(grid, Basis.NEUMANN_COSINE)] = 0.0
-    return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs)
-
-
 def _triple_ratio(v1: Field, v2: Field, v3: Field) -> float:
     denom = norm_l2(v1) * norm_h1(v2) * norm_h1(v3)
     if denom == 0.0:
@@ -423,8 +392,6 @@ def estimate_constants(
     ks = np.arange(1, grid.n)
     kk, ll = np.meshgrid(ks, ks, indexing="ij")
     c_gx = float(np.max(kk * np.pi / (np.pi**2 * (kk**2 + ll**2))))
-    lam_d = np.pi**2 * (kk**2 + ll**2)
-    c_g = float(np.max(np.sqrt(1.0 + lam_d + lam_d**2) / lam_d))
 
     rng = np.random.default_rng(seed)
     slopes = (0.0, 0.6, 1.2)
@@ -433,7 +400,7 @@ def estimate_constants(
     sup = 0.0
     for t in range(trials):
         slope = slopes[t % len(slopes)]
-        triple = tuple(_random_field(rng, grid, slope) for _ in range(3))
+        triple = tuple(random_field(grid, rng, slope=slope) for _ in range(3))
         r = _triple_ratio(*triple)
         sup = max(sup, r)
         if t < 100 and r > best_val:
@@ -466,4 +433,4 @@ def estimate_constants(
                 stale = 0
     sup = max(sup, cur_val)
 
-    return OperatorConstants(lambda1=LAMBDA1, c_b=sup, c_gx=c_gx, c_g=c_g)
+    return OperatorConstants(lambda1=LAMBDA1, c_b=sup, c_gx=c_gx)

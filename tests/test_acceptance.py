@@ -47,7 +47,6 @@ from qgsync.operators import (
     dirichlet_poisson,
     estimate_constants,
     harmonicity_residual,
-    lifting_matrix,
     neumann_lift,
     semigroup,
 )
@@ -143,10 +142,9 @@ def test_criterion_3_ou_stationarity():
     # variances along one long chain; large steps decorrelate the samples
     # and the exact update has no step-size bias
     dt = 0.5
-    lift = lifting_matrix(GRID, PARAMS.nu, n_modes=4)
-    kernel = OUKernel(GRID, PARAMS.nu, cov1, cov2, lift, dt)
+    kernel = OUKernel(GRID, PARAMS.nu, cov1, cov2, dt)
     stream = NoiseStream(seed=33, dt=dt)
-    state = ou_init(PARAMS, cov1, cov2, lift, stream, kernel=kernel)
+    state = ou_init(kernel, stream)
     v1, v2 = kernel.stationary_variances()
     n_steps = 100_000
     acc1 = np.zeros(GRID.shape)
@@ -162,9 +160,9 @@ def test_criterion_3_ou_stationarity():
 
     # autocovariance shape of a probe interior mode
     dt = 0.02
-    kernel = OUKernel(GRID, PARAMS.nu, cov1, cov2, lift, dt)
+    kernel = OUKernel(GRID, PARAMS.nu, cov1, cov2, dt)
     stream = NoiseStream(seed=34, dt=dt)
-    state = ou_init(PARAMS, cov1, cov2, lift, stream, kernel=kernel)
+    state = ou_init(kernel, stream)
     n_steps = 100_000
     series = np.empty(n_steps)
     for j in range(n_steps):
@@ -285,10 +283,9 @@ def test_criterion_8_forward_invariance(constants):
 def test_criterion_9_temperedness():
     dt = 0.1
     horizon = 200.0
-    lift = lifting_matrix(GRID, PARAMS.nu, n_modes=COV1.cutoff)
-    kernel = OUKernel(GRID, PARAMS.nu, COV1, COV2, lift, dt)
+    kernel = OUKernel(GRID, PARAMS.nu, COV1, COV2, dt)
     stream = NoiseStream(seed=9, dt=dt)
-    state = ou_init(PARAMS, COV1, COV2, lift, stream, kernel=kernel)
+    state = ou_init(kernel, stream)
     n_steps = int(horizon / dt) + 1
     series = np.empty(n_steps)
     for j in range(n_steps):

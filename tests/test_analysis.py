@@ -32,7 +32,7 @@ COV2 = CovarianceSpec(3e-4, 2.5, 4)
 COV_OFF = CovarianceSpec(0.0, 3.0, 4)
 
 # fixed plug-in constants keep the oracle arithmetic transparent
-CONSTS = OperatorConstants(lambda1=np.pi**2, c_b=0.25, c_gx=1.0 / (2 * np.pi), c_g=1.03)
+CONSTS = OperatorConstants(lambda1=np.pi**2, c_b=0.25, c_gx=1.0 / (2 * np.pi))
 
 
 class TestDriver:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qgsync.cli import main
+from qgsync.cli import main, write_json
 from qgsync.config import RunConfig, config_from_flat, parse_config
 from qgsync.noise import ConfigError
 
@@ -81,6 +81,29 @@ class TestConfigParsing:
     def test_explicit_window(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, **{"rho.window": "2.5"}))
         assert cfg.rho_window == 2.5
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "key, value, command",
+        [
+            ("noise.q2_amplitude", "nan", "check-condition"),
+            ("params.nu", "nan", "simulate"),
+            ("time.t_end", "inf", "simulate"),
+        ],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, key, value, command):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_reports_reject_nan(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"lhs": float("nan")})
+        assert not path.exists()
 
 
 class TestCommands:

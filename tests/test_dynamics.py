@@ -15,12 +15,11 @@ from qgsync.dynamics import (
     dealias,
     evolve,
     prepare_state,
-    rhs_transformed,
     step_imex,
     transform,
     untransform,
 )
-from qgsync.fields import Basis, Field, GridSpec, inner, norm_l2, retained_mask
+from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_l2, retained_mask
 from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream
 from qgsync.operators import beta_term, bilinear_b, dirichlet_poisson
 
@@ -37,6 +36,14 @@ def masked_field(grid, seed, scale=0.05, within_dealias=True):
     return dealias(f) if within_dealias else f
 
 
+def implicit_solve(rhs: Field, dt: float, params: ModelParams = PARAMS) -> Field:
+    """The stepper's diffusion-plus-friction solve: rhs / (1 + dt (nu lambda + r))."""
+    grid = rhs.grid
+    denom = 1.0 + dt * (params.nu * laplacian_eigenvalues(grid) + params.r)
+    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
+    return Field(grid, Basis.NEUMANN_COSINE, coeffs=rhs.coeffs / denom * mask)
+
+
 class TestModelParams:
     @pytest.mark.parametrize("kwargs", [
         {"nu": 0.0, "r": 1.0},
@@ -48,38 +55,29 @@ class TestModelParams:
             ModelParams(**kwargs)
 
 
-class TestRhsTransformed:
-    def test_zero_coefficients_give_zero(self, grid32):
-        z = masked_field(grid32, 1)
-        state = prepare_state(z, NoiseStream(seed=1, dt=0.01), PARAMS, COV_OFF, COV_OFF)
-        out = rhs_transformed(z, state.coeff, PARAMS)
-        assert norm_l2(out) == 0.0
-
-    def test_zero_state_reduces_to_forcing_terms(self, grid32):
-        z = Field.zeros(grid32, Basis.NEUMANN_COSINE)
-        state = prepare_state(z, NoiseStream(seed=2, dt=0.01), PARAMS, COV1, COV2)
-        out = rhs_transformed(z, state.coeff, PARAMS)
-        w = state.coeff.combined()
-        expected = (
-            -1.0 * dealias(bilinear_b(w, w))
-            - PARAMS.beta * beta_term(w)
-            - PARAMS.r * w
-        )
-        assert norm_l2(out - expected) < 1e-14 * max(norm_l2(expected), 1.0)
-
-    def test_cross_term_inner_product_identity(self, grid32):
-        # <(-B(z,w) - B(w,z)), z> == <-B(z,w), z> because <B(w,z), z> = 0
-        z = masked_field(grid32, 3, scale=0.5)
-        state = prepare_state(z, NoiseStream(seed=3, dt=0.01), PARAMS, COV1, COV2)
-        w = state.coeff.combined()
-        cross = -1.0 * (bilinear_b(z, w) + bilinear_b(w, z))
-        lhs = inner(cross, z)
-        rhs = inner(-1.0 * bilinear_b(z, w), z)
-        scale = max(abs(rhs), norm_l2(z) ** 2)
-        assert abs(lhs - rhs) < 1e-12 * scale
-
-
 class TestStepImex:
+    def test_step_without_noise(self, grid32):
+        # both covariances off: one step is the IMEX update of the z-only terms
+        dt = 0.01
+        z = masked_field(grid32, 1)
+        stream = NoiseStream(seed=1, dt=dt)
+        state = step_imex(prepare_state(z, stream, PARAMS, COV_OFF, COV_OFF), PARAMS, stream, dt)
+        tendency = -1.0 * dealias(bilinear_b(z, z)) - PARAMS.beta * beta_term(z)
+        expected = implicit_solve(z + dt * tendency, dt)
+        assert norm_l2(state.z - expected) <= 1e-14 * norm_l2(expected)
+
+    def test_step_from_rest_is_the_forcing(self, grid32):
+        # z = 0 with noise on: one step is the coefficient-process forcing
+        # -dealias B(w,w) - beta G(w)_x - r w, solved implicitly
+        dt = 0.01
+        stream = NoiseStream(seed=2, dt=dt)
+        start = prepare_state(Field.zeros(grid32, Basis.NEUMANN_COSINE), stream, PARAMS, COV1, COV2)
+        w = start.coeff.combined()
+        state = step_imex(start, PARAMS, stream, dt)
+        tendency = -1.0 * dealias(bilinear_b(w, w)) - PARAMS.beta * beta_term(w) - PARAMS.r * w
+        expected = implicit_solve(dt * tendency, dt)
+        assert norm_l2(state.z - expected) <= 1e-14 * norm_l2(expected)
+
     def test_linear_decay_factor(self, grid32):
         # small single-mode state, no noise, no beta: each step divides the
         # mode by (1 + dt (nu pi^2 + r)); scalar recursion is the oracle

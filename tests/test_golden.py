@@ -25,7 +25,14 @@ RTOL = 1e-12
 CASES = {
     "default": (
         {"seeds": "1,2", "time.t_end": "1.0", "time.burn": "0.5"},
-        [("simulate", 0), ("synchronize", 0), ("check-condition", 0)],
+        [
+            ("simulate", 0),
+            ("synchronize", 0),
+            ("check-condition", 0),
+            ("validate", 0),
+            ("radius", 0),
+            ("stationary", 0),
+        ],
     ),
     # n = 128 takes the stencil path of the difference operators
     "n128": (

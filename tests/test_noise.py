@@ -23,11 +23,6 @@ from qgsync.operators import lifting_matrix
 PARAMS = ModelParams(nu=1.0, r=1.0, beta=0.1)
 
 
-def make_kernel(grid, cov1, cov2, dt, nu=1.0):
-    lift = lifting_matrix(grid, nu, n_modes=max(cov1.cutoff, 1))
-    return lift, OUKernel(grid, nu, cov1, cov2, lift, dt)
-
-
 class TestNoiseStream:
     def test_deterministic(self):
         a = NoiseStream(seed=3, dt=0.1).normals(5, 8)
@@ -117,8 +112,8 @@ class TestCovarianceSpec:
 class TestStationaryLaw:
     def test_zero_amplitude_gives_zero_fields(self, grid32):
         cov0 = CovarianceSpec(0.0, 3.0, 4)
-        lift, kernel = make_kernel(grid32, cov0, cov0, 0.1)
-        state = ou_init(PARAMS, cov0, cov0, lift, NoiseStream(seed=1, dt=0.1), kernel=kernel)
+        kernel = OUKernel(grid32, 1.0, cov0, cov0, 0.1)
+        state = ou_init(kernel, NoiseStream(seed=1, dt=0.1))
         assert norm_l2(state.zw1) == 0.0 and norm_l2(state.zw2) == 0.0
 
     def test_single_channel_variance_oracle(self, grid32):
@@ -126,29 +121,30 @@ class TestStationaryLaw:
         # with gain nu*lambda through the lift and rate nu*lambda
         cov1 = CovarianceSpec(1.0, 3.0, 1)
         cov0 = CovarianceSpec(0.0, 3.0, 1)
-        lift, kernel = make_kernel(grid32, cov1, cov0, 0.1)
+        kernel = OUKernel(grid32, 1.0, cov1, cov0, 0.1)
+        lift = lifting_matrix(grid32, 1.0, n_modes=1)
         v1, _ = kernel.stationary_variances()
         lam = np.pi**2 * (np.arange(grid32.n + 1) ** 2 + 1.0)
         q1 = 1.0
         for m in (0, 1, 5):
-            gain = 1.0 * lam[m] * lift.xcoeffs[m, 0]
+            gain = 1.0 * lam[m] * lift[m, 0]
             expected = gain**2 * q1 / (2.0 * 1.0 * lam[m])
             assert v1[m, 1] == pytest.approx(expected, rel=1e-12)
         # equivalent form: (nu*lambda/2) * L^2 * q
         m = 3
-        assert v1[m, 1] == pytest.approx(0.5 * lam[m] * lift.xcoeffs[m, 0] ** 2, rel=1e-12)
+        assert v1[m, 1] == pytest.approx(0.5 * lam[m] * lift[m, 0] ** 2, rel=1e-12)
 
     def test_empirical_variance_matches_analytic(self, grid32):
         cov1 = CovarianceSpec(1e-2, 3.0, 3)
         cov2 = CovarianceSpec(1e-2, 2.5, 3)
-        lift, kernel = make_kernel(grid32, cov1, cov2, 0.1)
+        kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
         stream = NoiseStream(seed=42, dt=0.1)
         v1, v2 = kernel.stationary_variances()
         n_samples = 3000
         acc1 = np.zeros(grid32.shape)
         acc2 = np.zeros(grid32.shape)
         for i in range(n_samples):
-            st = ou_init(PARAMS, cov1, cov2, lift, wiener_shift(stream, -i * 0.1), kernel=kernel)
+            st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
             acc1 += st.zw1.coeffs**2
             acc2 += st.zw2.coeffs**2
         acc1 /= n_samples
@@ -161,13 +157,13 @@ class TestStationaryLaw:
         # boundary-driven and interior-driven processes must be uncorrelated
         cov1 = CovarianceSpec(1.0, 3.0, 2)
         cov2 = CovarianceSpec(1.0, 2.5, 2)
-        lift, kernel = make_kernel(grid32, cov1, cov2, 0.1)
+        kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
         stream = NoiseStream(seed=7, dt=0.1)
         n_samples = 4000
         a = np.empty(n_samples)
         b = np.empty(n_samples)
         for i in range(n_samples):
-            st = ou_init(PARAMS, cov1, cov2, lift, wiener_shift(stream, -i * 0.1), kernel=kernel)
+            st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
             a[i] = st.zw1.coeffs[0, 1]
             b[i] = st.zw2.coeffs[0, 1]
         corr = np.corrcoef(a, b)[0, 1]
@@ -178,11 +174,11 @@ class TestOUStep:
     def test_pure_decay_without_noise(self, grid32):
         cov1 = CovarianceSpec(1e-3, 3.0, 2)
         cov0 = CovarianceSpec(0.0, 3.0, 2)
-        lift, kernel = make_kernel(grid32, cov1, cov0, 0.2)
+        kernel = OUKernel(grid32, 1.0, cov1, cov0, 0.2)
         stream = NoiseStream(seed=3, dt=0.2)
-        state = ou_init(PARAMS, cov1, cov0, lift, stream, kernel=kernel)
+        state = ou_init(kernel, stream)
         # zero the increments by stepping a zero-amplitude kernel clone
-        _, kernel0 = make_kernel(grid32, CovarianceSpec(0.0, 3.0, 2), cov0, 0.2)
+        kernel0 = OUKernel(grid32, 1.0, CovarianceSpec(0.0, 3.0, 2), cov0, 0.2)
         from qgsync.noise import CoefficientState
 
         frozen = CoefficientState(t=0.0, step=0, zw1=state.zw1, zw2=state.zw2, kernel=kernel0)
@@ -199,9 +195,9 @@ class TestOUStep:
         cov0 = CovarianceSpec(0.0, 3.0, 1)
         cov2 = CovarianceSpec(1.0, 2.5, 1)
         dt = 0.1
-        lift, kernel = make_kernel(grid32, cov0, cov2, dt)
+        kernel = OUKernel(grid32, 1.0, cov0, cov2, dt)
         stream = NoiseStream(seed=11, dt=dt)
-        state = ou_init(PARAMS, cov0, cov2, lift, stream, kernel=kernel)
+        state = ou_init(kernel, stream)
         n_steps = 20000
         series = np.empty(n_steps)
         for j in range(n_steps):
@@ -217,9 +213,9 @@ class TestOUStep:
         cov1 = CovarianceSpec(1e-2, 3.0, 2)
         cov2 = CovarianceSpec(1e-2, 2.5, 2)
         dt = 0.4
-        lift, kernel = make_kernel(grid32, cov1, cov2, dt)
+        kernel = OUKernel(grid32, 1.0, cov1, cov2, dt)
         stream = NoiseStream(seed=13, dt=dt)
-        state = ou_init(PARAMS, cov1, cov2, lift, stream, kernel=kernel)
+        state = ou_init(kernel, stream)
         v1, v2 = kernel.stationary_variances()
         n_steps = 20000
         acc_mean = np.zeros(grid32.shape)
@@ -242,10 +238,10 @@ class TestOUStep:
         # steps, given the initial state is transported
         cov1 = CovarianceSpec(1e-2, 3.0, 2)
         cov2 = CovarianceSpec(1e-2, 2.5, 2)
-        lift, kernel = make_kernel(grid32, cov1, cov2, 0.1)
+        kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
         s0 = NoiseStream(seed=21, dt=0.1)
         s3 = wiener_shift(s0, 0.3)
-        state = ou_init(PARAMS, cov1, cov2, lift, s0, kernel=kernel)
+        state = ou_init(kernel, s0)
         for j in range(3):
             state = ou_step(state, s0, j)
         # transported: same arrays, clock rebased, stepping the shifted stream
@@ -260,13 +256,13 @@ class TestOUStep:
     def test_gradient_moments_stable_under_doubling(self, grid32):
         cov1 = CovarianceSpec(1e-2, 3.0, 3)
         cov2 = CovarianceSpec(1e-2, 2.5, 3)
-        lift, kernel = make_kernel(grid32, cov1, cov2, 0.1)
+        kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
         stream = NoiseStream(seed=17, dt=0.1)
 
         def moments(m):
             g2 = np.empty(m)
             for i in range(m):
-                st = ou_init(PARAMS, cov1, cov2, lift, wiener_shift(stream, -i * 0.1), kernel=kernel)
+                st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
                 g2[i] = norm_h1(st.zw1 + st.zw2) ** 2
             return np.mean(g2), np.mean(g2**2)
 
@@ -297,9 +293,9 @@ class TestTemperedness:
         cov1 = CovarianceSpec(3e-4, 3.0, 4)
         cov2 = CovarianceSpec(3e-4, 2.5, 4)
         dt = 0.1
-        lift, kernel = make_kernel(grid32, cov1, cov2, dt)
+        kernel = OUKernel(grid32, 1.0, cov1, cov2, dt)
         stream = NoiseStream(seed=29, dt=dt)
-        state = ou_init(PARAMS, cov1, cov2, lift, stream, kernel=kernel)
+        state = ou_init(kernel, stream)
         n_steps = 2001
         series = np.empty(n_steps)
         for j in range(n_steps):
