@@ -39,7 +39,15 @@ from .dynamics import (
     step_imex,
     untransform,
 )
-from .fields import Basis, Field, GridSpec, norm_h1, norm_l2, random_field
+from .fields import (
+    Basis,
+    Field,
+    GridSpec,
+    laplacian_eigenvalues,
+    norm_h1,
+    norm_l2,
+    random_field,
+)
 from .noise import (
     CoefficientState,
     CovarianceSpec,
@@ -160,6 +168,26 @@ def default_rho_window(
     return 20.0 / margin
 
 
+_NORM_BLOCK = 16  # chain steps whose norms `_coefficient_window` takes together
+
+
+def _block_driver(
+    w: np.ndarray, lam: np.ndarray, params: ModelParams, constants: OperatorConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """|grad w|^2 and R for a stack of combined coefficient arrays w[i].
+
+    Bitwise equal to `norm_h1(w[i]) ** 2` and `compute_r` per array: the
+    sums run over the same contiguous rows, and the norms are squared as
+    Python floats (libm `pow`, as `float ** 2` does), not as x * x.
+    """
+    sq = np.square(w).reshape(len(w), -1)
+    l2 = np.sqrt(np.sum(sq, axis=1))
+    h1 = np.sqrt(np.sum(lam.reshape(1, -1) * sq, axis=1))
+    l2_sq = np.array([x**2 for x in l2.tolist()])
+    h1_sq = np.array([x**2 for x in h1.tolist()])
+    return h1_sq, driver_from_norms(l2_sq, h1_sq, params, constants)
+
+
 def _coefficient_window(
     stream: NoiseStream,
     params: ModelParams,
@@ -171,18 +199,25 @@ def _coefficient_window(
 ):
     """Simulate the coefficient processes from relative step -steps up to 0.
 
-    Returns (g_series, r_series, final_state): the final state is the
+    Returns (g_series, r_series, final_state): g samples |grad w|^2 and r
+    the driver R of w = zw1 + zw2 at every step, and the final state is the
     pathwise-consistent coefficient state at the stream's origin, ready to
-    be transported into a forward run.
+    be transported into a forward run.  The chain advances one `ou_step`
+    at a time; each step's w is added into a buffer of `_NORM_BLOCK` rows,
+    and the norms and R of a full buffer are taken in one go, bitwise as a
+    per-step `compute_r` loop would take them.
     """
     past = wiener_shift(stream, -steps * stream.dt)
     state = ou_init(OUKernel(grid, params.nu, cov1, cov2, stream.dt), past)
+    lam = laplacian_eigenvalues(grid)
+    block = np.empty((_NORM_BLOCK, *grid.shape))
     g = np.empty(steps + 1)
     r = np.empty(steps + 1)
     for j in range(steps + 1):
-        w = state.combined()
-        g[j] = norm_h1(w) ** 2
-        r[j] = compute_r(state, params, constants)
+        k = j % _NORM_BLOCK
+        np.add(state.zw1.coeffs, state.zw2.coeffs, out=block[k])
+        if k == _NORM_BLOCK - 1 or j == steps:
+            g[j - k : j + 1], r[j - k : j + 1] = _block_driver(block[: k + 1], lam, params, constants)
         if j < steps:
             state = ou_step(state, past, j)
     return g, r, state

@@ -390,6 +390,9 @@ def main(argv=None) -> int:
         outdir = args.output or config.output_dir
         os.makedirs(outdir, exist_ok=True)
         return _COMMANDS[args.command](config, outdir)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except analysis.DecayConditionError as exc:
         print(f"experiment refused: {exc}", file=sys.stderr)
         return 3

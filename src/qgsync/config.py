@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dynamics import ModelParams
 from .fields import GridSpec
-from .noise import ConfigError, CovarianceSpec
+from .noise import ConfigError, CovarianceSpec, NoiseStream
 
 
 @dataclass
@@ -57,11 +57,25 @@ class RunConfig:
             raise ConfigError("mc.samples must be at least 100")
         if self.rho_window is not None and self.rho_window <= 0:
             raise ConfigError("rho.window must be positive or auto")
+        stream = NoiseStream(seed=0, dt=self.dt)
+        for key, value in (("time.t_end", self.t_end), ("time.burn", self.burn)):
+            try:
+                stream.steps_for(value)
+            except ConfigError:
+                raise ConfigError(
+                    f"{key} = {value} is not a whole multiple of time.dt = {self.dt}"
+                ) from None
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {','.join(map(str, self.seeds))}")
         # construct the validated domain objects eagerly so that every
         # constraint of the underlying modules fires at parse time
         self.grid()
+        if self.cutoff > self.grid_n - 1:
+            raise ConfigError(
+                f"noise.cutoff = {self.cutoff} exceeds grid.n - 1 = {self.grid_n - 1}"
+            )
         self.params()
         self.cov1()
         self.cov2()

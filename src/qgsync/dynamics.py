@@ -77,10 +77,9 @@ def dealias(f: Field) -> Field:
     return Field(f.grid, f.basis, coeffs=f.coeffs * _dealias_mask(f.grid.n))
 
 
-def _advective_speed(psi: Field) -> float:
+def _advective_speed(psi_x: Field, psi_y: Field) -> float:
     """Max nodal streamfunction-gradient speed driving the explicit terms."""
-    gx, gy = gradient(psi)
-    return float(max(np.max(np.abs(gx.nodal)), np.max(np.abs(gy.nodal))))
+    return float(max(np.max(np.abs(psi_x.nodal)), np.max(np.abs(psi_y.nodal))))
 
 
 def step_imex(
@@ -112,14 +111,19 @@ def step_imex(
     # all explicit terms at the old state; the advection self-term and the
     # coefficient cross/forcing terms collapse into one bilinear evaluation
     # of s = z + w by bilinearity, and likewise for the beta terms, so one
-    # streamfunction solve serves the CFL speed, B and the beta term
+    # streamfunction solve serves the CFL speed, B and the beta term, and
+    # the CFL check's d(psi)/dx (nodal values cached) serves the beta term;
+    # the check follows B so its gradients are not held through B's peak
     w = state.coeff.combined()
     s = z + w
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             psi = dirichlet_poisson(s)
+            explicit = -1.0 * dealias(bilinear_b(s, s, psi)) - params.r * w
+            psi_x = None
             if check_cfl:
-                speed = _advective_speed(psi)
+                psi_x, psi_y = gradient(psi)
+                speed = _advective_speed(psi_x, psi_y)
                 if dt > 0.5 * grid.h / max(1.0, speed):
                     warnings.warn(
                         f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) "
@@ -127,9 +131,8 @@ def step_imex(
                         CFLWarning,
                         stacklevel=2,
                     )
-            explicit = -1.0 * dealias(bilinear_b(s, s, psi)) - params.r * w
             if params.beta != 0.0:
-                explicit = explicit - params.beta * beta_term(s, psi)
+                explicit = explicit - params.beta * beta_term(s, psi, psi_x)
     except NonFiniteField:
         raise _diverged() from None
     lam = laplacian_eigenvalues(grid)

@@ -132,6 +132,14 @@ def retained_mask(grid: GridSpec, basis: Basis) -> np.ndarray:
     return _retained_mask(grid.n, basis.value)
 
 
+@lru_cache(maxsize=None)
+def _off_mask(n: int, kinds: tuple[str, str]) -> np.ndarray:
+    """Read-only complement of `_retained_mask`: the slots that must stay zero."""
+    off = ~_retained_mask(n, kinds)
+    off.flags.writeable = False
+    return off
+
+
 # ---------------------------------------------------------------------------
 # One-dimensional transforms (orthonormal-coefficient conventions)
 #
@@ -188,7 +196,7 @@ def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec) -> np.nda
     n = grid.n
     a = _axis_analysis(nodal, basis.xkind, n, axis=0)
     a = _axis_analysis(a, basis.ykind, n, axis=1)
-    a[~retained_mask(grid, basis)] = 0.0
+    a[_off_mask(n, basis.value)] = 0.0
     return a
 
 
@@ -225,14 +233,10 @@ class Field:
             raise DimensionMismatch(
                 f"array shape {arr.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteField("field contains non-finite entries")
-        if validate_modes:
-            off = arr[~retained_mask(self.grid, self.basis)]
-            if off.size and np.any(off != 0.0):
-                raise ValueError(
-                    "coefficients outside the retained mode set must be zero"
-                )
+        if validate_modes and arr[_off_mask(self.grid.n, self.basis.value)].any():
+            raise ValueError("coefficients outside the retained mode set must be zero")
         arr.flags.writeable = False
         return arr
 

@@ -5,7 +5,10 @@ Randomness is counter-based: every Gaussian increment is a pure function of
 keyed by the seed with the step index in the counter.  This makes the time
 shift of a noise path a trivial re-indexing (`wiener_shift`), lets negative
 step indices realize the two-sided past, and makes every experiment
-bit-reproducible.
+bit-reproducible.  One Philox generator per seed is cached and reseated
+for every draw (the step goes into counter word 1 and the buffer is
+emptied), which gives the bits of a newly built generator without the
+cost of building one.
 
 The two coefficient processes (one driven through the boundary lift, one by
 interior forcing) are advanced with the exact per-mode Ornstein-Uhlenbeck
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +46,20 @@ class ConfigError(ValueError):
 
 
 _TWO64 = 1 << 64
+_TWO128 = 1 << 128
+
+
+@lru_cache(maxsize=64)
+def _philox(key: int):
+    """One Philox generator per key, with the state that reseats it.
+
+    The returned state dict is the freshly constructed one (counter zero,
+    buffer empty); `NoiseStream.normals` writes the step into its counter
+    word 1 and assigns it back, which makes the generator indistinguishable
+    from `Philox(key=key, counter=step << 64)` built anew.
+    """
+    bitgen = np.random.Philox(key=key)
+    return bitgen, np.random.Generator(bitgen), bitgen.state
 
 
 @dataclass(frozen=True)
@@ -62,12 +80,18 @@ class NoiseStream:
             raise ConfigError(f"step size must be positive, got dt={self.dt}")
 
     def normals(self, step: int, count: int) -> np.ndarray:
-        """Standard normals for one step; deterministic in (seed, step+origin)."""
+        """Standard normals for one step; deterministic in (seed, step+origin).
+
+        Bitwise equal to a `Generator(Philox(key=seed % 2**128,
+        counter=((step + origin) % 2**64) << 64)).standard_normal(count)`
+        draw; the cached generator of the key is reseated instead of built.
+        """
         if count == 0:
             return np.zeros(0)
-        counter = ((step + self.origin) % _TWO64) << 64
-        bg = np.random.Philox(key=self.seed % (1 << 128), counter=counter)
-        return np.random.Generator(bg).standard_normal(count)
+        bitgen, gen, state = _philox(self.seed % _TWO128)
+        state["state"]["counter"][1] = (step + self.origin) % _TWO64
+        bitgen.state = state
+        return gen.standard_normal(count)
 
     def steps_for(self, t: float) -> int:
         """Convert a time to a whole number of steps, or fail loudly."""

@@ -21,8 +21,8 @@ as their two off-diagonals.  From n = STENCIL_MIN_N cells per side they are
 applied as O(n)-per-line slice stencils; on smaller grids one BLAS matmul
 against the dense matrix is faster.  At power-of-two n both forms give the
 same bits.  `bilinear_b` and `beta_term` accept a precomputed
-streamfunction, so a caller that already solved for it (the time stepper)
-solves once per step.
+streamfunction, and `beta_term` its x-derivative, so a caller that already
+has them (the time stepper) solves and differentiates once per step.
 """
 
 from __future__ import annotations
@@ -341,14 +341,18 @@ def bilinear_b(v1: Field, v2: Field, psi: Field | None = None) -> Field:
     )
 
 
-def beta_term(z: Field, psi: Field | None = None) -> Field:
+def beta_term(z: Field, psi: Field | None = None, psi_x: Field | None = None) -> Field:
     """x-derivative of the streamfunction response, G(z)_x, as a mean-zero field.
 
     `psi`, when given, must be `dirichlet_poisson(z)`; it saves the solve.
+    `psi_x`, when given, must be `gradient(psi)[0]`; it saves the gradient,
+    and its synthesis too once its nodal values are cached.
     """
-    if psi is None:
-        psi = dirichlet_poisson(z)
-    dpsi_dx, _ = gradient(psi)
+    dpsi_dx = psi_x
+    if dpsi_dx is None:
+        if psi is None:
+            psi = dirichlet_poisson(z)
+        dpsi_dx, _ = gradient(psi)
     grid = z.grid
     return Field(
         grid,

@@ -7,6 +7,8 @@ import pytest
 
 from qgsync.analysis import (
     DecayConditionError,
+    _block_driver,
+    _coefficient_window,
     check_condition,
     compute_r,
     compute_rho,
@@ -20,8 +22,8 @@ from qgsync.analysis import (
     synchronization_experiment,
 )
 from qgsync.dynamics import ModelParams, dealias, prepare_state
-from qgsync.fields import Basis, Field, norm_l2
-from qgsync.noise import CovarianceSpec, NoiseStream
+from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_h1, norm_l2
+from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import OperatorConstants, estimate_constants
 
 from conftest import random_field
@@ -76,6 +78,52 @@ class TestDriver:
         w = state.coeff.combined()
         direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, PARAMS, CONSTS)
         assert compute_r(state.coeff, PARAMS, CONSTS) == pytest.approx(direct, rel=1e-14)
+
+
+class TestCoefficientWindow:
+    """The block-norm window against the plain per-step loop, bit for bit."""
+
+    @staticmethod
+    def reference(stream, cov1, cov2, grid, steps):
+        past = wiener_shift(stream, -steps * stream.dt)
+        state = ou_init(OUKernel(grid, PARAMS.nu, cov1, cov2, stream.dt), past)
+        g = np.empty(steps + 1)
+        r = np.empty(steps + 1)
+        for j in range(steps + 1):
+            g[j] = norm_h1(state.combined()) ** 2
+            r[j] = compute_r(state, PARAMS, CONSTS)
+            if j < steps:
+                state = ou_step(state, past, j)
+        return g, r, state
+
+    @pytest.mark.parametrize("steps", [15, 16, 17, 33])
+    @pytest.mark.parametrize(
+        "cov1, cov2", [(COV1, COV2), (COV_OFF, COV2), (COV1, COV_OFF)], ids=["both", "no_boundary", "no_interior"]
+    )
+    def test_matches_per_step_loop(self, grid32, steps, cov1, cov2):
+        stream = NoiseStream(seed=913, dt=0.01)
+        g, r, state = _coefficient_window(stream, PARAMS, cov1, cov2, grid32, steps, CONSTS)
+        g_ref, r_ref, state_ref = self.reference(stream, cov1, cov2, grid32, steps)
+        assert np.array_equal(g, g_ref)
+        assert np.array_equal(r, r_ref)
+        assert (state.t, state.step) == (state_ref.t, state_ref.step)
+        assert np.array_equal(state.zw1.coeffs, state_ref.zw1.coeffs)
+        assert np.array_equal(state.zw2.coeffs, state_ref.zw2.coeffs)
+
+    def test_block_squares_like_python_floats(self):
+        # float ** 2 (libm pow) and x * x differ in the last bit for about
+        # 0.1% of inputs; 4000 norms hold several such cases
+        grid = GridSpec(8)
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((4000, *grid.shape)) * rng.uniform(0.1, 10.0, (4000, 1, 1))
+        g, r = _block_driver(w, laplacian_eigenvalues(grid), PARAMS, CONSTS)
+        l2 = [float(np.sqrt(np.sum(a**2))) for a in w]
+        h1 = [float(np.sqrt(np.sum(laplacian_eigenvalues(grid) * a**2))) for a in w]
+        assert any(x**2 != x * x for x in h1 + l2)  # the test can tell the two apart
+        assert np.array_equal(g, [x**2 for x in h1])
+        assert np.array_equal(
+            r, [driver_from_norms(a**2, b**2, PARAMS, CONSTS) for a, b in zip(l2, h1)]
+        )
 
 
 class TestRadiusQuadrature:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qgsync import cli
 from qgsync.cli import main, write_json
 from qgsync.config import RunConfig, config_from_flat, parse_config
 from qgsync.noise import ConfigError
@@ -104,6 +105,46 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             write_json(path, {"lhs": float("nan")})
         assert not path.exists()
+
+
+class TestParseTimeRejections:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"time.t_end": "0.015", "time.burn": "0"},
+            {"time.burn": "0.505"},
+            {"seeds": "3,3"},
+            {"grid.n": "8", "noise.cutoff": "12"},
+        ],
+        ids=["t_end_off_grid", "burn_off_grid", "duplicate_seeds", "cutoff_above_n"],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_seed_override_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out), "--seeds", "3,3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    def test_largest_cutoff_accepted(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, **{"grid.n": "8", "noise.cutoff": "7"}))
+        assert cfg.cutoff == 7
+
+    def test_config_error_after_parsing_exits_2(self, tmp_path, capsys, monkeypatch):
+        def failing(config, outdir):
+            raise ConfigError("time 0.015 is not a multiple of dt=0.01")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", failing)
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: time 0.015 is not a multiple of dt=0.01\n"
 
 
 class TestCommands:

@@ -10,6 +10,7 @@ from qgsync.fields import (
     Field,
     GridSpec,
     MissingRepresentation,
+    NonFiniteField,
     gradient,
     inner,
     load_field,
@@ -214,6 +215,32 @@ class TestFieldContracts:
         bad[3, 3] = np.nan
         with pytest.raises(ValueError):
             Field(grid32, Basis.NEUMANN_COSINE, nodal=bad)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rep", ["coeffs", "nodal"])
+    def test_nonfinite_rejected_in_every_basis(self, grid32, basis, bad, rep):
+        on = tuple(np.argwhere(retained_mask(grid32, basis))[0])
+        off = tuple(np.argwhere(~retained_mask(grid32, basis))[0])
+        for slot in (on, off):
+            arr = np.zeros(grid32.shape)
+            arr[slot] = bad
+            with pytest.raises(NonFiniteField):
+                Field(grid32, basis, **{rep: arr})
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_nonzero_off_mask_coefficient_rejected(self, grid32, basis):
+        off = ~retained_mask(grid32, basis)
+        for slot in map(tuple, np.argwhere(off)):
+            arr = np.zeros(grid32.shape)
+            arr[slot] = 1e-300
+            with pytest.raises(ValueError, match="retained mode set"):
+                Field(grid32, basis, coeffs=arr)
+        # negative zero is zero, and nodal values carry no mode constraint
+        arr = np.zeros(grid32.shape)
+        arr[off] = -0.0
+        Field(grid32, basis, coeffs=arr)
+        Field(grid32, basis, nodal=np.ones(grid32.shape))
 
     def test_requires_some_representation(self, grid32):
         with pytest.raises(MissingRepresentation):

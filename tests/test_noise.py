@@ -78,6 +78,39 @@ class TestNoiseStream:
         assert abs(corr) < 4.0 / math.sqrt(399)
 
 
+def fresh_normals(seed: int, step: int, count: int) -> np.ndarray:
+    """The draw `normals` must reproduce: a newly built Philox and Generator."""
+    bitgen = np.random.Philox(key=seed % 2**128, counter=(step % 2**64) << 64)
+    return np.random.Generator(bitgen).standard_normal(count)
+
+
+class TestReseatedGenerator:
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 + 5, -7])
+    @pytest.mark.parametrize("step", [0, 1, -1, -1000, 2**63])
+    def test_matches_a_fresh_generator(self, seed, step):
+        got = NoiseStream(seed=seed, dt=0.1).normals(step, 37)
+        assert np.array_equal(got, fresh_normals(seed, step, 37))
+
+    def test_nonzero_origin(self):
+        stream = NoiseStream(seed=11, dt=0.1, origin=-5)
+        for j in (0, 4, 5, 123):
+            assert np.array_equal(stream.normals(j, 9), fresh_normals(11, j - 5, 9))
+
+    def test_interleaved_streams(self):
+        # same seed at two origins, and a different seed, read in turn with
+        # varying counts: every read starts from an empty buffer at its step
+        streams = [
+            (NoiseStream(seed=8, dt=0.1), 8, 0),
+            (NoiseStream(seed=8, dt=0.1, origin=100), 8, 100),
+            (NoiseStream(seed=9, dt=0.2), 9, 0),
+        ]
+        for j in range(-3, 6):
+            for i, (stream, seed, origin) in enumerate(streams):
+                count = 1 + 3 * (j + 3) + i
+                got = stream.normals(j, count)
+                assert np.array_equal(got, fresh_normals(seed, j + origin, count))
+
+
 class TestCovarianceSpec:
     def test_boundary_trace(self, grid32):
         cov = CovarianceSpec(2.0, 3.0, 4)

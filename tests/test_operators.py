@@ -9,6 +9,7 @@ from qgsync.fields import (
     DimensionMismatch,
     Field,
     GridSpec,
+    gradient,
     inner,
     laplacian_eigenvalues,
     norm_h1,
@@ -345,6 +346,7 @@ class TestBilinearForm:
         psi = dirichlet_poisson(v1)
         assert np.array_equal(bilinear_b(v1, v2, psi).coeffs, bilinear_b(v1, v2).coeffs)
         assert np.array_equal(beta_term(v1, psi).coeffs, beta_term(v1).coeffs)
+        assert np.array_equal(beta_term(v1, psi_x=gradient(psi)[0]).coeffs, beta_term(v1).coeffs)
 
     def test_consistent_with_raw_jacobian(self, grid32):
         # the skew-symmetrization is a correction of the same order as the
