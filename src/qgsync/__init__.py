@@ -60,7 +60,6 @@ from .analysis import (
     SyncReport,
     check_condition,
     cocycle_check,
-    compute_r,
     compute_rho,
     radius_invariance_experiment,
     stationary_statistics,

@@ -2,9 +2,10 @@
 
 This module turns the stability theory into executable checks:
 
-  * `compute_r` evaluates the nonautonomous driver R fed by the coefficient
+  * `driver_from_norms` is the nonautonomous driver R fed by the coefficient
     processes, and `compute_rho` the pullback quadrature for the absorbing
-    radius rho.
+    radius rho.  |grad w|^2 and R of the coefficient arrays w = zw1 + zw2
+    are taken in one place, `_block_driver`, for a whole stack of arrays.
   * `radius_invariance_experiment` verifies forward invariance of the random
     ball B(0, rho) along simulated trajectories, propagating rho^2 by the
     discrete affine recursion that the quadrature satisfies exactly.
@@ -49,7 +50,6 @@ from .fields import (
     random_field,
 )
 from .noise import (
-    CoefficientState,
     CovarianceSpec,
     NoiseStream,
     OUKernel,
@@ -78,14 +78,6 @@ def driver_from_norms(
     quad = 3.0 * (constants.c_gx * params.beta + params.r) ** 2 / (params.nu * constants.lambda1)
     mix = 3.0 * constants.c_b**2 / params.nu
     return quad * w_l2_sq + mix * w_l2_sq * w_h1_sq
-
-
-def compute_r(
-    coeff: CoefficientState, params: ModelParams, constants: OperatorConstants
-) -> float:
-    """Driver R of the radius dynamics, evaluated at the current coefficients."""
-    w = coeff.combined()
-    return driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, params, constants)
 
 
 def decay_margin(
@@ -176,16 +168,20 @@ def _block_driver(
 ) -> tuple[np.ndarray, np.ndarray]:
     """|grad w|^2 and R for a stack of combined coefficient arrays w[i].
 
-    Bitwise equal to `norm_h1(w[i]) ** 2` and `compute_r` per array: the
-    sums run over the same contiguous rows, and the norms are squared as
-    Python floats (libm `pow`, as `float ** 2` does), not as x * x.
+    The only place either is computed.  Bitwise equal to `norm_h1(F) ** 2`
+    and `driver_from_norms(norm_l2(F) ** 2, norm_h1(F) ** 2, ...)` for the
+    field F of each array: the sums run over the same contiguous rows, and
+    the norms are squared as Python floats (libm `pow`, as `float ** 2`
+    does), not as x * x.  Overflow gives inf, not a warning; callers that
+    need finite values check for them.
     """
-    sq = np.square(w).reshape(len(w), -1)
-    l2 = np.sqrt(np.sum(sq, axis=1))
-    h1 = np.sqrt(np.sum(lam.reshape(1, -1) * sq, axis=1))
-    l2_sq = np.array([x**2 for x in l2.tolist()])
-    h1_sq = np.array([x**2 for x in h1.tolist()])
-    return h1_sq, driver_from_norms(l2_sq, h1_sq, params, constants)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.square(w).reshape(len(w), -1)
+        l2 = np.sqrt(np.sum(sq, axis=1))
+        h1 = np.sqrt(np.sum(lam.reshape(1, -1) * sq, axis=1))
+        l2_sq = np.array([x**2 for x in l2.tolist()])
+        h1_sq = np.array([x**2 for x in h1.tolist()])
+        return h1_sq, driver_from_norms(l2_sq, h1_sq, params, constants)
 
 
 def _coefficient_window(
@@ -204,8 +200,7 @@ def _coefficient_window(
     pathwise-consistent coefficient state at the stream's origin, ready to
     be transported into a forward run.  The chain advances one `ou_step`
     at a time; each step's w is added into a buffer of `_NORM_BLOCK` rows,
-    and the norms and R of a full buffer are taken in one go, bitwise as a
-    per-step `compute_r` loop would take them.
+    and the norms and R of a full buffer are taken in one go.
     """
     past = wiener_shift(stream, -steps * stream.dt)
     state = ou_init(OUKernel(grid, params.nu, cov1, cov2, stream.dt), past)
@@ -215,7 +210,7 @@ def _coefficient_window(
     r = np.empty(steps + 1)
     for j in range(steps + 1):
         k = j % _NORM_BLOCK
-        np.add(state.zw1.coeffs, state.zw2.coeffs, out=block[k])
+        np.add(state.zw1, state.zw2, out=block[k])
         if k == _NORM_BLOCK - 1 or j == steps:
             g[j - k : j + 1], r[j - k : j + 1] = _block_driver(block[: k + 1], lam, params, constants)
         if j < steps:
@@ -223,21 +218,29 @@ def _coefficient_window(
     return g, r, state
 
 
-def estimate_grad2(
+def _stationary_draws(
     stream: NoiseStream,
     params: ModelParams,
     cov1: CovarianceSpec,
     cov2: CovarianceSpec,
     grid: GridSpec,
-    samples: int = 256,
-) -> float:
-    """Plug-in estimate of E|grad w|^2 from independent stationary draws."""
+    offsets: range,
+    constants: OperatorConstants,
+) -> tuple[np.ndarray, np.ndarray]:
+    """|grad w|^2 and R of independent stationary draws, one per step offset.
+
+    Draw j reads the stream shifted by `offsets[j]` steps; the draws are
+    taken `_NORM_BLOCK` at a time through `_block_driver`.
+    """
     kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
-    vals = np.empty(samples)
-    for i in range(samples):
-        st = ou_init(kernel, wiener_shift(stream, -i * stream.dt))
-        vals[i] = norm_h1(st.combined()) ** 2
-    return float(np.mean(vals))
+    lam = laplacian_eigenvalues(grid)
+    g = np.empty(len(offsets))
+    r = np.empty(len(offsets))
+    for lo in range(0, len(offsets), _NORM_BLOCK):
+        chunk = offsets[lo : lo + _NORM_BLOCK]
+        w = np.array([ou_init(kernel, wiener_shift(stream, j * stream.dt)).combined() for j in chunk])
+        g[lo : lo + len(chunk)], r[lo : lo + len(chunk)] = _block_driver(w, lam, params, constants)
+    return g, r
 
 
 def compute_rho(
@@ -263,7 +266,9 @@ def _rho_with_state(
     grid: GridSpec,
     window: float | None,
 ):
-    grad2 = estimate_grad2(stream, params, cov1, cov2, grid)
+    # plug-in estimate of E|grad w|^2 from 256 independent stationary draws
+    g, _ = _stationary_draws(stream, params, cov1, cov2, grid, range(0, -256, -1), constants)
+    grad2 = float(np.mean(g))
     if window is None:
         window = default_rho_window(params, constants, grad2)
     elif decay_margin(params, constants, grad2) <= 0:
@@ -305,6 +310,7 @@ def radius_invariance_experiment(
     """
     if constants is None:
         constants = estimate_constants(grid, params.nu, seed=0)
+    lam = laplacian_eigenvalues(grid)
     reports = []
     for seed in sorted(seeds):
         stream = NoiseStream(seed=seed, dt=dt)
@@ -333,8 +339,7 @@ def radius_invariance_experiment(
         for _ in range(steps):
             state = step_imex(state, params, stream, dt, check_cfl=False)
             w = state.coeff.combined()
-            g_new = norm_h1(w) ** 2
-            r_new = compute_r(state.coeff, params, constants)
+            (g_new,), (r_new,) = _block_driver(w[np.newaxis], lam, params, constants)
             zeta = propagate_rho_squared(
                 zeta, g_old, g_new, r_old, r_new, dt, params, constants
             )
@@ -421,21 +426,21 @@ def check_condition(
     stationary draws; the radius moments from decimated points of one long
     propagated radius path (burn-in of one quadrature window).  Each
     summand is formed with the plug-in constants and reported with the
-    standard error it inherits from its estimate.
+    standard error it inherits from its estimate.  A draw whose
+    |grad w|^2 or R is not finite is refused with `DecayConditionError`.
     """
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
     if constants is None:
         constants = estimate_constants(grid, params.nu, seed=stream.seed & 0xFFFF)
 
-    kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
-    g_vals = np.empty(samples)
-    r_vals = np.empty(samples)
-    for i in range(samples):
-        st = ou_init(kernel, wiener_shift(stream, -(i + 1) * stream.dt))
-        w = st.combined()
-        g_vals[i] = norm_h1(w) ** 2
-        r_vals[i] = compute_r(st, params, constants)
+    g_vals, r_vals = _stationary_draws(
+        stream, params, cov1, cov2, grid, range(-1, -samples - 1, -1), constants
+    )
+    if not (np.isfinite(g_vals).all() and np.isfinite(r_vals).all()):
+        raise DecayConditionError(
+            "a sampled |grad w|^2 or driver R is not finite; the moments are not estimable"
+        )
 
     def mean_se(vals: np.ndarray) -> tuple[float, float]:
         m = float(np.mean(vals))
@@ -712,6 +717,6 @@ def cocycle_check(
     second = evolve(s, shifted, mid, params, cov1, cov2, check_cfl=False)
     return bool(
         np.array_equal(full.z.coeffs, second.z.coeffs)
-        and np.array_equal(full.coeff.zw1.coeffs, second.coeff.zw1.coeffs)
-        and np.array_equal(full.coeff.zw2.coeffs, second.coeff.zw2.coeffs)
+        and np.array_equal(full.coeff.zw1, second.coeff.zw1)
+        and np.array_equal(full.coeff.zw2, second.coeff.zw2)
     )

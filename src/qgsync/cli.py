@@ -167,8 +167,8 @@ def _suite_ou(config: RunConfig) -> dict:
     acc2 = np.zeros(grid.shape)
     for i in range(samples):
         st = ou_init(kernel, wiener_shift(stream, -i * config.dt))
-        acc1 += st.zw1.coeffs**2
-        acc2 += st.zw2.coeffs**2
+        acc1 += st.zw1**2
+        acc2 += st.zw2**2
     acc1 /= samples
     acc2 /= samples
     tol = 5.0 * math.sqrt(2.0 / samples)  # ~5 sigma on a variance ratio
@@ -237,8 +237,8 @@ def cmd_simulate(config: RunConfig, outdir: str) -> int:
                     norm_l2(state.z),
                     norm_h1(state.z),
                     norm_l2(u),
-                    norm_l2(state.coeff.zw1),
-                    norm_l2(state.coeff.zw2),
+                    float(np.sqrt(np.sum(state.coeff.zw1**2))),
+                    float(np.sqrt(np.sum(state.coeff.zw2**2))),
                 )
             )
 

@@ -97,24 +97,11 @@ class RunConfig:
         return spec
 
     def to_flat_dict(self) -> dict:
-        return {
-            "grid.n": self.grid_n,
-            "params.nu": self.nu,
-            "params.r": self.r,
-            "params.beta": self.beta,
-            "noise.q1_amplitude": self.q1_amplitude,
-            "noise.q1_decay": self.q1_decay,
-            "noise.q2_amplitude": self.q2_amplitude,
-            "noise.q2_decay": self.q2_decay,
-            "noise.cutoff": self.cutoff,
-            "time.dt": self.dt,
-            "time.t_end": self.t_end,
-            "time.burn": self.burn,
-            "rho.window": "auto" if self.rho_window is None else self.rho_window,
-            "mc.samples": self.mc_samples,
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "output.dir": self.output_dir,
-        }
+        """The settings under their configuration keys, in `_KEY_PARSERS` order."""
+        flat = {key: getattr(self, attr) for key, (attr, _) in _KEY_PARSERS.items()}
+        flat["rho.window"] = "auto" if self.rho_window is None else self.rho_window
+        flat["seeds"] = ",".join(str(s) for s in self.seeds)
+        return flat
 
 
 _KEY_PARSERS = {

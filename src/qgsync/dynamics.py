@@ -113,13 +113,16 @@ def step_imex(
     # of s = z + w by bilinearity, and likewise for the beta terms, so one
     # streamfunction solve serves the CFL speed, B and the beta term, and
     # the CFL check's d(psi)/dx (nodal values cached) serves the beta term;
-    # the check follows B so its gradients are not held through B's peak
+    # the check follows B so its gradients are not held through B's peak.
+    # Only s is a field (the operators take one); the other terms are arrays
+    # whose non-finite values reach the check on new_coeffs.  Dealiased B
+    # stays a temporary so it is not held through the beta term
     w = state.coeff.combined()
-    s = z + w
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            s = Field(grid, Basis.NEUMANN_COSINE, coeffs=z.coeffs + w)
             psi = dirichlet_poisson(s)
-            explicit = -1.0 * dealias(bilinear_b(s, s, psi)) - params.r * w
+            explicit = -1.0 * (bilinear_b(s, s, psi).coeffs * _dealias_mask(grid.n)) - params.r * w
             psi_x = None
             if check_cfl:
                 psi_x, psi_y = gradient(psi)
@@ -132,12 +135,12 @@ def step_imex(
                         stacklevel=2,
                     )
             if params.beta != 0.0:
-                explicit = explicit - params.beta * beta_term(s, psi, psi_x)
+                explicit = explicit - params.beta * beta_term(s, psi, psi_x).coeffs
+            lam = laplacian_eigenvalues(grid)
+            new_coeffs = (z.coeffs + dt * explicit) / (1.0 + dt * (params.nu * lam + params.r))
+            new_coeffs = new_coeffs * retained_mask(grid, Basis.NEUMANN_COSINE)
     except NonFiniteField:
         raise _diverged() from None
-    lam = laplacian_eigenvalues(grid)
-    new_coeffs = (z.coeffs + dt * explicit.coeffs) / (1.0 + dt * (params.nu * lam + params.r))
-    new_coeffs = new_coeffs * retained_mask(grid, Basis.NEUMANN_COSINE)
     if not np.all(np.isfinite(new_coeffs)):
         raise _diverged()
     z_new = Field(grid, Basis.NEUMANN_COSINE, coeffs=new_coeffs)
@@ -159,7 +162,7 @@ def prepare_state(
     transported as-is so that restarts continue the same noise path.
     """
     if isinstance(z0, CocycleState):
-        return CocycleState(step=0, z=z0.z, coeff=replace(z0.coeff, t=0.0, step=0))
+        return CocycleState(step=0, z=z0.z, coeff=replace(z0.coeff, step=0))
     kernel = OUKernel(z0.grid, params.nu, cov1, cov2, stream.dt)
     return CocycleState(step=0, z=dealias(z0), coeff=ou_init(kernel, stream))
 
@@ -193,8 +196,8 @@ def evolve(
 
 
 def transform(u: Field, coeff: CoefficientState) -> Field:
-    """Physical field to transformed variable: subtract both coefficient fields."""
-    return u - coeff.zw1 - coeff.zw2
+    """Physical field to transformed variable: subtract both coefficient arrays."""
+    return Field(u.grid, u.basis, coeffs=u.coeffs - coeff.zw1 - coeff.zw2)
 
 
 def untransform(state: CocycleState) -> Field:
@@ -202,4 +205,5 @@ def untransform(state: CocycleState) -> Field:
 
     Its streamfunction, when needed, is `dirichlet_poisson(u)`.
     """
-    return state.z + state.coeff.zw1 + state.coeff.zw2
+    z = state.z
+    return Field(z.grid, z.basis, coeffs=z.coeffs + state.coeff.zw1 + state.coeff.zw2)

@@ -18,7 +18,9 @@ discretization bias to calibrate away in the stationarity tests.
 `OUKernel(grid, nu, cov1, cov2, dt)` is the one place the coefficient
 processes are set up: it builds the boundary lift itself, sized to the
 boundary covariance.  `ou_init(kernel, stream)` is the only stationary
-draw and `ou_step` the only update.
+draw and `ou_step` the only update.  The state they return holds plain
+read-only NEUMANN_COSINE coefficient arrays, not `Field`s: the chain never
+leaves the package as a field, and callers that need one build it.
 
 Channel layout per step, in one fixed vector of length 2C:
 
@@ -37,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Basis, Field, GridSpec, laplacian_eigenvalues, retained_mask
+from .fields import Basis, GridSpec, laplacian_eigenvalues, retained_mask
 from .operators import lifting_matrix
 
 
@@ -166,15 +168,23 @@ class CovarianceSpec:
 
 @dataclass(frozen=True)
 class CoefficientState:
-    """Current spectral state of the two stationary coefficient processes."""
+    """Current spectral state of the two stationary coefficient processes.
 
-    t: float
+    `zw1` and `zw2` are (n+1, n+1) NEUMANN_COSINE coefficient arrays; they
+    are made read-only in place, so a state can be shared freely.  The
+    state sits at time `step * kernel.dt`.
+    """
+
     step: int
-    zw1: Field
-    zw2: Field
+    zw1: np.ndarray
+    zw2: np.ndarray
     kernel: "OUKernel"
 
-    def combined(self) -> Field:
+    def __post_init__(self):
+        self.zw1.flags.writeable = False
+        self.zw2.flags.writeable = False
+
+    def combined(self) -> np.ndarray:
         return self.zw1 + self.zw2
 
 
@@ -281,10 +291,6 @@ class OUKernel:
         return self.decay * zw1 + i1, self.decay * zw2 + i2
 
 
-def _field(grid: GridSpec, coeffs: np.ndarray) -> Field:
-    return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs)
-
-
 def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
     """Sample the exact stationary law of both coefficient processes at t = 0.
 
@@ -292,23 +298,15 @@ def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
     so modes sharing an edge channel come out correlated.
     """
     zw1, zw2 = kernel.stationary_sample(stream)
-    grid = kernel.grid
-    return CoefficientState(t=0.0, step=0, zw1=_field(grid, zw1), zw2=_field(grid, zw2), kernel=kernel)
+    return CoefficientState(step=0, zw1=zw1, zw2=zw2, kernel=kernel)
 
 
 def ou_step(state: CoefficientState, stream: NoiseStream, step: int | None = None) -> CoefficientState:
     """Advance both processes by one exact Ornstein-Uhlenbeck update."""
     kernel = state.kernel
     j = state.step if step is None else step
-    zw1, zw2 = kernel.advance(state.zw1.coeffs, state.zw2.coeffs, stream, j)
-    grid = kernel.grid
-    return CoefficientState(
-        t=(j + 1) * kernel.dt,
-        step=j + 1,
-        zw1=_field(grid, zw1),
-        zw2=_field(grid, zw2),
-        kernel=kernel,
-    )
+    zw1, zw2 = kernel.advance(state.zw1, state.zw2, stream, j)
+    return CoefficientState(step=j + 1, zw1=zw1, zw2=zw2, kernel=kernel)
 
 
 def temperedness_diagnostic(series, horizon: float) -> float:

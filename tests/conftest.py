@@ -14,6 +14,20 @@ def grid64():
     return GridSpec(64)
 
 
+@pytest.fixture
+def field_inits(monkeypatch):
+    """One-element list counting `Field.__init__` calls from now on."""
+    count = [0]
+    init = Field.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counted)
+    return count
+
+
 def random_field(grid, basis=Basis.NEUMANN_COSINE, seed=0, scale=1.0, slope=0.0):
     """Gaussian coefficients on the retained modes, optional spectral slope."""
     rng = np.random.default_rng(seed)

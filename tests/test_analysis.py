@@ -10,7 +10,6 @@ from qgsync.analysis import (
     _block_driver,
     _coefficient_window,
     check_condition,
-    compute_r,
     compute_rho,
     decay_margin,
     default_rho_window,
@@ -46,7 +45,9 @@ class TestDriver:
             COV_OFF,
             COV_OFF,
         )
-        assert compute_r(state.coeff, PARAMS, CONSTS) == 0.0
+        lam = laplacian_eigenvalues(grid32)
+        g, r = _block_driver(state.coeff.combined()[np.newaxis], lam, PARAMS, CONSTS)
+        assert g[0] == 0.0 and r[0] == 0.0
 
     def test_plugin_arithmetic(self):
         # beta = 0, r = 1, nu = 1, |w| = 1, |grad w| = 0 -> R = 3 / pi^2
@@ -73,11 +74,10 @@ class TestDriver:
             COV1,
             COV2,
         )
-        from qgsync.fields import norm_h1
-
-        w = state.coeff.combined()
+        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=state.coeff.combined())
         direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, PARAMS, CONSTS)
-        assert compute_r(state.coeff, PARAMS, CONSTS) == pytest.approx(direct, rel=1e-14)
+        _, r = _block_driver(w.coeffs[np.newaxis], laplacian_eigenvalues(grid32), PARAMS, CONSTS)
+        assert r[0] == pytest.approx(direct, rel=1e-14)
 
 
 class TestCoefficientWindow:
@@ -90,8 +90,9 @@ class TestCoefficientWindow:
         g = np.empty(steps + 1)
         r = np.empty(steps + 1)
         for j in range(steps + 1):
-            g[j] = norm_h1(state.combined()) ** 2
-            r[j] = compute_r(state, PARAMS, CONSTS)
+            w = Field(grid, Basis.NEUMANN_COSINE, coeffs=state.combined())
+            g[j] = norm_h1(w) ** 2
+            r[j] = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, PARAMS, CONSTS)
             if j < steps:
                 state = ou_step(state, past, j)
         return g, r, state
@@ -106,9 +107,13 @@ class TestCoefficientWindow:
         g_ref, r_ref, state_ref = self.reference(stream, cov1, cov2, grid32, steps)
         assert np.array_equal(g, g_ref)
         assert np.array_equal(r, r_ref)
-        assert (state.t, state.step) == (state_ref.t, state_ref.step)
-        assert np.array_equal(state.zw1.coeffs, state_ref.zw1.coeffs)
-        assert np.array_equal(state.zw2.coeffs, state_ref.zw2.coeffs)
+        assert state.step == state_ref.step
+        assert np.array_equal(state.zw1, state_ref.zw1)
+        assert np.array_equal(state.zw2, state_ref.zw2)
+
+    def test_window_builds_no_field(self, grid32, field_inits):
+        _coefficient_window(NoiseStream(seed=3, dt=0.01), PARAMS, COV1, COV2, grid32, 100, CONSTS)
+        assert field_inits[0] == 0
 
     def test_block_squares_like_python_floats(self):
         # float ** 2 (libm pow) and x * x differ in the last bit for about

@@ -147,6 +147,22 @@ class TestParseTimeRejections:
         assert err == "configuration error: time 0.015 is not a multiple of dt=0.01\n"
 
 
+class TestOverflowRefusals:
+    @pytest.mark.parametrize("command", ["check-condition", "radius"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"params.nu": "1e-300"}, {"noise.q1_amplitude": "1e200"}],
+        ids=["tiny_viscosity", "huge_boundary_noise"],
+    )
+    def test_overflowing_moments_exit_3(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, seeds="1", **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("experiment refused:") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
+
 class TestCommands:
     def test_validate_passes(self, tmp_path):
         cfg = write_config(tmp_path)

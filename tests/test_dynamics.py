@@ -72,7 +72,7 @@ class TestStepImex:
         dt = 0.01
         stream = NoiseStream(seed=2, dt=dt)
         start = prepare_state(Field.zeros(grid32, Basis.NEUMANN_COSINE), stream, PARAMS, COV1, COV2)
-        w = start.coeff.combined()
+        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=start.coeff.combined())
         state = step_imex(start, PARAMS, stream, dt)
         tendency = -1.0 * dealias(bilinear_b(w, w)) - PARAMS.beta * beta_term(w) - PARAMS.r * w
         expected = implicit_solve(dt * tendency, dt)
@@ -178,8 +178,18 @@ class TestStepImex:
                 state = step_imex(state, PARAMS, stream, 0.01, check_cfl=check_cfl)
             states[check_cfl] = state
         assert np.array_equal(states[True].z.coeffs, states[False].z.coeffs)
-        assert np.array_equal(states[True].coeff.zw1.coeffs, states[False].coeff.zw1.coeffs)
-        assert np.array_equal(states[True].coeff.zw2.coeffs, states[False].coeff.zw2.coeffs)
+        assert np.array_equal(states[True].coeff.zw1, states[False].coeff.zw1)
+        assert np.array_equal(states[True].coeff.zw2, states[False].coeff.zw2)
+
+    @pytest.mark.parametrize("check_cfl", [True, False])
+    def test_step_builds_few_fields(self, grid32, field_inits, check_cfl):
+        # s = z + w, its streamfunction, the operators' own results and the
+        # new z; the dealias, friction, beta scaling and solve are arrays
+        stream = NoiseStream(seed=12, dt=0.01)
+        state = prepare_state(masked_field(grid32, 12), stream, PARAMS, COV1, COV2)
+        field_inits[0] = 0
+        step_imex(state, PARAMS, stream, 0.01, check_cfl=check_cfl)
+        assert field_inits[0] <= 7
 
     def test_cfl_warning(self, grid32):
         z0 = random_field(grid32, seed=9, scale=100.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgsync.dynamics import ModelParams
-from qgsync.fields import Basis, norm_h1, norm_l2, retained_mask
+from qgsync.fields import Basis, Field, norm_h1, retained_mask
 from qgsync.noise import (
     ConfigError,
     CovarianceSpec,
@@ -147,7 +147,7 @@ class TestStationaryLaw:
         cov0 = CovarianceSpec(0.0, 3.0, 4)
         kernel = OUKernel(grid32, 1.0, cov0, cov0, 0.1)
         state = ou_init(kernel, NoiseStream(seed=1, dt=0.1))
-        assert norm_l2(state.zw1) == 0.0 and norm_l2(state.zw2) == 0.0
+        assert not state.zw1.any() and not state.zw2.any()
 
     def test_single_channel_variance_oracle(self, grid32):
         # scalar OU oracle: variance = gain^2 * q / (2 * rate) per mode,
@@ -178,8 +178,8 @@ class TestStationaryLaw:
         acc2 = np.zeros(grid32.shape)
         for i in range(n_samples):
             st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
-            acc1 += st.zw1.coeffs**2
-            acc2 += st.zw2.coeffs**2
+            acc1 += st.zw1**2
+            acc2 += st.zw2**2
         acc1 /= n_samples
         acc2 /= n_samples
         tol = 6.0 * math.sqrt(2.0 / n_samples)
@@ -197,10 +197,30 @@ class TestStationaryLaw:
         b = np.empty(n_samples)
         for i in range(n_samples):
             st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
-            a[i] = st.zw1.coeffs[0, 1]
-            b[i] = st.zw2.coeffs[0, 1]
+            a[i] = st.zw1[0, 1]
+            b[i] = st.zw2[0, 1]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(n_samples)
+
+
+class TestArrayState:
+    """The chain works on plain arrays: no `Field` is built, and the state is read-only."""
+
+    def test_init_and_step_build_no_field(self, grid32, field_inits):
+        kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
+        stream = NoiseStream(seed=4, dt=0.1)
+        state = ou_init(kernel, stream)
+        assert field_inits[0] == 0
+        ou_step(state, stream)
+        assert field_inits[0] == 0
+
+    @pytest.mark.parametrize("which", ["zw1", "zw2"])
+    def test_state_arrays_are_read_only(self, grid32, which):
+        kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
+        stream = NoiseStream(seed=5, dt=0.1)
+        for state in (ou_init(kernel, stream), ou_step(ou_init(kernel, stream), stream)):
+            with pytest.raises(ValueError):
+                getattr(state, which)[1, 1] = 1.0
 
 
 class TestOUStep:
@@ -214,14 +234,14 @@ class TestOUStep:
         kernel0 = OUKernel(grid32, 1.0, CovarianceSpec(0.0, 3.0, 2), cov0, 0.2)
         from qgsync.noise import CoefficientState
 
-        frozen = CoefficientState(t=0.0, step=0, zw1=state.zw1, zw2=state.zw2, kernel=kernel0)
+        frozen = CoefficientState(step=0, zw1=state.zw1, zw2=state.zw2, kernel=kernel0)
         stepped = ou_step(frozen, stream, 0)
         lam = np.pi**2 * (
             np.add.outer(np.arange(grid32.n + 1.0) ** 2, np.arange(grid32.n + 1.0) ** 2)
         )
         mask = retained_mask(grid32, Basis.NEUMANN_COSINE)
-        expected = np.where(mask, np.exp(-1.0 * lam * 0.2), 0.0) * state.zw1.coeffs
-        assert np.max(np.abs(stepped.zw1.coeffs - expected)) < 1e-15
+        expected = np.where(mask, np.exp(-1.0 * lam * 0.2), 0.0) * state.zw1
+        assert np.max(np.abs(stepped.zw1 - expected)) < 1e-15
 
     def test_autocovariance_shape(self, grid32):
         # single interior mode chain: autocorrelation e^{-nu lambda j dt}
@@ -234,7 +254,7 @@ class TestOUStep:
         n_steps = 20000
         series = np.empty(n_steps)
         for j in range(n_steps):
-            series[j] = state.zw2.coeffs[1, 0]
+            series[j] = state.zw2[1, 0]
             state = ou_step(state, stream, j)
         rate = 1.0 * np.pi**2  # mode (1, 0)
         var = np.var(series)
@@ -254,7 +274,7 @@ class TestOUStep:
         acc_mean = np.zeros(grid32.shape)
         acc_sq = np.zeros(grid32.shape)
         for j in range(n_steps):
-            z = state.zw2.coeffs
+            z = state.zw2
             acc_mean += z
             acc_sq += z**2
             state = ou_step(state, stream, j)
@@ -280,11 +300,11 @@ class TestOUStep:
         # transported: same arrays, clock rebased, stepping the shifted stream
         from qgsync.noise import CoefficientState
 
-        transported = CoefficientState(t=0.0, step=0, zw1=state.zw1, zw2=state.zw2, kernel=kernel)
+        transported = CoefficientState(step=0, zw1=state.zw1, zw2=state.zw2, kernel=kernel)
         a = ou_step(state, s0, 3)
         b = ou_step(transported, s3, 0)
-        assert np.array_equal(a.zw1.coeffs, b.zw1.coeffs)
-        assert np.array_equal(a.zw2.coeffs, b.zw2.coeffs)
+        assert np.array_equal(a.zw1, b.zw1)
+        assert np.array_equal(a.zw2, b.zw2)
 
     def test_gradient_moments_stable_under_doubling(self, grid32):
         cov1 = CovarianceSpec(1e-2, 3.0, 3)
@@ -296,7 +316,7 @@ class TestOUStep:
             g2 = np.empty(m)
             for i in range(m):
                 st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
-                g2[i] = norm_h1(st.zw1 + st.zw2) ** 2
+                g2[i] = norm_h1(Field(grid32, Basis.NEUMANN_COSINE, coeffs=st.combined())) ** 2
             return np.mean(g2), np.mean(g2**2)
 
         m2a, m4a = moments(2000)
@@ -332,6 +352,6 @@ class TestTemperedness:
         n_steps = 2001
         series = np.empty(n_steps)
         for j in range(n_steps):
-            series[j] = norm_l2(state.zw1)
+            series[j] = np.sqrt(np.sum(state.zw1**2))
             state = ou_step(state, stream, j)
         assert temperedness_diagnostic(series, 200.0) < 0.05

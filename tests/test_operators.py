@@ -333,7 +333,7 @@ class TestBilinearForm:
         # <(-B(z,w) - B(w,z)), z> == <-B(z,w), z> because <B(w,z), z> = 0
         z = masked_field(grid32, 3, scale=0.5)
         state = prepare_state(z, NoiseStream(seed=3, dt=0.01), PARAMS, COV1, COV2)
-        w = state.coeff.combined()
+        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=state.coeff.combined())
         cross = -1.0 * (bilinear_b(z, w) + bilinear_b(w, z))
         lhs = inner(cross, z)
         rhs = inner(-1.0 * bilinear_b(z, w), z)
