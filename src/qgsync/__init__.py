@@ -13,22 +13,18 @@ from .fields import (
     DimensionMismatch,
     Field,
     GridSpec,
-    MissingRepresentation,
     gradient,
     inner,
     norm_h1,
     norm_l2,
-    quadrature_inner,
 )
 from .operators import (
     OperatorConstants,
-    apply_a,
     beta_term,
     bilinear_b,
     boundary_flux,
     dirichlet_poisson,
     estimate_constants,
-    jacobian,
     lifting_matrix,
     neumann_lift,
     semigroup,
@@ -51,7 +47,6 @@ from .dynamics import (
     ModelParams,
     evolve,
     step_imex,
-    transform,
     untransform,
 )
 from .analysis import (
@@ -60,7 +55,6 @@ from .analysis import (
     SyncReport,
     check_condition,
     cocycle_check,
-    compute_rho,
     radius_invariance_experiment,
     stationary_statistics,
     synchronization_experiment,

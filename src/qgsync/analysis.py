@@ -3,9 +3,10 @@
 This module turns the stability theory into executable checks:
 
   * `driver_from_norms` is the nonautonomous driver R fed by the coefficient
-    processes, and `compute_rho` the pullback quadrature for the absorbing
-    radius rho.  |grad w|^2 and R of the coefficient arrays w = zw1 + zw2
-    are taken in one place, `_block_driver`, for a whole stack of arrays.
+    processes, and `rho_squared_from_series` the pullback quadrature for the
+    absorbing radius rho.  |grad w|^2 and R of the coefficient arrays
+    w = zw1 + zw2 are taken in one place, `_block_driver`, for a whole stack
+    of arrays.
   * `radius_invariance_experiment` verifies forward invariance of the random
     ball B(0, rho) along simulated trajectories, propagating rho^2 by the
     discrete affine recursion that the quadrature satisfies exactly.
@@ -60,6 +61,8 @@ from .noise import (
 from .operators import OperatorConstants, estimate_constants
 
 NORM_CONVENTION = "first-order norm = gradient seminorm |grad(.)|"
+RADIUS_SLACK = 0.02  # relative excursion over rho^2 that counts as a violation
+CONDITION_GAP_TIME = 0.5  # time between the decimated radius samples
 
 
 class DecayConditionError(RuntimeError):
@@ -243,20 +246,6 @@ def _stationary_draws(
     return g, r
 
 
-def compute_rho(
-    stream: NoiseStream,
-    params: ModelParams,
-    constants: OperatorConstants,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
-    grid: GridSpec,
-    window: float | None = None,
-) -> float:
-    """Absorbing radius at the stream's origin via the pullback quadrature."""
-    rho2, _ = _rho_with_state(stream, params, constants, cov1, cov2, grid, window)
-    return math.sqrt(max(rho2, 0.0))
-
-
 def _rho_with_state(
     stream: NoiseStream,
     params: ModelParams,
@@ -266,6 +255,7 @@ def _rho_with_state(
     grid: GridSpec,
     window: float | None,
 ):
+    """rho^2 at the stream's origin, with the window's (g, r, final coefficient state)."""
     # plug-in estimate of E|grad w|^2 from 256 independent stationary draws
     g, _ = _stationary_draws(stream, params, cov1, cov2, grid, range(0, -256, -1), constants)
     grad2 = float(np.mean(g))
@@ -296,17 +286,14 @@ def radius_invariance_experiment(
     dt: float,
     constants: OperatorConstants | None = None,
     window: float | None = None,
-    slack: float = 0.02,
-    z0_norm: float | None = None,
 ) -> dict:
     """Track |z(t)|^2 against the propagated rho^2 along each seed's path.
 
-    Initial states are random with |z0| <= rho (a requested `z0_norm`
-    beyond the realized radius is rejected); the radius is propagated by
+    Initial states are random with |z0| <= rho; the radius is propagated by
     the affine recursion driven by the same realized coefficients as the
-    trajectory.  Excursions beyond (1 + slack) * rho^2 count as violations;
-    the slack covers the first-order time discretization of the comparison
-    argument.
+    trajectory.  Excursions beyond (1 + RADIUS_SLACK) * rho^2 count as
+    violations; the slack covers the first-order time discretization of the
+    comparison argument.
     """
     if constants is None:
         constants = estimate_constants(grid, params.nu, seed=0)
@@ -321,11 +308,7 @@ def radius_invariance_experiment(
         rng = np.random.default_rng((seed, 0xABCD))
         direction = dealias(random_field(grid, rng)).coeffs
         dnorm = float(np.sqrt(np.sum(direction**2)))
-        scale = rng.uniform(0.0, 1.0) * rho0 if z0_norm is None else z0_norm
-        if scale > rho0 * (1.0 + 1e-12):
-            raise ValueError(
-                f"initial norm {scale:.6g} exceeds the absorbing radius {rho0:.6g}"
-            )
+        scale = rng.uniform(0.0, 1.0) * rho0
         z0_coeffs = direction / dnorm * scale if dnorm > 0 else direction * 0.0
         z0 = Field(grid, Basis.NEUMANN_COSINE, coeffs=z0_coeffs)
 
@@ -348,7 +331,7 @@ def radius_invariance_experiment(
             if zeta > 0:
                 excursion = z2 / zeta - 1.0
                 max_excursion = max(max_excursion, excursion)
-                if excursion > slack:
+                if excursion > RADIUS_SLACK:
                     violations += 1
             elif z2 > 1e-300:
                 violations += 1
@@ -363,7 +346,7 @@ def radius_invariance_experiment(
             }
         )
     return {
-        "slack": slack,
+        "slack": RADIUS_SLACK,
         "total_violations": int(sum(rep["violations"] for rep in reports)),
         "max_excursion": max(rep["max_excursion"] for rep in reports),
         "per_seed": reports,
@@ -393,7 +376,6 @@ class ConditionReport:
     margin_se: float | None = None
     reason: str | None = None
     nu_lambda1: float = 0.0
-    norm_convention: str = NORM_CONVENTION
 
     def to_dict(self) -> dict:
         return {
@@ -406,7 +388,7 @@ class ConditionReport:
             "constants": self.constants.to_dict(),
             "nu_lambda1": self.nu_lambda1,
             "lambda1": self.constants.lambda1,
-            "norm_convention": self.norm_convention,
+            "norm_convention": NORM_CONVENTION,
         }
 
 
@@ -418,7 +400,6 @@ def check_condition(
     stream: NoiseStream,
     grid: GridSpec,
     constants: OperatorConstants | None = None,
-    gap_time: float = 0.5,
 ) -> ConditionReport:
     """Monte-Carlo evaluation of the contraction inequality.
 
@@ -478,7 +459,7 @@ def check_condition(
     # one long radius path: burn one window, then decimate
     window = 20.0 / margin
     burn_steps = max(2, int(round(window / stream.dt)))
-    gap = max(1, int(round(gap_time / stream.dt)))
+    gap = max(1, int(round(CONDITION_GAP_TIME / stream.dt)))
     total = burn_steps + samples * gap
     g_ser, r_ser, _ = _coefficient_window(
         wiener_shift(stream, total * stream.dt), params, cov1, cov2, grid, total, constants

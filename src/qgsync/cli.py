@@ -383,12 +383,12 @@ def main(argv=None) -> int:
             flat = config.to_flat_dict()
             flat["seeds"] = args.seeds
             config = config_from_flat(flat)
+        outdir = args.output or config.output_dir
+        os.makedirs(outdir, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        outdir = args.output or config.output_dir
-        os.makedirs(outdir, exist_ok=True)
         return _COMMANDS[args.command](config, outdir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,7 +58,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CocycleState:
-    """One point of a trajectory: transformed field plus coefficient state."""
+    """One point of a trajectory: transformed field plus coefficient state.
+
+    `step` is the trajectory's only step counter; the next `step_imex`
+    reads the noise of that step for both z and the coefficient processes.
+    """
 
     step: int
     z: Field
@@ -158,11 +162,12 @@ def prepare_state(
     """Wrap an initial field into a cocycle state (or pass a state through).
 
     A bare field gets a freshly sampled stationary coefficient state and is
-    projected onto the dealiased retained modes; an existing state is
-    transported as-is so that restarts continue the same noise path.
+    projected onto the dealiased retained modes; an existing state keeps
+    its z and coefficients and restarts at step 0 of the (shifted) stream,
+    so that restarts continue the same noise path.
     """
     if isinstance(z0, CocycleState):
-        return CocycleState(step=0, z=z0.z, coeff=replace(z0.coeff, step=0))
+        return CocycleState(step=0, z=z0.z, coeff=z0.coeff)
     kernel = OUKernel(z0.grid, params.nu, cov1, cov2, stream.dt)
     return CocycleState(step=0, z=dealias(z0), coeff=ou_init(kernel, stream))
 
@@ -193,11 +198,6 @@ def evolve(
         if observer is not None:
             observer(state)
     return state
-
-
-def transform(u: Field, coeff: CoefficientState) -> Field:
-    """Physical field to transformed variable: subtract both coefficient arrays."""
-    return Field(u.grid, u.basis, coeffs=u.coeffs - coeff.zw1 - coeff.zw2)
 
 
 def untransform(state: CocycleState) -> Field:

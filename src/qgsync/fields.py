@@ -31,10 +31,6 @@ class DimensionMismatch(ValueError):
     """Fields on different grids or in different bases were combined."""
 
 
-class MissingRepresentation(RuntimeError):
-    """A field was asked for a representation it does not hold."""
-
-
 class NonFiniteField(ValueError):
     """A field array contains NaN or infinite entries."""
 
@@ -219,7 +215,7 @@ class Field:
 
     def __init__(self, grid: GridSpec, basis: Basis, coeffs=None, nodal=None):
         if coeffs is None and nodal is None:
-            raise MissingRepresentation("field needs coefficients or nodal values")
+            raise ValueError("field needs coefficients or nodal values")
         self.grid = grid
         self.basis = basis
         self._coeffs = self._prepare(coeffs, validate_modes=True)
@@ -245,21 +241,6 @@ class Field:
     @classmethod
     def zeros(cls, grid: GridSpec, basis: Basis) -> "Field":
         return cls(grid, basis, coeffs=np.zeros(grid.shape))
-
-    @classmethod
-    def from_modes(cls, grid: GridSpec, basis: Basis, modes: dict) -> "Field":
-        """Field from a {(k, l): amplitude} dictionary of retained modes."""
-        coeffs = np.zeros(grid.shape)
-        mask = retained_mask(grid, basis)
-        for (k, l), amp in modes.items():
-            if not mask[k, l]:
-                raise ValueError(f"mode {(k, l)} is not retained for {basis.name}")
-            coeffs[k, l] = amp
-        return cls(grid, basis, coeffs=coeffs)
-
-    @classmethod
-    def from_nodal(cls, grid: GridSpec, basis: Basis, nodal) -> "Field":
-        return cls(grid, basis, nodal=nodal)
 
     # -- representations ----------------------------------------------------
 
@@ -329,13 +310,19 @@ def inner(f: Field, g: Field) -> float:
 
 
 def norm_l2(f: Field) -> float:
-    return float(np.sqrt(np.sum(f.coeffs**2)))
+    """L2 norm; a field too large to square gives inf, not an overflow warning."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(f.coeffs**2)))
 
 
 def norm_h1(f: Field) -> float:
-    """Gradient seminorm |grad f|; the working norm on mean-zero fields."""
+    """Gradient seminorm |grad f|; the working norm on mean-zero fields.
+
+    Like `norm_l2`, it gives inf without a warning when the squares overflow.
+    """
     lam = laplacian_eigenvalues(f.grid)
-    return float(np.sqrt(np.sum(lam * f.coeffs**2)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(lam * f.coeffs**2)))
 
 
 def gradient(f: Field) -> tuple[Field, Field]:
@@ -366,15 +353,6 @@ def gradient(f: Field) -> tuple[Field, Field]:
     )
 
 
-def quadrature_inner(f: Field, g: Field) -> float:
-    """Trapezoid quadrature of f*g on the lattice (independent of Parseval)."""
-    if f.grid != g.grid:
-        raise DimensionMismatch("fields on different grids")
-    _, _, _, w = _grid_tables(f.grid.n)
-    h = f.grid.h
-    return float(h * h * np.sum(np.outer(w, w) * f.nodal * g.nodal))
-
-
 class BoundaryField:
     """Mean-zero scalar on the left edge {0} x (0,1).
 
@@ -397,27 +375,6 @@ class BoundaryField:
         self.grid = grid
         self.coeffs = coeffs
 
-    @classmethod
-    def from_values(cls, grid: GridSpec, values, tol: float = 1e-10) -> "BoundaryField":
-        """Analyse edge nodal values; reject data with a nonzero average."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n + 1,):
-            raise DimensionMismatch("edge values must live on the closed lattice")
-        a = _axis_analysis(values.reshape(-1, 1), "cos", grid.n, axis=0).ravel()
-        scale = np.linalg.norm(a)
-        if abs(a[0]) > tol * max(scale, 1.0):
-            raise ValueError("boundary datum must have zero average")
-        return cls(grid, a[1 : grid.n])
-
-    def values(self) -> np.ndarray:
-        """Nodal values on the closed edge lattice y_j = j*h."""
-        full = np.zeros((self.grid.n + 1, 1))
-        full[1 : 1 + self.coeffs.size, 0] = self.coeffs
-        return _axis_synthesis(full, "cos", self.grid.n, axis=0).ravel()
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def __repr__(self) -> str:
         return f"BoundaryField(n={self.grid.n}, K={self.coeffs.size})"
 
@@ -428,14 +385,3 @@ def save_field(path, f: Field, time: float = 0.0) -> None:
         fh.write(f"# n={f.grid.n} basis={f.basis.name} t={time!r}\n")
         for v in f.coeffs.ravel():
             fh.write(format(v, ".17g") + "\n")
-
-
-def load_field(path) -> tuple[Field, float]:
-    with open(path) as fh:
-        header = fh.readline().strip().lstrip("# ").split()
-        meta = dict(item.split("=", 1) for item in header)
-        values = np.array([float(line) for line in fh])
-    grid = GridSpec(int(meta["n"]))
-    basis = Basis[meta["basis"]]
-    coeffs = values.reshape(grid.shape)
-    return Field(grid, basis, coeffs=coeffs), float(meta["t"])

@@ -20,7 +20,10 @@ processes are set up: it builds the boundary lift itself, sized to the
 boundary covariance.  `ou_init(kernel, stream)` is the only stationary
 draw and `ou_step` the only update.  The state they return holds plain
 read-only NEUMANN_COSINE coefficient arrays, not `Field`s: the chain never
-leaves the package as a field, and callers that need one build it.
+leaves the package as a field, and callers that need one build it.  It
+holds no step counter either: `ou_step(state, stream, step)` is told which
+step to read, and the caller (for a trajectory, `CocycleState.step`) keeps
+the count.
 
 Channel layout per step, in one fixed vector of length 2C:
 
@@ -172,10 +175,9 @@ class CoefficientState:
 
     `zw1` and `zw2` are (n+1, n+1) NEUMANN_COSINE coefficient arrays; they
     are made read-only in place, so a state can be shared freely.  The
-    state sits at time `step * kernel.dt`.
+    state does not know its step: whoever advances it counts the steps.
     """
 
-    step: int
     zw1: np.ndarray
     zw2: np.ndarray
     kernel: "OUKernel"
@@ -298,15 +300,17 @@ def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
     so modes sharing an edge channel come out correlated.
     """
     zw1, zw2 = kernel.stationary_sample(stream)
-    return CoefficientState(step=0, zw1=zw1, zw2=zw2, kernel=kernel)
+    return CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel)
 
 
-def ou_step(state: CoefficientState, stream: NoiseStream, step: int | None = None) -> CoefficientState:
-    """Advance both processes by one exact Ornstein-Uhlenbeck update."""
+def ou_step(state: CoefficientState, stream: NoiseStream, step: int) -> CoefficientState:
+    """Advance both processes by one exact Ornstein-Uhlenbeck update.
+
+    The increments are the stream's normals of `step`, the step being taken.
+    """
     kernel = state.kernel
-    j = state.step if step is None else step
-    zw1, zw2 = kernel.advance(state.zw1, state.zw2, stream, j)
-    return CoefficientState(step=j + 1, zw1=zw1, zw2=zw2, kernel=kernel)
+    zw1, zw2 = kernel.advance(state.zw1, state.zw2, stream, step)
+    return CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel)
 
 
 def temperedness_diagnostic(series, horizon: float) -> float:

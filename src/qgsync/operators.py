@@ -27,7 +27,7 @@ has them (the time stepper) solves and differentiates once per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -67,11 +67,7 @@ class OperatorConstants:
     c_gx: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "c_b": self.c_b,
-            "c_gx": self.c_gx,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +92,6 @@ def dirichlet_poisson(u: Field) -> Field:
     mask = retained_mask(grid, Basis.DIRICHLET_SINE)
     psi[mask] = -src[mask] / lam[mask]
     return Field(grid, Basis.DIRICHLET_SINE, coeffs=psi)
-
-
-def apply_a(f: Field, nu: float) -> Field:
-    """Apply A = -nu * lap with natural (Neumann) boundary data."""
-    _require_neumann(f)
-    return Field(
-        f.grid, Basis.NEUMANN_COSINE, coeffs=nu * laplacian_eigenvalues(f.grid) * f.coeffs
-    )
 
 
 def semigroup(f: Field, nu: float, t: float) -> Field:
@@ -133,7 +121,7 @@ def _edge_scales(n: int) -> np.ndarray:
     return c
 
 
-def lifting_matrix(grid: GridSpec, nu: float, n_modes: int | None = None) -> np.ndarray:
+def lifting_matrix(grid: GridSpec, nu: float, n_modes: int) -> np.ndarray:
     """Cosine coefficients of the harmonic lift of edge modes k = 1..n_modes.
 
     Returns an (n+1, n_modes) array whose column k-1 holds the x-mode
@@ -152,8 +140,6 @@ def lifting_matrix(grid: GridSpec, nu: float, n_modes: int | None = None) -> np.
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    if n_modes is None:
-        n_modes = grid.n - 1
     if not 1 <= n_modes <= grid.n - 1:
         raise ValueError(f"edge mode count must be in 1..{grid.n - 1}")
     c = _edge_scales(grid.n)
@@ -195,11 +181,9 @@ def boundary_flux(u: Field, nu: float) -> BoundaryField:
 def harmonicity_residual(u: Field, nu: float) -> float:
     """Relative part of A(u) not explained by a left-edge flux layer."""
     grid = u.grid
-    c = _edge_scales(grid.n)
     au = nu * laplacian_eigenvalues(grid) * u.coeffs
-    flux = (c @ au[:, 1 : grid.n]) / float(np.sum(c**2))
     layer = np.zeros(grid.shape)
-    layer[:, 1 : grid.n] = np.outer(c, flux)
+    layer[:, 1 : grid.n] = np.outer(_edge_scales(grid.n), boundary_flux(u, nu).coeffs)
     denom = float(np.linalg.norm(au))
     if denom == 0.0:
         return 0.0
@@ -275,7 +259,7 @@ def _diff(op, a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _jacobian_nodal(psi: np.ndarray, px: np.ndarray, py: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Arakawa average of the three difference forms on the closed lattice.
+    """Bracket J(psi, q) = psi_x q_y - psi_y q_x: the Arakawa average of three forms.
 
     px, py are the odd differences of psi along each axis (`_grad_nodal`).
     """
@@ -301,22 +285,6 @@ def _grad_nodal(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Odd-reflection differences of a streamfunction along both axes."""
     Do = _difference_operators(psi.shape[0] - 1)[1]
     return _diff(Do, psi, 0), _diff(Do, psi, 1)
-
-
-def jacobian(psi: Field, q: Field) -> Field:
-    """Discrete advection bracket J(psi, q) = psi_x q_y - psi_y q_x.
-
-    psi must belong to the Dirichlet family (zero trace); q may be any
-    field on the same grid.  The nodal result is projected onto the
-    mean-zero cosine family.
-    """
-    if psi.basis is not Basis.DIRICHLET_SINE:
-        raise DimensionMismatch("jacobian needs a Dirichlet-family streamfunction")
-    if psi.grid != q.grid:
-        raise DimensionMismatch("jacobian arguments live on different grids")
-    grid = psi.grid
-    out = _jacobian_nodal(psi.nodal, *_grad_nodal(psi.nodal), q.nodal)
-    return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs_from_nodal(out, Basis.NEUMANN_COSINE, grid))
 
 
 def bilinear_b(v1: Field, v2: Field, psi: Field | None = None) -> Field:

@@ -39,6 +39,14 @@ def random_field(grid, basis=Basis.NEUMANN_COSINE, seed=0, scale=1.0, slope=0.0)
     return Field(grid, basis, coeffs=coeffs)
 
 
+def mode_field(grid, basis, modes):
+    """Field from a {(k, l): amplitude} dict; `Field` rejects non-retained modes."""
+    coeffs = np.zeros(grid.shape)
+    for kl, amp in modes.items():
+        coeffs[kl] = amp
+    return Field(grid, basis, coeffs=coeffs)
+
+
 def trapezoid_quadrature(grid, values_a, values_b):
     """Independent trapezoid quadrature of a product on the closed lattice."""
     w = np.ones(grid.n + 1)

@@ -51,7 +51,7 @@ from qgsync.operators import (
     semigroup,
 )
 
-from conftest import random_field
+from conftest import mode_field, random_field
 
 DEFAULT = RunConfig()
 GRID = DEFAULT.grid()
@@ -199,7 +199,7 @@ def test_criterion_4_cocycle_law():
 def test_criterion_5_linear_rate():
     params = ModelParams(nu=1.0, r=1.0, beta=0.0)
     z0a = Field.zeros(GRID, Basis.NEUMANN_COSINE)
-    z0b = Field.from_modes(GRID, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
+    z0b = mode_field(GRID, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
     rep = synchronization_experiment(
         5, params, COV_OFF, COV_OFF, GRID, z0a, z0b, t_end=2.0, dt=1e-3
     )
@@ -273,7 +273,6 @@ def test_criterion_8_forward_invariance(constants):
         t_end=DEFAULT.t_end,
         dt=DT,
         constants=constants,
-        slack=0.02,
     )
     assert report["total_violations"] == 0
     assert report["max_excursion"] <= 0.02

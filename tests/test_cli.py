@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgsync
 from qgsync import cli
 from qgsync.cli import main, write_json
 from qgsync.config import RunConfig, config_from_flat, parse_config
@@ -146,6 +151,13 @@ class TestParseTimeRejections:
         err = capsys.readouterr().err
         assert err == "configuration error: time 0.015 is not a multiple of dt=0.01\n"
 
+    def test_output_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "notadir").write_text("")
+        out = tmp_path / "notadir" / "sub"
+        assert main(["simulate", "--config", str(write_config(tmp_path)), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
 
 class TestOverflowRefusals:
     @pytest.mark.parametrize("command", ["check-condition", "radius"])
@@ -161,6 +173,26 @@ class TestOverflowRefusals:
         err = capsys.readouterr().err
         assert err.startswith("experiment refused:") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+
+class TestDivergence:
+    def test_overflowing_run_exits_4_without_runtime_warnings(self, tmp_path):
+        # a fresh interpreter shows warnings as the command line does; only
+        # the CFL warning before the diverging step may precede the message
+        cfg = write_config(
+            tmp_path, seeds="1", **{"noise.q1_amplitude": "1e300", "time.t_end": "0.1", "time.burn": "0"}
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(qgsync.__file__).parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qgsync.cli", "simulate", "--config", str(cfg), "--output", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 4
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("experiment diverged:")
 
 
 class TestCommands:

@@ -211,14 +211,14 @@ class TestArrayState:
         stream = NoiseStream(seed=4, dt=0.1)
         state = ou_init(kernel, stream)
         assert field_inits[0] == 0
-        ou_step(state, stream)
+        ou_step(state, stream, 0)
         assert field_inits[0] == 0
 
     @pytest.mark.parametrize("which", ["zw1", "zw2"])
     def test_state_arrays_are_read_only(self, grid32, which):
         kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
         stream = NoiseStream(seed=5, dt=0.1)
-        for state in (ou_init(kernel, stream), ou_step(ou_init(kernel, stream), stream)):
+        for state in (ou_init(kernel, stream), ou_step(ou_init(kernel, stream), stream, 0)):
             with pytest.raises(ValueError):
                 getattr(state, which)[1, 1] = 1.0
 
@@ -234,7 +234,7 @@ class TestOUStep:
         kernel0 = OUKernel(grid32, 1.0, CovarianceSpec(0.0, 3.0, 2), cov0, 0.2)
         from qgsync.noise import CoefficientState
 
-        frozen = CoefficientState(step=0, zw1=state.zw1, zw2=state.zw2, kernel=kernel0)
+        frozen = CoefficientState(zw1=state.zw1, zw2=state.zw2, kernel=kernel0)
         stepped = ou_step(frozen, stream, 0)
         lam = np.pi**2 * (
             np.add.outer(np.arange(grid32.n + 1.0) ** 2, np.arange(grid32.n + 1.0) ** 2)
@@ -297,12 +297,9 @@ class TestOUStep:
         state = ou_init(kernel, s0)
         for j in range(3):
             state = ou_step(state, s0, j)
-        # transported: same arrays, clock rebased, stepping the shifted stream
-        from qgsync.noise import CoefficientState
-
-        transported = CoefficientState(step=0, zw1=state.zw1, zw2=state.zw2, kernel=kernel)
+        # transported: the same state, stepping the shifted stream from step 0
         a = ou_step(state, s0, 3)
-        b = ou_step(transported, s3, 0)
+        b = ou_step(state, s3, 0)
         assert np.array_equal(a.zw1, b.zw1)
         assert np.array_equal(a.zw2, b.zw2)
 
