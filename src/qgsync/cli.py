@@ -399,6 +399,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"experiment diverged: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Grids, trigonometric bases, transforms and norms on the unit square.
 
-Scalar fields live on the closed uniform lattice of D = (0,1)^2 and carry a
-dual representation: nodal values and coefficients in one of four tensor
-trigonometric bases (sine/cosine per axis).  The two primary families are
+A scalar field on D = (0,1)^2 is its coefficients in one of four tensor
+trigonometric bases (sine/cosine per axis); its nodal values on the closed
+uniform lattice are derived from them.  The two primary families are
 
   * DIRICHLET_SINE  -- sin(k pi x) sin(l pi y), vanishing on the boundary,
   * NEUMANN_COSINE  -- cos(k pi x) cos(l pi y), zero normal derivative,
@@ -78,10 +78,6 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n + 1, self.n + 1)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.h
 
 
 @lru_cache(maxsize=None)
@@ -203,53 +199,39 @@ def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec) -> np.nd
 
 
 class Field:
-    """Immutable scalar field with spectral and/or nodal representation.
+    """Immutable scalar field: its coefficients in one basis.
 
-    Arrays have shape (n+1, n+1): coefficients are indexed by literal mode
-    numbers (k, l), nodal values by lattice indices (i, j).  At least one
-    representation must be supplied; the other is computed lazily and
-    cached.  Arrays are copied and frozen, so fields are safe to share.
+    Coefficients have shape (n+1, n+1) and are indexed by literal mode
+    numbers (k, l); they are copied, checked (shape, finite, zero off the
+    retained modes) and frozen, so fields are safe to share.  `nodal` is
+    their synthesis on the lattice, indexed (i, j), computed on first use
+    and cached.
     """
 
     __slots__ = ("grid", "basis", "_coeffs", "_nodal")
 
-    def __init__(self, grid: GridSpec, basis: Basis, coeffs=None, nodal=None):
-        if coeffs is None and nodal is None:
-            raise ValueError("field needs coefficients or nodal values")
+    def __init__(self, grid: GridSpec, basis: Basis, coeffs):
+        coeffs = np.array(coeffs, dtype=float)
+        if coeffs.shape != grid.shape:
+            raise DimensionMismatch(
+                f"array shape {coeffs.shape} does not match grid {grid.shape}"
+            )
+        if not np.isfinite(coeffs).all():
+            raise NonFiniteField("field contains non-finite entries")
+        if coeffs[_off_mask(grid.n, basis.value)].any():
+            raise ValueError("coefficients outside the retained mode set must be zero")
+        coeffs.flags.writeable = False
         self.grid = grid
         self.basis = basis
-        self._coeffs = self._prepare(coeffs, validate_modes=True)
-        self._nodal = self._prepare(nodal, validate_modes=False)
-
-    def _prepare(self, arr, validate_modes: bool):
-        if arr is None:
-            return None
-        arr = np.array(arr, dtype=float)
-        if arr.shape != self.grid.shape:
-            raise DimensionMismatch(
-                f"array shape {arr.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise NonFiniteField("field contains non-finite entries")
-        if validate_modes and arr[_off_mask(self.grid.n, self.basis.value)].any():
-            raise ValueError("coefficients outside the retained mode set must be zero")
-        arr.flags.writeable = False
-        return arr
-
-    # -- constructors -------------------------------------------------------
+        self._coeffs = coeffs
+        self._nodal = None
 
     @classmethod
     def zeros(cls, grid: GridSpec, basis: Basis) -> "Field":
         return cls(grid, basis, coeffs=np.zeros(grid.shape))
 
-    # -- representations ----------------------------------------------------
-
     @property
     def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            c = coeffs_from_nodal(self._nodal, self.basis, self.grid)
-            c.flags.writeable = False
-            self._coeffs = c
         return self._coeffs
 
     @property
@@ -260,8 +242,6 @@ class Field:
             self._nodal = v
         return self._nodal
 
-    # -- arithmetic (coefficient space) -------------------------------------
-
     def _check_compatible(self, other: "Field"):
         if self.grid != other.grid or self.basis is not other.basis:
             raise DimensionMismatch(
@@ -269,21 +249,9 @@ class Field:
                 f"{other.basis.name} on n={other.grid.n}"
             )
 
-    def __add__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return Field(self.grid, self.basis, coeffs=self.coeffs + other.coeffs)
-
     def __sub__(self, other: "Field") -> "Field":
         self._check_compatible(other)
         return Field(self.grid, self.basis, coeffs=self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.basis, coeffs=self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, self.basis, coeffs=-self.coeffs)
 
     def __repr__(self) -> str:
         return f"Field({self.basis.name}, n={self.grid.n})"

@@ -100,7 +100,10 @@ class NoiseStream:
 
     def steps_for(self, t: float) -> int:
         """Convert a time to a whole number of steps, or fail loudly."""
-        steps = round(t / self.dt)
+        ratio = t / self.dt
+        if not math.isfinite(ratio):
+            raise ConfigError(f"time {t} is not a finite number of steps of dt={self.dt}")
+        steps = round(ratio)
         if abs(steps * self.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigError(f"time {t} is not a multiple of dt={self.dt}")
         return steps
@@ -140,6 +143,8 @@ class CovarianceSpec:
                 f"boundary covariance trace requires decay > 1, got {self.decay}"
             )
         kmax = min(self.cutoff, grid.n - 1)
+        if self.amplitude == 0:  # noise off: a decay of any sign is unused
+            return np.zeros(kmax)
         ks = np.arange(1, kmax + 1, dtype=float)
         return self.amplitude * ks**-self.decay
 
@@ -149,24 +154,17 @@ class CovarianceSpec:
             raise ConfigError(
                 f"interior covariance trace requires decay > 2, got {self.decay}"
             )
+        q = np.zeros(grid.shape)
+        if self.amplitude == 0:
+            return q
         kmax = min(self.cutoff, grid.n - 1)
         k = np.arange(grid.n + 1, dtype=float)
         kx, ky = np.meshgrid(k, k, indexing="ij")
-        q = np.zeros(grid.shape)
         box = (kx <= kmax) & (ky <= kmax)
         box[0, 0] = False
         q[box] = self.amplitude * (kx[box] ** 2 + ky[box] ** 2) ** -self.decay
         q[~retained_mask(grid, Basis.NEUMANN_COSINE)] = 0.0
         return q
-
-    def boundary_trace(self, grid: GridSpec) -> float:
-        return float(np.sum(self.boundary_variances(grid)))
-
-    def interior_traces(self, grid: GridSpec) -> tuple[float, float]:
-        """(state-space trace, gradient-space trace)."""
-        q = self.interior_variances(grid)
-        lam = laplacian_eigenvalues(grid)
-        return float(np.sum(q)), float(np.sum(lam * q))
 
 
 @dataclass(frozen=True)

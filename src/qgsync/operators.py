@@ -83,10 +83,7 @@ def dirichlet_poisson(u: Field) -> Field:
     Laplacian is diagonal with eigenvalue -pi^2 (k^2 + l^2).
     """
     grid = u.grid
-    if u.basis is Basis.DIRICHLET_SINE:
-        src = u.coeffs
-    else:
-        src = coeffs_from_nodal(u.nodal, Basis.DIRICHLET_SINE, grid)
+    src = coeffs_from_nodal(u.nodal, Basis.DIRICHLET_SINE, grid)
     lam = laplacian_eigenvalues(grid)
     psi = np.zeros(grid.shape)
     mask = retained_mask(grid, Basis.DIRICHLET_SINE)

@@ -47,6 +47,11 @@ def mode_field(grid, basis, modes):
     return Field(grid, basis, coeffs=coeffs)
 
 
+def nodes(grid):
+    """Lattice coordinates 0, h, ..., 1 along either axis."""
+    return np.arange(grid.n + 1) * grid.h
+
+
 def trapezoid_quadrature(grid, values_a, values_b):
     """Independent trapezoid quadrature of a product on the closed lattice."""
     w = np.ones(grid.n + 1)

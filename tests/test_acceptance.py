@@ -219,7 +219,8 @@ def test_criterion_6_condition_evaluator(constants):
     assert rep.lhs == pytest.approx(-params0.nu * math.pi**2 - 2.0 * params0.r, abs=1e-12)
 
     # (b) default small-noise configuration: total traces at most 1e-3
-    total_trace = COV1.boundary_trace(GRID) + COV2.interior_traces(GRID)[1]
+    gradient_trace = float(np.sum(laplacian_eigenvalues(GRID) * COV2.interior_variances(GRID)))
+    total_trace = float(np.sum(COV1.boundary_variances(GRID))) + gradient_trace
     assert total_trace <= 1e-3
     rep_b = check_condition(
         PARAMS, COV1, COV2, DEFAULT.mc_samples, NoiseStream(seed=1, dt=DT), GRID, constants=constants

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qgsync
 from qgsync import cli
@@ -89,6 +91,44 @@ class TestConfigParsing:
         assert cfg.rho_window == 2.5
 
 
+_VALUE = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=8))
+_FLAT_VALUES = {
+    # parsing allocates (n+1)^2 arrays, so the grid stays at or below 256
+    "grid.n": st.integers(max_value=256).map(str),
+    "params.nu": _VALUE,
+    "params.r": _VALUE,
+    "params.beta": _VALUE,
+    "noise.q1_amplitude": _VALUE,
+    "noise.q1_decay": _VALUE,
+    "noise.q2_amplitude": _VALUE,
+    "noise.q2_decay": _VALUE,
+    "noise.cutoff": _VALUE,
+    "time.dt": _VALUE,
+    "time.t_end": _VALUE,
+    "time.burn": _VALUE,
+    "rho.window": st.one_of(st.just("auto"), _VALUE),
+    "mc.samples": _VALUE,
+    "seeds": st.one_of(st.lists(st.integers(), max_size=4).map(lambda s: ",".join(map(str, s))), st.text(max_size=8)),
+    "output.dir": st.text(max_size=8),
+}
+
+
+class TestConfigProperty:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=_FLAT_VALUES))
+    @example({"time.dt": "1e-320"})
+    @example({"noise.q1_amplitude": "0", "noise.q1_decay": "-1000"})
+    @example({"noise.q2_amplitude": "0", "noise.q2_decay": "-1000"})
+    def test_parses_to_finite_config_or_raises_value_error(self, items):
+        # ConfigError subclasses ValueError; any other exception is a defect
+        try:
+            cfg = config_from_flat(items)
+        except ValueError:
+            return
+        floats = [v for v in vars(cfg).values() if isinstance(v, float)]
+        assert all(math.isfinite(v) for v in floats)
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "key, value, command",
@@ -120,8 +160,9 @@ class TestParseTimeRejections:
             {"time.burn": "0.505"},
             {"seeds": "3,3"},
             {"grid.n": "8", "noise.cutoff": "12"},
+            {"time.dt": "1e-320"},
         ],
-        ids=["t_end_off_grid", "burn_off_grid", "duplicate_seeds", "cutoff_above_n"],
+        ids=["t_end_off_grid", "burn_off_grid", "duplicate_seeds", "cutoff_above_n", "t_end_over_dt_overflows"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -157,6 +198,16 @@ class TestParseTimeRejections:
         assert main(["simulate", "--config", str(write_config(tmp_path)), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+class TestOutputErrors:
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "simulate_seed1.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, seeds="1", **{"time.t_end": "0.05", "time.burn": "0"})
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
 
 
 class TestOverflowRefusals:

@@ -10,6 +10,7 @@ from qgsync.fields import (
     Field,
     GridSpec,
     NonFiniteField,
+    coeffs_from_nodal,
     gradient,
     inner,
     norm_h1,
@@ -18,7 +19,7 @@ from qgsync.fields import (
     save_field,
 )
 
-from conftest import mode_field, random_field, trapezoid_quadrature
+from conftest import mode_field, nodes, random_field, trapezoid_quadrature
 
 
 class TestGridSpec:
@@ -33,7 +34,7 @@ class TestGridSpec:
 
     def test_node_layout(self):
         g = GridSpec(8)
-        assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0
+        assert nodes(g)[0] == 0.0 and nodes(g)[-1] == 1.0
         assert g.shape == (9, 9)
 
 
@@ -41,15 +42,14 @@ class TestTransforms:
     @pytest.mark.parametrize("basis", list(Basis))
     def test_round_trip(self, grid32, basis):
         f = random_field(grid32, basis, seed=1)
-        g = Field(grid32, basis, nodal=f.nodal)
-        rel = np.max(np.abs(g.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
+        coeffs = coeffs_from_nodal(f.nodal, basis, grid32)
+        rel = np.max(np.abs(coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
         assert rel < 1e-12
 
     def test_single_sine_mode_single_coefficient(self, grid32):
-        x = grid32.nodes
+        x = nodes(grid32)
         vals = np.outer(2.0 * np.sin(3 * np.pi * x), np.sin(5 * np.pi * x))
-        f = Field(grid32, Basis.DIRICHLET_SINE, nodal=vals)
-        coeffs = f.coeffs.copy()
+        coeffs = coeffs_from_nodal(vals, Basis.DIRICHLET_SINE, grid32)
         assert coeffs[3, 5] == pytest.approx(1.0, abs=1e-12)
         coeffs[3, 5] = 0.0
         assert np.max(np.abs(coeffs)) < 1e-12
@@ -64,7 +64,7 @@ class TestTransforms:
     def test_against_direct_matrix_transform(self, kind):
         # direct O(n^2) evaluation is the correctness oracle for the fast path
         g = GridSpec(12)
-        x = g.nodes
+        x = nodes(g)
         rng = np.random.default_rng(3)
         n = g.n
         if kind == "cos":
@@ -118,7 +118,7 @@ class TestInnerAndNorms:
         g = random_field(grid32, seed=9)
         h = random_field(grid32, seed=10)
         assert inner(f, g) == pytest.approx(inner(g, f), rel=1e-14)
-        lhs = inner(f + 2.0 * h, g)
+        lhs = inner(Field(grid32, Basis.NEUMANN_COSINE, coeffs=f.coeffs + 2.0 * h.coeffs), g)
         assert lhs == pytest.approx(inner(f, g) + 2.0 * inner(h, g), rel=1e-12)
 
     def test_norm_of_zero(self, grid32):
@@ -161,9 +161,10 @@ class TestGradient:
 
     def test_analytic_derivative_of_cosine_mode(self, grid32):
         # d/dx cos(pi x) = -pi sin(pi x)
-        f = Field(grid32, Basis.NEUMANN_COSINE, nodal=np.outer(np.cos(np.pi * grid32.nodes), np.ones(grid32.n + 1)))
+        x = nodes(grid32)
+        cos_x = np.outer(np.cos(np.pi * x), np.ones(grid32.n + 1))
+        f = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeffs_from_nodal(cos_x, Basis.NEUMANN_COSINE, grid32))
         gx, gy = gradient(f)
-        x = grid32.nodes
         expected = np.outer(-np.pi * np.sin(np.pi * x), np.ones(grid32.n + 1))
         assert np.max(np.abs(gx.nodal - expected)) < 1e-12
         assert norm_l2(gy) < 1e-12
@@ -199,18 +200,17 @@ class TestFieldContracts:
             Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeffs)
 
     def test_mean_projected_from_nodal(self, grid32):
-        f = Field(grid32, Basis.NEUMANN_COSINE, nodal=np.ones(grid32.shape))
-        assert f.coeffs[0, 0] == 0.0
+        assert coeffs_from_nodal(np.ones(grid32.shape), Basis.NEUMANN_COSINE, grid32)[0, 0] == 0.0
 
     def test_nonfinite_rejected(self, grid32):
         bad = np.zeros(grid32.shape)
         bad[3, 3] = np.nan
         with pytest.raises(ValueError):
-            Field(grid32, Basis.NEUMANN_COSINE, nodal=bad)
+            Field(grid32, Basis.NEUMANN_COSINE, coeffs=bad)
 
     @pytest.mark.parametrize("basis", list(Basis))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("rep", ["coeffs", "nodal"])
+    @pytest.mark.parametrize("rep", ["coeffs"])
     def test_nonfinite_rejected_in_every_basis(self, grid32, basis, bad, rep):
         on = tuple(np.argwhere(retained_mask(grid32, basis))[0])
         off = tuple(np.argwhere(~retained_mask(grid32, basis))[0])
@@ -228,15 +228,10 @@ class TestFieldContracts:
             arr[slot] = 1e-300
             with pytest.raises(ValueError, match="retained mode set"):
                 Field(grid32, basis, coeffs=arr)
-        # negative zero is zero, and nodal values carry no mode constraint
+        # negative zero is zero
         arr = np.zeros(grid32.shape)
         arr[off] = -0.0
         Field(grid32, basis, coeffs=arr)
-        Field(grid32, basis, nodal=np.ones(grid32.shape))
-
-    def test_requires_some_representation(self, grid32):
-        with pytest.raises(ValueError, match="coefficients or nodal values"):
-            Field(grid32, Basis.NEUMANN_COSINE)
 
     def test_immutable(self, grid32):
         f = random_field(grid32, seed=16)
@@ -259,7 +254,7 @@ class TestBoundaryField:
         # edge values sum_k g_k sqrt(2) cos(k pi y): there is no k = 0 slot
         g = BoundaryField(grid32, [1.0])
         k = np.arange(1, g.coeffs.size + 1)
-        values = np.sqrt(2.0) * np.cos(np.pi * np.outer(grid32.nodes, k)) @ g.coeffs
+        values = np.sqrt(2.0) * np.cos(np.pi * np.outer(nodes(grid32), k)) @ g.coeffs
         w = np.ones(grid32.n + 1)
         w[0] = w[-1] = 0.5
         mean = grid32.h * float(np.sum(w * values))

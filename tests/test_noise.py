@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgsync.dynamics import ModelParams
-from qgsync.fields import Basis, Field, norm_h1, retained_mask
+from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, retained_mask
 from qgsync.noise import (
     ConfigError,
     CovarianceSpec,
@@ -116,11 +116,12 @@ class TestCovarianceSpec:
         cov = CovarianceSpec(2.0, 3.0, 4)
         qs = cov.boundary_variances(grid32)
         assert qs.shape == (4,)
-        assert cov.boundary_trace(grid32) == pytest.approx(2.0 * sum(k ** -3.0 for k in (1, 2, 3, 4)))
+        assert float(np.sum(qs)) == pytest.approx(2.0 * sum(k ** -3.0 for k in (1, 2, 3, 4)))
 
     def test_interior_traces_finite(self, grid32):
         cov = CovarianceSpec(1.0, 2.5, 6)
-        trace_h, trace_v = cov.interior_traces(grid32)
+        q = cov.interior_variances(grid32)
+        trace_h, trace_v = float(np.sum(q)), float(np.sum(laplacian_eigenvalues(grid32) * q))
         assert 0 < trace_h < trace_v < np.inf
 
     def test_boundary_decay_validation(self, grid32):
