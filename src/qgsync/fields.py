@@ -15,16 +15,23 @@ exactly for band-limited fields.
 Mean-zero discipline: NEUMANN_COSINE fields always have coefficient (0,0)
 equal to zero, which is the discrete membership test for the mean-free
 state space.
+
+The transforms between coefficients and nodal values are DCT-I/DST-I per
+axis, computed as real FFTs of the even/odd extension with numpy.fft.
+This is how pocketfft computes them inside scipy.fft, and numpy ships the
+same pocketfft, so the results are those of scipy.fft's dct/dst bit for
+bit; the package itself needs numpy alone.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _fft
+from numpy.fft import rfft
 
 
 class DimensionMismatch(ValueError):
@@ -139,63 +146,112 @@ def _off_mask(n: int, kinds: tuple[str, str]) -> np.ndarray:
 # sine axis:   values_i = sum_k a_k sqrt(2) sin(k pi i h), k = 1..n-1
 #
 # Both are exact bijections on the closed (cos) / interior (sin) lattice.
+# The DCT-I and DST-I behind them are real FFTs of length 2n:
+#
+#   DCT-I(x)_k =  Re rfft([x_0..x_n, x_{n-1}..x_1])_k,         k = 0..n
+#   DST-I(x)_k = -Im rfft([0, x_1..x_{n-1}, 0, -x_{n-1}..-x_1])_k, k = 1..n-1
+#
+# which is how pocketfft computes them, so numpy.fft gives the same bits as
+# the DCT-I/DST-I of scipy.fft, signed zeros included.  The DST's sign goes
+# into the divisor, as x / (-d) == -(x / d) exactly; folding it into the
+# extension instead would turn an exactly cancelling -0 result into +0.
+#
+# A 2D transform is two passes over the rows of one rfft input buffer.  The
+# axis-0 pass reads its lines through a transposed view and writes its rows
+# to the output array, which the axis-1 pass reads back transposed.
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _cos_scales(n: int):
+    """(analysis divisor, synthesis factor) of the cosine axis on grid n."""
     c = np.full(n + 1, np.sqrt(2.0))
     c[0] = 1.0
     d = np.ones(n + 1)
     d[0] = 2.0
     d[-1] = 2.0
-    return c, d
+    return n * (d * c), n * c * d
 
 
-def _axis_analysis(values: np.ndarray, kind: str, n: int, axis: int) -> np.ndarray:
+class _WorkArrays(threading.local):
+    """Per-thread rfft input and output buffers, one pair per grid size.
+
+    Every buffer is fully written before it is read, and no transform
+    returns a view of one (`Field.nodal` caches what it gets).
+    """
+
+    def __init__(self):
+        self.by_n = {}
+
+    def get(self, n: int):
+        pair = self.by_n.get(n)
+        if pair is None:
+            pair = self.by_n[n] = (np.empty((n + 1, 2 * n)), np.empty((n + 1, n + 1), dtype=complex))
+        return pair
+
+
+_WORK = _WorkArrays()
+_SQRT2 = np.sqrt(2.0)
+
+
+def _transform_lines(ext, spec, kind: str, n: int, synthesis: bool, out: np.ndarray) -> None:
+    """Transform the lines held in ext[:, :n+1] (cos) or ext[:, 1:n] (sin) into the rows of `out`.
+
+    Analysis gives orthonormal coefficients; synthesis expects its lines
+    already scaled by `_synthesis_scale` and gives lattice values.
+    """
     if kind == "cos":
-        c, d = _cos_scales(n)
-        shape = [1, 1]
-        shape[axis] = n + 1
-        raw = _fft.dct(values, type=1, axis=axis)
-        return raw / (n * (d * c).reshape(shape))
-    # sine: transform the interior slice, pad zeros at indices 0 and n
-    sl = [slice(None)] * 2
-    sl[axis] = slice(1, n)
-    raw = _fft.dst(values[tuple(sl)], type=1, axis=axis) / (np.sqrt(2.0) * n)
-    out = np.zeros_like(values)
-    out[tuple(sl)] = raw
-    return out
+        ext[:, n + 1 :] = ext[:, n - 1 : 0 : -1]
+        rfft(ext, out=spec, norm="forward" if synthesis else "backward")
+        if synthesis:
+            np.copyto(out, spec.real)
+        else:
+            np.divide(spec.real, _cos_scales(n)[0], out=out)
+        return
+    # pocketfft's DST-I input: [x_1*0, x, x_1*0, -x reversed]; columns 0 and n are ::n
+    np.multiply(ext[:, 1:2], 0.0, out=ext[:, ::n])
+    np.negative(ext[:, n - 1 : 0 : -1], out=ext[:, n + 1 :])
+    rfft(ext, out=spec)
+    out[:, ::n] = 0.0
+    if synthesis:
+        # halving is exact, so x * -0.5 == -x / 2 bit for bit; the product is the faster loop
+        np.multiply(spec.imag[:, 1:n], -0.5, out=out[:, 1:n])
+    else:
+        np.divide(spec.imag[:, 1:n], -(_SQRT2 * n), out=out[:, 1:n])
 
 
-def _axis_synthesis(coeffs: np.ndarray, kind: str, n: int, axis: int) -> np.ndarray:
+def _synthesis_scale(coeffs: np.ndarray, kind: str, n: int, lines: np.ndarray) -> None:
+    """Scale the rows of `coeffs` into the rfft lines."""
     if kind == "cos":
-        c, d = _cos_scales(n)
-        shape = [1, 1]
-        shape[axis] = n + 1
-        y = coeffs * (n * c * d).reshape(shape)
-        return _fft.idct(y, type=1, axis=axis)
-    sl = [slice(None)] * 2
-    sl[axis] = slice(1, n)
-    interior = _fft.dst(np.sqrt(2.0) * coeffs[tuple(sl)], type=1, axis=axis) / 2.0
-    out = np.zeros_like(coeffs)
-    out[tuple(sl)] = interior
-    return out
+        np.multiply(coeffs, _cos_scales(n)[1], out=lines)
+    else:
+        np.multiply(coeffs[:, 1:n], _SQRT2, out=lines[:, 1:n])
 
 
 def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
     """Project nodal values onto the retained modes of a basis."""
     n = grid.n
-    a = _axis_analysis(nodal, basis.xkind, n, axis=0)
-    a = _axis_analysis(a, basis.ykind, n, axis=1)
+    ext, spec = _WORK.get(n)
+    lines = ext[:, : n + 1]
+    lines[...] = nodal.T
+    a = np.empty(grid.shape)
+    _transform_lines(ext, spec, basis.xkind, n, synthesis=False, out=a)
+    lines[...] = a.T
+    _transform_lines(ext, spec, basis.ykind, n, synthesis=False, out=a)
     a[_off_mask(n, basis.value)] = 0.0
     return a
 
 
 def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
     n = grid.n
-    v = _axis_synthesis(coeffs, basis.xkind, n, axis=0)
-    return _axis_synthesis(v, basis.ykind, n, axis=1)
+    ext, spec = _WORK.get(n)
+    lines = ext[:, : n + 1]
+    _synthesis_scale(coeffs.T, basis.xkind, n, lines)
+    v = np.empty(grid.shape)
+    _transform_lines(ext, spec, basis.xkind, n, synthesis=True, out=v)
+    _synthesis_scale(v.T, basis.ykind, n, lines)
+    _transform_lines(ext, spec, basis.ykind, n, synthesis=True, out=v)
+    return v
 
 
 class Field:
@@ -349,7 +405,8 @@ class BoundaryField:
 
 def save_field(path, f: Field, time: float = 0.0) -> None:
     """Write a field snapshot: one header line, then flat coefficients."""
+    values = tuple(f.coeffs.ravel().tolist())
     with open(path, "w") as fh:
         fh.write(f"# n={f.grid.n} basis={f.basis.name} t={time!r}\n")
-        for v in f.coeffs.ravel():
-            fh.write(format(v, ".17g") + "\n")
+        # one %-format over all values: the same text as format(v, ".17g") per value
+        fh.write(("%.17g\n" * len(values)) % values)

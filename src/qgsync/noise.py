@@ -41,6 +41,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+# numpy loads numpy.random lazily; importing it here loads it with the package, not in the first draw
+from numpy.random import Generator, Philox
 
 from .fields import Basis, GridSpec, laplacian_eigenvalues, retained_mask
 from .operators import lifting_matrix
@@ -63,8 +65,8 @@ def _philox(key: int):
     word 1 and assigns it back, which makes the generator indistinguishable
     from `Philox(key=key, counter=step << 64)` built anew.
     """
-    bitgen = np.random.Philox(key=key)
-    return bitgen, np.random.Generator(bitgen), bitgen.state
+    bitgen = Philox(key=key)
+    return bitgen, Generator(bitgen), bitgen.state
 
 
 @dataclass(frozen=True)

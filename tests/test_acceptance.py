@@ -25,7 +25,6 @@ from qgsync.fields import (
     Basis,
     BoundaryField,
     Field,
-    GridSpec,
     inner,
     laplacian_eigenvalues,
     norm_h1,
@@ -39,7 +38,6 @@ from qgsync.noise import (
     ou_init,
     ou_step,
     temperedness_diagnostic,
-    wiener_shift,
 )
 from qgsync.operators import (
     bilinear_b,

@@ -1,7 +1,5 @@
 """Radius quadrature, contraction condition, synchronization diagnostics."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,7 @@ from qgsync.analysis import (
 from qgsync.dynamics import ModelParams, dealias, prepare_state
 from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_h1, norm_l2
 from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
-from qgsync.operators import OperatorConstants, estimate_constants
+from qgsync.operators import OperatorConstants
 
 from conftest import mode_field, random_field
 

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -244,6 +243,20 @@ class TestDivergence:
         assert proc.returncode == 4
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("experiment diverged:")
+
+
+class TestStartUp:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy costs about 0.3 s of every run's start-up; only the tests use it
+        env = {**os.environ, "PYTHONPATH": str(Path(qgsync.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qgsync.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCommands:

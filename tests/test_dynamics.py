@@ -9,7 +9,6 @@ import pytest
 from qgsync.analysis import cocycle_check
 from qgsync.dynamics import (
     CFLWarning,
-    CocycleState,
     DivergenceError,
     ModelParams,
     dealias,

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
+from qgsync import fields
 from qgsync.fields import (
     Basis,
     BoundaryField,
@@ -13,6 +15,7 @@ from qgsync.fields import (
     coeffs_from_nodal,
     gradient,
     inner,
+    nodal_from_coeffs,
     norm_h1,
     norm_l2,
     retained_mask,
@@ -96,6 +99,107 @@ class TestTransforms:
             yfactor = np.sqrt(2.0) * np.sin(np.pi * x[col])
             direct = (M @ coef) * yfactor
         assert np.max(np.abs(ycol - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+
+def _scipy_axis(values, kind, n, axis, synthesis):
+    """The scipy.fft DCT-I/DST-I formulation of one axis transform: the bit-for-bit reference."""
+    c = np.full(n + 1, np.sqrt(2.0))
+    c[0] = 1.0
+    d = np.ones(n + 1)
+    d[0] = d[-1] = 2.0
+    shape = [1, 1]
+    shape[axis] = n + 1
+    interior = [slice(None)] * 2
+    interior[axis] = slice(1, n)
+    interior = tuple(interior)
+    if kind == "cos":
+        if synthesis:
+            return scipy_fft.idct(values * (n * c * d).reshape(shape), type=1, axis=axis)
+        return scipy_fft.dct(values, type=1, axis=axis) / (n * (d * c).reshape(shape))
+    out = np.zeros_like(values)
+    if synthesis:
+        out[interior] = scipy_fft.dst(np.sqrt(2.0) * values[interior], type=1, axis=axis) / 2.0
+    else:
+        out[interior] = scipy_fft.dst(values[interior], type=1, axis=axis) / (np.sqrt(2.0) * n)
+    return out
+
+
+def _scipy_2d(values, basis, grid, synthesis):
+    n = grid.n
+    out = _scipy_axis(values, basis.xkind, n, 0, synthesis)
+    out = _scipy_axis(out, basis.ykind, n, 1, synthesis)
+    if not synthesis:
+        out[~retained_mask(grid, basis)] = 0.0
+    return out
+
+
+def _row_transform(values, kind, synthesis):
+    """One axis transform along the rows, driven the way the 2D transforms drive it."""
+    n = values.shape[0] - 1
+    ext, spec = fields._WORK.get(n)
+    if synthesis:
+        fields._synthesis_scale(values, kind, n, ext[:, : n + 1])
+    else:
+        ext[:, : n + 1] = values
+    out = np.empty_like(values)
+    fields._transform_lines(ext, spec, kind, n, synthesis=synthesis, out=out)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _edge_inputs(grid, rng):
+    """Random inputs from 1e-8 to 1e8, plus lines of signed zeros and exactly cancelling lines."""
+    x = np.arange(grid.n + 1) * grid.h
+    zeros = rng.standard_normal(grid.shape)
+    zeros[::3] = -0.0
+    zeros[:, ::4] = 0.0
+    return [scale * rng.standard_normal(grid.shape) for scale in (1e-8, 1.0, 1e8)] + [
+        zeros,
+        -np.zeros(grid.shape),
+        np.outer(np.sin(2 * np.pi * x), np.cos(3 * np.pi * x)),
+    ]
+
+
+REFERENCE_SIZES = [8, 10, 16, 24, 30, 32, 64, 100, 128, 200, 256]
+
+
+class TestScipyReference:
+    """numpy.fft transforms give the bits of the scipy.fft DCT-I/DST-I, signed zeros included."""
+
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    def test_axis_transforms(self, n):
+        rng = np.random.default_rng(n)
+        for values in _edge_inputs(GridSpec(n), rng):
+            for kind in ("cos", "sin"):
+                for synthesis in (False, True):
+                    expected = _scipy_axis(values, kind, n, 1, synthesis)
+                    assert _same_bits(_row_transform(values, kind, synthesis), expected), (kind, synthesis)
+
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    def test_2d_transforms(self, n):
+        grid = GridSpec(n)
+        rng = np.random.default_rng(1000 + n)
+        for values in _edge_inputs(grid, rng):
+            for basis in Basis:
+                expected = _scipy_2d(values, basis, grid, synthesis=False)
+                assert _same_bits(coeffs_from_nodal(values, basis, grid), expected), basis
+                coeffs = np.where(retained_mask(grid, basis), values, 0.0)
+                expected = _scipy_2d(coeffs, basis, grid, synthesis=True)
+                assert _same_bits(nodal_from_coeffs(coeffs, basis, grid), expected), basis
+
+    def test_returned_arrays_own_their_memory(self, grid32):
+        f = random_field(grid32, Basis.DIRICHLET_SINE, seed=20)
+        first = f.nodal
+        kept = first.copy()
+        second = random_field(grid32, Basis.DIRICHLET_SINE, seed=21).nodal
+        coeffs = coeffs_from_nodal(second, Basis.DIRICHLET_SINE, grid32)
+        assert _same_bits(f.nodal, kept)
+        assert f.nodal is first
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(coeffs, second) and not np.shares_memory(coeffs, first)
 
 
 class TestInnerAndNorms:
@@ -247,6 +351,23 @@ class TestFieldContracts:
         assert meta == {"n": "32", "basis": "NEUMANN_COSINE", "t": "1.25"}
         coeffs = np.array([float(v) for v in values]).reshape(grid32.shape)
         assert np.array_equal(coeffs, f.coeffs)
+
+    def test_snapshot_text_matches_per_value_format(self, tmp_path):
+        # signed zeros, subnormals, extremes and random bit patterns on every retained slot
+        grid = GridSpec(256)
+        mask = retained_mask(grid, Basis.DIRICHLET_SINE)
+        bits = np.random.default_rng(18).integers(0, 2**64, size=int(mask.sum()), dtype=np.uint64)
+        values = bits.view(float)
+        values[~np.isfinite(values)] = 0.0
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308, -1.0, 0.1, 1e16]
+        values[: len(edges)] = edges
+        coeffs = np.zeros(grid.shape)
+        coeffs[mask] = values
+        f = Field(grid, Basis.DIRICHLET_SINE, coeffs=coeffs)
+        path = tmp_path / "edges.field"
+        save_field(path, f, time=0.5)
+        expected = "# n=256 basis=DIRICHLET_SINE t=0.5\n" + "".join(format(v, ".17g") + "\n" for v in f.coeffs.ravel())
+        assert path.read_text() == expected
 
 
 class TestBoundaryField:

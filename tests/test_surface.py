@@ -1,4 +1,7 @@
-"""The public surface is what the package itself uses: no function or member lives for its tests alone."""
+"""The public surface is what the package itself uses: no function or member lives for its tests alone.
+
+Also: no module of the package or of the tests imports a name it never uses.
+"""
 
 import ast
 from collections import Counter
@@ -7,6 +10,7 @@ from pathlib import Path
 import qgsync
 
 PACKAGE = Path(qgsync.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # Waits for the pullback report (ROADMAP item 5), which is to call it on the
 # stationary orbit; until then only the acceptance suite does.  Members have
@@ -53,3 +57,29 @@ def unreferenced_public_definitions(package: Path) -> set[str]:
 
 def test_every_public_function_has_a_caller_in_the_package():
     assert unreferenced_public_definitions(PACKAGE) == ALLOWED_UNREFERENCED
+
+
+def unused_imports(paths) -> set[str]:
+    """`module: name` for each imported name that its module never names.
+
+    `__init__.py` files only re-export, so they are skipped; `__future__`
+    imports are directives, not names.
+    """
+    found = set()
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found.update(f"{path.name}: {name}" for name in imported - used)
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports(sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))) == set()
