@@ -296,7 +296,7 @@ def radius_invariance_experiment(
     comparison argument.
     """
     if constants is None:
-        constants = estimate_constants(grid, params.nu, seed=0)
+        constants = estimate_constants(grid, seed=0)
     lam = laplacian_eigenvalues(grid)
     reports = []
     for seed in sorted(seeds):
@@ -413,7 +413,7 @@ def check_condition(
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
     if constants is None:
-        constants = estimate_constants(grid, params.nu, seed=stream.seed & 0xFFFF)
+        constants = estimate_constants(grid, seed=stream.seed & 0xFFFF)
 
     g_vals, r_vals = _stationary_draws(
         stream, params, cov1, cov2, grid, range(-1, -samples - 1, -1), constants

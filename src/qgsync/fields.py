@@ -17,10 +17,16 @@ equal to zero, which is the discrete membership test for the mean-free
 state space.
 
 The transforms between coefficients and nodal values are DCT-I/DST-I per
-axis, computed as real FFTs of the even/odd extension with numpy.fft.
-This is how pocketfft computes them inside scipy.fft, and numpy ships the
-same pocketfft, so the results are those of scipy.fft's dct/dst bit for
-bit; the package itself needs numpy alone.
+axis.  From DENSE_BELOW_N cells per side they are computed as real FFTs
+of the even/odd extension with numpy.fft.  This is how pocketfft computes
+them inside scipy.fft, and numpy ships the same pocketfft, so the results
+are those of scipy.fft's dct/dst bit for bit; the package itself needs
+numpy alone.  On smaller grids a 2D transform is two BLAS matmuls,
+Mx @ a @ My.T, against per-axis matrices built once from that FFT line
+transform; they differ from the FFT path by round-off only (at most a few
+n * eps * max|a|).  DENSE_BELOW_N is also where `operators` switches its
+difference operators from dense matrices to slice stencils, so one rule
+holds: below it every linear operator is a dense matrix.
 """
 
 from __future__ import annotations
@@ -61,6 +67,13 @@ class Basis(enum.Enum):
 
 _FLIP = {"sin": "cos", "cos": "sin"}
 _BY_KINDS = {b.value: b for b in Basis}
+
+# Grids with fewer cells per side apply every linear operator as a dense
+# matrix, one BLAS matmul per axis: the transforms here and the difference
+# operators in `operators`.  From this size up the transforms are FFTs and
+# the difference operators O(n) slice stencils, which win there (measured
+# on the 2D transforms and the fused skew Jacobian).
+DENSE_BELOW_N = 128
 
 
 @dataclass(frozen=True)
@@ -156,9 +169,11 @@ def _off_mask(n: int, kinds: tuple[str, str]) -> np.ndarray:
 # into the divisor, as x / (-d) == -(x / d) exactly; folding it into the
 # extension instead would turn an exactly cancelling -0 result into +0.
 #
-# A 2D transform is two passes over the rows of one rfft input buffer.  The
-# axis-0 pass reads its lines through a transposed view and writes its rows
-# to the output array, which the axis-1 pass reads back transposed.
+# A 2D FFT transform is two passes over the rows of one rfft input buffer.
+# The axis-0 pass reads its lines through a transposed view and writes its
+# rows to the output array, which the axis-1 pass reads back transposed.
+# Below DENSE_BELOW_N each axis transform is instead a matrix, the FFT line
+# transform applied to the identity (`_line_matrix`).
 # ---------------------------------------------------------------------------
 
 
@@ -228,13 +243,32 @@ def _synthesis_scale(coeffs: np.ndarray, kind: str, n: int, lines: np.ndarray) -
         np.multiply(coeffs[:, 1:n], _SQRT2, out=lines[:, 1:n])
 
 
-def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
-    """Project nodal values onto the retained modes of a basis."""
-    n = grid.n
+@lru_cache(maxsize=None)
+def _line_matrix(n: int, kind: str, synthesis: bool) -> np.ndarray:
+    """Read-only matrix of one axis transform on grid n.
+
+    Column j is `_transform_lines` of the unit line e_j, so the matrix is
+    the FFT line transform itself, not a second definition of it.
+    """
+    ext, spec = _WORK.get(n)
+    eye = np.eye(n + 1)
+    if synthesis:
+        _synthesis_scale(eye, kind, n, ext[:, : n + 1])
+    else:
+        ext[:, : n + 1] = eye
+    rows = np.empty((n + 1, n + 1))
+    _transform_lines(ext, spec, kind, n, synthesis, out=rows)
+    m = np.ascontiguousarray(rows.T)
+    m.flags.writeable = False
+    return m
+
+
+def _fft_coeffs_from_nodal(nodal: np.ndarray, basis: Basis, n: int) -> np.ndarray:
+    """`coeffs_from_nodal` by numpy.fft: the bits of scipy.fft's DCT-I/DST-I."""
     ext, spec = _WORK.get(n)
     lines = ext[:, : n + 1]
     lines[...] = nodal.T
-    a = np.empty(grid.shape)
+    a = np.empty((n + 1, n + 1))
     _transform_lines(ext, spec, basis.xkind, n, synthesis=False, out=a)
     lines[...] = a.T
     _transform_lines(ext, spec, basis.ykind, n, synthesis=False, out=a)
@@ -242,15 +276,39 @@ def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec) -> np.nda
     return a
 
 
-def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
-    n = grid.n
+def _fft_nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, n: int) -> np.ndarray:
+    """`nodal_from_coeffs` by numpy.fft: the bits of scipy.fft's DCT-I/DST-I."""
     ext, spec = _WORK.get(n)
     lines = ext[:, : n + 1]
     _synthesis_scale(coeffs.T, basis.xkind, n, lines)
-    v = np.empty(grid.shape)
+    v = np.empty((n + 1, n + 1))
     _transform_lines(ext, spec, basis.xkind, n, synthesis=True, out=v)
     _synthesis_scale(v.T, basis.ykind, n, lines)
     _transform_lines(ext, spec, basis.ykind, n, synthesis=True, out=v)
+    return v
+
+
+def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
+    """Project nodal values onto the retained modes of a basis."""
+    n = grid.n
+    if n >= DENSE_BELOW_N:
+        return _fft_coeffs_from_nodal(nodal, basis, n)
+    a = _line_matrix(n, basis.xkind, False) @ nodal @ _line_matrix(n, basis.ykind, False).T
+    a[_off_mask(n, basis.value)] = 0.0
+    return a
+
+
+def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
+    """Lattice values of a coefficient array; zero on the edges of a sine axis."""
+    n = grid.n
+    if n >= DENSE_BELOW_N:
+        return _fft_nodal_from_coeffs(coeffs, basis, n)
+    v = _line_matrix(n, basis.xkind, True) @ coeffs @ _line_matrix(n, basis.ykind, True).T
+    # +0.0, as the FFT line transform writes there, whatever the 0 * x terms summed to
+    if basis.xkind == "sin":
+        v[::n] = 0.0
+    if basis.ykind == "sin":
+        v[:, ::n] = 0.0
     return v
 
 
@@ -349,32 +407,26 @@ def norm_h1(f: Field) -> float:
         return float(np.sqrt(np.sum(lam * f.coeffs**2)))
 
 
-def gradient(f: Field) -> tuple[Field, Field]:
-    """Spectral gradient; each component lands in the axis-flipped basis.
+def derivative(f: Field, axis: int) -> Field:
+    """Spectral derivative along one axis (0 = x, 1 = y), in the axis-flipped basis.
 
     Differentiating an orthonormal sine mode gives k*pi times the matching
     cosine mode and vice versa with a sign, so the coefficient map is a
-    diagonal scaling plus a basis flip per axis.
+    diagonal scaling plus a basis flip.
     """
     grid = f.grid
-    kx, ky, _, _ = _grid_tables(grid.n)
-    c = f.coeffs
+    kinds = list(f.basis.value)
+    kind = kinds[axis]
+    kinds[axis] = _FLIP[kind]
+    basis = _BY_KINDS[tuple(kinds)]
+    sign = 1.0 if kind == "sin" else -1.0
+    coeffs = sign * np.pi * _grid_tables(grid.n)[axis] * f.coeffs
+    return Field(grid, basis, coeffs=coeffs * retained_mask(grid, basis))
 
-    xkind, ykind = f.basis.xkind, f.basis.ykind
-    sx = 1.0 if xkind == "sin" else -1.0
-    dx_coeffs = sx * np.pi * kx * c
-    dx_basis = _BY_KINDS[(_FLIP[xkind], ykind)]
-    dx_coeffs = dx_coeffs * retained_mask(grid, dx_basis)
 
-    sy = 1.0 if ykind == "sin" else -1.0
-    dy_coeffs = sy * np.pi * ky * c
-    dy_basis = _BY_KINDS[(xkind, _FLIP[ykind])]
-    dy_coeffs = dy_coeffs * retained_mask(grid, dy_basis)
-
-    return (
-        Field(grid, dx_basis, coeffs=dx_coeffs),
-        Field(grid, dy_basis, coeffs=dy_coeffs),
-    )
+def gradient(f: Field) -> tuple[Field, Field]:
+    """Spectral gradient; each component lands in the axis-flipped basis."""
+    return derivative(f, 0), derivative(f, 1)
 
 
 class BoundaryField:

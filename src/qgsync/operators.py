@@ -17,10 +17,11 @@ hold to round-off for every retained field, not just asymptotically.  Every
 energy estimate downstream relies on this.
 
 The Jacobian's difference operators are zero-diagonal tridiagonal, stored
-as their two off-diagonals.  From n = STENCIL_MIN_N cells per side they are
-applied as O(n)-per-line slice stencils; on smaller grids one BLAS matmul
-against the dense matrix is faster.  At power-of-two n both forms give the
-same bits.  `bilinear_b` and `beta_term` accept a precomputed
+as their two off-diagonals.  From n = `fields.DENSE_BELOW_N` cells per side
+they are applied as O(n)-per-line slice stencils; on smaller grids one BLAS
+matmul against the dense matrix is faster, as it is for the transforms in
+`fields`, which switch at the same size.  At power-of-two n both forms give
+the same bits.  `bilinear_b` and `beta_term` accept a precomputed
 streamfunction, and `beta_term` its x-derivative, so a caller that already
 has them (the time stepper) solves and differentiates once per step.
 """
@@ -33,13 +34,14 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import (
+    DENSE_BELOW_N,
     Basis,
     BoundaryField,
     DimensionMismatch,
     Field,
     GridSpec,
     coeffs_from_nodal,
-    gradient,
+    derivative,
     inner,
     laplacian_eigenvalues,
     norm_h1,
@@ -192,13 +194,6 @@ def harmonicity_residual(u: Field, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Grids with at least this many cells per side apply the difference operators
-# as slice stencils; below it one BLAS matmul per line set is faster (measured
-# on the fused skew Jacobian).  At power-of-two n every coefficient is a power
-# of two, so both forms round once per entry and agree bit for bit.
-STENCIL_MIN_N = 128
-
-
 @lru_cache(maxsize=None)
 def _difference_operators(n: int):
     """Centered differences with reflection closures, and their weighted adjoints.
@@ -210,7 +205,9 @@ def _difference_operators(n: int):
 
     Each operator is zero-diagonal tridiagonal on the n+1 lattice nodes and
     is returned as (lower, upper, dense): lower[i] = D[i+1, i],
-    upper[i] = D[i, i+1], and the dense matrix only below STENCIL_MIN_N.
+    upper[i] = D[i, i+1], and the dense matrix only below DENSE_BELOW_N.
+    At power-of-two n every coefficient is a power of two, so the stencil
+    and the matmul round once per entry and agree bit for bit.
     Returns the operators (De, Do, DeA, DoA).
     """
     h = 1.0 / n
@@ -230,7 +227,7 @@ def _difference_operators(n: int):
 
     def op(lower, upper):
         dense = None
-        if n < STENCIL_MIN_N:
+        if n < DENSE_BELOW_N:
             dense = np.diag(lower, -1) + np.diag(upper, 1)
         return lower, upper, dense
 
@@ -310,14 +307,14 @@ def beta_term(z: Field, psi: Field | None = None, psi_x: Field | None = None) ->
     """x-derivative of the streamfunction response, G(z)_x, as a mean-zero field.
 
     `psi`, when given, must be `dirichlet_poisson(z)`; it saves the solve.
-    `psi_x`, when given, must be `gradient(psi)[0]`; it saves the gradient,
-    and its synthesis too once its nodal values are cached.
+    `psi_x`, when given, must be `derivative(psi, 0)`; it saves the
+    derivative, and its synthesis too once its nodal values are cached.
     """
     dpsi_dx = psi_x
     if dpsi_dx is None:
         if psi is None:
             psi = dirichlet_poisson(z)
-        dpsi_dx, _ = gradient(psi)
+        dpsi_dx = derivative(psi, 0)
     grid = z.grid
     return Field(
         grid,
@@ -340,7 +337,6 @@ def _triple_ratio(v1: Field, v2: Field, v3: Field) -> float:
 
 def estimate_constants(
     grid: GridSpec,
-    nu: float,
     trials: int = 200,
     seed: int = 0,
     ascent_steps: int = 120,

@@ -80,7 +80,7 @@ def criterion(label):
 
 @pytest.fixture(scope="module")
 def constants():
-    return estimate_constants(GRID, PARAMS.nu, trials=200, seed=0)
+    return estimate_constants(GRID, trials=200, seed=0)
 
 
 @criterion("criterion 1: advection bilinear identities at 1e-12")
@@ -230,7 +230,7 @@ def test_criterion_6_condition_evaluator(constants):
     big1 = CovarianceSpec(COV1.amplitude * 1e4, COV1.decay, COV1.cutoff)
     big2 = CovarianceSpec(COV2.amplitude * 1e4, COV2.decay, COV2.cutoff)
     params_c = ModelParams(nu=0.01, r=1.0, beta=0.1)
-    constants_c = estimate_constants(GRID, params_c.nu, trials=100, seed=1)
+    constants_c = estimate_constants(GRID, trials=100, seed=1)
     rep_c = check_condition(
         params_c, big1, big2, 100, NoiseStream(seed=2, dt=DT), GRID, constants=constants_c
     )

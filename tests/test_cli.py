@@ -112,6 +112,28 @@ _FLAT_VALUES = {
 }
 
 
+_KNOWN_LINE = st.sampled_from(sorted(_FLAT_VALUES)).flatmap(lambda key: _FLAT_VALUES[key].map(lambda v: f"{key} = {v}"))
+# junk keys never name a known key, so no line can ask for a grid above 256
+_JUNK_LINE = st.tuples(st.text(max_size=8).filter(lambda k: k.strip() not in _FLAT_VALUES), st.text(max_size=8))
+_LINE = st.one_of(
+    _KNOWN_LINE,
+    _JUNK_LINE.map("=".join),
+    st.text(max_size=12).map(lambda t: "#" + t),
+    st.just(""),
+    st.text(alphabet=st.characters(exclude_characters="="), max_size=12),
+    st.text(alphabet="ab =#\t\x00", max_size=6),
+)
+# lines joined by \n or \r\n; a known key may repeat, which is a duplicate-key error
+_CONFIG_TEXT = st.tuples(st.lists(_LINE, max_size=12), st.sampled_from(["\n", "\r\n"])).map(
+    lambda parts: parts[1].join(parts[0]).encode()
+)
+
+
+def _assert_finite(cfg: RunConfig) -> None:
+    floats = [v for v in vars(cfg).values() if isinstance(v, float)]
+    assert all(math.isfinite(v) for v in floats)
+
+
 class TestConfigProperty:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.fixed_dictionaries({}, optional=_FLAT_VALUES))
@@ -124,8 +146,21 @@ class TestConfigProperty:
             cfg = config_from_flat(items)
         except ValueError:
             return
-        floats = [v for v in vars(cfg).values() if isinstance(v, float)]
-        assert all(math.isfinite(v) for v in floats)
+        _assert_finite(cfg)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_CONFIG_TEXT)
+    @example(b"grid.n = 16\n\xff\xfe = 1\n")
+    @example(b"seeds = 1e3\n")
+    def test_file_parses_to_finite_config_or_raises_value_error(self, tmp_path_factory, text):
+        # ConfigError and UnicodeDecodeError both subclass ValueError
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_bytes(text)
+        try:
+            cfg = parse_config(path)
+        except ValueError:
+            return
+        _assert_finite(cfg)
 
 
 class TestNonFiniteInputs:

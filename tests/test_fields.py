@@ -6,6 +6,7 @@ from scipy import fft as scipy_fft
 
 from qgsync import fields
 from qgsync.fields import (
+    DENSE_BELOW_N,
     Basis,
     BoundaryField,
     DimensionMismatch,
@@ -180,15 +181,16 @@ class TestScipyReference:
 
     @pytest.mark.parametrize("n", REFERENCE_SIZES)
     def test_2d_transforms(self, n):
+        # the FFT path, which the public transforms take from DENSE_BELOW_N up
         grid = GridSpec(n)
         rng = np.random.default_rng(1000 + n)
         for values in _edge_inputs(grid, rng):
             for basis in Basis:
                 expected = _scipy_2d(values, basis, grid, synthesis=False)
-                assert _same_bits(coeffs_from_nodal(values, basis, grid), expected), basis
+                assert _same_bits(fields._fft_coeffs_from_nodal(values, basis, n), expected), basis
                 coeffs = np.where(retained_mask(grid, basis), values, 0.0)
                 expected = _scipy_2d(coeffs, basis, grid, synthesis=True)
-                assert _same_bits(nodal_from_coeffs(coeffs, basis, grid), expected), basis
+                assert _same_bits(fields._fft_nodal_from_coeffs(coeffs, basis, n), expected), basis
 
     def test_returned_arrays_own_their_memory(self, grid32):
         f = random_field(grid32, Basis.DIRICHLET_SINE, seed=20)
@@ -200,6 +202,81 @@ class TestScipyReference:
         assert f.nodal is first
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(coeffs, second) and not np.shares_memory(coeffs, first)
+
+
+DENSE_SIZES = [n for n in REFERENCE_SIZES if n < DENSE_BELOW_N] + [DENSE_BELOW_N - 2]
+
+
+def _sine_edges(grid, basis):
+    """Lattice nodes on the edges of the sine axes, where synthesis gives zero."""
+    edges = np.zeros(grid.shape, dtype=bool)
+    if basis.xkind == "sin":
+        edges[:: grid.n] = True
+    if basis.ykind == "sin":
+        edges[:, :: grid.n] = True
+    return edges
+
+
+class TestDensePath:
+    """Below DENSE_BELOW_N the transforms are matmuls: round-off away from the FFT bits, same zeros."""
+
+    @pytest.mark.parametrize("n", DENSE_SIZES)
+    def test_within_round_off_of_scipy(self, n):
+        # bound fixed in advance: 32 n eps max|x|, about 5x the largest error seen
+        # on random inputs.  A smooth coefficient array synthesizes to values
+        # ~n^2 times its size, where both paths miss the exact transform by more.
+        grid = GridSpec(n)
+        bound = 32 * n * np.finfo(float).eps
+        rng = np.random.default_rng(2000 + n)
+        for values in (scale * rng.standard_normal(grid.shape) for scale in (1e-8, 1.0, 1e8)):
+            for basis in Basis:
+                coeffs = np.where(retained_mask(grid, basis), values, 0.0)
+                for x, transform, synthesis in (
+                    (values, coeffs_from_nodal, False),
+                    (coeffs, nodal_from_coeffs, True),
+                ):
+                    err = np.max(np.abs(transform(x, basis, grid) - _scipy_2d(x, basis, grid, synthesis)))
+                    assert err <= bound * np.max(np.abs(x)), (basis, synthesis)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_structural_zeros_are_positive(self, grid32, basis):
+        # all-negative input turns every 0 * x product into -0.0
+        negative = -np.abs(np.random.default_rng(22).standard_normal(grid32.shape))
+        off = ~retained_mask(grid32, basis)
+        a = coeffs_from_nodal(negative, basis, grid32)
+        assert _same_bits(a[off], np.zeros(off.sum()))
+        edges = _sine_edges(grid32, basis)
+        v = nodal_from_coeffs(np.where(off, 0.0, negative), basis, grid32)
+        assert _same_bits(v[edges], np.zeros(edges.sum()))
+        # an infinite coefficient makes the 0 * x terms NaN; the FFT path still writes 0 there
+        infinite = np.zeros(grid32.shape)
+        infinite[3, 5] = np.inf
+        with np.errstate(invalid="ignore"):
+            v = nodal_from_coeffs(infinite, basis, grid32)
+        assert _same_bits(v[edges], np.zeros(edges.sum()))
+
+    def test_outputs_own_their_memory(self, grid32):
+        n = grid32.n
+        x = np.random.default_rng(23).standard_normal(grid32.shape)
+        matrices = [fields._line_matrix(n, kind, synthesis) for kind in ("cos", "sin") for synthesis in (False, True)]
+        assert not any(m.flags.writeable for m in matrices)
+        held = matrices + list(fields._WORK.get(n))
+        for basis in Basis:
+            for out in (
+                coeffs_from_nodal(x, basis, grid32),
+                nodal_from_coeffs(x * retained_mask(grid32, basis), basis, grid32),
+            ):
+                assert out.flags.owndata and out.flags.writeable
+                assert not any(np.shares_memory(out, h) for h in held)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_fft_path_from_the_cutoff_up(self, basis):
+        grid = GridSpec(DENSE_BELOW_N)
+        n = grid.n
+        for values in _edge_inputs(grid, np.random.default_rng(24)):
+            coeffs = np.where(retained_mask(grid, basis), values, 0.0)
+            assert _same_bits(coeffs_from_nodal(values, basis, grid), fields._fft_coeffs_from_nodal(values, basis, n))
+            assert _same_bits(nodal_from_coeffs(coeffs, basis, grid), fields._fft_nodal_from_coeffs(coeffs, basis, n))
 
 
 class TestInnerAndNorms:

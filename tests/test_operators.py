@@ -16,7 +16,7 @@ from qgsync.fields import (
     norm_l2,
     retained_mask,
 )
-from qgsync.fields import coeffs_from_nodal
+from qgsync.fields import DENSE_BELOW_N, coeffs_from_nodal
 from qgsync.operators import (
     C_GX_EXACT,
     LAMBDA1,
@@ -30,7 +30,7 @@ from qgsync.operators import (
     neumann_lift,
     semigroup,
 )
-from qgsync.operators import STENCIL_MIN_N, _diff, _difference_operators, _grad_nodal, _jacobian_nodal
+from qgsync.operators import _diff, _difference_operators, _grad_nodal, _jacobian_nodal
 
 from qgsync.dynamics import prepare_state
 from qgsync.noise import NoiseStream
@@ -286,8 +286,8 @@ class TestDifferenceOperators:
             assert np.all(_diff(op, a.T, 1)[:, 1:-1] == 1.0)
 
     def test_matrices_only_below_the_stencil_switch(self):
-        assert all(op[2] is not None for op in _difference_operators(STENCIL_MIN_N - 2))
-        assert all(op[2] is None for op in _difference_operators(STENCIL_MIN_N))
+        assert all(op[2] is not None for op in _difference_operators(DENSE_BELOW_N - 2))
+        assert all(op[2] is None for op in _difference_operators(DENSE_BELOW_N))
 
 
 class TestBilinearForm:
@@ -374,7 +374,7 @@ class TestBetaTerm:
 
 class TestConstants:
     def test_exact_constants(self, grid32):
-        consts = estimate_constants(grid32, nu=1.0, trials=100, seed=1)
+        consts = estimate_constants(grid32, trials=100, seed=1)
         assert consts.lambda1 == pytest.approx(np.pi**2, abs=1e-12)
         assert consts.c_gx == pytest.approx(1.0 / (2 * np.pi), abs=1e-12)
         assert consts.c_gx <= 1.0 / (2 * np.pi) + 1e-12
@@ -394,15 +394,15 @@ class TestConstants:
 
     def test_monotone_in_trials_and_reproducible(self, grid32):
         vals = [
-            estimate_constants(grid32, nu=1.0, trials=t, seed=7, ascent_steps=40).c_b
+            estimate_constants(grid32, trials=t, seed=7, ascent_steps=40).c_b
             for t in (100, 140, 180)
         ]
         assert vals[0] <= vals[1] <= vals[2]
-        again = estimate_constants(grid32, nu=1.0, trials=140, seed=7, ascent_steps=40).c_b
+        again = estimate_constants(grid32, trials=140, seed=7, ascent_steps=40).c_b
         assert again == vals[1]
 
     def test_bound_holds_on_samples(self, grid32):
-        consts = estimate_constants(grid32, nu=1.0, trials=100, seed=3, ascent_steps=20)
+        consts = estimate_constants(grid32, trials=100, seed=3, ascent_steps=20)
         rng = np.random.default_rng(99)
         mask = retained_mask(grid32, Basis.NEUMANN_COSINE)
         for _ in range(50):
