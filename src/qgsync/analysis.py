@@ -34,11 +34,10 @@ import numpy as np
 
 from .dynamics import (
     CocycleState,
+    DivergenceError,
     ModelParams,
     dealias,
     evolve,
-    prepare_state,
-    step_imex,
     untransform,
 )
 from .fields import (
@@ -312,22 +311,22 @@ def radius_invariance_experiment(
         z0_coeffs = direction / dnorm * scale if dnorm > 0 else direction * 0.0
         z0 = Field(grid, Basis.NEUMANN_COSINE, coeffs=z0_coeffs)
 
-        state = CocycleState(step=0, z=z0, coeff=coeff0)
-        steps = stream.steps_for(t_end)
+        start = CocycleState(step=0, members=(z0,), coeff=coeff0)
+        states = evolve(t_end, stream, start, params, cov1, cov2, check_cfl=False)
+        next(states)  # the start state
         zeta = rho2_0
         g_old = g[-1]
         r_old = r[-1]
         violations = 0
         max_excursion = 0.0
-        for _ in range(steps):
-            state = step_imex(state, params, stream, dt, check_cfl=False)
+        for state in states:
             w = state.coeff.combined()
             (g_new,), (r_new,) = _block_driver(w[np.newaxis], lam, params, constants)
             zeta = propagate_rho_squared(
                 zeta, g_old, g_new, r_old, r_new, dt, params, constants
             )
             g_old, r_old = g_new, r_new
-            z2 = norm_l2(state.z) ** 2
+            z2 = norm_l2(state.members[0]) ** 2
             if zeta > 0:
                 excursion = z2 / zeta - 1.0
                 max_excursion = max(max_excursion, excursion)
@@ -581,23 +580,14 @@ def synchronization_experiment(
 ) -> SyncReport:
     """Evolve two initial states under one noise path and fit the contact rate.
 
-    Both trajectories read the same coefficient chain (same realized
-    environment), so any approach of the two states is pathwise
-    synchronization, not averaging.
+    Both members share one coefficient chain (one realized environment),
+    so any approach of the two states is pathwise synchronization, not
+    averaging.
     """
     stream = NoiseStream(seed=seed, dt=dt)
-    state_a = prepare_state(z0_a, stream, params, cov1, cov2)
-    state_b = CocycleState(step=0, z=dealias(z0_b), coeff=state_a.coeff)
-    steps = stream.steps_for(t_end)
-    times = np.empty(steps + 1)
-    dists = np.empty(steps + 1)
-    times[0] = 0.0
-    dists[0] = norm_l2(state_a.z - state_b.z)
-    for j in range(steps):
-        state_a = step_imex(state_a, params, stream, dt, check_cfl=False)
-        state_b = step_imex(state_b, params, stream, dt, check_cfl=False)
-        times[j + 1] = (j + 1) * dt
-        dists[j + 1] = norm_l2(state_a.z - state_b.z)
+    states = evolve(t_end, stream, (z0_a, z0_b), params, cov1, cov2, check_cfl=False)
+    dists = np.array([norm_l2(state.members[0] - state.members[1]) for state in states])
+    times = dt * np.arange(dists.size)
     rate, stderr = _fit_log_rate(times, dists)
     initial = dists[0]
     converged = bool(
@@ -624,33 +614,36 @@ def stationary_statistics(
     Two independent initial conditions run under each seed's noise; the
     post-burn gap between them witnesses the collapse onto a single random
     state, and cross-seed dispersion shows that state is genuinely random.
+    A post-burn physical field whose energy or enstrophy is not finite
+    raises `DivergenceError`: its moments are not estimable.
     """
     per_seed = []
     for seed in sorted(seeds):
         stream = NoiseStream(seed=seed, dt=dt)
         rng = np.random.default_rng((seed, 0xFEED))
-        z0a = dealias(random_field(grid, rng, 0.5, 3.0))
-        z0b = dealias(random_field(grid, rng, 0.5, 3.0))
-
-        state_a = prepare_state(z0a, stream, params, cov1, cov2)
-        state_b = CocycleState(step=0, z=dealias(z0b), coeff=state_a.coeff)
-        steps = stream.steps_for(t_end)
+        z0a = random_field(grid, rng, 0.5, 3.0)
+        z0b = random_field(grid, rng, 0.5, 3.0)
         burn_steps = stream.steps_for(burn)
         energy = []
         enstrophy = []
         mean_field = np.zeros(grid.shape)
         max_gap = 0.0
         count = 0
-        for j in range(steps):
-            state_a = step_imex(state_a, params, stream, dt, check_cfl=False)
-            state_b = step_imex(state_b, params, stream, dt, check_cfl=False)
-            if j + 1 > burn_steps:
-                u = untransform(state_a)
-                energy.append(norm_l2(u) ** 2)
-                enstrophy.append(norm_h1(u) ** 2)
+        for state in evolve(t_end, stream, (z0a, z0b), params, cov1, cov2, check_cfl=False):
+            if state.step > burn_steps:
+                a, b = state.members
+                u = untransform(a, state.coeff)
+                l2, h1 = norm_l2(u), norm_h1(u)
+                # squared as products first: `float ** 2` raises on overflow
+                if not (math.isfinite(l2 * l2) and math.isfinite(h1 * h1)):
+                    raise DivergenceError(
+                        f"the physical field's energy or enstrophy is not finite at t={state.step * dt}"
+                    )
+                energy.append(l2**2)
+                enstrophy.append(h1**2)
                 mean_field += u.coeffs
                 count += 1
-                max_gap = max(max_gap, norm_l2(state_a.z - state_b.z))
+                max_gap = max(max_gap, norm_l2(a - b))
         mean_field /= max(count, 1)
         per_seed.append(
             {
@@ -692,12 +685,17 @@ def cocycle_check(
     by t; `shift_override` mis-shifts it deliberately for negative
     controls.
     """
-    full = evolve(s + t, stream, z0, params, cov1, cov2, check_cfl=False)
-    mid = evolve(t, stream, z0, params, cov1, cov2, check_cfl=False)
+    def final(span, noise, start):
+        for state in evolve(span, noise, start, params, cov1, cov2, check_cfl=False):
+            pass
+        return state
+
+    full = final(s + t, stream, (z0,))
+    mid = final(t, stream, (z0,))
     shifted = wiener_shift(stream, t if shift_override is None else shift_override)
-    second = evolve(s, shifted, mid, params, cov1, cov2, check_cfl=False)
+    second = final(s, shifted, mid)
     return bool(
-        np.array_equal(full.z.coeffs, second.z.coeffs)
+        np.array_equal(full.members[0].coeffs, second.members[0].coeffs)
         and np.array_equal(full.coeff.zw1, second.coeff.zw1)
         and np.array_equal(full.coeff.zw2, second.coeff.zw2)
     )

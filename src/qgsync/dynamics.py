@@ -7,8 +7,13 @@ diffusion-plus-friction part is solved exactly per mode (it is diagonal in
 this basis), all advection terms are explicit at the old state, and the
 coefficient processes advance by their exact recursion.
 
+`evolve` is the package's only stepping loop.  An experiment's members
+(several initial states) share one coefficient chain, the realized noise
+path: each step advances the chain once and steps every member with it.
+
 Trajectories are bit-reproducible functions of (seed, dt, z0, parameters).
-Restarting from a returned state and a shifted stream continues the same
+A member's path does not depend on which other members share its chain.
+Restarting from a yielded state and a shifted stream continues the same
 path bit-for-bit, which is the discrete cocycle property the test-suite
 checks.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,14 +64,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CocycleState:
-    """One point of a trajectory: transformed field plus coefficient state.
+    """One point of an experiment: its members' transformed fields and their one chain.
 
-    `step` is the trajectory's only step counter; the next `step_imex`
-    reads the noise of that step for both z and the coefficient processes.
+    Every member is driven by the same coefficient state `coeff`.  `step`
+    is the only step counter; the next step reads the noise of that step
+    for every member and for the chain.
     """
 
     step: int
-    z: Field
+    members: tuple[Field, ...]
     coeff: CoefficientState
 
 
@@ -87,30 +94,27 @@ def _advective_speed(psi_x: Field, psi_y: Field) -> float:
 
 
 def step_imex(
-    state: CocycleState,
+    z: Field,
+    w: np.ndarray,
     params: ModelParams,
-    stream: NoiseStream,
     dt: float,
+    step: int,
     check_cfl: bool = True,
-) -> CocycleState:
-    """One semi-implicit step of the transformed equation.
+) -> Field:
+    """One semi-implicit step of the transformed equation: the next z.
 
-    Explicit: the advection self-term, the beta term and the
-    coefficient-process forcing, all at the old state.  Implicit: the
-    diagonal solve for diffusion plus friction.  The coefficient state
-    advances by its exact update afterwards.
+    `w` is the combined coefficient array zw1 + zw2 of the old state and
+    `step` the index of the step being taken.  Explicit: the advection
+    self-term, the beta term and the coefficient-process forcing, all at
+    the old state.  Implicit: the diagonal solve for diffusion plus
+    friction.  The chain is not advanced here; `evolve` does that.
     """
-    if abs(dt - stream.dt) > 1e-12 * max(dt, stream.dt):
-        raise ValueError("step size must match the stream's dt")
-    z = state.z
     grid = z.grid
 
     def _diverged() -> DivergenceError:
         with np.errstate(over="ignore", invalid="ignore"):
             zmag = float(np.sqrt(np.nansum(np.square(z.coeffs))))
-        return DivergenceError(
-            f"trajectory diverged at t={(state.step + 1) * dt} (|z| was {zmag:.6g})"
-        )
+        return DivergenceError(f"trajectory diverged at t={(step + 1) * dt} (|z| was {zmag:.6g})")
 
     # all explicit terms at the old state; the advection self-term and the
     # coefficient cross/forcing terms collapse into one bilinear evaluation
@@ -121,7 +125,6 @@ def step_imex(
     # Only s is a field (the operators take one); the other terms are arrays
     # whose non-finite values reach the check on new_coeffs.  Dealiased B
     # stays a temporary so it is not held through the beta term
-    w = state.coeff.combined()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             s = Field(grid, Basis.NEUMANN_COSINE, coeffs=z.coeffs + w)
@@ -134,7 +137,7 @@ def step_imex(
                 if dt > 0.5 * grid.h / max(1.0, speed):
                     warnings.warn(
                         f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) "
-                        f"at t={state.step * dt} (speed {speed:.3g})",
+                        f"at t={step * dt} (speed {speed:.3g})",
                         CFLWarning,
                         stacklevel=2,
                     )
@@ -147,63 +150,46 @@ def step_imex(
         raise _diverged() from None
     if not np.all(np.isfinite(new_coeffs)):
         raise _diverged()
-    z_new = Field(grid, Basis.NEUMANN_COSINE, coeffs=new_coeffs)
-    coeff_new = ou_step(state.coeff, stream, state.step)
-    return CocycleState(step=state.step + 1, z=z_new, coeff=coeff_new)
-
-
-def prepare_state(
-    z0: Field | CocycleState,
-    stream: NoiseStream,
-    params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
-) -> CocycleState:
-    """Wrap an initial field into a cocycle state (or pass a state through).
-
-    A bare field gets a freshly sampled stationary coefficient state and is
-    projected onto the dealiased retained modes; an existing state keeps
-    its z and coefficients and restarts at step 0 of the (shifted) stream,
-    so that restarts continue the same noise path.
-    """
-    if isinstance(z0, CocycleState):
-        return CocycleState(step=0, z=z0.z, coeff=z0.coeff)
-    kernel = OUKernel(z0.grid, params.nu, cov1, cov2, stream.dt)
-    return CocycleState(step=0, z=dealias(z0), coeff=ou_init(kernel, stream))
+    return Field(grid, Basis.NEUMANN_COSINE, coeffs=new_coeffs)
 
 
 def evolve(
     t: float,
     stream: NoiseStream,
-    z0: Field | CocycleState,
+    start: tuple[Field, ...] | CocycleState,
     params: ModelParams,
     cov1: CovarianceSpec,
     cov2: CovarianceSpec,
-    observer=None,
     check_cfl: bool = True,
-) -> CocycleState:
-    """Run the cocycle for time t (a multiple of the stream's dt).
+) -> Iterator[CocycleState]:
+    """Run the cocycle for time t (a multiple of the stream's dt); the only stepping loop.
 
-    `observer(state)` is called on the initial state and after every step;
-    it is the hook used for time-series output and diagnostics.
+    Yields the start state, then the state after each step.  A tuple of
+    fields starts an experiment: each member is dealiased and all share one
+    stationary coefficient draw.  A `CocycleState` keeps its members and
+    chain and restarts at step 0 of the (shifted) stream, so that restarts
+    continue the same noise path.  Each step combines the chain's arrays
+    once, steps every member with them, and advances the chain once.
     """
     steps = stream.steps_for(t)
     if steps < 0:
         raise ValueError("evolution time must be nonnegative")
-    state = prepare_state(z0, stream, params, cov1, cov2)
-    if observer is not None:
-        observer(state)
-    for _ in range(steps):
-        state = step_imex(state, params, stream, stream.dt, check_cfl=check_cfl)
-        if observer is not None:
-            observer(state)
-    return state
+    if isinstance(start, CocycleState):
+        state = CocycleState(step=0, members=start.members, coeff=start.coeff)
+    else:
+        kernel = OUKernel(start[0].grid, params.nu, cov1, cov2, stream.dt)
+        state = CocycleState(step=0, members=tuple(map(dealias, start)), coeff=ou_init(kernel, stream))
+    yield state
+    for step in range(steps):
+        w = state.coeff.combined()
+        members = tuple(step_imex(z, w, params, stream.dt, step, check_cfl) for z in state.members)
+        state = CocycleState(step=step + 1, members=members, coeff=ou_step(state.coeff, stream, step))
+        yield state
 
 
-def untransform(state: CocycleState) -> Field:
-    """Recover the physical field u = z + zw1 + zw2 from a trajectory state.
+def untransform(z: Field, coeff: CoefficientState) -> Field:
+    """Recover the physical field u = z + zw1 + zw2 of one member.
 
     Its streamfunction, when needed, is `dirichlet_poisson(u)`.
     """
-    z = state.z
-    return Field(z.grid, z.basis, coeffs=z.coeffs + state.coeff.zw1 + state.coeff.zw2)
+    return Field(z.grid, z.basis, coeffs=z.coeffs + coeff.zw1 + coeff.zw2)

@@ -299,12 +299,14 @@ def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec) -> np.nda
 
 
 def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
-    """Lattice values of a coefficient array; zero on the edges of a sine axis."""
+    """Lattice values of a coefficient array; +0.0 on the edges of a sine axis."""
     n = grid.n
     if n >= DENSE_BELOW_N:
-        return _fft_nodal_from_coeffs(coeffs, basis, n)
-    v = _line_matrix(n, basis.xkind, True) @ coeffs @ _line_matrix(n, basis.ykind, True).T
-    # +0.0, as the FFT line transform writes there, whatever the 0 * x terms summed to
+        v = _fft_nodal_from_coeffs(coeffs, basis, n)
+    else:
+        v = _line_matrix(n, basis.xkind, True) @ coeffs @ _line_matrix(n, basis.ykind, True).T
+    # whatever sign the dense path's 0 * x terms or the DST's scaling of a
+    # zero line left there
     if basis.xkind == "sin":
         v[::n] = 0.0
     if basis.ykind == "sin":

@@ -18,7 +18,8 @@ from qgsync.analysis import (
     stationary_statistics,
     synchronization_experiment,
 )
-from qgsync.dynamics import ModelParams, dealias, prepare_state
+from qgsync import dynamics
+from qgsync.dynamics import ModelParams, dealias
 from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_h1, norm_l2
 from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import OperatorConstants
@@ -36,15 +37,9 @@ CONSTS = OperatorConstants(lambda1=np.pi**2, c_b=0.25, c_gx=1.0 / (2 * np.pi))
 
 class TestDriver:
     def test_zero_coefficients(self, grid32):
-        state = prepare_state(
-            Field.zeros(grid32, Basis.NEUMANN_COSINE),
-            NoiseStream(seed=1, dt=0.01),
-            PARAMS,
-            COV_OFF,
-            COV_OFF,
-        )
+        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=1, dt=0.01))
         lam = laplacian_eigenvalues(grid32)
-        g, r = _block_driver(state.coeff.combined()[np.newaxis], lam, PARAMS, CONSTS)
+        g, r = _block_driver(coeff.combined()[np.newaxis], lam, PARAMS, CONSTS)
         assert g[0] == 0.0 and r[0] == 0.0
 
     def test_plugin_arithmetic(self):
@@ -65,14 +60,8 @@ class TestDriver:
             )
 
     def test_matches_field_norms(self, grid32):
-        state = prepare_state(
-            Field.zeros(grid32, Basis.NEUMANN_COSINE),
-            NoiseStream(seed=2, dt=0.01),
-            PARAMS,
-            COV1,
-            COV2,
-        )
-        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=state.coeff.combined())
+        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=2, dt=0.01))
+        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeff.combined())
         direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, PARAMS, CONSTS)
         _, r = _block_driver(w.coeffs[np.newaxis], laplacian_eigenvalues(grid32), PARAMS, CONSTS)
         assert r[0] == pytest.approx(direct, rel=1e-14)
@@ -314,6 +303,20 @@ class TestSynchronization:
         assert rep.converged
         assert rep.fitted_rate < 0
         assert abs(rep.fitted_rate - ref) / abs(ref) < 0.2
+
+    def test_one_chain_step_per_step(self, grid32, monkeypatch):
+        # the pair shares one coefficient chain: one OU step per time step
+        steps = []
+
+        def counted(state, stream, step):
+            steps.append(step)
+            return ou_step(state, stream, step)
+
+        monkeypatch.setattr(dynamics, "ou_step", counted)
+        z0a = dealias(random_field(grid32, seed=24, scale=0.05))
+        z0b = dealias(random_field(grid32, seed=25, scale=0.05))
+        synchronization_experiment(26, PARAMS, COV1, COV2, grid32, z0a, z0b, t_end=0.1, dt=0.01)
+        assert steps == list(range(10))
 
     def test_noisy_config_synchronizes(self, grid32):
         rng = np.random.default_rng(15)

@@ -280,6 +280,22 @@ class TestDivergence:
         assert proc.stderr.splitlines()[-1].startswith("experiment diverged:")
 
 
+    def test_overflowing_stationary_exits_4_with_one_line(self, tmp_path, capsys):
+        # the post-burn physical field's energy overflows: its moments are not estimable
+        overrides = {
+            "noise.q1_amplitude": "1e300",
+            "noise.q2_amplitude": "1e300",
+            "time.t_end": "0.01",
+            "time.burn": "0",
+        }
+        cfg = write_config(tmp_path, seeds="1,2", **overrides)
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", str(cfg), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("experiment diverged:") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
+
 class TestStartUp:
     def test_cli_import_loads_no_scipy(self):
         # scipy costs about 0.3 s of every run's start-up; only the tests use it

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ from qgsync.dynamics import (
     ModelParams,
     dealias,
     evolve,
-    prepare_state,
     step_imex,
     untransform,
 )
 from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_l2, retained_mask
-from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream
+from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init
 from qgsync.operators import beta_term, bilinear_b, dirichlet_poisson
 
 from conftest import mode_field, random_field
@@ -32,6 +32,11 @@ COV_OFF = CovarianceSpec(0.0, 3.0, 4)
 def masked_field(grid, seed, scale=0.05, within_dealias=True):
     f = random_field(grid, seed=seed, scale=scale, slope=2.0)
     return dealias(f) if within_dealias else f
+
+
+def last(states):
+    """The final state of an `evolve` run."""
+    return deque(states, maxlen=1)[0]
 
 
 def implicit_solve(grid: GridSpec, rhs: np.ndarray, dt: float, params: ModelParams = PARAMS) -> Field:
@@ -58,22 +63,21 @@ class TestStepImex:
         dt = 0.01
         z = masked_field(grid32, 1)
         stream = NoiseStream(seed=1, dt=dt)
-        state = step_imex(prepare_state(z, stream, PARAMS, COV_OFF, COV_OFF), PARAMS, stream, dt)
+        _, state = evolve(dt, stream, (z,), PARAMS, COV_OFF, COV_OFF)
         tendency = -dealias(bilinear_b(z, z)).coeffs - PARAMS.beta * beta_term(z).coeffs
         expected = implicit_solve(grid32, z.coeffs + dt * tendency, dt)
-        assert norm_l2(state.z - expected) <= 1e-14 * norm_l2(expected)
+        assert norm_l2(state.members[0] - expected) <= 1e-14 * norm_l2(expected)
 
     def test_step_from_rest_is_the_forcing(self, grid32):
         # z = 0 with noise on: one step is the coefficient-process forcing
         # -dealias B(w,w) - beta G(w)_x - r w, solved implicitly
         dt = 0.01
         stream = NoiseStream(seed=2, dt=dt)
-        start = prepare_state(Field.zeros(grid32, Basis.NEUMANN_COSINE), stream, PARAMS, COV1, COV2)
+        start, state = evolve(dt, stream, (Field.zeros(grid32, Basis.NEUMANN_COSINE),), PARAMS, COV1, COV2)
         w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=start.coeff.combined())
-        state = step_imex(start, PARAMS, stream, dt)
         tendency = -dealias(bilinear_b(w, w)).coeffs - PARAMS.beta * beta_term(w).coeffs - PARAMS.r * w.coeffs
         expected = implicit_solve(grid32, dt * tendency, dt)
-        assert norm_l2(state.z - expected) <= 1e-14 * norm_l2(expected)
+        assert norm_l2(state.members[0] - expected) <= 1e-14 * norm_l2(expected)
 
     def test_linear_decay_factor(self, grid32):
         # small single-mode state, no noise, no beta: each step divides the
@@ -85,10 +89,9 @@ class TestStepImex:
         def terminal_norm(dt):
             z0 = mode_field(grid32, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
             stream = NoiseStream(seed=4, dt=dt)
-            state = prepare_state(z0, stream, params, COV_OFF, COV_OFF)
-            for _ in range(round(t_end / dt)):
-                state = step_imex(state, params, stream, dt, check_cfl=False)
-            return norm_l2(state.z)
+            state = last(evolve(t_end, stream, (z0,), params, COV_OFF, COV_OFF, check_cfl=False))
+            assert state.step == round(t_end / dt)
+            return norm_l2(state.members[0])
 
         dt = 1e-3
         got = terminal_norm(dt)
@@ -104,16 +107,16 @@ class TestStepImex:
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
         dt = 1e-3
         stream = NoiseStream(seed=5, dt=dt)
-        state = prepare_state(masked_field(grid32, 5, scale=1.0), stream, params, COV_OFF, COV_OFF)
-        norms = [norm_l2(state.z)]
+        states = evolve(0.3, stream, (masked_field(grid32, 5, scale=1.0),), params, COV_OFF, COV_OFF, check_cfl=False)
+        norms = [norm_l2(next(states).members[0])]
         dissipated = 0.0
         from qgsync.fields import norm_h1
 
-        for _ in range(300):
-            state = step_imex(state, params, stream, dt, check_cfl=False)
-            norms.append(norm_l2(state.z))
-            dissipated += 2.0 * params.nu * dt * norm_h1(state.z) ** 2
+        for state in states:
+            norms.append(norm_l2(state.members[0]))
+            dissipated += 2.0 * params.nu * dt * norm_h1(state.members[0]) ** 2
         norms = np.array(norms)
+        assert norms.size == 301
         assert np.all(np.diff(norms) <= 1e-14)
         assert dissipated <= norms[0] ** 2
 
@@ -125,7 +128,7 @@ class TestStepImex:
 
         def solve(dt):
             stream = NoiseStream(seed=6, dt=dt)
-            return evolve(t_end, stream, z0, params, COV_OFF, COV_OFF, check_cfl=False).z
+            return last(evolve(t_end, stream, (z0,), params, COV_OFF, COV_OFF, check_cfl=False)).members[0]
 
         z_a = solve(4e-3)
         z_b = solve(2e-3)
@@ -137,21 +140,19 @@ class TestStepImex:
 
     def test_mean_mode_stays_zero(self, grid32):
         stream = NoiseStream(seed=7, dt=0.01)
-        state = prepare_state(masked_field(grid32, 7), stream, PARAMS, COV1, COV2)
-        for j in range(50):
-            state = step_imex(state, PARAMS, stream, 0.01, check_cfl=False)
-            assert state.z.coeffs[0, 0] == 0.0
+        for state in evolve(0.5, stream, (masked_field(grid32, 7),), PARAMS, COV1, COV2, check_cfl=False):
+            assert state.members[0].coeffs[0, 0] == 0.0
+        assert state.step == 50
 
     def test_divergence_raises(self, grid32):
         params = ModelParams(nu=1e-6, r=1e-6, beta=0.0)
         z0 = random_field(grid32, seed=8, scale=1e6)
         stream = NoiseStream(seed=8, dt=10.0)
-        state = prepare_state(z0, stream, params, COV_OFF, COV_OFF)
         with pytest.raises(DivergenceError):
-            for _ in range(50):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", CFLWarning)
-                    state = step_imex(state, params, stream, 10.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CFLWarning)
+                for _ in evolve(500.0, stream, (z0,), params, COV_OFF, COV_OFF):
+                    pass
 
     def test_overflowing_synthesis_is_a_divergence(self, grid32):
         # finite coefficients whose nodal values overflow: the CFL speed
@@ -159,22 +160,19 @@ class TestStepImex:
         coeffs = np.zeros(grid32.shape)
         coeffs[1:20, 1:20] = 1e306
         z0 = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeffs)
-        stream = NoiseStream(seed=8, dt=0.01)
-        state = prepare_state(z0, stream, PARAMS, COV_OFF, COV_OFF)
         for check_cfl in (True, False):
             with pytest.raises(DivergenceError):
-                step_imex(state, PARAMS, stream, 0.01, check_cfl=check_cfl)
+                step_imex(z0, np.zeros(grid32.shape), PARAMS, 0.01, 0, check_cfl=check_cfl)
 
     def test_cfl_check_leaves_the_step_unchanged(self, grid32):
         stream = NoiseStream(seed=11, dt=0.01)
-        start = prepare_state(masked_field(grid32, 11), stream, PARAMS, COV1, COV2)
-        states = {}
-        for check_cfl in (True, False):
-            state = start
-            for _ in range(5):
-                state = step_imex(state, PARAMS, stream, 0.01, check_cfl=check_cfl)
-            states[check_cfl] = state
-        assert np.array_equal(states[True].z.coeffs, states[False].z.coeffs)
+        start = (masked_field(grid32, 11),)
+        states = {
+            check_cfl: last(evolve(0.05, stream, start, PARAMS, COV1, COV2, check_cfl=check_cfl))
+            for check_cfl in (True, False)
+        }
+        assert states[True].step == 5
+        assert np.array_equal(states[True].members[0].coeffs, states[False].members[0].coeffs)
         assert np.array_equal(states[True].coeff.zw1, states[False].coeff.zw1)
         assert np.array_equal(states[True].coeff.zw2, states[False].coeff.zw2)
 
@@ -183,73 +181,81 @@ class TestStepImex:
         # s = z + w, its streamfunction, the operators' own results and the
         # new z; the dealias, friction, beta scaling and solve are arrays
         stream = NoiseStream(seed=12, dt=0.01)
-        state = prepare_state(masked_field(grid32, 12), stream, PARAMS, COV1, COV2)
+        z = masked_field(grid32, 12)
+        w = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), stream).combined()
         field_inits[0] = 0
-        step_imex(state, PARAMS, stream, 0.01, check_cfl=check_cfl)
+        step_imex(z, w, PARAMS, 0.01, 0, check_cfl=check_cfl)
         assert field_inits[0] <= 7
 
     def test_cfl_warning(self, grid32):
-        z0 = random_field(grid32, seed=9, scale=100.0)
-        stream = NoiseStream(seed=9, dt=0.1)
-        state = prepare_state(z0, stream, PARAMS, COV_OFF, COV_OFF)
+        z0 = dealias(random_field(grid32, seed=9, scale=100.0))
         with pytest.warns(CFLWarning):
-            step_imex(state, PARAMS, stream, 0.1)
-
-    def test_dt_must_match_stream(self, grid32):
-        stream = NoiseStream(seed=10, dt=0.01)
-        state = prepare_state(masked_field(grid32, 10), stream, PARAMS, COV1, COV2)
-        with pytest.raises(ValueError):
-            step_imex(state, PARAMS, stream, 0.02)
+            step_imex(z0, np.zeros(grid32.shape), PARAMS, 0.1, 0)
 
 
 class TestEvolve:
     def test_zero_time_is_identity(self, grid32):
         z0 = masked_field(grid32, 11)
-        out = evolve(0.0, NoiseStream(seed=11, dt=0.01), z0, PARAMS, COV1, COV2)
-        assert np.array_equal(out.z.coeffs, z0.coeffs)
+        (out,) = evolve(0.0, NoiseStream(seed=11, dt=0.01), (z0,), PARAMS, COV1, COV2)
+        assert np.array_equal(out.members[0].coeffs, z0.coeffs)
 
     def test_determinism(self, grid32):
         z0 = masked_field(grid32, 12)
-        a = evolve(0.3, NoiseStream(seed=12, dt=0.01), z0, PARAMS, COV1, COV2, check_cfl=False)
-        b = evolve(0.3, NoiseStream(seed=12, dt=0.01), z0, PARAMS, COV1, COV2, check_cfl=False)
-        assert np.array_equal(a.z.coeffs, b.z.coeffs)
+        a = last(evolve(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        b = last(evolve(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        assert np.array_equal(a.members[0].coeffs, b.members[0].coeffs)
 
     def test_time_must_be_step_multiple(self, grid32):
         with pytest.raises(ConfigError):
-            evolve(0.015, NoiseStream(seed=13, dt=0.01), masked_field(grid32, 13), PARAMS, COV1, COV2)
+            next(evolve(0.015, NoiseStream(seed=13, dt=0.01), (masked_field(grid32, 13),), PARAMS, COV1, COV2))
 
-    def test_observer_sees_every_state(self, grid32):
-        seen = []
-        evolve(
+    def test_yields_every_state(self, grid32):
+        states = evolve(
             0.05,
             NoiseStream(seed=14, dt=0.01),
-            masked_field(grid32, 14),
+            (masked_field(grid32, 14),),
             PARAMS,
             COV1,
             COV2,
-            observer=lambda s: seen.append(s.step),
             check_cfl=False,
         )
+        seen = [s.step for s in states]
         assert seen == list(range(6))
+
+    def test_sharing_the_chain_changes_no_members_path(self, grid32):
+        # member a's z and the chain are the same bits alone and in a pair
+        a, b = masked_field(grid32, 22), masked_field(grid32, 23)
+        stream = NoiseStream(seed=22, dt=0.01)
+        pair = list(evolve(0.2, stream, (a, b), PARAMS, COV1, COV2, check_cfl=False))
+        alone = list(evolve(0.2, stream, (a,), PARAMS, COV1, COV2, check_cfl=False))
+        assert len(pair) == len(alone) == 21
+        for shared, single in zip(pair, alone):
+            assert shared.step == single.step
+            assert np.array_equal(shared.members[0].coeffs, single.members[0].coeffs)
+            assert np.array_equal(shared.coeff.zw1, single.coeff.zw1)
+            assert np.array_equal(shared.coeff.zw2, single.coeff.zw2)
+        assert not np.array_equal(pair[-1].members[1].coeffs, pair[-1].members[0].coeffs)
 
     def test_continuity_in_initial_state(self, grid32):
         # the flow map is continuous in z0: the response to a perturbation
         # eps * e1 shrinks linearly with eps (finite slope)
         z0 = masked_field(grid32, 21, scale=0.2)
         e1 = mode_field(grid32, Basis.NEUMANN_COSINE, {(1, 0): 1.0})
-        base = evolve(0.5, NoiseStream(seed=21, dt=0.01), z0, PARAMS, COV1, COV2, check_cfl=False)
+        base = last(evolve(0.5, NoiseStream(seed=21, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
         gaps = []
         for eps in (1e-3, 5e-4, 2.5e-4):
-            pert = evolve(
-                0.5,
-                NoiseStream(seed=21, dt=0.01),
-                Field(grid32, Basis.NEUMANN_COSINE, coeffs=z0.coeffs + eps * e1.coeffs),
-                PARAMS,
-                COV1,
-                COV2,
-                check_cfl=False,
+            pert = last(
+                evolve(
+                    0.5,
+                    NoiseStream(seed=21, dt=0.01),
+                    (Field(grid32, Basis.NEUMANN_COSINE, coeffs=z0.coeffs + eps * e1.coeffs),),
+                    PARAMS,
+                    COV1,
+                    COV2,
+                    check_cfl=False,
+                )
             )
-            gaps.append(norm_l2(pert.z - base.z))
+            gaps.append(norm_l2(pert.members[0] - base.members[0]))
         slopes = [g / eps for g, eps in zip(gaps, (1e-3, 5e-4, 2.5e-4))]
         assert gaps[0] > gaps[1] > gaps[2]
         assert slopes[0] == pytest.approx(slopes[2], rel=0.05)  # finite, stable slope
@@ -278,21 +284,22 @@ class TestCocycle:
 class TestUntransform:
     def test_zero_coefficients_identity(self, grid32):
         z = masked_field(grid32, 18)
-        state = prepare_state(z, NoiseStream(seed=18, dt=0.01), PARAMS, COV_OFF, COV_OFF)
-        u = untransform(state)
-        assert np.array_equal(u.coeffs, state.z.coeffs)
+        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=18, dt=0.01))
+        u = untransform(z, coeff)
+        assert np.array_equal(u.coeffs, z.coeffs)
         assert dirichlet_poisson(u).basis is Basis.DIRICHLET_SINE
 
     def test_transform_untransform_round_trip(self, grid32):
-        state = prepare_state(masked_field(grid32, 19), NoiseStream(seed=19, dt=0.01), PARAMS, COV1, COV2)
-        u = untransform(state)
-        back = Field(grid32, Basis.NEUMANN_COSINE, coeffs=u.coeffs - state.coeff.zw1 - state.coeff.zw2)
-        assert norm_l2(back - state.z) < 1e-14 * max(norm_l2(u), 1.0)
+        z = masked_field(grid32, 19)
+        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=19, dt=0.01))
+        u = untransform(z, coeff)
+        back = Field(grid32, Basis.NEUMANN_COSINE, coeffs=u.coeffs - coeff.zw1 - coeff.zw2)
+        assert norm_l2(back - z) < 1e-14 * max(norm_l2(u), 1.0)
 
     def test_streamfunction_vanishes_on_boundary(self, grid32):
-        state = prepare_state(masked_field(grid32, 20), NoiseStream(seed=20, dt=0.01), PARAMS, COV1, COV2)
-        state = step_imex(state, PARAMS, NoiseStream(seed=20, dt=0.01), 0.01, check_cfl=False)
-        nod = dirichlet_poisson(untransform(state)).nodal
+        stream = NoiseStream(seed=20, dt=0.01)
+        _, state = evolve(0.01, stream, (masked_field(grid32, 20),), PARAMS, COV1, COV2, check_cfl=False)
+        nod = dirichlet_poisson(untransform(state.members[0], state.coeff)).nodal
         edge = max(
             np.max(np.abs(nod[0, :])),
             np.max(np.abs(nod[-1, :])),

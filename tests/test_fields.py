@@ -276,7 +276,21 @@ class TestDensePath:
         for values in _edge_inputs(grid, np.random.default_rng(24)):
             coeffs = np.where(retained_mask(grid, basis), values, 0.0)
             assert _same_bits(coeffs_from_nodal(values, basis, grid), fields._fft_coeffs_from_nodal(values, basis, n))
-            assert _same_bits(nodal_from_coeffs(coeffs, basis, grid), fields._fft_nodal_from_coeffs(coeffs, basis, n))
+            # the public synthesis also writes +0.0 on the sine edges, where the FFT's may be -0.0
+            fft = fields._fft_nodal_from_coeffs(coeffs, basis, n)
+            fft[_sine_edges(grid, basis)] = 0.0
+            assert _same_bits(nodal_from_coeffs(coeffs, basis, grid), fft)
+
+    @pytest.mark.parametrize("n", [32, 128, 256])
+    @pytest.mark.parametrize("basis", [b for b in Basis if "sin" in b.value])
+    def test_no_negative_zero_on_sine_edges(self, n, basis):
+        # one sign rule on both sides of DENSE_BELOW_N: every sine-edge node is +0.0
+        grid = GridSpec(n)
+        coeffs = np.random.default_rng(25).standard_normal(grid.shape) * retained_mask(grid, basis)
+        v = nodal_from_coeffs(coeffs, basis, grid)
+        edges = _sine_edges(grid, basis)
+        assert np.all(v[edges] == 0.0)
+        assert not np.signbit(v[edges]).any()
 
 
 class TestInnerAndNorms:

@@ -32,8 +32,7 @@ from qgsync.operators import (
 )
 from qgsync.operators import _diff, _difference_operators, _grad_nodal, _jacobian_nodal
 
-from qgsync.dynamics import prepare_state
-from qgsync.noise import NoiseStream
+from qgsync.noise import NoiseStream, OUKernel, ou_init
 
 from conftest import mode_field, nodes, random_field
 from test_dynamics import COV1, COV2, PARAMS, masked_field
@@ -313,8 +312,8 @@ class TestBilinearForm:
     def test_cross_term_inner_product_identity(self, grid32):
         # <(-B(z,w) - B(w,z)), z> == <-B(z,w), z> because <B(w,z), z> = 0
         z = masked_field(grid32, 3, scale=0.5)
-        state = prepare_state(z, NoiseStream(seed=3, dt=0.01), PARAMS, COV1, COV2)
-        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=state.coeff.combined())
+        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=3, dt=0.01))
+        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeff.combined())
         b_zw = bilinear_b(z, w).coeffs
         cross = Field(grid32, Basis.NEUMANN_COSINE, coeffs=-(b_zw + bilinear_b(w, z).coeffs))
         lhs = inner(cross, z)

@@ -59,6 +59,30 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert unreferenced_public_definitions(PACKAGE) == ALLOWED_UNREFERENCED
 
 
+def definitions_naming(package: Path, name: str) -> set[str]:
+    """`module.definition` of each top-level definition in the package that names `name`.
+
+    Module-level statements other than definitions count as `module.<module>`;
+    imports are not names, and a definition does not count for its own name.
+    """
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            owner = getattr(node, "name", "<module>")
+            if owner != name and name in set(_names(node)):
+                found.add(f"{path.stem}.{owner}")
+    return found
+
+
+def test_one_stepping_loop():
+    # `evolve` steps every member and advances the shared chain once per
+    # step; the radius window is the one chain that no field rides on
+    assert definitions_naming(PACKAGE, "step_imex") == {"dynamics.evolve"}
+    assert definitions_naming(PACKAGE, "ou_step") == {"dynamics.evolve", "analysis._coefficient_window"}
+
+
 def unused_imports(paths) -> set[str]:
     """`module: name` for each imported name that its module never names.
 
