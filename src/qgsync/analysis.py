@@ -73,25 +73,32 @@ class DecayConditionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _rates(params: ModelParams, constants: OperatorConstants) -> tuple[float, float]:
+    """(a, c) of the radius integrand exp(a*tau + c * int_tau^0 |grad w|^2) R.
+
+    a = lambda1*nu - 2*beta*c_gx + 2r is the deterministic damping and
+    c = 3 c_b^2 / nu the gain of |grad w|^2; the only place either is formed.
+    """
+    a = constants.lambda1 * params.nu - 2.0 * params.beta * constants.c_gx + 2.0 * params.r
+    c = 3.0 * constants.c_b**2 / params.nu
+    return a, c
+
+
 def driver_from_norms(
     w_l2_sq: float, w_h1_sq: float, params: ModelParams, constants: OperatorConstants
 ) -> float:
     """Driver R as a function of |w|^2 and |grad w|^2 (pure arithmetic)."""
     quad = 3.0 * (constants.c_gx * params.beta + params.r) ** 2 / (params.nu * constants.lambda1)
-    mix = 3.0 * constants.c_b**2 / params.nu
+    _, mix = _rates(params, constants)
     return quad * w_l2_sq + mix * w_l2_sq * w_h1_sq
 
 
 def decay_margin(
     params: ModelParams, constants: OperatorConstants, grad2_mean: float
 ) -> float:
-    """lambda1*nu + 2r - 2*c_gx*beta - (3 c_b^2 / nu) * E|grad w|^2."""
-    return (
-        constants.lambda1 * params.nu
-        + 2.0 * params.r
-        - 2.0 * constants.c_gx * params.beta
-        - 3.0 * constants.c_b**2 / params.nu * grad2_mean
-    )
+    """a - c * E|grad w|^2 = lambda1*nu + 2r - 2*c_gx*beta - (3 c_b^2 / nu) * E|grad w|^2."""
+    a, c = _rates(params, constants)
+    return a - c * grad2_mean
 
 
 def _trapz(values: np.ndarray, dx: float) -> float:
@@ -117,8 +124,7 @@ def rho_squared_from_series(
     r_series = np.asarray(r_series, dtype=float)
     m = g_series.size
     taus = -dt * np.arange(m - 1, -1, -1)
-    a = constants.lambda1 * params.nu - 2.0 * params.beta * constants.c_gx + 2.0 * params.r
-    c = 3.0 * constants.c_b**2 / params.nu
+    a, c = _rates(params, constants)
     # inner integral of g from tau to 0, cumulative trapezoid from the right
     inner = np.zeros(m)
     if m > 1:
@@ -129,25 +135,21 @@ def rho_squared_from_series(
 
 
 def propagate_rho_squared(
-    rho2: float,
-    g_old: float,
-    g_new: float,
-    r_old: float,
-    r_new: float,
-    dt: float,
-    params: ModelParams,
-    constants: OperatorConstants,
-) -> float:
-    """One step of the affine radius recursion.
+    rho2: float, g: np.ndarray, r: np.ndarray, dt: float, params: ModelParams, constants: OperatorConstants
+) -> np.ndarray:
+    """rho^2 along a sampled path of |grad w|^2 and R, from its value at sample 0.
 
-    This is exactly how one more sample extends the trapezoid quadrature,
-    so the propagated value tracks `rho_squared_from_series` on the
-    shifted path to round-off (up to the truncated tail).
+    Each step is the affine recursion by which one more sample extends the
+    trapezoid quadrature, so entry k tracks `rho_squared_from_series` on
+    the path shifted by k samples to round-off (up to the truncated tail).
     """
-    a = constants.lambda1 * params.nu - 2.0 * params.beta * constants.c_gx + 2.0 * params.r
-    c = 3.0 * constants.c_b**2 / params.nu
-    growth = math.exp(-a * dt + c * 0.5 * dt * (g_old + g_new))
-    return growth * rho2 + 0.5 * dt * (growth * r_old + r_new)
+    a, c = _rates(params, constants)
+    path = np.empty(len(g))
+    path[0] = rho2
+    for k in range(1, len(g)):
+        growth = math.exp(-a * dt + c * 0.5 * dt * (g[k - 1] + g[k]))
+        path[k] = growth * path[k - 1] + 0.5 * dt * (growth * r[k - 1] + r[k])
+    return path
 
 
 def default_rho_window(
@@ -187,13 +189,7 @@ def _block_driver(
 
 
 def _coefficient_window(
-    stream: NoiseStream,
-    params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
-    grid: GridSpec,
-    steps: int,
-    constants: OperatorConstants,
+    kernel: OUKernel, stream: NoiseStream, steps: int, params: ModelParams, constants: OperatorConstants
 ):
     """Simulate the coefficient processes from relative step -steps up to 0.
 
@@ -205,9 +201,9 @@ def _coefficient_window(
     and the norms and R of a full buffer are taken in one go.
     """
     past = wiener_shift(stream, -steps * stream.dt)
-    state = ou_init(OUKernel(grid, params.nu, cov1, cov2, stream.dt), past)
-    lam = laplacian_eigenvalues(grid)
-    block = np.empty((_NORM_BLOCK, *grid.shape))
+    state = ou_init(kernel, past)
+    lam = laplacian_eigenvalues(kernel.grid)
+    block = np.empty((_NORM_BLOCK, *kernel.grid.shape))
     g = np.empty(steps + 1)
     r = np.empty(steps + 1)
     for j in range(steps + 1):
@@ -221,21 +217,14 @@ def _coefficient_window(
 
 
 def _stationary_draws(
-    stream: NoiseStream,
-    params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
-    grid: GridSpec,
-    offsets: range,
-    constants: OperatorConstants,
+    kernel: OUKernel, stream: NoiseStream, offsets: range, params: ModelParams, constants: OperatorConstants
 ) -> tuple[np.ndarray, np.ndarray]:
     """|grad w|^2 and R of independent stationary draws, one per step offset.
 
     Draw j reads the stream shifted by `offsets[j]` steps; the draws are
     taken `_NORM_BLOCK` at a time through `_block_driver`.
     """
-    kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
-    lam = laplacian_eigenvalues(grid)
+    lam = laplacian_eigenvalues(kernel.grid)
     g = np.empty(len(offsets))
     r = np.empty(len(offsets))
     for lo in range(0, len(offsets), _NORM_BLOCK):
@@ -246,17 +235,15 @@ def _stationary_draws(
 
 
 def _rho_with_state(
+    kernel: OUKernel,
     stream: NoiseStream,
+    window: float | None,
     params: ModelParams,
     constants: OperatorConstants,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
-    grid: GridSpec,
-    window: float | None,
 ):
     """rho^2 at the stream's origin, with the window's (g, r, final coefficient state)."""
     # plug-in estimate of E|grad w|^2 from 256 independent stationary draws
-    g, _ = _stationary_draws(stream, params, cov1, cov2, grid, range(0, -256, -1), constants)
+    g, _ = _stationary_draws(kernel, stream, range(0, -256, -1), params, constants)
     grad2 = float(np.mean(g))
     if window is None:
         window = default_rho_window(params, constants, grad2)
@@ -265,7 +252,7 @@ def _rho_with_state(
             "mean-damping margin is nonpositive for the plug-in gradient estimate"
         )
     steps = max(2, int(round(window / stream.dt)))
-    g, r, state = _coefficient_window(stream, params, cov1, cov2, grid, steps, constants)
+    g, r, state = _coefficient_window(kernel, stream, steps, params, constants)
     rho2 = rho_squared_from_series(g, r, stream.dt, params, constants)
     return rho2, (g, r, state)
 
@@ -296,13 +283,12 @@ def radius_invariance_experiment(
     """
     if constants is None:
         constants = estimate_constants(grid, seed=0)
+    kernel = OUKernel(grid, params.nu, cov1, cov2, dt)
     lam = laplacian_eigenvalues(grid)
     reports = []
     for seed in sorted(seeds):
         stream = NoiseStream(seed=seed, dt=dt)
-        rho2_0, (g, r, coeff0) = _rho_with_state(
-            stream, params, constants, cov1, cov2, grid, window
-        )
+        rho2_0, (g, r, coeff0) = _rho_with_state(kernel, stream, window, params, constants)
         rho0 = math.sqrt(max(rho2_0, 0.0))
         rng = np.random.default_rng((seed, 0xABCD))
         direction = dealias(random_field(grid, rng)).coeffs
@@ -311,30 +297,23 @@ def radius_invariance_experiment(
         z0_coeffs = direction / dnorm * scale if dnorm > 0 else direction * 0.0
         z0 = Field(grid, Basis.NEUMANN_COSINE, coeffs=z0_coeffs)
 
+        # g and R continue the window's series from its last sample, time 0
+        g_path, r_path, z2 = [g[-1]], [r[-1]], []
         start = CocycleState(step=0, members=(z0,), coeff=coeff0)
         states = evolve(t_end, stream, start, params, cov1, cov2, check_cfl=False)
         next(states)  # the start state
-        zeta = rho2_0
-        g_old = g[-1]
-        r_old = r[-1]
-        violations = 0
-        max_excursion = 0.0
         for state in states:
-            w = state.coeff.combined()
-            (g_new,), (r_new,) = _block_driver(w[np.newaxis], lam, params, constants)
-            zeta = propagate_rho_squared(
-                zeta, g_old, g_new, r_old, r_new, dt, params, constants
-            )
-            g_old, r_old = g_new, r_new
-            z2 = norm_l2(state.members[0]) ** 2
-            if zeta > 0:
-                excursion = z2 / zeta - 1.0
-                max_excursion = max(max_excursion, excursion)
-                if excursion > RADIUS_SLACK:
-                    violations += 1
-            elif z2 > 1e-300:
-                violations += 1
-                max_excursion = math.inf
+            (g_new,), (r_new,) = _block_driver(state.coeff.combined()[np.newaxis], lam, params, constants)
+            g_path.append(g_new)
+            r_path.append(r_new)
+            z2.append(norm_l2(state.members[0]) ** 2)
+        g_path, r_path, z2 = np.array(g_path), np.array(r_path), np.array(z2)
+        zeta = propagate_rho_squared(rho2_0, g_path, r_path, dt, params, constants)[1:]
+        # a positive |z|^2 against a nonpositive rho^2 is an unbounded excursion
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            excursion = np.where(zeta > 0, z2 / zeta - 1.0, np.where(z2 > 1e-300, np.inf, 0.0))
+        violations = int(np.count_nonzero(excursion > RADIUS_SLACK))
+        max_excursion = float(np.fmax.reduce(excursion, initial=0.0))
         reports.append(
             {
                 "seed": seed,
@@ -355,6 +334,17 @@ def radius_invariance_experiment(
 # ---------------------------------------------------------------------------
 # Contraction condition
 # ---------------------------------------------------------------------------
+
+
+def _moment(vals: np.ndarray, power: int) -> dict:
+    """Mean and standard error of vals**power; `DecayConditionError` when either is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = vals**power
+        mean = float(np.mean(x))
+        se = float(np.std(x, ddof=1) / math.sqrt(x.size))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise DecayConditionError("a sampled moment is not finite; the moments are not estimable")
+    return {"mean": mean, "se": se}
 
 
 @dataclass
@@ -407,36 +397,23 @@ def check_condition(
     propagated radius path (burn-in of one quadrature window).  Each
     summand is formed with the plug-in constants and reported with the
     standard error it inherits from its estimate.  A draw whose
-    |grad w|^2 or R is not finite is refused with `DecayConditionError`.
+    |grad w|^2 or R is not finite, or a moment whose mean or standard
+    error is not finite, is refused with `DecayConditionError`.
     """
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
     if constants is None:
         constants = estimate_constants(grid, seed=stream.seed & 0xFFFF)
+    kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
 
-    g_vals, r_vals = _stationary_draws(
-        stream, params, cov1, cov2, grid, range(-1, -samples - 1, -1), constants
-    )
+    g_vals, r_vals = _stationary_draws(kernel, stream, range(-1, -samples - 1, -1), params, constants)
     if not (np.isfinite(g_vals).all() and np.isfinite(r_vals).all()):
         raise DecayConditionError(
             "a sampled |grad w|^2 or driver R is not finite; the moments are not estimable"
         )
 
-    def mean_se(vals: np.ndarray) -> tuple[float, float]:
-        m = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-        return m, se
-
-    e_grad2, se_grad2 = mean_se(g_vals)
-    e_grad4, se_grad4 = mean_se(g_vals**2)
-    e_r, se_r = mean_se(r_vals)
-
-    estimates = {
-        "E_grad2": {"mean": e_grad2, "se": se_grad2},
-        "E_grad4": {"mean": e_grad4, "se": se_grad4},
-        "E_R": {"mean": e_r, "se": se_r},
-    }
-
+    estimates = {"E_grad2": _moment(g_vals, 1), "E_grad4": _moment(g_vals, 2), "E_R": _moment(r_vals, 1)}
+    e_grad2 = estimates["E_grad2"]["mean"]
     margin = decay_margin(params, constants, e_grad2)
     if margin <= 0:
         estimates["E_rho2"] = None
@@ -456,63 +433,36 @@ def check_condition(
         )
 
     # one long radius path: burn one window, then decimate
-    window = 20.0 / margin
-    burn_steps = max(2, int(round(window / stream.dt)))
-    gap = max(1, int(round(CONDITION_GAP_TIME / stream.dt)))
-    total = burn_steps + samples * gap
-    g_ser, r_ser, _ = _coefficient_window(
-        wiener_shift(stream, total * stream.dt), params, cov1, cov2, grid, total, constants
-    )
-    zeta = rho_squared_from_series(
-        g_ser[: burn_steps + 1], r_ser[: burn_steps + 1], stream.dt, params, constants
-    )
-    rho2_samples = np.empty(samples)
-    idx = burn_steps
-    for i in range(samples):
-        for _ in range(gap):
-            zeta = propagate_rho_squared(
-                zeta,
-                g_ser[idx],
-                g_ser[idx + 1],
-                r_ser[idx],
-                r_ser[idx + 1],
-                stream.dt,
-                params,
-                constants,
-            )
-            idx += 1
-        rho2_samples[i] = zeta
-    e_rho2, se_rho2 = mean_se(rho2_samples)
-    e_rho4, se_rho4 = mean_se(rho2_samples**2)
-    estimates["E_rho2"] = {"mean": e_rho2, "se": se_rho2}
-    estimates["E_rho4"] = {"mean": e_rho4, "se": se_rho4}
+    dt = stream.dt
+    burn = max(2, int(round(default_rho_window(params, constants, e_grad2) / dt)))
+    gap = max(1, int(round(CONDITION_GAP_TIME / dt)))
+    total = burn + samples * gap
+    g, r, _ = _coefficient_window(kernel, wiener_shift(stream, total * dt), total, params, constants)
+    rho2_burn = rho_squared_from_series(g[: burn + 1], r[: burn + 1], dt, params, constants)
+    rho2 = propagate_rho_squared(rho2_burn, g[burn:], r[burn:], dt, params, constants)[gap::gap]
+    estimates["E_rho2"] = _moment(rho2, 1)
+    estimates["E_rho4"] = _moment(rho2, 2)
 
-    nu, r, beta = params.nu, params.r, params.beta
+    nu, beta = params.nu, params.beta
     cb2 = constants.c_b**2
-    coeff_grad2 = 3.0 * cb2 / nu
-    coeff_rho2 = 2.0 * cb2 / nu**2 * (1.0 + 2.0 * math.sqrt(constants.lambda1) * constants.c_gx * beta)
-    coeff_rho4 = cb2 / nu
-    coeff_grad4 = cb2 / nu
-    coeff_r = 2.0 / nu
-
+    _, c = _rates(params, constants)
+    rho2_gain = 2.0 * cb2 / nu**2 * (1.0 + 2.0 * math.sqrt(constants.lambda1) * constants.c_gx * beta)
+    # estimated summand -> (coefficient, estimate), in the order of the sums
+    estimated = {
+        "grad2": (c, "E_grad2"),
+        "rho2": (rho2_gain, "E_rho2"),
+        "rho4": (cb2 / nu, "E_rho4"),
+        "grad4": (cb2 / nu, "E_grad4"),
+        "driver_mean": (2.0 / nu, "E_R"),
+    }
     terms = {
         "viscous_damping": -nu * constants.lambda1,
         "beta_drift": 2.0 * beta * constants.c_gx,
-        "friction_damping": -2.0 * r,
-        "grad2": coeff_grad2 * e_grad2,
-        "rho2": coeff_rho2 * e_rho2,
-        "rho4": coeff_rho4 * e_rho4,
-        "grad4": coeff_grad4 * e_grad4,
-        "driver_mean": coeff_r * e_r,
+        "friction_damping": -2.0 * params.r,
+        **{name: coeff * estimates[key]["mean"] for name, (coeff, key) in estimated.items()},
     }
     lhs = float(sum(terms.values()))
-    se_lhs = math.sqrt(
-        (coeff_grad2 * se_grad2) ** 2
-        + (coeff_rho2 * se_rho2) ** 2
-        + (coeff_rho4 * se_rho4) ** 2
-        + (coeff_grad4 * se_grad4) ** 2
-        + (coeff_r * se_r) ** 2
-    )
+    se_lhs = math.sqrt(sum((coeff * estimates[key]["se"]) ** 2 for coeff, key in estimated.values()))
     margin_se = (-lhs / se_lhs) if se_lhs > 0 else None
     return ConditionReport(
         terms=terms,
@@ -572,7 +522,6 @@ def synchronization_experiment(
     params: ModelParams,
     cov1: CovarianceSpec,
     cov2: CovarianceSpec,
-    grid: GridSpec,
     z0_a: Field,
     z0_b: Field,
     t_end: float,

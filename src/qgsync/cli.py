@@ -273,7 +273,7 @@ def cmd_synchronize(config: RunConfig, outdir: str) -> int:
         z0a = random_field(grid, rng, 0.05)
         z0b = random_field(grid, rng, 0.05)
         report = analysis.synchronization_experiment(
-            seed, params, cov1, cov2, grid, z0a, z0b, config.t_end, config.dt
+            seed, params, cov1, cov2, z0a, z0b, config.t_end, config.dt
         )
         all_converged = all_converged and report.converged
         write_csv(

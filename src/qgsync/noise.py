@@ -280,26 +280,16 @@ class OUKernel:
             zw2[self.w2_index] = w2 * g2
         return zw1, zw2
 
-    def stationary_sample(self, stream: NoiseStream) -> tuple[np.ndarray, np.ndarray]:
-        """Exact stationary draw; reads the reserved block at relative step -1."""
-        g1, g2 = self._blocks(stream, -1, init=True)
-        return self._assemble(g1, g2, self.w1_stat, self.w2_stat)
-
-    def advance(
-        self, zw1: np.ndarray, zw2: np.ndarray, stream: NoiseStream, step: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        g1, g2 = self._blocks(stream, step, init=False)
-        i1, i2 = self._assemble(g1, g2, self.w1_step, self.w2_step)
-        return self.decay * zw1 + i1, self.decay * zw2 + i2
-
 
 def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
     """Sample the exact stationary law of both coefficient processes at t = 0.
 
     Boundary-channel amplitudes are drawn first and mapped through the lift,
-    so modes sharing an edge channel come out correlated.
+    so modes sharing an edge channel come out correlated.  The draw reads
+    the reserved block at relative step -1.
     """
-    zw1, zw2 = kernel.stationary_sample(stream)
+    g1, g2 = kernel._blocks(stream, -1, init=True)
+    zw1, zw2 = kernel._assemble(g1, g2, kernel.w1_stat, kernel.w2_stat)
     return CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel)
 
 
@@ -309,8 +299,11 @@ def ou_step(state: CoefficientState, stream: NoiseStream, step: int) -> Coeffici
     The increments are the stream's normals of `step`, the step being taken.
     """
     kernel = state.kernel
-    zw1, zw2 = kernel.advance(state.zw1, state.zw2, stream, step)
-    return CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel)
+    g1, g2 = kernel._blocks(stream, step, init=False)
+    i1, i2 = kernel._assemble(g1, g2, kernel.w1_step, kernel.w2_step)
+    return CoefficientState(
+        zw1=kernel.decay * state.zw1 + i1, zw2=kernel.decay * state.zw2 + i2, kernel=kernel
+    )
 
 
 def temperedness_diagnostic(series, horizon: float) -> float:

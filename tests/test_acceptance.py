@@ -199,7 +199,7 @@ def test_criterion_5_linear_rate():
     z0a = Field.zeros(GRID, Basis.NEUMANN_COSINE)
     z0b = mode_field(GRID, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
     rep = synchronization_experiment(
-        5, params, COV_OFF, COV_OFF, GRID, z0a, z0b, t_end=2.0, dt=1e-3
+        5, params, COV_OFF, COV_OFF, z0a, z0b, t_end=2.0, dt=1e-3
     )
     ref = -(math.pi**2 + 2.0)
     assert rep.fitted_rate < 0
@@ -247,7 +247,7 @@ def test_criterion_7_synchronization_at_scale():
         z0a = dealias(Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask))
         z0b = dealias(Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask))
         rep = synchronization_experiment(
-            seed, PARAMS, COV1, COV2, GRID, z0a, z0b, t_end=t_end, dt=DT
+            seed, PARAMS, COV1, COV2, z0a, z0b, t_end=t_end, dt=DT
         )
         if rep.converged and rep.fitted_rate < 0 and rep.distances[-1] < 1e-6 * rep.distances[0]:
             good += 1

@@ -1,5 +1,7 @@
 """Radius quadrature, contraction condition, synchronization diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,8 @@ class TestCoefficientWindow:
     )
     def test_matches_per_step_loop(self, grid32, steps, cov1, cov2):
         stream = NoiseStream(seed=913, dt=0.01)
-        g, r, state = _coefficient_window(stream, PARAMS, cov1, cov2, grid32, steps, CONSTS)
+        kernel = OUKernel(grid32, PARAMS.nu, cov1, cov2, stream.dt)
+        g, r, state = _coefficient_window(kernel, stream, steps, PARAMS, CONSTS)
         g_ref, r_ref, state_ref = self.reference(stream, cov1, cov2, grid32, steps)
         assert np.array_equal(g, g_ref)
         assert np.array_equal(r, r_ref)
@@ -98,7 +101,8 @@ class TestCoefficientWindow:
         assert np.array_equal(state.zw2, state_ref.zw2)
 
     def test_window_builds_no_field(self, grid32, field_inits):
-        _coefficient_window(NoiseStream(seed=3, dt=0.01), PARAMS, COV1, COV2, grid32, 100, CONSTS)
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        _coefficient_window(kernel, NoiseStream(seed=3, dt=0.01), 100, PARAMS, CONSTS)
         assert field_inits[0] == 0
 
     def test_block_squares_like_python_floats(self):
@@ -119,9 +123,8 @@ class TestCoefficientWindow:
 
 class TestRadiusQuadrature:
     def test_noise_off_gives_zero(self, grid32):
-        rho2, _ = _rho_with_state(
-            NoiseStream(seed=3, dt=0.01), PARAMS, CONSTS, COV_OFF, COV_OFF, grid32, window=1.0
-        )
+        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        rho2, _ = _rho_with_state(kernel, NoiseStream(seed=3, dt=0.01), 1.0, PARAMS, CONSTS)
         assert rho2 == 0.0
 
     def test_frozen_coefficients_closed_form(self):
@@ -156,22 +159,34 @@ class TestRadiusQuadrature:
         dt = 0.01
         stream = NoiseStream(seed=4, dt=dt)
         steps = 400
-        g, r, _ = _coefficient_window(
-            wiener_shift_local(stream, dt), PARAMS, COV1, COV2, grid32, steps + 1, CONSTS
-        )
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
+        g, r, _ = _coefficient_window(kernel, wiener_shift_local(stream, dt), steps + 1, PARAMS, CONSTS)
         rho2_old = rho_squared_from_series(g[:-1], r[:-1], dt, PARAMS, CONSTS)
         rho2_new = rho_squared_from_series(g[1:], r[1:], dt, PARAMS, CONSTS)
-        prop = propagate_rho_squared(
-            rho2_old, g[-2], g[-1], r[-2], r[-1], dt, PARAMS, CONSTS
-        )
+        prop = propagate_rho_squared(rho2_old, g[-2:], r[-2:], dt, PARAMS, CONSTS)[-1]
         assert prop == pytest.approx(rho2_new, rel=0.01)
+
+    def test_path_is_the_scalar_recursion(self):
+        # the whole path against the recursion written out one sample at a time, bit for bit
+        rng = np.random.default_rng(27)
+        dt = 0.01
+        g = rng.uniform(0.0, 40.0, 50)
+        r = rng.uniform(0.0, 3.0, 50)
+        a = CONSTS.lambda1 * PARAMS.nu - 2.0 * PARAMS.beta * CONSTS.c_gx + 2.0 * PARAMS.r
+        c = 3.0 * CONSTS.c_b**2 / PARAMS.nu
+        expected = [0.37]
+        for k in range(49):
+            growth = math.exp(-a * dt + c * 0.5 * dt * (g[k] + g[k + 1]))
+            expected.append(growth * expected[-1] + 0.5 * dt * (growth * r[k] + r[k + 1]))
+        assert np.array_equal(propagate_rho_squared(0.37, g, r, dt, PARAMS, CONSTS), expected)
 
     def test_monotone_in_amplitude(self, grid32):
         rho2s = []
         for amp in (1e-4, 4e-4, 1.6e-3):
             c1 = CovarianceSpec(amp, 3.0, 4)
             c2 = CovarianceSpec(amp, 2.5, 4)
-            rho2, _ = _rho_with_state(NoiseStream(seed=5, dt=0.01), PARAMS, CONSTS, c1, c2, grid32, None)
+            kernel = OUKernel(grid32, PARAMS.nu, c1, c2, 0.01)
+            rho2, _ = _rho_with_state(kernel, NoiseStream(seed=5, dt=0.01), None, PARAMS, CONSTS)
             rho2s.append(rho2)
         assert rho2s[0] < rho2s[1] < rho2s[2]
 
@@ -286,7 +301,7 @@ class TestSynchronization:
     def test_identical_states_stay_identical(self, grid32):
         z0 = dealias(random_field(grid32, seed=12, scale=0.05))
         rep = synchronization_experiment(
-            13, PARAMS, COV1, COV2, grid32, z0, z0, t_end=0.3, dt=0.01
+            13, PARAMS, COV1, COV2, z0, z0, t_end=0.3, dt=0.01
         )
         assert np.all(rep.distances == 0.0)
 
@@ -297,7 +312,7 @@ class TestSynchronization:
         z0a = Field.zeros(grid32, Basis.NEUMANN_COSINE)
         z0b = mode_field(grid32, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
         rep = synchronization_experiment(
-            14, params, COV_OFF, COV_OFF, grid32, z0a, z0b, t_end=2.0, dt=1e-3
+            14, params, COV_OFF, COV_OFF, z0a, z0b, t_end=2.0, dt=1e-3
         )
         ref = -(np.pi**2 + 2.0)
         assert rep.converged
@@ -315,7 +330,7 @@ class TestSynchronization:
         monkeypatch.setattr(dynamics, "ou_step", counted)
         z0a = dealias(random_field(grid32, seed=24, scale=0.05))
         z0b = dealias(random_field(grid32, seed=25, scale=0.05))
-        synchronization_experiment(26, PARAMS, COV1, COV2, grid32, z0a, z0b, t_end=0.1, dt=0.01)
+        synchronization_experiment(26, PARAMS, COV1, COV2, z0a, z0b, t_end=0.1, dt=0.01)
         assert steps == list(range(10))
 
     def test_noisy_config_synchronizes(self, grid32):
@@ -323,7 +338,7 @@ class TestSynchronization:
         z0a = dealias(random_field(grid32, seed=16, scale=0.05))
         z0b = dealias(random_field(grid32, seed=17, scale=0.05))
         rep = synchronization_experiment(
-            18, PARAMS, COV1, COV2, grid32, z0a, z0b, t_end=3.0, dt=0.01
+            18, PARAMS, COV1, COV2, z0a, z0b, t_end=3.0, dt=0.01
         )
         assert rep.converged
         assert rep.fitted_rate < 0

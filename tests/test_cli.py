@@ -248,8 +248,14 @@ class TestOverflowRefusals:
     @pytest.mark.parametrize("command", ["check-condition", "radius"])
     @pytest.mark.parametrize(
         "overrides",
-        [{"params.nu": "1e-300"}, {"noise.q1_amplitude": "1e200"}],
-        ids=["tiny_viscosity", "huge_boundary_noise"],
+        [
+            {"params.nu": "1e-300"},
+            {"noise.q1_amplitude": "1e200"},
+            # finite samples whose moments overflow: the squares at 3e153, their spread at 1e150
+            {"noise.q1_amplitude": "0", "noise.q2_amplitude": "3e153"},
+            {"noise.q1_amplitude": "0", "noise.q2_amplitude": "1e150"},
+        ],
+        ids=["tiny_viscosity", "huge_boundary_noise", "interior_noise_3e153", "interior_noise_1e150"],
     )
     def test_overflowing_moments_exit_3(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, seeds="1", **overrides)

@@ -1,6 +1,8 @@
 """The public surface is what the package itself uses: no function or member lives for its tests alone.
 
-Also: no module of the package or of the tests imports a name it never uses.
+Also: no module of the package or of the tests imports a name it never uses,
+no function of the package takes a parameter it never reads, and each
+experiment builds its coefficient kernel once.
 """
 
 import ast
@@ -81,6 +83,52 @@ def test_one_stepping_loop():
     # step; the radius window is the one chain that no field rides on
     assert definitions_naming(PACKAGE, "step_imex") == {"dynamics.evolve"}
     assert definitions_naming(PACKAGE, "ou_step") == {"dynamics.evolve", "analysis._coefficient_window"}
+
+
+def definitions_calling(package: Path, name: str) -> set[str]:
+    """`module.definition` of each top-level definition in the package that calls `name(...)`.
+
+    Calls are matched, not names, so an annotation such as `kernel: OUKernel`
+    does not count.
+    """
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            callees = (sub.func for sub in ast.walk(node) if isinstance(sub, ast.Call))
+            if any(getattr(f, "id", getattr(f, "attr", None)) == name for f in callees):
+                found.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return found
+
+
+def test_one_kernel_build_per_experiment():
+    # radius and check-condition build the chain kernel once and hand it to
+    # the radius window and the stationary draws; evolve builds one per run
+    assert definitions_calling(PACKAGE, "OUKernel") == {
+        "dynamics.evolve",
+        "analysis.radius_invariance_experiment",
+        "analysis.check_condition",
+        "cli._suite_ou",
+    }
+
+
+def unused_parameters(package: Path) -> set[str]:
+    """`function.parameter` for each parameter that its function's body never names.
+
+    Nested functions and methods count on their own; `self` and `cls` are skipped.
+    """
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+                used = {sub.id for stmt in node.body for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+                found.update(f"{node.name}.{a.arg}" for a in params if a.arg not in used | {"self", "cls"})
+    return found
+
+
+def test_no_unused_parameters():
+    assert unused_parameters(PACKAGE) == set()
 
 
 def unused_imports(paths) -> set[str]:
