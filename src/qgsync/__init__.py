@@ -13,14 +13,12 @@ from .fields import (
     DimensionMismatch,
     Field,
     GridSpec,
-    gradient,
     inner,
     norm_h1,
     norm_l2,
 )
 from .operators import (
     OperatorConstants,
-    beta_term,
     bilinear_b,
     boundary_flux,
     dirichlet_poisson,

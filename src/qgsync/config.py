@@ -67,6 +67,8 @@ class RunConfig:
                 ) from None
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {','.join(map(str, self.seeds))}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {','.join(map(str, self.seeds))}")
         # construct the validated domain objects eagerly so that every

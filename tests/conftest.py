@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from qgsync.fields import Basis, Field, GridSpec, retained_mask
+from qgsync.fields import (
+    Basis,
+    Field,
+    GridSpec,
+    coeffs_from_nodal,
+    derivative,
+    nodal_from_coeffs,
+    retained_mask,
+)
+from qgsync.operators import advection_coeffs, streamfunction_coeffs
 
 
 @pytest.fixture
@@ -57,3 +66,15 @@ def trapezoid_quadrature(grid, values_a, values_b):
     w = np.ones(grid.n + 1)
     w[0] = w[-1] = 0.5
     return grid.h**2 * float(np.sum(np.outer(w, w) * values_a * values_b))
+
+
+def advection(v1: Field, v2: Field) -> np.ndarray:
+    """Cosine coefficients of B(v1, v2), from the array functions the stepper calls."""
+    psi = nodal_from_coeffs(streamfunction_coeffs(v1.nodal, v1.grid), Basis.DIRICHLET_SINE, v1.grid)
+    return advection_coeffs(psi, v2.nodal, v1.grid)
+
+
+def beta_coeffs(v: Field) -> np.ndarray:
+    """Cosine coefficients of G(v)_x, the beta term, from the array functions the stepper calls."""
+    psi_x = derivative(streamfunction_coeffs(v.nodal, v.grid), Basis.DIRICHLET_SINE, 0)
+    return coeffs_from_nodal(nodal_from_coeffs(*psi_x, v.grid), Basis.NEUMANN_COSINE, v.grid)

@@ -195,8 +195,18 @@ class TestParseTimeRejections:
             {"seeds": "3,3"},
             {"grid.n": "8", "noise.cutoff": "12"},
             {"time.dt": "1e-320"},
+            {"seeds": "-3"},
+            {"params.nu": "1e-320"},
         ],
-        ids=["t_end_off_grid", "burn_off_grid", "duplicate_seeds", "cutoff_above_n", "t_end_over_dt_overflows"],
+        ids=[
+            "t_end_off_grid",
+            "burn_off_grid",
+            "duplicate_seeds",
+            "cutoff_above_n",
+            "t_end_over_dt_overflows",
+            "negative_seed",
+            "subnormal_viscosity",
+        ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)

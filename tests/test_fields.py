@@ -1,4 +1,4 @@
-"""Field core: transforms, inner products, norms, gradients."""
+"""Field core: transforms, inner products, norms, derivatives."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from qgsync.fields import (
     GridSpec,
     NonFiniteField,
     coeffs_from_nodal,
-    gradient,
+    derivative,
     inner,
     nodal_from_coeffs,
     norm_h1,
@@ -351,18 +351,20 @@ class TestInnerAndNorms:
 
 class TestGradient:
     def test_zero_field(self, grid32):
-        gx, gy = gradient(Field.zeros(grid32, Basis.NEUMANN_COSINE))
-        assert norm_l2(gx) == 0.0 and norm_l2(gy) == 0.0
+        zero = np.zeros(grid32.shape)
+        (gx, bx), (gy, by) = (derivative(zero, Basis.NEUMANN_COSINE, axis) for axis in (0, 1))
+        assert (bx, by) == (Basis.SINE_COSINE, Basis.COSINE_SINE)
+        assert not gx.any() and not gy.any()
 
     def test_analytic_derivative_of_cosine_mode(self, grid32):
         # d/dx cos(pi x) = -pi sin(pi x)
         x = nodes(grid32)
         cos_x = np.outer(np.cos(np.pi * x), np.ones(grid32.n + 1))
-        f = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeffs_from_nodal(cos_x, Basis.NEUMANN_COSINE, grid32))
-        gx, gy = gradient(f)
+        f = coeffs_from_nodal(cos_x, Basis.NEUMANN_COSINE, grid32)
+        gx = nodal_from_coeffs(*derivative(f, Basis.NEUMANN_COSINE, 0), grid32)
         expected = np.outer(-np.pi * np.sin(np.pi * x), np.ones(grid32.n + 1))
-        assert np.max(np.abs(gx.nodal - expected)) < 1e-12
-        assert norm_l2(gy) < 1e-12
+        assert np.max(np.abs(gx - expected)) < 1e-12
+        assert np.linalg.norm(derivative(f, Basis.NEUMANN_COSINE, 1)[0]) < 1e-12
 
     def test_matches_centered_differences(self):
         # second-order oracle: same band-limited function on both grids,
@@ -373,16 +375,17 @@ class TestGradient:
         for n in (32, 64):
             g = GridSpec(n)
             f = mode_field(g, Basis.NEUMANN_COSINE, modes)
-            gx, _ = gradient(f)
+            gx = nodal_from_coeffs(*derivative(f.coeffs, f.basis, 0), g)
             nod = f.nodal
             fd = (nod[2:, :] - nod[:-2, :]) / (2 * g.h)
-            errs[n] = np.max(np.abs(gx.nodal[1:-1, :] - fd))
+            errs[n] = np.max(np.abs(gx[1:-1, :] - fd))
         ratio = errs[32] / errs[64]
         assert 3.0 < ratio < 5.0
 
     def test_h1_equals_gradient_l2(self, grid32):
         f = random_field(grid32, seed=15)
-        gx, gy = gradient(f)
+        # as fields, so the derivatives are also checked to vanish off their retained modes
+        gx, gy = (Field(grid32, basis, coeffs) for coeffs, basis in (derivative(f.coeffs, f.basis, a) for a in (0, 1)))
         total = np.sqrt(norm_l2(gx) ** 2 + norm_l2(gy) ** 2)
         assert total == pytest.approx(norm_h1(f), rel=1e-12)
 
