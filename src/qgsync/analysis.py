@@ -50,6 +50,7 @@ from .fields import (
     random_field,
 )
 from .noise import (
+    ConfigError,
     CovarianceSpec,
     NoiseStream,
     OUKernel,
@@ -62,6 +63,7 @@ from .operators import OperatorConstants, estimate_constants
 NORM_CONVENTION = "first-order norm = gradient seminorm |grad(.)|"
 RADIUS_SLACK = 0.02  # relative excursion over rho^2 that counts as a violation
 CONDITION_GAP_TIME = 0.5  # time between the decimated radius samples
+LOG_RATE_FLOOR = 1e-14  # distances at or below this are left out of the rate fit
 
 
 class DecayConditionError(RuntimeError):
@@ -198,8 +200,13 @@ def _coefficient_window(
     pathwise-consistent coefficient state at the stream's origin, ready to
     be transported into a forward run.  The chain advances one `ou_step`
     at a time; each step's w is added into a buffer of `_NORM_BLOCK` rows,
-    and the norms and R of a full buffer are taken in one go.
+    and the norms and R of a full buffer are taken in one go.  A window
+    whose series of steps + 1 floats numpy cannot hold is a `ConfigError`.
     """
+    if (steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"a coefficient window of {steps:.3e} steps of dt={stream.dt} is too long to simulate"
+        )
     past = wiener_shift(stream, -steps * stream.dt)
     state = ou_init(kernel, past)
     lam = laplacian_eigenvalues(kernel.grid)
@@ -500,10 +507,10 @@ class SyncReport:
         }
 
 
-def _fit_log_rate(times: np.ndarray, dists: np.ndarray, floor: float = 1e-14):
-    """OLS slope of log-distance over the second half, stopping at the floor."""
+def _fit_log_rate(times: np.ndarray, dists: np.ndarray):
+    """OLS slope of log-distance over the second half, stopping at `LOG_RATE_FLOOR`."""
     t0 = times[-1] / 2.0
-    keep = (times >= t0) & (dists > floor)
+    keep = (times >= t0) & (dists > LOG_RATE_FLOOR)
     if np.count_nonzero(keep) < 3:
         return 0.0, math.inf
     x = times[keep]

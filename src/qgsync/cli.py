@@ -17,10 +17,11 @@ import sys
 import numpy as np
 
 from . import analysis
-from .config import RunConfig, parse_config
+from .config import RunConfig, config_from_flat, parse_config
 from .dynamics import DivergenceError, evolve, untransform
 from .fields import (
     Basis,
+    BoundaryField,
     Field,
     inner,
     laplacian_eigenvalues,
@@ -32,7 +33,9 @@ from .fields import (
 from .noise import ConfigError, NoiseStream, OUKernel, ou_init, wiener_shift
 from .operators import (
     bilinear_b,
+    boundary_flux,
     dirichlet_poisson,
+    harmonicity_residual,
     neumann_lift,
     semigroup,
 )
@@ -123,9 +126,6 @@ def _suite_poisson(config: RunConfig) -> dict:
 
 def _suite_lift(config: RunConfig) -> dict:
     grid = config.grid()
-    from .fields import BoundaryField
-    from .operators import boundary_flux, harmonicity_residual
-
     g = BoundaryField(grid, np.array([1.0, 0.5, -0.25]))
     u = neumann_lift(g, config.nu)
     harm = harmonicity_residual(u, config.nu)
@@ -368,8 +368,6 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config) if args.config else RunConfig()
         if args.seeds:
-            from .config import config_from_flat
-
             flat = config.to_flat_dict()
             flat["seeds"] = args.seeds
             config = config_from_flat(flat)

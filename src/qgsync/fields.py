@@ -72,7 +72,7 @@ _BY_KINDS = {b.value: b for b in Basis}
 # matrix, one BLAS matmul per axis: the transforms here and the difference
 # operators in `operators`.  From this size up the transforms are FFTs and
 # the difference operators O(n) slice stencils, which win there (measured
-# on the 2D transforms and the fused skew Jacobian).
+# on the 2D transforms and the Arakawa Jacobian).
 DENSE_BELOW_N = 128
 
 

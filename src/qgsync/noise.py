@@ -216,8 +216,6 @@ class OUKernel:
         if dt <= 0:
             raise ConfigError("step size must be positive")
         self.grid = grid
-        self.nu = nu
-        self.dt = dt
 
         lam = laplacian_eigenvalues(grid)
         mask = retained_mask(grid, Basis.NEUMANN_COSINE)

@@ -8,13 +8,16 @@ contraction analysis.  The lift is a plain (n+1, K) coefficient array from
 `noise.OUKernel` are the only places that build it.
 
 The load-bearing discrete property is exact skew-symmetry of the advection
-operator: `bilinear_b` antisymmetrizes the Jacobian trilinear form in its
-last two arguments (via the exact weighted adjoint), so
+operator B(v1, v2) = J(G v1, v2):
 
     <B(v1, v2), v2> = 0      and      <B(v1, v2), v3> = -<B(v1, v3), v2>
 
 hold to round-off for every retained field, not just asymptotically.  Every
-energy estimate downstream relies on this.
+energy estimate downstream relies on this.  No correction enforces it: the
+Arakawa average of the three Jacobian forms is skew in its second slot
+under the even/odd reflection closures whenever psi = G v1 is 0 on the
+boundary, and the sine synthesis of psi writes exactly 0 there (see
+`advection_coeffs`).
 
 The Jacobian's difference operators are zero-diagonal tridiagonal, stored
 as their two off-diagonals.  From n = `fields.DENSE_BELOW_N` cells per side
@@ -49,6 +52,7 @@ from .fields import (
 
 LAMBDA1 = np.pi**2  # first eigenvalue of the mean-zero Neumann Laplacian
 C_GX_EXACT = 1.0 / (2.0 * np.pi)  # max_k,l k*pi / (pi^2 (k^2+l^2)), at (1,1)
+ASCENT_STEPS = 120  # perturbation-ascent steps of `estimate_constants`
 
 
 @dataclass(frozen=True)
@@ -191,25 +195,23 @@ def harmonicity_residual(u: Field, nu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Arakawa Jacobian and exactly skew-symmetric bilinear form
+# Arakawa Jacobian, the skew-symmetric bilinear form
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _difference_operators(n: int):
-    """Centered differences with reflection closures, and their weighted adjoints.
+    """Centered differences with even and odd reflection closures, (De, Do).
 
     'even' mirrors the neighbour value across the boundary (natural for
     cosine-family data), 'odd' mirrors with a sign flip (sine family, and
-    the flux-form outer differences).  Adjoints are taken in the trapezoid
-    inner product so the Jacobian's adjoint is exact, not approximate.
+    the flux-form outer differences).
 
     Each operator is zero-diagonal tridiagonal on the n+1 lattice nodes and
     is returned as (lower, upper, dense): lower[i] = D[i+1, i],
     upper[i] = D[i, i+1], and the dense matrix only below DENSE_BELOW_N.
     At power-of-two n every coefficient is a power of two, so the stencil
     and the matmul round once per entry and agree bit for bit.
-    Returns the operators (De, Do, DeA, DoA).
     """
     h = 1.0 / n
     lower_e = np.full(n, -0.5 / h)
@@ -220,11 +222,6 @@ def _difference_operators(n: int):
     upper_o = upper_e.copy()
     lower_o[n - 1] = -1.0 / h
     upper_o[0] = 1.0 / h
-    w = np.ones(n + 1)
-    w[0] = 0.5
-    w[-1] = 0.5
-    # (diag(1/w) D^T diag(w))[i, j] = D[j, i] * w[j] / w[i]
-    ratio = w[1:] / w[:-1]
 
     def op(lower, upper):
         dense = None
@@ -232,12 +229,7 @@ def _difference_operators(n: int):
             dense = np.diag(lower, -1) + np.diag(upper, 1)
         return lower, upper, dense
 
-    return (
-        op(lower_e, upper_e),
-        op(lower_o, upper_o),
-        op(upper_e / ratio, lower_e * ratio),
-        op(upper_o / ratio, lower_o * ratio),
-    )
+    return op(lower_e, upper_e), op(lower_o, upper_o)
 
 
 def _diff(op, a: np.ndarray, axis: int) -> np.ndarray:
@@ -253,47 +245,28 @@ def _diff(op, a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _jacobian_nodal(psi: np.ndarray, px: np.ndarray, py: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Bracket J(psi, q) = psi_x q_y - psi_y q_x: the Arakawa average of three forms.
-
-    px, py are the odd differences of psi along each axis (`_grad_nodal`).
-    """
-    De, Do, _, _ = _difference_operators(psi.shape[0] - 1)
-    qx, qy = _diff(De, q, 0), _diff(De, q, 1)
-    t1 = px * qy - py * qx
-    t2 = _diff(Do, psi * qy, 0) - _diff(Do, psi * qx, 1)
-    t3 = _diff(Do, px * q, 1) - _diff(Do, py * q, 0)
-    return (t1 + t2 + t3) / 3.0
-
-
-def _jacobian_adjoint_nodal(psi: np.ndarray, px: np.ndarray, py: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Adjoint of q -> J(psi, q) in the trapezoid inner product."""
-    _, _, DeA, DoA = _difference_operators(psi.shape[0] - 1)
-    bx, by = _diff(DoA, b, 0), _diff(DoA, b, 1)
-    t1 = _diff(DeA, px * b, 1) - _diff(DeA, py * b, 0)
-    t2 = _diff(DeA, psi * bx, 1) - _diff(DeA, psi * by, 0)
-    t3 = px * by - py * bx
-    return (t1 + t2 + t3) / 3.0
-
-
-def _grad_nodal(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Odd-reflection differences of a streamfunction along both axes."""
-    Do = _difference_operators(psi.shape[0] - 1)[1]
-    return _diff(Do, psi, 0), _diff(Do, psi, 1)
-
-
 def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Cosine coefficients of J(psi, a), skew-symmetrized exactly, from lattice values.
+    """Cosine coefficients of the Arakawa bracket J(psi, a) = psi_x a_y - psi_y a_x, from lattice values.
 
-    The raw Jacobian is averaged with minus its weighted adjoint in the
-    second slot, which enforces <B(v1,v2),v2> = 0 and the antisymmetry
-    <B(v1,v2),v3> = -<B(v1,v3),v2> to round-off on the retained modes.
-    The Arakawa terms' lattice temporaries are freed when this call
-    returns, so a caller does not hold them through the rest of its work.
+    psi must vanish on the boundary, as the sine synthesis of
+    `streamfunction_coeffs` makes it (exactly +0.0 on every edge node).
+    The bracket is the average of the three Arakawa forms, which is skew in
+    its second slot in the trapezoid inner product: in the interior the
+    three forms' adjoints permute them with a sign flip, and every boundary
+    entry where an even or odd closure breaks that pattern multiplies
+    psi or a tangential difference of psi on an edge where it is 0.  So
+    <B(v1,v2),v2> = 0 and <B(v1,v2),v3> = -<B(v1,v3),v2> hold to round-off
+    on the retained modes.  The lattice temporaries are freed when this
+    call returns, so a caller does not hold them through the rest of its
+    work.
     """
-    px, py = _grad_nodal(psi)
-    skew = 0.5 * (_jacobian_nodal(psi, px, py, a) - _jacobian_adjoint_nodal(psi, px, py, a))
-    return coeffs_from_nodal(skew, Basis.NEUMANN_COSINE, grid)
+    De, Do = _difference_operators(grid.n)
+    px, py = _diff(Do, psi, 0), _diff(Do, psi, 1)
+    ax, ay = _diff(De, a, 0), _diff(De, a, 1)
+    t1 = px * ay - py * ax
+    t2 = _diff(Do, psi * ay, 0) - _diff(Do, psi * ax, 1)
+    t3 = _diff(Do, px * a, 1) - _diff(Do, py * a, 0)
+    return coeffs_from_nodal((t1 + t2 + t3) / 3.0, Basis.NEUMANN_COSINE, grid)
 
 
 def bilinear_b(v1: Field, v2: Field) -> Field:
@@ -317,20 +290,15 @@ def _triple_ratio(v1: Field, v2: Field, v3: Field) -> float:
     return abs(inner(bilinear_b(v1, v2), v3)) / denom
 
 
-def estimate_constants(
-    grid: GridSpec,
-    trials: int = 200,
-    seed: int = 0,
-    ascent_steps: int = 120,
-) -> OperatorConstants:
+def estimate_constants(grid: GridSpec, trials: int = 200, seed: int = 0) -> OperatorConstants:
     """Estimate the operator constants on a given grid.
 
     lambda1 and c_gx are computed exactly from the mode lattice.  c_b is
     the running supremum of the trilinear ratio over `trials` random
-    triples, refined by a perturbation ascent anchored at the best triple
-    among the first 100 samples; anchoring makes the estimate monotone
-    nondecreasing in `trials` for a fixed seed.  It is a lower bound of
-    the discrete operator norm.
+    triples, refined by `ASCENT_STEPS` steps of a perturbation ascent
+    anchored at the best triple among the first 100 samples; anchoring
+    makes the estimate monotone nondecreasing in `trials` for a fixed
+    seed.  It is a lower bound of the discrete operator norm.
     """
     if trials < 100:
         raise ValueError("constant estimation needs at least 100 trials")
@@ -360,7 +328,7 @@ def estimate_constants(
     cur_val = best_val
     step = 0.5
     stale = 0
-    for _ in range(ascent_steps):
+    for _ in range(ASCENT_STEPS):
         cand = tuple(
             Field(
                 grid,

@@ -276,6 +276,26 @@ class TestOverflowRefusals:
         assert not any(out.iterdir())
 
 
+class TestWindowRefusals:
+    # step counts whose series numpy cannot index: refused before numpy
+    # computes the array shape, as one configuration error
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("radius", {"rho.window": "1e300"}),
+            ("check-condition", {"time.dt": "1e-300", "time.t_end": "1e-298", "time.burn": "0"}),
+        ],
+        ids=["radius_window_1e300", "condition_gap_over_dt_1e-300"],
+    )
+    def test_unindexable_window_exits_2(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, seeds="1", **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
+
 class TestDivergence:
     def test_overflowing_run_exits_4_without_runtime_warnings(self, tmp_path):
         # a fresh interpreter shows warnings as the command line does; only

@@ -1,4 +1,4 @@
-"""The public surface is what the package itself uses: no function or member lives for its tests alone.
+"""The package's surface is what the package itself uses: no function or member lives for its tests alone.
 
 Also: no module of the package or of the tests imports a name it never uses,
 no function of the package takes a parameter it never reads, and each
@@ -20,14 +20,21 @@ TESTS = Path(__file__).resolve().parent
 ALLOWED_UNREFERENCED = {"temperedness_diagnostic"}
 
 
-def _public_definitions(tree: ast.Module):
-    """(qualified name, node) of public top-level functions and public class members."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of top-level functions and class members, public and private.
+
+    Dunder methods are left out: Python calls them, not code that names them.
+    """
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
                     yield f"{node.name}.{member.name}", member
 
 
@@ -40,8 +47,8 @@ def _names(node: ast.AST):
             yield sub.attr
 
 
-def unreferenced_public_definitions(package: Path) -> set[str]:
-    """Public top-level functions and class members that no other code in the package names.
+def unreferenced_definitions(package: Path) -> set[str]:
+    """Top-level functions and class members that no other code in the package names.
 
     `__init__.py` only re-exports, so it does not count as a use, and
     neither does a definition's own body.  Members are matched by name, so
@@ -52,13 +59,13 @@ def unreferenced_public_definitions(package: Path) -> set[str]:
     return {
         qualified
         for tree in trees
-        for qualified, node in _public_definitions(tree)
+        for qualified, node in _definitions(tree)
         if uses[node.name] == list(_names(node)).count(node.name)
     }
 
 
 def test_every_public_function_has_a_caller_in_the_package():
-    assert unreferenced_public_definitions(PACKAGE) == ALLOWED_UNREFERENCED
+    assert unreferenced_definitions(PACKAGE) == ALLOWED_UNREFERENCED
 
 
 def definitions_naming(package: Path, name: str) -> set[str]:
