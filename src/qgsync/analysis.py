@@ -3,13 +3,14 @@
 This module turns the stability theory into executable checks:
 
   * `driver_from_norms` is the nonautonomous driver R fed by the coefficient
-    processes, and `rho_squared_from_series` the pullback quadrature for the
-    absorbing radius rho.  |grad w|^2 and R of the coefficient arrays
-    w = zw1 + zw2 are taken in one place, `_block_driver`, for a whole stack
-    of arrays.
+    processes, and `propagate_rho_squared` the one computation of the
+    absorbing radius rho: the affine recursion of the trapezoid pullback
+    quadrature, started from 0 at the far end of a window.  |grad w|^2 and R
+    of the coefficient arrays w = zw1 + zw2 are taken in one place,
+    `_block_driver`, for a whole stack of arrays.
   * `radius_invariance_experiment` verifies forward invariance of the random
-    ball B(0, rho) along simulated trajectories, propagating rho^2 by the
-    discrete affine recursion that the quadrature satisfies exactly.
+    ball B(0, rho) along simulated trajectories, continuing the same
+    recursion along the realized coefficients.
   * `check_condition` Monte-Carlo-estimates the expectations entering the
     contraction inequality and reports each summand with its standard error.
   * `synchronization_experiment` drives two states with the same noise path
@@ -103,47 +104,16 @@ def decay_margin(
     return a - c * grad2_mean
 
 
-def _trapz(values: np.ndarray, dx: float) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(dx * (np.sum(values) - 0.5 * (values[0] + values[-1])))
-
-
-def rho_squared_from_series(
-    g_series: np.ndarray,
-    r_series: np.ndarray,
-    dt: float,
-    params: ModelParams,
-    constants: OperatorConstants,
-) -> float:
-    """Pullback trapezoid quadrature of the radius integrand.
-
-    The series sample |grad w|^2 and R on a uniform grid over [-T, 0]
-    (last entry at time 0).  Separated from the simulation driver so the
-    quadrature can be checked against closed forms.
-    """
-    g_series = np.asarray(g_series, dtype=float)
-    r_series = np.asarray(r_series, dtype=float)
-    m = g_series.size
-    taus = -dt * np.arange(m - 1, -1, -1)
-    a, c = _rates(params, constants)
-    # inner integral of g from tau to 0, cumulative trapezoid from the right
-    inner = np.zeros(m)
-    if m > 1:
-        seg = 0.5 * dt * (g_series[:-1] + g_series[1:])
-        inner[:-1] = np.cumsum(seg[::-1])[::-1]
-    integrand = np.exp(a * taus + c * inner) * r_series
-    return _trapz(integrand, dt)
-
-
 def propagate_rho_squared(
     rho2: float, g: np.ndarray, r: np.ndarray, dt: float, params: ModelParams, constants: OperatorConstants
 ) -> np.ndarray:
     """rho^2 along a sampled path of |grad w|^2 and R, from its value at sample 0.
 
     Each step is the affine recursion by which one more sample extends the
-    trapezoid quadrature, so entry k tracks `rho_squared_from_series` on
-    the path shifted by k samples to round-off (up to the truncated tail).
+    trapezoid quadrature of the pullback integral
+    int_{-T}^0 exp(a*tau + c * int_tau^0 |grad w|^2) R dtau.  From
+    rho2 = 0, entry k is that quadrature over samples 0..k (a window of
+    k steps ending at sample k), to round-off.
     """
     a, c = _rates(params, constants)
     path = np.empty(len(g))
@@ -164,6 +134,19 @@ def default_rho_window(
             f"mean-damping margin is {margin:.6g} <= 0; the radius integral may diverge"
         )
     return 20.0 / margin
+
+
+def _steps_at_least(t: float, dt: float, least: int) -> int:
+    """A window time as whole steps of dt, rounded and at least `least`.
+
+    The one place where the radius window, the burn and the decimation gap
+    become step counts; a time that is no finite number of steps is a
+    `ConfigError`.
+    """
+    ratio = t / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(f"a window of {t} is not a finite number of steps of dt={dt}")
+    return max(least, round(ratio))
 
 
 _NORM_BLOCK = 16  # chain steps whose norms `_coefficient_window` takes together
@@ -205,9 +188,10 @@ def _coefficient_window(
     """
     if (steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
         raise ConfigError(
-            f"a coefficient window of {steps:.3e} steps of dt={stream.dt} is too long to simulate"
+            f"a coefficient window of 10^{math.log10(steps):.1f} steps of dt={stream.dt} "
+            "is too long to simulate"
         )
-    past = wiener_shift(stream, -steps * stream.dt)
+    past = wiener_shift(stream, -steps)
     state = ou_init(kernel, past)
     lam = laplacian_eigenvalues(kernel.grid)
     block = np.empty((_NORM_BLOCK, *kernel.grid.shape))
@@ -236,7 +220,7 @@ def _stationary_draws(
     r = np.empty(len(offsets))
     for lo in range(0, len(offsets), _NORM_BLOCK):
         chunk = offsets[lo : lo + _NORM_BLOCK]
-        w = np.array([ou_init(kernel, wiener_shift(stream, j * stream.dt)).combined() for j in chunk])
+        w = np.array([ou_init(kernel, wiener_shift(stream, j)).combined() for j in chunk])
         g[lo : lo + len(chunk)], r[lo : lo + len(chunk)] = _block_driver(w, lam, params, constants)
     return g, r
 
@@ -258,9 +242,9 @@ def _rho_with_state(
         raise DecayConditionError(
             "mean-damping margin is nonpositive for the plug-in gradient estimate"
         )
-    steps = max(2, int(round(window / stream.dt)))
+    steps = _steps_at_least(window, stream.dt, 2)
     g, r, state = _coefficient_window(kernel, stream, steps, params, constants)
-    rho2 = rho_squared_from_series(g, r, stream.dt, params, constants)
+    rho2 = float(propagate_rho_squared(0.0, g, r, stream.dt, params, constants)[-1])
     return rho2, (g, r, state)
 
 
@@ -440,13 +424,11 @@ def check_condition(
         )
 
     # one long radius path: burn one window, then decimate
-    dt = stream.dt
-    burn = max(2, int(round(default_rho_window(params, constants, e_grad2) / dt)))
-    gap = max(1, int(round(CONDITION_GAP_TIME / dt)))
+    burn = _steps_at_least(default_rho_window(params, constants, e_grad2), stream.dt, 2)
+    gap = _steps_at_least(CONDITION_GAP_TIME, stream.dt, 1)
     total = burn + samples * gap
-    g, r, _ = _coefficient_window(kernel, wiener_shift(stream, total * dt), total, params, constants)
-    rho2_burn = rho_squared_from_series(g[: burn + 1], r[: burn + 1], dt, params, constants)
-    rho2 = propagate_rho_squared(rho2_burn, g[burn:], r[burn:], dt, params, constants)[gap::gap]
+    g, r, _ = _coefficient_window(kernel, wiener_shift(stream, total), total, params, constants)
+    rho2 = propagate_rho_squared(0.0, g, r, stream.dt, params, constants)[burn + gap :: gap]
     estimates["E_rho2"] = _moment(rho2, 1)
     estimates["E_rho4"] = _moment(rho2, 2)
 
@@ -648,7 +630,7 @@ def cocycle_check(
 
     full = final(s + t, stream, (z0,))
     mid = final(t, stream, (z0,))
-    shifted = wiener_shift(stream, t if shift_override is None else shift_override)
+    shifted = wiener_shift(stream, stream.steps_for(t if shift_override is None else shift_override))
     second = final(s, shifted, mid)
     return bool(
         np.array_equal(full.members[0].coeffs, second.members[0].coeffs)

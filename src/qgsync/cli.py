@@ -166,7 +166,7 @@ def _suite_ou(config: RunConfig) -> dict:
     acc1 = np.zeros(grid.shape)
     acc2 = np.zeros(grid.shape)
     for i in range(samples):
-        st = ou_init(kernel, wiener_shift(stream, -i * config.dt))
+        st = ou_init(kernel, wiener_shift(stream, -i))
         acc1 += st.zw1**2
         acc2 += st.zw2**2
     acc1 /= samples

@@ -3,12 +3,12 @@
 Randomness is counter-based: every Gaussian increment is a pure function of
 (seed, absolute step index, channel), generated from a Philox block cipher
 keyed by the seed with the step index in the counter.  This makes the time
-shift of a noise path a trivial re-indexing (`wiener_shift`), lets negative
-step indices realize the two-sided past, and makes every experiment
-bit-reproducible.  One Philox generator per seed is cached and reseated
-for every draw (the step goes into counter word 1 and the buffer is
-emptied), which gives the bits of a newly built generator without the
-cost of building one.
+shift of a noise path a trivial re-indexing (`wiener_shift`, by a whole
+number of steps), lets negative step indices realize the two-sided past,
+and makes every experiment bit-reproducible.  One Philox generator per
+seed is cached and reseated for every draw (the step goes into counter
+word 1 and the buffer is emptied), which gives the bits of a newly built
+generator without the cost of building one.
 
 The two coefficient processes (one driven through the boundary lift, one by
 interior forcing) are advanced with the exact per-mode Ornstein-Uhlenbeck
@@ -29,14 +29,19 @@ Channel layout per step, in one fixed vector of length 2C:
 
     [ boundary increments | interior increments | boundary init | interior init ]
 
-The first half drives `ou_step`; the second half is reserved for the
-stationary draw of `ou_init` (read at relative step -1), so a past-window
-simulation never re-reads channels that a later forward run consumes.
+The first half drives `ou_step`, which draws only those C normals (a
+shorter draw is bitwise the prefix of a longer one); the second half is
+reserved for the stationary draw of `ou_init` (read at relative step -1),
+so a past-window simulation never re-reads channels that a later forward
+run consumes.  The update scales the state by the decay and adds each
+increment in place on its support: the lift columns of the boundary
+channels, and the interior modes of the diagonal channels.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -111,9 +116,13 @@ class NoiseStream:
         return steps
 
 
-def wiener_shift(stream: NoiseStream, t: float) -> NoiseStream:
-    """Advance the stream's origin by t (must be a multiple of dt)."""
-    return replace(stream, origin=stream.origin + stream.steps_for(t))
+def wiener_shift(stream: NoiseStream, steps: int) -> NoiseStream:
+    """The shifted path theta_t: the stream's origin advanced by a whole number of steps.
+
+    t = steps * dt; a time in place of the step count raises `TypeError`
+    (convert one with `NoiseStream.steps_for`).
+    """
+    return replace(stream, origin=stream.origin + operator.index(steps))
 
 
 @dataclass(frozen=True)
@@ -200,7 +209,7 @@ class OUKernel:
     interior-driven process is diagonal.  Within-step cross-mode weighting
     of shared channels is approximate at O(dt) weak order, marginal laws
     are exact.  The lift is built here, with one column per boundary
-    channel, and only when the boundary noise is on.
+    channel, and no columns when the boundary noise is off.
     """
 
     def __init__(
@@ -228,55 +237,31 @@ class OUKernel:
         # boundary-driven process: gain nu*lambda through lift column m2
         q1 = cov1.boundary_variances(grid) if cov1.amplitude > 0 else np.zeros(0)
         self.n_boundary = q1.size
-        if self.n_boundary:
-            lift = lifting_matrix(grid, nu, n_modes=self.n_boundary)
-            gain = rate[:, 1 : 1 + self.n_boundary] * lift
-            gain = gain * np.sqrt(q1)[np.newaxis, :]
-            self.w1_step = gain * np.sqrt(ou_var_scale[:, 1 : 1 + self.n_boundary])
-            self.w1_stat = gain * np.sqrt(stat_scale[:, 1 : 1 + self.n_boundary])
-            self.w1_step[~mask[:, 1 : 1 + self.n_boundary]] = 0.0
-            self.w1_stat[~mask[:, 1 : 1 + self.n_boundary]] = 0.0
-        else:
-            self.w1_step = np.zeros((grid.n + 1, 0))
-            self.w1_stat = np.zeros((grid.n + 1, 0))
+        self.w1_cols = slice(1, 1 + self.n_boundary)
+        lift = lifting_matrix(grid, nu, n_modes=self.n_boundary)
+        gain = rate[:, self.w1_cols] * lift
+        gain = gain * np.sqrt(q1)[np.newaxis, :]
+        self.w1_step = gain * np.sqrt(ou_var_scale[:, self.w1_cols])
+        self.w1_stat = gain * np.sqrt(stat_scale[:, self.w1_cols])
+        self.w1_step[~mask[:, self.w1_cols]] = 0.0
+        self.w1_stat[~mask[:, self.w1_cols]] = 0.0
 
         # interior-driven process: diagonal
         q2 = cov2.interior_variances(grid) if cov2.amplitude > 0 else np.zeros(grid.shape)
         idx = np.nonzero(q2 > 0)
         self.w2_index = idx
-        self.n_interior = idx[0].size
         self.w2_step = np.sqrt(q2[idx] * ou_var_scale[idx])
         self.w2_stat = np.sqrt(q2[idx] * stat_scale[idx])
 
-        self.n_channels = self.n_boundary + self.n_interior
+        self.n_channels = self.n_boundary + idx[0].size
 
     def stationary_variances(self) -> tuple[np.ndarray, np.ndarray]:
         """Analytic per-mode stationary variances on the mode lattice."""
         v1 = np.zeros(self.grid.shape)
-        if self.n_boundary:
-            v1[:, 1 : 1 + self.n_boundary] = self.w1_stat**2
+        v1[:, self.w1_cols] = self.w1_stat**2
         v2 = np.zeros(self.grid.shape)
-        if self.n_interior:
-            v2[self.w2_index] = self.w2_stat**2
+        v2[self.w2_index] = self.w2_stat**2
         return v1, v2
-
-    # -- noise plumbing ------------------------------------------------------
-
-    def _blocks(self, stream: NoiseStream, step: int, init: bool) -> tuple[np.ndarray, np.ndarray]:
-        vals = stream.normals(step, 2 * self.n_channels)
-        base = self.n_channels if init else 0
-        g1 = vals[base : base + self.n_boundary]
-        g2 = vals[base + self.n_boundary : base + self.n_channels]
-        return g1, g2
-
-    def _assemble(self, g1: np.ndarray, g2: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-        zw1 = np.zeros(self.grid.shape)
-        if self.n_boundary:
-            zw1[:, 1 : 1 + self.n_boundary] = w1 * g1[np.newaxis, :]
-        zw2 = np.zeros(self.grid.shape)
-        if self.n_interior:
-            zw2[self.w2_index] = w2 * g2
-        return zw1, zw2
 
 
 def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
@@ -284,24 +269,29 @@ def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
 
     Boundary-channel amplitudes are drawn first and mapped through the lift,
     so modes sharing an edge channel come out correlated.  The draw reads
-    the reserved block at relative step -1.
+    the reserved second half of the channel vector at relative step -1.
     """
-    g1, g2 = kernel._blocks(stream, -1, init=True)
-    zw1, zw2 = kernel._assemble(g1, g2, kernel.w1_stat, kernel.w2_stat)
+    g = stream.normals(-1, 2 * kernel.n_channels)[kernel.n_channels :]
+    zw1 = np.zeros(kernel.grid.shape)
+    zw1[:, kernel.w1_cols] = kernel.w1_stat * g[: kernel.n_boundary]
+    zw2 = np.zeros(kernel.grid.shape)
+    zw2[kernel.w2_index] = kernel.w2_stat * g[kernel.n_boundary :]
     return CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel)
 
 
 def ou_step(state: CoefficientState, stream: NoiseStream, step: int) -> CoefficientState:
     """Advance both processes by one exact Ornstein-Uhlenbeck update.
 
-    The increments are the stream's normals of `step`, the step being taken.
+    The increments are the stream's first `n_channels` normals of `step`,
+    the step being taken; each is added in place on its support.
     """
     kernel = state.kernel
-    g1, g2 = kernel._blocks(stream, step, init=False)
-    i1, i2 = kernel._assemble(g1, g2, kernel.w1_step, kernel.w2_step)
-    return CoefficientState(
-        zw1=kernel.decay * state.zw1 + i1, zw2=kernel.decay * state.zw2 + i2, kernel=kernel
-    )
+    g = stream.normals(step, kernel.n_channels)
+    zw1 = kernel.decay * state.zw1
+    zw1[:, kernel.w1_cols] += kernel.w1_step * g[: kernel.n_boundary]
+    zw2 = kernel.decay * state.zw2
+    zw2[kernel.w2_index] += kernel.w2_step * g[kernel.n_boundary :]
+    return CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel)
 
 
 def temperedness_diagnostic(series, horizon: float) -> float:

@@ -140,12 +140,12 @@ def lifting_matrix(grid: GridSpec, nu: float, n_modes: int) -> np.ndarray:
     The defining identity A(lift of g) = edge delta layer times g makes the
     flux readout and the interior-harmonicity residual exact: see
     `boundary_flux`.  Each column is computed on its own, so fewer modes
-    give the same leading columns.
+    give the same leading columns; 0 modes give an (n+1, 0) array.
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    if not 1 <= n_modes <= grid.n - 1:
-        raise ValueError(f"edge mode count must be in 1..{grid.n - 1}")
+    if not 0 <= n_modes <= grid.n - 1:
+        raise ValueError(f"edge mode count must be in 0..{grid.n - 1}")
     c = _edge_scales(grid.n)
     m = np.arange(grid.n + 1, dtype=float)[:, np.newaxis]
     k = np.arange(1, n_modes + 1, dtype=float)[np.newaxis, :]

@@ -16,7 +16,6 @@ from qgsync.analysis import (
     driver_from_norms,
     propagate_rho_squared,
     radius_invariance_experiment,
-    rho_squared_from_series,
     stationary_statistics,
     synchronization_experiment,
 )
@@ -74,7 +73,7 @@ class TestCoefficientWindow:
 
     @staticmethod
     def reference(stream, cov1, cov2, grid, steps):
-        past = wiener_shift(stream, -steps * stream.dt)
+        past = wiener_shift(stream, -steps)
         state = ou_init(OUKernel(grid, PARAMS.nu, cov1, cov2, stream.dt), past)
         g = np.empty(steps + 1)
         r = np.empty(steps + 1)
@@ -121,7 +120,37 @@ class TestCoefficientWindow:
         )
 
 
+def trapezoid_rho_squared(g, r, dt):
+    """Reference pullback trapezoid quadrature of the radius integrand.
+
+    g and r sample |grad w|^2 and R on a uniform grid over [-T, 0], last
+    entry at time 0; the inner integral of g is a cumulative trapezoid from
+    the right.
+    """
+    m = g.size
+    taus = -dt * np.arange(m - 1, -1, -1)
+    a = CONSTS.lambda1 * PARAMS.nu - 2.0 * PARAMS.beta * CONSTS.c_gx + 2.0 * PARAMS.r
+    c = 3.0 * CONSTS.c_b**2 / PARAMS.nu
+    inner = np.zeros(m)
+    inner[:-1] = np.cumsum((0.5 * dt * (g[:-1] + g[1:]))[::-1])[::-1]
+    integrand = np.exp(a * taus + c * inner) * r
+    return float(dt * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])))
+
+
+def pullback_rho_squared(g, r, dt):
+    """rho^2 at the end of the window: the recursion started from 0."""
+    return propagate_rho_squared(0.0, g, r, dt, PARAMS, CONSTS)[-1]
+
+
 class TestRadiusQuadrature:
+    def test_recursion_is_the_trapezoid_quadrature(self, grid32):
+        dt = 0.01
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
+        g, r, _ = _coefficient_window(kernel, NoiseStream(seed=7, dt=dt), 5000, PARAMS, CONSTS)
+        want = trapezoid_rho_squared(g, r, dt)
+        assert want > 0
+        assert pullback_rho_squared(g, r, dt) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_noise_off_gives_zero(self, grid32):
         kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
         rho2, _ = _rho_with_state(kernel, NoiseStream(seed=3, dt=0.01), 1.0, PARAMS, CONSTS)
@@ -136,7 +165,7 @@ class TestRadiusQuadrature:
         g = np.zeros(m)
         r_const = 2.31
         r = np.full(m, r_const)
-        rho2 = rho_squared_from_series(g, r, dt, PARAMS, CONSTS)
+        rho2 = pullback_rho_squared(g, r, dt)
         assert rho2 == pytest.approx(r_const / a, rel=1e-3)
 
     def test_quadrature_self_convergence(self):
@@ -148,21 +177,19 @@ class TestRadiusQuadrature:
             taus = -dt * np.arange(m - 1, -1, -1)
             g = 0.3 * (1.0 + np.sin(taus))  # time-varying but analytic
             r = r_const * (1.0 + 0.5 * np.cos(taus))
-            vals.append(rho_squared_from_series(g, r, dt, PARAMS, CONSTS))
+            vals.append(pullback_rho_squared(g, r, dt))
         assert abs(vals[0] / vals[1] - 1.0) < 0.01
 
     def test_propagation_matches_requadrature(self, grid32):
-        # one forward step of the affine recursion == quadrature on the
-        # shifted stream (up to the truncated tail)
-        from qgsync.analysis import _coefficient_window
-
+        # one forward step of the affine recursion == a fresh pullback over
+        # the window shifted by one step (up to the truncated tail)
         dt = 0.01
         stream = NoiseStream(seed=4, dt=dt)
         steps = 400
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
-        g, r, _ = _coefficient_window(kernel, wiener_shift_local(stream, dt), steps + 1, PARAMS, CONSTS)
-        rho2_old = rho_squared_from_series(g[:-1], r[:-1], dt, PARAMS, CONSTS)
-        rho2_new = rho_squared_from_series(g[1:], r[1:], dt, PARAMS, CONSTS)
+        g, r, _ = _coefficient_window(kernel, wiener_shift(stream, 1), steps + 1, PARAMS, CONSTS)
+        rho2_old = pullback_rho_squared(g[:-1], r[:-1], dt)
+        rho2_new = pullback_rho_squared(g[1:], r[1:], dt)
         prop = propagate_rho_squared(rho2_old, g[-2:], r[-2:], dt, PARAMS, CONSTS)[-1]
         assert prop == pytest.approx(rho2_new, rel=0.01)
 
@@ -197,12 +224,6 @@ class TestRadiusQuadrature:
     def test_decay_margin_formula(self):
         m = decay_margin(PARAMS, CONSTS, grad2_mean=0.0)
         assert m == pytest.approx(np.pi**2 + 2.0 - 2 * PARAMS.beta * CONSTS.c_gx, rel=1e-14)
-
-
-def wiener_shift_local(stream, t):
-    from qgsync.noise import wiener_shift
-
-    return wiener_shift(stream, t)
 
 
 class TestForwardInvariance:

@@ -284,8 +284,20 @@ class TestWindowRefusals:
         [
             ("radius", {"rho.window": "1e300"}),
             ("check-condition", {"time.dt": "1e-300", "time.t_end": "1e-298", "time.burn": "0"}),
+            # window / dt overflows to inf
+            (
+                "radius",
+                {"time.dt": "1e-300", "time.t_end": "1e-298", "time.burn": "0", "rho.window": "1e300"},
+            ),
+            # burn + samples * gap steps is past the largest float
+            ("check-condition", {"time.dt": "1e-307", "time.t_end": "1e-305", "time.burn": "0"}),
         ],
-        ids=["radius_window_1e300", "condition_gap_over_dt_1e-300"],
+        ids=[
+            "radius_window_1e300",
+            "condition_gap_over_dt_1e-300",
+            "radius_window_over_dt_inf",
+            "condition_steps_over_float_max",
+        ],
     )
     def test_unindexable_window_exits_2(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, seeds="1", **overrides)

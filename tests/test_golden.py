@@ -46,6 +46,18 @@ CASES = {
             ("stationary", 0),
         ],
     ),
+    # no interior noise: the coefficient chain has no diagonal channels
+    "no-interior": (
+        {"noise.q2_amplitude": "0", "seeds": "1,2", "time.t_end": "1.0", "time.burn": "0.5"},
+        [
+            ("simulate", 0),
+            ("synchronize", 0),
+            ("check-condition", 0),
+            ("validate", 0),
+            ("radius", 0),
+            ("stationary", 0),
+        ],
+    ),
     # n = 128 takes the stencil path of the difference operators
     "n128": (
         {"grid.n": "128", "time.dt": "0.001", "time.t_end": "0.005", "time.burn": "0", "seeds": "1"},

@@ -8,6 +8,7 @@ import pytest
 from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, retained_mask
 from qgsync.noise import (
+    CoefficientState,
     ConfigError,
     CovarianceSpec,
     NoiseStream,
@@ -42,17 +43,25 @@ class TestNoiseStream:
 
     def test_shift_group_law(self):
         s = NoiseStream(seed=1, dt=0.5)
-        a = wiener_shift(wiener_shift(s, 2.0), -3.5)
-        b = wiener_shift(s, -1.5)
+        a = wiener_shift(wiener_shift(s, 4), -7)
+        b = wiener_shift(s, -3)
         assert a == b
 
     def test_shift_zero_identity(self):
         s = NoiseStream(seed=1, dt=0.5)
-        assert wiener_shift(s, 0.0) == s
+        assert wiener_shift(s, 0) == s
+
+    @pytest.mark.parametrize("t", [0.3, 2.0, np.float64(1.0)])
+    def test_shift_by_a_time_is_a_type_error(self, t):
+        # the shift is a step count; a time must go through steps_for
+        with pytest.raises(TypeError):
+            wiener_shift(NoiseStream(seed=1, dt=0.1), t)
 
     def test_misaligned_shift_rejected(self):
+        stream = NoiseStream(seed=1, dt=0.1)
+        assert stream.steps_for(0.3) == 3
         with pytest.raises(ConfigError):
-            wiener_shift(NoiseStream(seed=1, dt=0.1), 0.05)
+            stream.steps_for(0.05)
 
     def test_negative_steps_valid(self):
         s = NoiseStream(seed=2, dt=0.1)
@@ -178,7 +187,7 @@ class TestStationaryLaw:
         acc1 = np.zeros(grid32.shape)
         acc2 = np.zeros(grid32.shape)
         for i in range(n_samples):
-            st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
+            st = ou_init(kernel, wiener_shift(stream, -i))
             acc1 += st.zw1**2
             acc2 += st.zw2**2
         acc1 /= n_samples
@@ -197,7 +206,7 @@ class TestStationaryLaw:
         a = np.empty(n_samples)
         b = np.empty(n_samples)
         for i in range(n_samples):
-            st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
+            st = ou_init(kernel, wiener_shift(stream, -i))
             a[i] = st.zw1[0, 1]
             b[i] = st.zw2[0, 1]
         corr = np.corrcoef(a, b)[0, 1]
@@ -224,6 +233,60 @@ class TestArrayState:
                 getattr(state, which)[1, 1] = 1.0
 
 
+def full_array_step(state, stream, step):
+    """Reference update on whole arrays: scatter the increments into zeros, then decay * z + i."""
+    kernel = state.kernel
+    nb, nc = kernel.n_boundary, kernel.n_channels
+    vals = stream.normals(step, 2 * nc)
+    i1 = np.zeros(kernel.grid.shape)
+    i1[:, 1 : 1 + nb] = kernel.w1_step * vals[np.newaxis, :nb]
+    i2 = np.zeros(kernel.grid.shape)
+    i2[kernel.w2_index] = kernel.w2_step * vals[nb:nc]
+    return kernel.decay * state.zw1 + i1, kernel.decay * state.zw2 + i2
+
+
+NOISE_CASES = {
+    "both": (CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3)),
+    "boundary_only": (CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(0.0, 2.5, 3)),
+    "interior_only": (CovarianceSpec(0.0, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3)),
+}
+
+
+class TestChainUpdate:
+    """`ou_step` adds its increments in place and draws only its half of the channels."""
+
+    @pytest.mark.parametrize("case", sorted(NOISE_CASES))
+    def test_matches_full_array_update_bit_for_bit(self, grid32, case):
+        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        stream = NoiseStream(seed=31, dt=0.1, origin=-50)
+        state = ou_init(kernel, stream)
+        zw1, zw2 = state.zw1, state.zw2
+        for j in range(200):
+            zw1, zw2 = full_array_step(CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel), stream, j)
+            state = ou_step(state, stream, j)
+            assert state.zw1.tobytes() == zw1.tobytes()
+            assert state.zw2.tobytes() == zw2.tobytes()
+        assert np.any(state.zw1) == (case != "interior_only")
+        assert np.any(state.zw2) == (case != "boundary_only")
+
+    @pytest.mark.parametrize("case", sorted(NOISE_CASES))
+    def test_draws_per_call(self, grid32, monkeypatch, case):
+        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        counts = []
+        normals = NoiseStream.normals
+
+        def counted(self, step, count):
+            counts.append(count)
+            return normals(self, step, count)
+
+        monkeypatch.setattr(NoiseStream, "normals", counted)
+        stream = NoiseStream(seed=2, dt=0.1)
+        state = ou_init(kernel, stream)
+        ou_step(state, stream, 0)
+        assert kernel.n_channels > 0
+        assert counts == [2 * kernel.n_channels, kernel.n_channels]
+
+
 class TestOUStep:
     def test_pure_decay_without_noise(self, grid32):
         cov1 = CovarianceSpec(1e-3, 3.0, 2)
@@ -233,8 +296,6 @@ class TestOUStep:
         state = ou_init(kernel, stream)
         # zero the increments by stepping a zero-amplitude kernel clone
         kernel0 = OUKernel(grid32, 1.0, CovarianceSpec(0.0, 3.0, 2), cov0, 0.2)
-        from qgsync.noise import CoefficientState
-
         frozen = CoefficientState(zw1=state.zw1, zw2=state.zw2, kernel=kernel0)
         stepped = ou_step(frozen, stream, 0)
         lam = np.pi**2 * (
@@ -294,7 +355,7 @@ class TestOUStep:
         cov2 = CovarianceSpec(1e-2, 2.5, 2)
         kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
         s0 = NoiseStream(seed=21, dt=0.1)
-        s3 = wiener_shift(s0, 0.3)
+        s3 = wiener_shift(s0, 3)
         state = ou_init(kernel, s0)
         for j in range(3):
             state = ou_step(state, s0, j)
@@ -313,7 +374,7 @@ class TestOUStep:
         def moments(m):
             g2 = np.empty(m)
             for i in range(m):
-                st = ou_init(kernel, wiener_shift(stream, -i * 0.1))
+                st = ou_init(kernel, wiener_shift(stream, -i))
                 g2[i] = norm_h1(Field(grid32, Basis.NEUMANN_COSINE, coeffs=st.combined())) ** 2
             return np.mean(g2), np.mean(g2**2)
 

@@ -176,6 +176,14 @@ class TestNeumannLift:
             assert np.max(np.abs(got - analytic)) < 1e-15
         assert np.all(lift[grid32.n, :] == 0.0)
 
+    def test_lifting_matrix_with_no_modes_is_empty(self, grid32):
+        # a kernel with the boundary noise off builds its lift with 0 columns
+        assert lifting_matrix(grid32, 1.0, 0).shape == (grid32.n + 1, 0)
+        assert lifting_matrix(grid32, 1.0, grid32.n - 1).shape == (grid32.n + 1, grid32.n - 1)
+        for bad in (-1, grid32.n):
+            with pytest.raises(ValueError):
+                lifting_matrix(grid32, 1.0, bad)
+
 
 class TestSemigroup:
     def test_eigenfunction_decay(self, grid32):
