@@ -42,7 +42,6 @@ from .dynamics import (
     untransform,
 )
 from .fields import (
-    Basis,
     Field,
     GridSpec,
     laplacian_eigenvalues,
@@ -157,12 +156,12 @@ def _block_driver(
 ) -> tuple[np.ndarray, np.ndarray]:
     """|grad w|^2 and R for a stack of combined coefficient arrays w[i].
 
-    The only place either is computed.  Bitwise equal to `norm_h1(F) ** 2`
-    and `driver_from_norms(norm_l2(F) ** 2, norm_h1(F) ** 2, ...)` for the
-    field F of each array: the sums run over the same contiguous rows, and
-    the norms are squared as Python floats (libm `pow`, as `float ** 2`
-    does), not as x * x.  Overflow gives inf, not a warning; callers that
-    need finite values check for them.
+    The only place either is computed.  Bitwise equal to `norm_h1(w[i]) ** 2`
+    and `driver_from_norms(norm_l2(w[i]) ** 2, norm_h1(w[i]) ** 2, ...)` for
+    each array: the sums run over the same contiguous rows, and the norms
+    are squared as Python floats (libm `pow`, as `float ** 2` does), not as
+    x * x.  Overflow gives inf, not a warning; callers that need finite
+    values check for them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.square(w).reshape(len(w), -1)
@@ -283,14 +282,13 @@ def radius_invariance_experiment(
         rho0 = math.sqrt(max(rho2_0, 0.0))
         rng = np.random.default_rng((seed, 0xABCD))
         direction = dealias(random_field(grid, rng)).coeffs
-        dnorm = float(np.sqrt(np.sum(direction**2)))
+        dnorm = norm_l2(direction)
         scale = rng.uniform(0.0, 1.0) * rho0
-        z0_coeffs = direction / dnorm * scale if dnorm > 0 else direction * 0.0
-        z0 = Field(grid, Basis.NEUMANN_COSINE, coeffs=z0_coeffs)
+        z0 = direction / dnorm * scale if dnorm > 0 else direction * 0.0
 
         # g and R continue the window's series from its last sample, time 0
         g_path, r_path, z2 = [g[-1]], [r[-1]], []
-        start = CocycleState(step=0, members=(z0,), coeff=coeff0)
+        start = CocycleState(step=0, members=z0[np.newaxis], coeff=coeff0)
         states = evolve(t_end, stream, start, params, cov1, cov2, check_cfl=False)
         next(states)  # the start state
         for state in states:
@@ -579,7 +577,7 @@ def stationary_statistics(
                     )
                 energy.append(l2**2)
                 enstrophy.append(h1**2)
-                mean_field += u.coeffs
+                mean_field += u
                 count += 1
                 max_gap = max(max_gap, norm_l2(a - b))
         mean_field /= max(count, 1)
@@ -588,7 +586,7 @@ def stationary_statistics(
                 "seed": seed,
                 "energy_mean": float(np.mean(energy)) if energy else 0.0,
                 "enstrophy_mean": float(np.mean(enstrophy)) if enstrophy else 0.0,
-                "mean_field_norm": float(np.sqrt(np.sum(mean_field**2))),
+                "mean_field_norm": norm_l2(mean_field),
                 "postburn_max_distance": max_gap,
             }
         )
@@ -633,7 +631,7 @@ def cocycle_check(
     shifted = wiener_shift(stream, stream.steps_for(t if shift_override is None else shift_override))
     second = final(s, shifted, mid)
     return bool(
-        np.array_equal(full.members[0].coeffs, second.members[0].coeffs)
+        np.array_equal(full.members, second.members)
         and np.array_equal(full.coeff.zw1, second.coeff.zw1)
         and np.array_equal(full.coeff.zw2, second.coeff.zw2)
     )

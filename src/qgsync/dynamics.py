@@ -7,9 +7,12 @@ diffusion-plus-friction part is solved exactly per mode (it is diagonal in
 this basis), all advection terms are explicit at the old state, and the
 coefficient processes advance by their exact recursion.
 
-`evolve` is the package's only stepping loop.  An experiment's members
-(several initial states) share one coefficient chain, the realized noise
-path: each step advances the chain once and steps every member with it.
+`evolve` is the package's only stepping loop, and a `Field` enters it only
+as a start state: the members (several initial states) become one
+(E, n+1, n+1) array of cosine coefficients, and from there a trajectory is
+arrays until a caller wraps one (a snapshot).  The members share one
+coefficient chain, the realized noise path: each step advances the chain
+once and steps every member with it.
 
 Trajectories are bit-reproducible functions of (seed, dt, z0, parameters).
 A member's path does not depend on which other members share its chain.
@@ -32,7 +35,9 @@ import numpy as np
 from . import operators
 from .fields import (
     Basis,
+    DimensionMismatch,
     Field,
+    GridSpec,
     coeffs_from_nodal,
     derivative,
     laplacian_eigenvalues,
@@ -79,16 +84,20 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CocycleState:
-    """One point of an experiment: its members' transformed fields and their one chain.
+    """One point of an experiment: its members' transformed states and their one chain.
 
-    Every member is driven by the same coefficient state `coeff`.  `step`
-    is the only step counter; the next step reads the noise of that step
-    for every member and for the chain.
+    `members` is the E members' z as one (E, n+1, n+1) NEUMANN_COSINE array,
+    made read-only in place as in `CoefficientState`; all are driven by the
+    one `coeff`.  `step` is the only step counter; the next step reads the
+    noise of that step for every member and for the chain.
     """
 
     step: int
-    members: tuple[Field, ...]
+    members: np.ndarray
     coeff: CoefficientState
+
+    def __post_init__(self):
+        self.members.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -104,28 +113,28 @@ def dealias(f: Field) -> Field:
 
 
 def step_imex(
-    z: Field,
+    z: np.ndarray,
     w: np.ndarray,
     params: ModelParams,
     dt: float,
     step: int,
     check_cfl: bool = True,
-) -> Field:
+) -> np.ndarray:
     """One semi-implicit step of the transformed equation: the next z.
 
-    `w` is the combined coefficient array zw1 + zw2 of the old state and
-    `step` the index of the step being taken.  Explicit: the advection
-    self-term, the beta term and the coefficient-process forcing, all at
-    the old state.  Implicit: the diagonal solve for diffusion plus
-    friction.  The chain is not advanced here; `evolve` does that.  The
-    step works on coefficient and lattice arrays; the new z is the only
-    field it builds.
+    `z` is one member's NEUMANN_COSINE coefficient array (its shape fixes
+    the grid), `w` the combined array zw1 + zw2 of the old state and `step`
+    the index of the step being taken.  Explicit: the advection self-term,
+    the beta term and the coefficient-process forcing, all at the old
+    state.  Implicit: the diagonal solve for diffusion plus friction.  The
+    chain is not advanced here; `evolve` does that.  The new z is an array,
+    finite and zero off the retained modes: the step builds no field.
     """
-    grid = z.grid
+    grid = GridSpec(len(z) - 1)
 
     def _diverged() -> DivergenceError:
         with np.errstate(over="ignore", invalid="ignore"):
-            zmag = float(np.sqrt(np.nansum(np.square(z.coeffs))))
+            zmag = float(np.sqrt(np.nansum(np.square(z))))
         return DivergenceError(f"trajectory diverged at t={(step + 1) * dt} (|z| was {zmag:.6g})")
 
     # all explicit terms at the old state; the advection self-term and the
@@ -135,7 +144,7 @@ def step_imex(
     # one synthesis of d(psi)/dx serves the last two.  A non-finite s or psi
     # makes B non-finite, so B is checked before the CFL check can warn
     with np.errstate(over="ignore", invalid="ignore"):
-        s = z.coeffs + w
+        s = z + w
         s_nodal = nodal_from_coeffs(s, Basis.NEUMANN_COSINE, grid)
         psi = streamfunction_coeffs(s_nodal, grid)
         b = advection_coeffs(nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid), s_nodal, grid)
@@ -158,11 +167,11 @@ def step_imex(
         if params.beta != 0.0:
             explicit = explicit - params.beta * coeffs_from_nodal(psi_x, Basis.NEUMANN_COSINE, grid)
         lam = laplacian_eigenvalues(grid)
-        new_coeffs = (z.coeffs + dt * explicit) / (1.0 + dt * (params.nu * lam + params.r))
+        new_coeffs = (z + dt * explicit) / (1.0 + dt * (params.nu * lam + params.r))
         new_coeffs = new_coeffs * retained_mask(grid, Basis.NEUMANN_COSINE)
     if not np.all(np.isfinite(new_coeffs)):
         raise _diverged()
-    return Field(grid, Basis.NEUMANN_COSINE, coeffs=new_coeffs)
+    return new_coeffs
 
 
 def evolve(
@@ -177,11 +186,12 @@ def evolve(
     """Run the cocycle for time t (a multiple of the stream's dt); the only stepping loop.
 
     Yields the start state, then the state after each step.  A tuple of
-    fields starts an experiment: each member is dealiased and all share one
+    NEUMANN_COSINE fields on one grid (else `DimensionMismatch`) starts an
+    experiment: they are dealiased and stacked once and share one
     stationary coefficient draw.  A `CocycleState` keeps its members and
     chain and restarts at step 0 of the (shifted) stream, so that restarts
     continue the same noise path.  Each step combines the chain's arrays
-    once, steps every member with them, and advances the chain once.
+    once, steps every member's array with them, and advances the chain once.
     """
     steps = stream.steps_for(t)
     if steps < 0:
@@ -189,19 +199,20 @@ def evolve(
     if isinstance(start, CocycleState):
         state = CocycleState(step=0, members=start.members, coeff=start.coeff)
     else:
-        kernel = OUKernel(start[0].grid, params.nu, cov1, cov2, stream.dt)
-        state = CocycleState(step=0, members=tuple(map(dealias, start)), coeff=ou_init(kernel, stream))
+        grid = start[0].grid
+        if any((f.grid, f.basis) != (grid, Basis.NEUMANN_COSINE) for f in start):
+            raise DimensionMismatch(f"start fields must be NEUMANN_COSINE on one grid, got {start!r}")
+        kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
+        members = np.array([dealias(f).coeffs for f in start])
+        state = CocycleState(step=0, members=members, coeff=ou_init(kernel, stream))
     yield state
     for step in range(steps):
         w = state.coeff.combined()
-        members = tuple(step_imex(z, w, params, stream.dt, step, check_cfl) for z in state.members)
+        members = np.array([step_imex(z, w, params, stream.dt, step, check_cfl) for z in state.members])
         state = CocycleState(step=step + 1, members=members, coeff=ou_step(state.coeff, stream, step))
         yield state
 
 
-def untransform(z: Field, coeff: CoefficientState) -> Field:
-    """Recover the physical field u = z + zw1 + zw2 of one member.
-
-    Its streamfunction, when needed, is `dirichlet_poisson(u)`.
-    """
-    return Field(z.grid, z.basis, coeffs=z.coeffs + coeff.zw1 + coeff.zw2)
+def untransform(z: np.ndarray, coeff: CoefficientState) -> np.ndarray:
+    """One member's physical coefficients u = z + zw1 + zw2, summed in that order (it fixes the bits)."""
+    return z + coeff.zw1 + coeff.zw2

@@ -49,20 +49,16 @@ class NonFiniteField(ValueError):
 
 
 class Basis(enum.Enum):
-    """Tensor basis family; the value encodes (x-axis kind, y-axis kind)."""
+    """Tensor basis family; the value encodes (x-axis kind, y-axis kind), also kept as `xkind`, `ykind`."""
 
     DIRICHLET_SINE = ("sin", "sin")
     NEUMANN_COSINE = ("cos", "cos")
     SINE_COSINE = ("sin", "cos")
     COSINE_SINE = ("cos", "sin")
 
-    @property
-    def xkind(self) -> str:
-        return self.value[0]
-
-    @property
-    def ykind(self) -> str:
-        return self.value[1]
+    def __init__(self, xkind: str, ykind: str):
+        self.xkind = xkind
+        self.ykind = ykind
 
 
 _FLIP = {"sin": "cos", "cos": "sin"}
@@ -358,17 +354,6 @@ class Field:
             self._nodal = v
         return self._nodal
 
-    def _check_compatible(self, other: "Field"):
-        if self.grid != other.grid or self.basis is not other.basis:
-            raise DimensionMismatch(
-                f"incompatible fields: {self.basis.name} on n={self.grid.n} vs "
-                f"{other.basis.name} on n={other.grid.n}"
-            )
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return Field(self.grid, self.basis, coeffs=self.coeffs - other.coeffs)
-
     def __repr__(self) -> str:
         return f"Field({self.basis.name}, n={self.grid.n})"
 
@@ -389,24 +374,25 @@ def random_field(
 
 def inner(f: Field, g: Field) -> float:
     """L2(D) inner product via the coefficient Parseval identity."""
-    f._check_compatible(g)
+    if f.grid != g.grid or f.basis is not g.basis:
+        raise DimensionMismatch(f"incompatible fields: {f!r} vs {g!r}")
     return float(np.sum(f.coeffs * g.coeffs))
 
 
-def norm_l2(f: Field) -> float:
-    """L2 norm; a field too large to square gives inf, not an overflow warning."""
+def norm_l2(coeffs: np.ndarray) -> float:
+    """L2 norm of a coefficient array in any basis; too large to square gives inf, not an overflow warning."""
     with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(f.coeffs**2)))
+        return float(np.sqrt(np.sum(coeffs**2)))
 
 
-def norm_h1(f: Field) -> float:
-    """Gradient seminorm |grad f|; the working norm on mean-zero fields.
+def norm_h1(coeffs: np.ndarray) -> float:
+    """Gradient seminorm |grad f| of a coefficient array in any basis; the working norm on mean-zero fields.
 
     Like `norm_l2`, it gives inf without a warning when the squares overflow.
     """
-    lam = laplacian_eigenvalues(f.grid)
+    lam = _grid_tables(len(coeffs) - 1)[2]
     with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(lam * f.coeffs**2)))
+        return float(np.sqrt(np.sum(lam * coeffs**2)))
 
 
 def derivative(coeffs: np.ndarray, basis: Basis, axis: int) -> tuple[np.ndarray, Basis]:

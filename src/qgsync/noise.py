@@ -148,14 +148,14 @@ class CovarianceSpec:
             raise ConfigError("covariance cutoff must be at least 1")
 
     def boundary_variances(self, grid: GridSpec) -> np.ndarray:
-        """q_k for edge modes k = 1..min(cutoff, n-1)."""
-        if self.amplitude > 0 and self.decay <= 1:
+        """q_k for edge modes k = 1..min(cutoff, n-1); none (no channels) when the noise is off."""
+        if self.amplitude == 0:  # noise off: a decay of any sign is unused
+            return np.zeros(0)
+        if self.decay <= 1:
             raise ConfigError(
                 f"boundary covariance trace requires decay > 1, got {self.decay}"
             )
         kmax = min(self.cutoff, grid.n - 1)
-        if self.amplitude == 0:  # noise off: a decay of any sign is unused
-            return np.zeros(kmax)
         ks = np.arange(1, kmax + 1, dtype=float)
         return self.amplitude * ks**-self.decay
 
@@ -235,7 +235,7 @@ class OUKernel:
         self.decay = np.where(mask, np.exp(-rate * dt), 0.0)
 
         # boundary-driven process: gain nu*lambda through lift column m2
-        q1 = cov1.boundary_variances(grid) if cov1.amplitude > 0 else np.zeros(0)
+        q1 = cov1.boundary_variances(grid)
         self.n_boundary = q1.size
         self.w1_cols = slice(1, 1 + self.n_boundary)
         lift = lifting_matrix(grid, nu, n_modes=self.n_boundary)
@@ -247,7 +247,7 @@ class OUKernel:
         self.w1_stat[~mask[:, self.w1_cols]] = 0.0
 
         # interior-driven process: diagonal
-        q2 = cov2.interior_variances(grid) if cov2.amplitude > 0 else np.zeros(grid.shape)
+        q2 = cov2.interior_variances(grid)
         idx = np.nonzero(q2 > 0)
         self.w2_index = idx
         self.w2_step = np.sqrt(q2[idx] * ou_var_scale[idx])

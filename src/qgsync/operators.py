@@ -284,7 +284,7 @@ def bilinear_b(v1: Field, v2: Field) -> Field:
 
 
 def _triple_ratio(v1: Field, v2: Field, v3: Field) -> float:
-    denom = norm_l2(v1) * norm_h1(v2) * norm_h1(v3)
+    denom = norm_l2(v1.coeffs) * norm_h1(v2.coeffs) * norm_h1(v3.coeffs)
     if denom == 0.0:
         return 0.0
     return abs(inner(bilinear_b(v1, v2), v3)) / denom

@@ -94,9 +94,9 @@ def test_criterion_1_bilinear_identities():
             for _ in range(3)
         )
         b12 = bilinear_b(v1, v2)
-        assert abs(inner(b12, v2)) <= 1e-12 * norm_l2(v1) * norm_h1(v2) ** 2
+        assert abs(inner(b12, v2)) <= 1e-12 * norm_l2(v1.coeffs) * norm_h1(v2.coeffs) ** 2
         resid = inner(b12, v3) + inner(bilinear_b(v1, v3), v2)
-        assert abs(resid) <= 1e-12 * norm_l2(v1) * norm_h1(v2) * norm_h1(v3)
+        assert abs(resid) <= 1e-12 * norm_l2(v1.coeffs) * norm_h1(v2.coeffs) * norm_h1(v3.coeffs)
 
 
 @criterion("criterion 2: operator exactness (Poisson 1e-10, lift 1e-8, semigroup 1e-14)")
@@ -107,7 +107,7 @@ def test_criterion_2_operator_exactness():
     lam = laplacian_eigenvalues(GRID)
     lap_psi = Field(GRID, Basis.DIRICHLET_SINE, coeffs=-lam * psi.coeffs)
     diff = lap_psi.nodal[1:-1, 1:-1] - u.nodal[1:-1, 1:-1]
-    rel = np.linalg.norm(diff) * GRID.h / max(norm_l2(u), 1e-300)
+    rel = np.linalg.norm(diff) * GRID.h / max(norm_l2(u.coeffs), 1e-300)
     assert rel < 1e-10
 
     # Neumann lift: interior harmonicity and flux recovery

@@ -62,9 +62,9 @@ class TestDriver:
 
     def test_matches_field_norms(self, grid32):
         coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=2, dt=0.01))
-        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeff.combined())
+        w = coeff.combined()
         direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, PARAMS, CONSTS)
-        _, r = _block_driver(w.coeffs[np.newaxis], laplacian_eigenvalues(grid32), PARAMS, CONSTS)
+        _, r = _block_driver(w[np.newaxis], laplacian_eigenvalues(grid32), PARAMS, CONSTS)
         assert r[0] == pytest.approx(direct, rel=1e-14)
 
 
@@ -78,7 +78,7 @@ class TestCoefficientWindow:
         g = np.empty(steps + 1)
         r = np.empty(steps + 1)
         for j in range(steps + 1):
-            w = Field(grid, Basis.NEUMANN_COSINE, coeffs=state.combined())
+            w = state.combined()
             g[j] = norm_h1(w) ** 2
             r[j] = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, PARAMS, CONSTS)
             if j < steps:

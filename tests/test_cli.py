@@ -120,7 +120,7 @@ _LINE = st.one_of(
     _JUNK_LINE.map("=".join),
     st.text(max_size=12).map(lambda t: "#" + t),
     st.just(""),
-    st.text(alphabet=st.characters(exclude_characters="="), max_size=12),
+    st.text(alphabet=st.characters(exclude_characters="=", codec="utf-8"), max_size=12),
     st.text(alphabet="ab =#\t\x00", max_size=6),
 )
 # lines joined by \n or \r\n; a known key may repeat, which is a duplicate-key error

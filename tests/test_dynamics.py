@@ -17,7 +17,7 @@ from qgsync.dynamics import (
     step_imex,
     untransform,
 )
-from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_l2, retained_mask
+from qgsync.fields import Basis, DimensionMismatch, Field, GridSpec, laplacian_eigenvalues, norm_l2, retained_mask
 from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init
 from qgsync.operators import dirichlet_poisson
 
@@ -67,7 +67,7 @@ class TestStepImex:
         b = dealias(Field(grid32, Basis.NEUMANN_COSINE, coeffs=advection(z, z))).coeffs
         tendency = -b - PARAMS.beta * beta_coeffs(z)
         expected = implicit_solve(grid32, z.coeffs + dt * tendency, dt)
-        assert norm_l2(state.members[0] - expected) <= 1e-14 * norm_l2(expected)
+        assert norm_l2(state.members[0] - expected.coeffs) <= 1e-14 * norm_l2(expected.coeffs)
 
     def test_step_from_rest_is_the_forcing(self, grid32):
         # z = 0 with noise on: one step is the coefficient-process forcing
@@ -79,7 +79,7 @@ class TestStepImex:
         b = dealias(Field(grid32, Basis.NEUMANN_COSINE, coeffs=advection(w, w))).coeffs
         tendency = -b - PARAMS.beta * beta_coeffs(w) - PARAMS.r * w.coeffs
         expected = implicit_solve(grid32, dt * tendency, dt)
-        assert norm_l2(state.members[0] - expected) <= 1e-14 * norm_l2(expected)
+        assert norm_l2(state.members[0] - expected.coeffs) <= 1e-14 * norm_l2(expected.coeffs)
 
     def test_linear_decay_factor(self, grid32):
         # small single-mode state, no noise, no beta: each step divides the
@@ -143,7 +143,7 @@ class TestStepImex:
     def test_mean_mode_stays_zero(self, grid32):
         stream = NoiseStream(seed=7, dt=0.01)
         for state in evolve(0.5, stream, (masked_field(grid32, 7),), PARAMS, COV1, COV2, check_cfl=False):
-            assert state.members[0].coeffs[0, 0] == 0.0
+            assert state.members[0][0, 0] == 0.0
         assert state.step == 50
 
     def test_divergence_raises(self, grid32):
@@ -167,7 +167,7 @@ class TestStepImex:
             z0 = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeffs)
             for check_cfl in (True, False):
                 with pytest.raises(DivergenceError):
-                    step_imex(z0, np.zeros(grid32.shape), PARAMS, 0.01, 0, check_cfl=check_cfl)
+                    step_imex(z0.coeffs, np.zeros(grid32.shape), PARAMS, 0.01, 0, check_cfl=check_cfl)
 
     def test_cfl_check_leaves_the_step_unchanged(self, grid32):
         stream = NoiseStream(seed=11, dt=0.01)
@@ -177,38 +177,38 @@ class TestStepImex:
             for check_cfl in (True, False)
         }
         assert states[True].step == 5
-        assert np.array_equal(states[True].members[0].coeffs, states[False].members[0].coeffs)
+        assert np.array_equal(states[True].members[0], states[False].members[0])
         assert np.array_equal(states[True].coeff.zw1, states[False].coeff.zw1)
         assert np.array_equal(states[True].coeff.zw2, states[False].coeff.zw2)
 
     @pytest.mark.parametrize("check_cfl", [True, False])
     def test_step_builds_few_fields(self, grid32, field_inits, check_cfl):
-        # the explicit terms, the CFL speed and the solve are arrays; the
-        # new z is the one field a step builds
+        # a step maps z's coefficient array to the next one: the explicit
+        # terms, the CFL speed, the solve and the new z are all arrays
         stream = NoiseStream(seed=12, dt=0.01)
-        z = masked_field(grid32, 12)
+        z = masked_field(grid32, 12).coeffs
         w = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), stream).combined()
         field_inits[0] = 0
         step_imex(z, w, PARAMS, 0.01, 0, check_cfl=check_cfl)
-        assert field_inits[0] == 1
+        assert field_inits[0] == 0
 
     def test_cfl_warning(self, grid32):
         z0 = dealias(random_field(grid32, seed=9, scale=100.0))
         with pytest.warns(CFLWarning):
-            step_imex(z0, np.zeros(grid32.shape), PARAMS, 0.1, 0)
+            step_imex(z0.coeffs, np.zeros(grid32.shape), PARAMS, 0.1, 0)
 
 
 class TestEvolve:
     def test_zero_time_is_identity(self, grid32):
         z0 = masked_field(grid32, 11)
         (out,) = evolve(0.0, NoiseStream(seed=11, dt=0.01), (z0,), PARAMS, COV1, COV2)
-        assert np.array_equal(out.members[0].coeffs, z0.coeffs)
+        assert np.array_equal(out.members[0], z0.coeffs)
 
     def test_determinism(self, grid32):
         z0 = masked_field(grid32, 12)
         a = last(evolve(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
         b = last(evolve(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
-        assert np.array_equal(a.members[0].coeffs, b.members[0].coeffs)
+        assert np.array_equal(a.members[0], b.members[0])
 
     def test_time_must_be_step_multiple(self, grid32):
         with pytest.raises(ConfigError):
@@ -236,10 +236,28 @@ class TestEvolve:
         assert len(pair) == len(alone) == 21
         for shared, single in zip(pair, alone):
             assert shared.step == single.step
-            assert np.array_equal(shared.members[0].coeffs, single.members[0].coeffs)
+            assert np.array_equal(shared.members[0], single.members[0])
             assert np.array_equal(shared.coeff.zw1, single.coeff.zw1)
             assert np.array_equal(shared.coeff.zw2, single.coeff.zw2)
-        assert not np.array_equal(pair[-1].members[1].coeffs, pair[-1].members[0].coeffs)
+        assert not np.array_equal(pair[-1].members[1], pair[-1].members[0])
+
+    def test_members_are_read_only(self, grid32):
+        # the start stack and every stepped stack
+        stream = NoiseStream(seed=24, dt=0.01)
+        for state in evolve(0.02, stream, (masked_field(grid32, 24),), PARAMS, COV1, COV2, check_cfl=False):
+            with pytest.raises(ValueError):
+                state.members[0, 1, 1] = 1.0
+
+    def test_rejects_a_sine_start_field(self, grid32):
+        # its sine coefficients would be stepped as cosine ones
+        z0 = random_field(grid32, Basis.DIRICHLET_SINE, seed=25, scale=0.05)
+        with pytest.raises(DimensionMismatch):
+            next(evolve(0.05, NoiseStream(seed=25, dt=0.01), (z0,), PARAMS, COV1, COV2))
+
+    def test_rejects_start_fields_on_two_grids(self, grid32, grid64):
+        a, b = masked_field(grid32, 26), masked_field(grid64, 27)
+        with pytest.raises(DimensionMismatch):
+            next(evolve(0.05, NoiseStream(seed=26, dt=0.01), (a, b), PARAMS, COV1, COV2))
 
     def test_continuity_in_initial_state(self, grid32):
         # the flow map is continuous in z0: the response to a perturbation
@@ -290,21 +308,22 @@ class TestUntransform:
     def test_zero_coefficients_identity(self, grid32):
         z = masked_field(grid32, 18)
         coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=18, dt=0.01))
-        u = untransform(z, coeff)
-        assert np.array_equal(u.coeffs, z.coeffs)
-        assert dirichlet_poisson(u).basis is Basis.DIRICHLET_SINE
+        u = untransform(z.coeffs, coeff)
+        assert np.array_equal(u, z.coeffs)
+        assert dirichlet_poisson(Field(grid32, Basis.NEUMANN_COSINE, u)).basis is Basis.DIRICHLET_SINE
 
     def test_transform_untransform_round_trip(self, grid32):
         z = masked_field(grid32, 19)
         coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=19, dt=0.01))
-        u = untransform(z, coeff)
-        back = Field(grid32, Basis.NEUMANN_COSINE, coeffs=u.coeffs - coeff.zw1 - coeff.zw2)
-        assert norm_l2(back - z) < 1e-14 * max(norm_l2(u), 1.0)
+        u = untransform(z.coeffs, coeff)
+        back = Field(grid32, Basis.NEUMANN_COSINE, coeffs=u - coeff.zw1 - coeff.zw2)
+        assert norm_l2(back.coeffs - z.coeffs) < 1e-14 * max(norm_l2(u), 1.0)
 
     def test_streamfunction_vanishes_on_boundary(self, grid32):
         stream = NoiseStream(seed=20, dt=0.01)
         _, state = evolve(0.01, stream, (masked_field(grid32, 20),), PARAMS, COV1, COV2, check_cfl=False)
-        nod = dirichlet_poisson(untransform(state.members[0], state.coeff)).nodal
+        u = Field(grid32, Basis.NEUMANN_COSINE, untransform(state.members[0], state.coeff))
+        nod = dirichlet_poisson(u).nodal
         edge = max(
             np.max(np.abs(nod[0, :])),
             np.max(np.abs(nod[-1, :])),

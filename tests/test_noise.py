@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgsync.dynamics import ModelParams
-from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, retained_mask
+from qgsync.fields import Basis, laplacian_eigenvalues, norm_h1, retained_mask
 from qgsync.noise import (
     CoefficientState,
     ConfigError,
@@ -144,6 +144,7 @@ class TestCovarianceSpec:
     def test_amplitude_zero_is_noise_off(self, grid32):
         cov = CovarianceSpec(0.0, 1.5, 4)
         assert np.all(cov.boundary_variances(grid32) == 0.0)
+        assert cov.boundary_variances(grid32).size == 0  # no boundary channels
         assert np.all(cov.interior_variances(grid32) == 0.0)
 
     def test_cutoff_respected(self, grid32):
@@ -375,7 +376,7 @@ class TestOUStep:
             g2 = np.empty(m)
             for i in range(m):
                 st = ou_init(kernel, wiener_shift(stream, -i))
-                g2[i] = norm_h1(Field(grid32, Basis.NEUMANN_COSINE, coeffs=st.combined())) ** 2
+                g2[i] = norm_h1(st.combined()) ** 2
             return np.mean(g2), np.mean(g2**2)
 
         m2a, m4a = moments(2000)
