@@ -38,6 +38,7 @@ from .fields import (
     DimensionMismatch,
     Field,
     GridSpec,
+    WorkArrays,
     coeffs_from_nodal,
     derivative,
     laplacian_eigenvalues,
@@ -104,12 +105,27 @@ class CocycleState:
 def _dealias_mask(n: int) -> np.ndarray:
     """2/3-rule mask on grid n: keeps modes k, l <= 2n // 3."""
     keep = np.arange(n + 1) <= (2 * n) // 3
-    return np.outer(keep, keep)
+    mask = np.outer(keep, keep)
+    mask.flags.writeable = False
+    return mask
 
 
 def dealias(f: Field) -> Field:
     """Zero modes above the 2/3 cutoff (applied to advection products only)."""
     return Field(f.grid, f.basis, coeffs=f.coeffs * _dealias_mask(f.grid.n))
+
+
+# per thread and n: s then psi; s_nodal then r*w, the beta term's and the
+# derivatives' coefficients; psi_nodal then psi_x, then psi_y
+_STEP_WORK = WorkArrays(lambda n: tuple(np.empty((n + 1, n + 1)) for _ in range(3)))
+
+
+@lru_cache(maxsize=32)
+def _implicit_divisor(n: int, dt: float, nu: float, r: float) -> np.ndarray:
+    """Read-only 1 + dt (nu lambda + r), the diagonal of the diffusion-plus-friction solve."""
+    d = 1.0 + dt * (nu * laplacian_eigenvalues(GridSpec(n)) + r)
+    d.flags.writeable = False
+    return d
 
 
 def step_imex(
@@ -128,9 +144,13 @@ def step_imex(
     the beta term and the coefficient-process forcing, all at the old
     state.  Implicit: the diagonal solve for diffusion plus friction.  The
     chain is not advanced here; `evolve` does that.  The new z is an array,
-    finite and zero off the retained modes: the step builds no field.
+    finite and zero off the retained modes: the step builds no field.  It
+    is the step's one fresh lattice array; every other lattice array is a
+    work array of this thread for the grid size, overwritten by the next
+    step.
     """
     grid = GridSpec(len(z) - 1)
+    s, s_nodal, psi_nodal = _STEP_WORK.get(grid.n)
 
     def _diverged() -> DivergenceError:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -143,20 +163,36 @@ def step_imex(
     # streamfunction solve serves B, the CFL speed and the beta term, and
     # one synthesis of d(psi)/dx serves the last two.  A non-finite s or psi
     # makes B non-finite, so B is checked before the CFL check can warn
+    #
+    # b, the one fresh array, becomes the explicit terms
+    # -1.0 * (b * dealias) - r w [- beta psi_x] and then the new z; the
+    # products and sums are those of that expression, in its order
     with np.errstate(over="ignore", invalid="ignore"):
-        s = z + w
-        s_nodal = nodal_from_coeffs(s, Basis.NEUMANN_COSINE, grid)
-        psi = streamfunction_coeffs(s_nodal, grid)
-        b = advection_coeffs(nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid), s_nodal, grid)
+        np.add(z, w, out=s)
+        nodal_from_coeffs(s, Basis.NEUMANN_COSINE, grid, out=s_nodal)
+        psi = streamfunction_coeffs(s_nodal, grid, out=s)
+        nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid, out=psi_nodal)
+        b = advection_coeffs(psi_nodal, s_nodal, grid)
         if not np.all(np.isfinite(b)):
             raise _diverged()
-        explicit = -1.0 * (b * _dealias_mask(grid.n)) - params.r * w
-        psi_x = None
+        np.multiply(b, _dealias_mask(grid.n), out=b)
+        np.multiply(b, -1.0, out=b)
+        coeffs = s_nodal  # read for the last time by B
+        np.subtract(b, np.multiply(w, params.r, out=coeffs), out=b)
+        # max |grad psi| without the |a| arrays: the larger of max a and -min a,
+        # from a 0.0 that keeps an all-zero speed +0.0
+        speed = 0.0
         if check_cfl or params.beta != 0.0:
-            psi_x = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 0), grid)
+            psi_x = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 0, out=coeffs), grid, out=psi_nodal)
+            if check_cfl:
+                speed = max(speed, psi_x.max(), -psi_x.min())
+            if params.beta != 0.0:
+                beta_term = coeffs_from_nodal(psi_x, Basis.NEUMANN_COSINE, grid, out=coeffs)
+                np.subtract(b, np.multiply(beta_term, params.beta, out=beta_term), out=b)
         if check_cfl:
-            psi_y = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 1), grid)
-            speed = float(max(np.max(np.abs(psi_x)), np.max(np.abs(psi_y))))
+            # psi_y takes psi_x's array, read for the last time above
+            psi_y = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 1, out=coeffs), grid, out=psi_nodal)
+            speed = float(max(speed, psi_y.max(), -psi_y.min()))
             if dt > 0.5 * grid.h / max(1.0, speed):
                 warnings.warn(
                     f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) "
@@ -164,14 +200,13 @@ def step_imex(
                     CFLWarning,
                     stacklevel=2,
                 )
-        if params.beta != 0.0:
-            explicit = explicit - params.beta * coeffs_from_nodal(psi_x, Basis.NEUMANN_COSINE, grid)
-        lam = laplacian_eigenvalues(grid)
-        new_coeffs = (z + dt * explicit) / (1.0 + dt * (params.nu * lam + params.r))
-        new_coeffs = new_coeffs * retained_mask(grid, Basis.NEUMANN_COSINE)
-    if not np.all(np.isfinite(new_coeffs)):
+        np.multiply(b, dt, out=b)
+        np.add(z, b, out=b)
+        np.divide(b, _implicit_divisor(grid.n, dt, params.nu, params.r), out=b)
+        np.multiply(b, retained_mask(grid, Basis.NEUMANN_COSINE), out=b)
+    if not np.all(np.isfinite(b)):
         raise _diverged()
-    return new_coeffs
+    return b
 
 
 def evolve(

@@ -27,6 +27,18 @@ transform; they differ from the FFT path by round-off only (at most a few
 n * eps * max|a|).  DENSE_BELOW_N is also where `operators` switches its
 difference operators from dense matrices to slice stencils, so one rule
 holds: below it every linear operator is a dense matrix.
+
+Lattice-sized work arrays are held per thread and per grid size in
+`WorkArrays`, built on first use and kept for the life of the thread: the
+FFT transforms' rfft buffers here, the Arakawa Jacobian's arrays in
+`operators` and the step's arrays in `dynamics`.  Reusing them keeps the
+allocator from handing freed pages back to the OS and faulting them in
+again on the next call.  A transform, `streamfunction_coeffs` or
+`derivative` writes into a caller's `out` array when given one (only the
+step passes one); otherwise it returns a fresh array that its caller owns.
+No function returns a view of a work array.  Every cached table (grid
+tables, masks, scales, difference operators) is read-only, so a misplaced
+`out=` raises instead of corrupting every later call.
 """
 
 from __future__ import annotations
@@ -105,7 +117,14 @@ def _grid_tables(n: int):
     w = np.ones(n + 1)
     w[0] = 0.5
     w[-1] = 0.5
-    return kx, ky, lam, w
+    return _read_only(kx, ky, lam, w)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached tables read-only and return them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
@@ -133,6 +152,7 @@ def _retained_mask(n: int, kinds: tuple[str, str]) -> np.ndarray:
     mask = np.outer(masks[0], masks[1])
     if kinds == ("cos", "cos"):
         mask[0, 0] = False
+    mask.flags.writeable = False
     return mask
 
 
@@ -181,27 +201,30 @@ def _cos_scales(n: int):
     d = np.ones(n + 1)
     d[0] = 2.0
     d[-1] = 2.0
-    return n * (d * c), n * c * d
+    return _read_only(n * (d * c), n * c * d)
 
 
-class _WorkArrays(threading.local):
-    """Per-thread rfft input and output buffers, one pair per grid size.
+class WorkArrays(threading.local):
+    """Per-thread work arrays, one tuple per grid size, built by `make(n)` on first use.
 
-    Every buffer is fully written before it is read, and no transform
-    returns a view of one (`Field.nodal` caches what it gets).
+    The user of a tuple fully writes each array before reading it, and
+    finishes with all of them before it returns; no function returns a
+    view of one.
     """
 
-    def __init__(self):
+    def __init__(self, make):
+        self.make = make
         self.by_n = {}
 
-    def get(self, n: int):
-        pair = self.by_n.get(n)
-        if pair is None:
-            pair = self.by_n[n] = (np.empty((n + 1, 2 * n)), np.empty((n + 1, n + 1), dtype=complex))
-        return pair
+    def get(self, n: int) -> tuple[np.ndarray, ...]:
+        arrays = self.by_n.get(n)
+        if arrays is None:
+            arrays = self.by_n[n] = self.make(n)
+        return arrays
 
 
-_WORK = _WorkArrays()
+# the rfft input lines and spectra of the FFT transforms
+_WORK = WorkArrays(lambda n: (np.empty((n + 1, 2 * n)), np.empty((n + 1, n + 1), dtype=complex)))
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -259,12 +282,12 @@ def _line_matrix(n: int, kind: str, synthesis: bool) -> np.ndarray:
     return m
 
 
-def _fft_coeffs_from_nodal(nodal: np.ndarray, basis: Basis, n: int) -> np.ndarray:
+def _fft_coeffs_from_nodal(nodal: np.ndarray, basis: Basis, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """`coeffs_from_nodal` by numpy.fft: the bits of scipy.fft's DCT-I/DST-I."""
     ext, spec = _WORK.get(n)
     lines = ext[:, : n + 1]
     lines[...] = nodal.T
-    a = np.empty((n + 1, n + 1))
+    a = np.empty((n + 1, n + 1)) if out is None else out
     _transform_lines(ext, spec, basis.xkind, n, synthesis=False, out=a)
     lines[...] = a.T
     _transform_lines(ext, spec, basis.ykind, n, synthesis=False, out=a)
@@ -272,35 +295,35 @@ def _fft_coeffs_from_nodal(nodal: np.ndarray, basis: Basis, n: int) -> np.ndarra
     return a
 
 
-def _fft_nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, n: int) -> np.ndarray:
+def _fft_nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """`nodal_from_coeffs` by numpy.fft: the bits of scipy.fft's DCT-I/DST-I."""
     ext, spec = _WORK.get(n)
     lines = ext[:, : n + 1]
     _synthesis_scale(coeffs.T, basis.xkind, n, lines)
-    v = np.empty((n + 1, n + 1))
+    v = np.empty((n + 1, n + 1)) if out is None else out
     _transform_lines(ext, spec, basis.xkind, n, synthesis=True, out=v)
     _synthesis_scale(v.T, basis.ykind, n, lines)
     _transform_lines(ext, spec, basis.ykind, n, synthesis=True, out=v)
     return v
 
 
-def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
-    """Project nodal values onto the retained modes of a basis."""
+def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Project nodal values onto the retained modes of a basis, into `out` if given (not `nodal`)."""
     n = grid.n
     if n >= DENSE_BELOW_N:
-        return _fft_coeffs_from_nodal(nodal, basis, n)
-    a = _line_matrix(n, basis.xkind, False) @ nodal @ _line_matrix(n, basis.ykind, False).T
+        return _fft_coeffs_from_nodal(nodal, basis, n, out)
+    a = np.matmul(_line_matrix(n, basis.xkind, False) @ nodal, _line_matrix(n, basis.ykind, False).T, out=out)
     a[_off_mask(n, basis.value)] = 0.0
     return a
 
 
-def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec) -> np.ndarray:
-    """Lattice values of a coefficient array; +0.0 on the edges of a sine axis."""
+def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Lattice values of a coefficient array, into `out` if given (not `coeffs`); +0.0 on the edges of a sine axis."""
     n = grid.n
     if n >= DENSE_BELOW_N:
-        v = _fft_nodal_from_coeffs(coeffs, basis, n)
+        v = _fft_nodal_from_coeffs(coeffs, basis, n, out)
     else:
-        v = _line_matrix(n, basis.xkind, True) @ coeffs @ _line_matrix(n, basis.ykind, True).T
+        v = np.matmul(_line_matrix(n, basis.xkind, True) @ coeffs, _line_matrix(n, basis.ykind, True).T, out=out)
     # whatever sign the dense path's 0 * x terms or the DST's scaling of a
     # zero line left there
     if basis.xkind == "sin":
@@ -395,8 +418,10 @@ def norm_h1(coeffs: np.ndarray) -> float:
         return float(np.sqrt(np.sum(lam * coeffs**2)))
 
 
-def derivative(coeffs: np.ndarray, basis: Basis, axis: int) -> tuple[np.ndarray, Basis]:
-    """Spectral derivative along one axis (0 = x, 1 = y): its coefficients and basis.
+def derivative(
+    coeffs: np.ndarray, basis: Basis, axis: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, Basis]:
+    """Spectral derivative along one axis (0 = x, 1 = y): its coefficients, into `out` if given (not `coeffs`), and basis.
 
     Differentiating an orthonormal sine mode gives k*pi times the matching
     cosine mode and vice versa with a sign, so the coefficient map is a
@@ -406,9 +431,13 @@ def derivative(coeffs: np.ndarray, basis: Basis, axis: int) -> tuple[np.ndarray,
     kinds = list(basis.value)
     kind = kinds[axis]
     kinds[axis] = _FLIP[kind]
-    out = _BY_KINDS[tuple(kinds)]
+    flipped = _BY_KINDS[tuple(kinds)]
     sign = 1.0 if kind == "sin" else -1.0
-    return sign * np.pi * _grid_tables(n)[axis] * coeffs * _retained_mask(n, out.value), out
+    # (((sign * pi) * k) * coeffs) * mask, one product at a time
+    d = np.multiply(sign * np.pi, _grid_tables(n)[axis], out=out)
+    np.multiply(d, coeffs, out=d)
+    np.multiply(d, _retained_mask(n, flipped.value), out=d)
+    return d, flipped
 
 
 class BoundaryField:
@@ -439,8 +468,10 @@ class BoundaryField:
 
 def save_field(path, f: Field, time: float = 0.0) -> None:
     """Write a field snapshot: one header line, then flat coefficients."""
-    values = tuple(f.coeffs.ravel().tolist())
+    # one %-format per row, the same text as format(v, ".17g") per value;
+    # formatting all values at once holds megabytes of Python objects at n = 256
+    line = "%.17g\n" * (f.grid.n + 1)
     with open(path, "w") as fh:
         fh.write(f"# n={f.grid.n} basis={f.basis.name} t={time!r}\n")
-        # one %-format over all values: the same text as format(v, ".17g") per value
-        fh.write(("%.17g\n" * len(values)) % values)
+        for row in f.coeffs:
+            fh.write(line % tuple(row.tolist()))

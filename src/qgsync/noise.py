@@ -12,8 +12,12 @@ generator without the cost of building one.
 
 The two coefficient processes (one driven through the boundary lift, one by
 interior forcing) are advanced with the exact per-mode Ornstein-Uhlenbeck
-recursion, so their stationary law is exact at any step size: there is no
-discretization bias to calibrate away in the stationarity tests.
+recursion, so each mode's stationary marginal law is exact at any step
+size: there is no discretization bias to calibrate away in the
+stationarity tests, which test marginals.  The joint law is not exact:
+`ou_init` draws all x-modes of a boundary channel from one normal, fully
+correlated, while the chain shares that normal between modes that decay
+at different rates, so its stationary correlation between them is below 1.
 
 `OUKernel(grid, nu, cov1, cov2, dt)` is the one place the coefficient
 processes are set up: it builds the boundary lift itself, sized to the

@@ -25,6 +25,11 @@ they are applied as O(n)-per-line slice stencils; on smaller grids one BLAS
 matmul against the dense matrix is faster, as it is for the transforms in
 `fields`, which switch at the same size.  At power-of-two n both forms give
 the same bits.
+
+The Jacobian writes its lattice arrays (the four first differences, the
+running sum of the three forms and one product) into six per-thread, per-n
+`fields.WorkArrays`, built on first use, so a call allocates only the
+coefficients it returns.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .fields import (
     DimensionMismatch,
     Field,
     GridSpec,
+    WorkArrays,
     coeffs_from_nodal,
     inner,
     laplacian_eigenvalues,
@@ -78,19 +84,29 @@ class OperatorConstants:
 # ---------------------------------------------------------------------------
 
 
-def streamfunction_coeffs(nodal: np.ndarray, grid: GridSpec) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _poisson_divisors(n: int) -> np.ndarray:
+    """Read-only -pi^2 (k^2 + l^2) on the sine modes and +inf off them.
+
+    src / (-lam) is -src / lam bit for bit, and the zero that
+    `coeffs_from_nodal` writes off the sine modes stays +0.0.
+    """
+    grid = GridSpec(n)
+    d = np.where(retained_mask(grid, Basis.DIRICHLET_SINE), -laplacian_eigenvalues(grid), np.inf)
+    d.flags.writeable = False
+    return d
+
+
+def streamfunction_coeffs(nodal: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Sine coefficients of psi with lap(psi) = u, psi = 0 on the boundary, from u's lattice values.
 
     Works for any basis of u: the source is read on the interior lattice
     and inverted mode-by-mode in the sine family, where the discrete
-    Laplacian is diagonal with eigenvalue -pi^2 (k^2 + l^2).
+    Laplacian is diagonal with eigenvalue -pi^2 (k^2 + l^2).  Writes into
+    `out` if given (not `nodal`).
     """
-    src = coeffs_from_nodal(nodal, Basis.DIRICHLET_SINE, grid)
-    lam = laplacian_eigenvalues(grid)
-    psi = np.zeros(grid.shape)
-    mask = retained_mask(grid, Basis.DIRICHLET_SINE)
-    psi[mask] = -src[mask] / lam[mask]
-    return psi
+    src = coeffs_from_nodal(nodal, Basis.DIRICHLET_SINE, grid, out=out)
+    return np.divide(src, _poisson_divisors(grid.n), out=src)
 
 
 def dirichlet_poisson(u: Field) -> Field:
@@ -122,6 +138,7 @@ def _edge_scales(n: int) -> np.ndarray:
     c = np.full(n + 1, np.sqrt(2.0))
     c[0] = 1.0
     c[n] = 0.0  # Nyquist row is outside the retained set
+    c.flags.writeable = False
     return c
 
 
@@ -224,25 +241,37 @@ def _difference_operators(n: int):
     upper_o[0] = 1.0 / h
 
     def op(lower, upper):
-        dense = None
-        if n < DENSE_BELOW_N:
-            dense = np.diag(lower, -1) + np.diag(upper, 1)
+        dense = np.diag(lower, -1) + np.diag(upper, 1) if n < DENSE_BELOW_N else None
+        for x in (lower, upper, dense):
+            if x is not None:
+                x.flags.writeable = False
         return lower, upper, dense
 
     return op(lower_e, upper_e), op(lower_o, upper_o)
 
 
-def _diff(op, a: np.ndarray, axis: int) -> np.ndarray:
-    """Apply one difference operator along an axis of a nodal array."""
+def _diff(op, a: np.ndarray, axis: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Apply one difference operator along an axis of a nodal array, into `out` (not `a`).
+
+    The stencil form keeps its second product in `scratch`, which may be
+    `a` itself when the caller no longer needs it.
+    """
     lower, upper, dense = op
     if dense is not None:
-        return dense @ a if axis == 0 else a @ dense.T
-    out = np.empty_like(a)
-    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+        return np.matmul(dense, a, out=out) if axis == 0 else np.matmul(a, dense.T, out=out)
+    # the lines along `axis` as rows: on 2D arrays a transpose is np.moveaxis(x, 1, 0)
+    src, dst, product = (a, out, scratch) if axis == 0 else (a.T, out.T, scratch.T)
     np.multiply(src[1:], upper[:, np.newaxis], out=dst[:-1])
     dst[-1] = 0.0
-    dst[1:] += lower[:, np.newaxis] * src[:-1]
+    # the product lands where its factor src[:-1] was, so scratch = a is overwritten in place
+    np.multiply(lower[:, np.newaxis], src[:-1], out=product[:-1])
+    np.add(dst[1:], product[:-1], out=dst[1:])
     return out
+
+
+# px, py, ax, ay (then the differences of t2 and t3), the running sum of
+# the three forms and the product being differenced
+_JACOBIAN_WORK = WorkArrays(lambda n: tuple(np.empty((n + 1, n + 1)) for _ in range(6)))
 
 
 def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -256,17 +285,42 @@ def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec) -> np.ndarr
     entry where an even or odd closure breaks that pattern multiplies
     psi or a tangential difference of psi on an edge where it is 0.  So
     <B(v1,v2),v2> = 0 and <B(v1,v2),v3> = -<B(v1,v3),v2> hold to round-off
-    on the retained modes.  The lattice temporaries are freed when this
-    call returns, so a caller does not hold them through the rest of its
-    work.
+    on the retained modes.
+
+    The lattice arrays live in this thread's six Jacobian work arrays for
+    n, which outlive the call, so the only fresh array is the returned
+    coefficients.  Each form is evaluated in the order of the expression
+    (t1 + t2 + t3) / 3 with t1 = px ay - py ax, t2 = Do_x(psi ay) -
+    Do_y(psi ax) and t3 = Do_y(px a) - Do_x(py a), so the bits are those of
+    that expression.
     """
     De, Do = _difference_operators(grid.n)
-    px, py = _diff(Do, psi, 0), _diff(Do, psi, 1)
-    ax, ay = _diff(De, a, 0), _diff(De, a, 1)
-    t1 = px * ay - py * ax
-    t2 = _diff(Do, psi * ay, 0) - _diff(Do, psi * ax, 1)
-    t3 = _diff(Do, px * a, 1) - _diff(Do, py * a, 0)
-    return coeffs_from_nodal((t1 + t2 + t3) / 3.0, Basis.NEUMANN_COSINE, grid)
+    px, py, ax, ay, acc, prod = _JACOBIAN_WORK.get(grid.n)
+    _diff(Do, psi, 0, px, acc)
+    _diff(Do, psi, 1, py, acc)
+    _diff(De, a, 0, ax, acc)
+    _diff(De, a, 1, ay, acc)
+    # t1 into acc
+    np.multiply(px, ay, out=acc)
+    np.multiply(py, ax, out=prod)
+    np.subtract(acc, prod, out=acc)
+    # t2: ay and then ax are free once their products with psi are taken,
+    # and each product is free once it is differenced
+    np.multiply(psi, ay, out=prod)
+    _diff(Do, prod, 0, ay, prod)
+    np.multiply(psi, ax, out=prod)
+    _diff(Do, prod, 1, ax, prod)
+    np.subtract(ay, ax, out=ay)
+    np.add(acc, ay, out=acc)
+    # t3
+    np.multiply(px, a, out=prod)
+    _diff(Do, prod, 1, ay, prod)
+    np.multiply(py, a, out=prod)
+    _diff(Do, prod, 0, ax, prod)
+    np.subtract(ay, ax, out=ay)
+    np.add(acc, ay, out=acc)
+    np.divide(acc, 3.0, out=acc)
+    return coeffs_from_nodal(acc, Basis.NEUMANN_COSINE, grid)
 
 
 def bilinear_b(v1: Field, v2: Field) -> Field:

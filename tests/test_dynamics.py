@@ -17,9 +17,19 @@ from qgsync.dynamics import (
     step_imex,
     untransform,
 )
-from qgsync.fields import Basis, DimensionMismatch, Field, GridSpec, laplacian_eigenvalues, norm_l2, retained_mask
+from qgsync.fields import (
+    Basis,
+    DimensionMismatch,
+    Field,
+    GridSpec,
+    derivative,
+    laplacian_eigenvalues,
+    nodal_from_coeffs,
+    norm_l2,
+    retained_mask,
+)
 from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init
-from qgsync.operators import dirichlet_poisson
+from qgsync.operators import dirichlet_poisson, streamfunction_coeffs
 
 from conftest import advection, beta_coeffs, mode_field, random_field
 
@@ -194,8 +204,13 @@ class TestStepImex:
 
     def test_cfl_warning(self, grid32):
         z0 = dealias(random_field(grid32, seed=9, scale=100.0))
-        with pytest.warns(CFLWarning):
+        with pytest.warns(CFLWarning) as record:
             step_imex(z0.coeffs, np.zeros(grid32.shape), PARAMS, 0.1, 0)
+        # the speed it reports is max |grad psi| on the lattice
+        psi = streamfunction_coeffs(z0.nodal, grid32)
+        grad = [nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, axis), grid32) for axis in (0, 1)]
+        speed = max(float(np.max(np.abs(g))) for g in grad)
+        assert f"(speed {speed:.3g})" in str(record[0].message)
 
 
 class TestEvolve:

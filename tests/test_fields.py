@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import fft as scipy_fft
 
-from qgsync import fields
+from qgsync import dynamics, fields, operators
 from qgsync.fields import (
     DENSE_BELOW_N,
     Basis,
@@ -260,14 +260,27 @@ class TestDensePath:
         x = np.random.default_rng(23).standard_normal(grid32.shape)
         matrices = [fields._line_matrix(n, kind, synthesis) for kind in ("cos", "sin") for synthesis in (False, True)]
         assert not any(m.flags.writeable for m in matrices)
-        held = matrices + list(fields._WORK.get(n))
+        z = x * retained_mask(grid32, Basis.NEUMANN_COSINE) * 1e-3
+        outputs = [
+            operators.streamfunction_coeffs(x, grid32),
+            operators.advection_coeffs(x * retained_mask(grid32, Basis.DIRICHLET_SINE), x, grid32),
+            dynamics.step_imex(z, 0.1 * z, dynamics.ModelParams(1.0, 1.0, 0.1), 0.01, 0),
+        ]
+        held = (
+            matrices
+            + list(fields._WORK.get(n))
+            + list(operators._JACOBIAN_WORK.get(n))
+            + list(dynamics._STEP_WORK.get(n))
+        )
         for basis in Basis:
-            for out in (
+            outputs += [
                 coeffs_from_nodal(x, basis, grid32),
                 nodal_from_coeffs(x * retained_mask(grid32, basis), basis, grid32),
-            ):
-                assert out.flags.owndata and out.flags.writeable
-                assert not any(np.shares_memory(out, h) for h in held)
+                derivative(x * retained_mask(grid32, basis), basis, 0)[0],
+            ]
+        for out in outputs:
+            assert out.flags.owndata and out.flags.writeable
+            assert not any(np.shares_memory(out, h) for h in held)
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_fft_path_from_the_cutoff_up(self, basis):

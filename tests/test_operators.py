@@ -1,8 +1,12 @@
 """Elliptic operators, semigroup, Jacobian and the bilinear form identities."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from qgsync import dynamics, fields, operators
 from qgsync.fields import (
     Basis,
     BoundaryField,
@@ -15,7 +19,8 @@ from qgsync.fields import (
     norm_l2,
     retained_mask,
 )
-from qgsync.fields import DENSE_BELOW_N, coeffs_from_nodal, nodal_from_coeffs
+from qgsync.fields import DENSE_BELOW_N, coeffs_from_nodal, derivative, nodal_from_coeffs
+from qgsync.dynamics import ModelParams, step_imex
 from qgsync.operators import (
     C_GX_EXACT,
     LAMBDA1,
@@ -36,6 +41,7 @@ from qgsync.noise import NoiseStream, OUKernel, ou_init
 
 from conftest import beta_coeffs, mode_field, nodes, random_field
 from test_dynamics import COV1, COV2, PARAMS, masked_field
+from test_fields import _same_bits
 
 
 def raw_jacobian(psi: Field, q: np.ndarray) -> Field:
@@ -297,6 +303,179 @@ def bracket_and_adjoint_matrices(psi):
     return jac, adj
 
 
+def diff(op, a, axis):
+    """`_diff` into a fresh array."""
+    return _diff(op, a, axis, np.empty_like(a), np.empty_like(a))
+
+
+# ---------------------------------------------------------------------------
+# The expression forms of the Jacobian, the Poisson solve and the step, each
+# allocating its temporaries as it goes: the references for the bits of the
+# package's versions, which write into reused work arrays instead.
+# ---------------------------------------------------------------------------
+
+
+def reference_diff(op, a, axis):
+    lower, upper, dense = op
+    if dense is not None:
+        return dense @ a if axis == 0 else a @ dense.T
+    out = np.empty_like(a)
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    np.multiply(src[1:], upper[:, np.newaxis], out=dst[:-1])
+    dst[-1] = 0.0
+    dst[1:] += lower[:, np.newaxis] * src[:-1]
+    return out
+
+
+def reference_advection_coeffs(psi, a, grid):
+    De, Do = _difference_operators(grid.n)
+    px, py = reference_diff(Do, psi, 0), reference_diff(Do, psi, 1)
+    ax, ay = reference_diff(De, a, 0), reference_diff(De, a, 1)
+    t1 = px * ay - py * ax
+    t2 = reference_diff(Do, psi * ay, 0) - reference_diff(Do, psi * ax, 1)
+    t3 = reference_diff(Do, px * a, 1) - reference_diff(Do, py * a, 0)
+    return coeffs_from_nodal((t1 + t2 + t3) / 3.0, Basis.NEUMANN_COSINE, grid)
+
+
+def reference_streamfunction_coeffs(nodal, grid):
+    src = coeffs_from_nodal(nodal, Basis.DIRICHLET_SINE, grid)
+    lam = laplacian_eigenvalues(grid)
+    psi = np.zeros(grid.shape)
+    mask = retained_mask(grid, Basis.DIRICHLET_SINE)
+    psi[mask] = -src[mask] / lam[mask]
+    return psi
+
+
+def reference_step(z, w, params, dt):
+    """`step_imex` without its checks: one semi-implicit step as one expression per term."""
+    grid = GridSpec(len(z) - 1)
+    s = z + w
+    s_nodal = nodal_from_coeffs(s, Basis.NEUMANN_COSINE, grid)
+    psi = reference_streamfunction_coeffs(s_nodal, grid)
+    b = reference_advection_coeffs(nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid), s_nodal, grid)
+    explicit = -1.0 * (b * dynamics._dealias_mask(grid.n)) - params.r * w
+    psi_x = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 0), grid)
+    explicit = explicit - params.beta * coeffs_from_nodal(psi_x, Basis.NEUMANN_COSINE, grid)
+    lam = laplacian_eigenvalues(grid)
+    new_coeffs = (z + dt * explicit) / (1.0 + dt * (params.nu * lam + params.r))
+    return new_coeffs * retained_mask(grid, Basis.NEUMANN_COSINE)
+
+
+def step_inputs(grid, seed):
+    """A smooth mean-zero z and a rougher w on the retained cosine modes."""
+    return masked_field(grid, seed, scale=0.5).coeffs, random_field(grid, seed=seed + 1, scale=0.01).coeffs
+
+
+class TestReferenceBits:
+    """The work-array forms give the bits of the expression forms they replace."""
+
+    @pytest.mark.parametrize("n", [16, 32, 128, 256])
+    def test_poisson_and_jacobian(self, n):
+        grid = GridSpec(n)
+        for seed in range(3):
+            u = random_field(grid, seed=40 + seed, slope=1.0).nodal
+            psi = streamfunction_coeffs(u, grid)
+            assert _same_bits(psi, reference_streamfunction_coeffs(u, grid))
+            psi_nodal = nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid)
+            assert _same_bits(advection_coeffs(psi_nodal, u, grid), reference_advection_coeffs(psi_nodal, u, grid))
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_step(self, n):
+        grid = GridSpec(n)
+        params = ModelParams(nu=0.7, r=1.3, beta=0.4)
+        z, w = step_inputs(grid, 50)
+        new = step_imex(z, w, params, 1e-4, 0, check_cfl=True)
+        assert _same_bits(new, reference_step(z, w, params, 1e-4))
+
+
+class TestWorkArrays:
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_outputs_survive_the_next_call(self, n):
+        # a second call with other inputs reuses the work arrays, never the outputs
+        grid = GridSpec(n)
+        params = ModelParams(nu=0.7, r=1.3, beta=0.4)
+        first, kept = [], []
+        for seed in (60, 70):
+            z, w = step_inputs(grid, seed)
+            u = random_field(grid, seed=seed + 2).nodal
+            psi = streamfunction_coeffs(u, grid)
+            psi_nodal = nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid)
+            outputs = [psi, advection_coeffs(psi_nodal, u, grid), step_imex(z, w, params, 1e-4, 0)]
+            if not first:
+                first, kept = outputs, [a.copy() for a in outputs]
+        for a, copy, b in zip(first, kept, outputs):
+            assert _same_bits(a, copy)
+            assert not _same_bits(a, b)
+
+    def test_threads_step_with_their_own_work_arrays(self):
+        # more threads than cores and a short switch interval interleave the
+        # steps; a work array shared between threads would mix their states
+        grid = GridSpec(32)
+        params = ModelParams(nu=0.7, r=1.3, beta=0.4)
+        inputs = [step_inputs(grid, 90 + 2 * k) for k in range(4)]
+
+        def run(z, w):
+            for step in range(20):
+                z = step_imex(z, w, params, 1e-3, step)
+            return z
+
+        expected = [run(z, w) for z, w in inputs]
+        results = [None] * len(inputs)
+
+        def worker(k):
+            results[k] = run(*inputs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(_same_bits(r, e) for r, e in zip(results, expected))
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_out_is_written_in_place(self, n):
+        # `out` gets the bits of the fresh result and is what the call returns
+        grid = GridSpec(n)
+        x = random_field(grid, seed=80).nodal
+        o = np.full(grid.shape, np.nan)
+        for basis in Basis:
+            coeffs = x * retained_mask(grid, basis)
+            for call in (
+                lambda out: coeffs_from_nodal(x, basis, grid, out=out),
+                lambda out: nodal_from_coeffs(coeffs, basis, grid, out=out),
+                lambda out: derivative(coeffs, basis, 1, out=out)[0],
+            ):
+                o.fill(np.nan)
+                assert call(o) is o and _same_bits(o, call(None))
+        o.fill(np.nan)
+        assert streamfunction_coeffs(x, grid, out=o) is o
+        assert _same_bits(o, streamfunction_coeffs(x, grid))
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_cached_tables_are_read_only(self, n):
+        # a misplaced out= into a shared table raises instead of corrupting later steps
+        tables = [
+            *fields._grid_tables(n),
+            *fields._cos_scales(n),
+            operators._edge_scales(n),
+            operators._poisson_divisors(n),
+            dynamics._dealias_mask(n),
+            dynamics._implicit_divisor(n, 0.01, 1.0, 1.0),
+        ]
+        tables += [fields._retained_mask(n, b.value) for b in Basis] + [fields._off_mask(n, b.value) for b in Basis]
+        tables += [a for op in _difference_operators(n) for a in op if a is not None]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                np.multiply(table, 1.0, out=table)
+
+
 class TestDifferenceOperators:
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
     def test_stencil_and_matrix_forms_agree_bitwise(self, n):
@@ -308,8 +487,8 @@ class TestDifferenceOperators:
             assert np.array_equal(np.diag(lower, -1) + np.diag(upper, 1), ref)
             assert dense is None or np.array_equal(dense, ref)
             stencil = (lower, upper, None)
-            assert np.array_equal(_diff(stencil, a, 0), ref @ a)
-            assert np.array_equal(_diff(stencil, a, 1), a @ ref.T)
+            assert np.array_equal(diff(stencil, a, 0), ref @ a)
+            assert np.array_equal(diff(stencil, a, 1), a @ ref.T)
 
     @pytest.mark.parametrize("n", [32, 128])
     def test_exact_on_linear_data(self, n):
@@ -318,8 +497,8 @@ class TestDifferenceOperators:
         x = np.arange(n + 1) / n
         a = np.outer(x, np.ones(n + 1))
         for op in _difference_operators(n):
-            assert np.all(_diff(op, a, 0)[1:-1] == 1.0)
-            assert np.all(_diff(op, a.T, 1)[:, 1:-1] == 1.0)
+            assert np.all(diff(op, a, 0)[1:-1] == 1.0)
+            assert np.all(diff(op, a.T, 1)[:, 1:-1] == 1.0)
 
     def test_matrices_only_below_the_stencil_switch(self):
         assert all(op[2] is not None for op in _difference_operators(DENSE_BELOW_N - 2))
