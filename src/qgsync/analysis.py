@@ -112,14 +112,20 @@ def propagate_rho_squared(
     trapezoid quadrature of the pullback integral
     int_{-T}^0 exp(a*tau + c * int_tau^0 |grad w|^2) R dtau.  From
     rho2 = 0, entry k is that quadrature over samples 0..k (a window of
-    k steps ending at sample k), to round-off.
+    k steps ending at sample k), to round-off.  A step that overflows, in
+    its growth factor or a product, makes the path +inf or nan from there
+    on, without a warning; callers that need a finite rho^2 check for one.
     """
     a, c = _rates(params, constants)
     path = np.empty(len(g))
     path[0] = rho2
-    for k in range(1, len(g)):
-        growth = math.exp(-a * dt + c * 0.5 * dt * (g[k - 1] + g[k]))
-        path[k] = growth * path[k - 1] + 0.5 * dt * (growth * r[k - 1] + r[k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(g)):
+            try:
+                growth = math.exp(-a * dt + c * 0.5 * dt * (g[k - 1] + g[k]))
+            except OverflowError:
+                growth = math.inf
+            path[k] = growth * path[k - 1] + 0.5 * dt * (growth * r[k - 1] + r[k])
     return path
 
 
@@ -244,6 +250,8 @@ def _rho_with_state(
     steps = _steps_at_least(window, stream.dt, 2)
     g, r, state = _coefficient_window(kernel, stream, steps, params, constants)
     rho2 = float(propagate_rho_squared(0.0, g, r, stream.dt, params, constants)[-1])
+    if not math.isfinite(rho2):
+        raise DecayConditionError(f"rho^2 at the origin is {rho2}; the radius quadrature overflows")
     return rho2, (g, r, state)
 
 

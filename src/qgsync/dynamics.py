@@ -77,6 +77,9 @@ class ModelParams:
         if self.nu < sys.float_info.min:
             # a subnormal viscosity overflows 1/(2 nu lambda) in the OU kernel and the lift
             raise ValueError(f"viscosity must be positive and normal, got {self.nu}")
+        if self.nu**2 == 0.0:
+            # the contraction condition divides by nu**2
+            raise ValueError(f"viscosity must have a nonzero square, got {self.nu}")
         if self.r <= 0:
             raise ValueError(f"friction constant must be positive, got {self.r}")
         if self.beta < 0:

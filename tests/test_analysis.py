@@ -207,6 +207,16 @@ class TestRadiusQuadrature:
             expected.append(growth * expected[-1] + 0.5 * dt * (growth * r[k] + r[k + 1]))
         assert np.array_equal(propagate_rho_squared(0.37, g, r, dt, PARAMS, CONSTS), expected)
 
+    def test_overflowing_growth_gives_inf_without_a_warning(self):
+        # a spike of |grad w|^2 makes exp(-a dt + c dt g) pass the largest
+        # float; pytest turns any RuntimeWarning into a failure
+        g = np.full(6, 1.0)
+        g[3] = 1e300
+        r = np.full(6, 1.0)
+        path = propagate_rho_squared(0.5, g, r, 0.01, PARAMS, CONSTS)
+        assert np.isfinite(path[:3]).all()
+        assert np.all(path[3:] == np.inf)
+
     def test_monotone_in_amplitude(self, grid32):
         rho2s = []
         for amp in (1e-4, 4e-4, 1.6e-3):

@@ -259,7 +259,9 @@ class TestOverflowRefusals:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"params.nu": "1e-300"},
+            # a viscosity whose square is 0.0 is refused at parse time, so
+            # this one squares to a subnormal
+            {"params.nu": "1e-160"},
             {"noise.q1_amplitude": "1e200"},
             # finite samples whose moments overflow: the squares at 3e153, their spread at 1e150
             {"noise.q1_amplitude": "0", "noise.q2_amplitude": "3e153"},
@@ -274,6 +276,56 @@ class TestOverflowRefusals:
         err = capsys.readouterr().err
         assert err.startswith("experiment refused:") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+
+class TestQuadratureOverflow:
+    # the default grid with a step of 5 and strong friction: some window
+    # step's growth factor exp(-a dt + c dt g) is past the largest float
+    BASE = {
+        "grid.n": "32",
+        "noise.cutoff": "8",
+        "mc.samples": "200",
+        "time.dt": "5",
+        "params.r": "50",
+        "time.t_end": "10",
+        "time.burn": "5",
+    }
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("check-condition", {"noise.q1_amplitude": "3.4e7", "noise.q2_amplitude": "2.7e6"}),
+            ("radius", {"noise.q1_amplitude": "1e7", "noise.q2_amplitude": "1e5", "rho.window": "1000"}),
+        ],
+        ids=["condition_moments", "radius_origin"],
+    )
+    def test_overflowing_growth_exits_3_with_one_line(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, seeds="1", **self.BASE, **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("experiment refused:") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
+
+class TestViscositySquare:
+    NOISE_OFF = {"noise.q1_amplitude": "0", "noise.q2_amplitude": "0"}
+
+    @pytest.mark.parametrize("command", ["check-condition", "radius"])
+    def test_viscosity_whose_square_is_zero_exits_2(self, tmp_path, capsys, command):
+        # the condition's rho^2 coefficient divides by nu**2
+        cfg = write_config(tmp_path, seeds="1", **{"params.nu": "1e-170"}, **self.NOISE_OFF)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check-condition", "radius"])
+    def test_tiny_viscosity_with_a_square_runs(self, tmp_path, command):
+        overrides = {"params.nu": "1e-154", "time.t_end": "0.1", "time.burn": "0", **self.NOISE_OFF}
+        cfg = write_config(tmp_path, seeds="1", **overrides)
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
 
 
 class TestWindowRefusals:
@@ -371,6 +423,18 @@ class TestCommands:
             "boundary lift residual",
             "cocycle flow property",
         }
+
+    def test_validate_passes_without_noise(self, tmp_path, capsys):
+        # with both noises off a mis-shifted stream drives the same run, so
+        # the cocycle suite rests on the aligned run alone
+        cfg = write_config(tmp_path, **{"noise.q1_amplitude": "0", "noise.q2_amplitude": "0"})
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--output", str(out)]) == 0
+        payload = json.loads((out / "validate.json").read_text())
+        (cocycle,) = (c for c in payload["checks"] if c["name"] == "cocycle flow property")
+        assert payload["passed"] is True and cocycle["passed"] is True
+        assert cocycle["detail"] == "aligned True, mis-shifted control does not apply without noise"
+        assert "[FAIL]" not in capsys.readouterr().out
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, **{"time.dt": "0"})

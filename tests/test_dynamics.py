@@ -61,10 +61,15 @@ class TestModelParams:
         {"nu": 0.0, "r": 1.0},
         {"nu": 1.0, "r": 0.0},
         {"nu": 1.0, "r": 1.0, "beta": -0.1},
+        {"nu": 1e-170, "r": 1.0},  # normal, but its square is 0.0
     ])
     def test_positivity(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    def test_smallest_viscosities_with_a_square(self):
+        for nu in (1e-154, 2.3e-162):
+            assert ModelParams(nu=nu, r=1.0).nu**2 > 0.0
 
 
 class TestStepImex:

@@ -35,7 +35,7 @@ from qgsync.operators import (
     semigroup,
     streamfunction_coeffs,
 )
-from qgsync.operators import _diff, _difference_operators
+from qgsync.operators import _diff, _difference_operators, _triple_ratio
 
 from qgsync.noise import NoiseStream, OUKernel, ou_init
 
@@ -617,11 +617,37 @@ class TestConstants:
         assert LAMBDA1 == pytest.approx(np.min(lam[mask]), rel=1e-15)
 
     def test_cgx_is_mode_maximum(self):
-        ks = np.arange(1, 200)
-        kk, ll = np.meshgrid(ks, ks, indexing="ij")
-        assert C_GX_EXACT == pytest.approx(
-            np.max(kk * np.pi / (np.pi**2 * (kk**2 + ll**2))), rel=1e-15
-        )
+        # the lattice maximum max_k,l k pi / (pi^2 (k^2 + l^2)) is that float at every n
+        for n in range(8, 257):
+            ks = np.arange(1, n)
+            kk, ll = np.meshgrid(ks, ks, indexing="ij")
+            assert float(np.max(kk * np.pi / (np.pi**2 * (kk**2 + ll**2)))).hex() == C_GX_EXACT.hex()
+        for n in (8, 24):
+            assert estimate_constants(GridSpec(n), trials=100).c_gx == C_GX_EXACT
+
+    def test_search_builds_only_the_random_fields(self, field_inits):
+        # three per trial, in `random_field`; the ascent perturbs arrays
+        estimate_constants(GridSpec(16), trials=100)
+        assert field_inits[0] == 300
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 128])
+    def test_triple_ratio_has_the_bits_of_the_field_form(self, n):
+        # the search's array ratio against |<B(v1, v2), v3>| / denom through
+        # fields; n = 24 is not a power of two and n = 128 runs the stencils
+        grid = GridSpec(n)
+        mask = retained_mask(grid, Basis.NEUMANN_COSINE)
+        rng = np.random.default_rng(n)
+        for seed in range(4):
+            v1, v2, v3 = (random_field(grid, seed=10 * seed + i, slope=0.6 * i) for i in range(3))
+            # a perturbed array, as the ascent makes them
+            step = 0.5 * rng.standard_normal(grid.shape)
+            v1 = Field(grid, Basis.NEUMANN_COSINE, coeffs=(v1.coeffs + step) * mask)
+            denom = norm_l2(v1.coeffs) * norm_h1(v2.coeffs) * norm_h1(v3.coeffs)
+            expected = abs(inner(bilinear_b(v1, v2), v3)) / denom
+            got = _triple_ratio(v1.coeffs.copy(), v2.coeffs, v3.coeffs, grid)
+            assert got.hex() == expected.hex()
+        zero = np.zeros(grid.shape)
+        assert _triple_ratio(zero, v2.coeffs, v3.coeffs, grid) == 0.0
 
     def test_monotone_in_trials_and_reproducible(self, grid32):
         vals = [

@@ -120,8 +120,9 @@ def test_one_kernel_build_per_experiment():
 
 def test_field_is_a_boundary_type():
     # a trajectory is arrays between `evolve`'s start fields and a caller's
-    # snapshot: no step, untransform or analysis builds a field, and the
-    # remaining builders are entry points and the field-level operators
+    # snapshot: no step, untransform, analysis or constants search builds a
+    # field, and the remaining builders are entry points and the field-level
+    # operators
     assert definitions_calling(PACKAGE, "Field") == {
         "cli._suite_poisson",
         "cli.cmd_simulate",
@@ -129,7 +130,6 @@ def test_field_is_a_boundary_type():
         "fields.random_field",
         "operators.bilinear_b",
         "operators.dirichlet_poisson",
-        "operators.estimate_constants",
         "operators.neumann_lift",
         "operators.semigroup",
     }
