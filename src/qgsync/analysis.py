@@ -11,8 +11,8 @@ This module turns the stability theory into executable checks:
   * `radius_invariance_experiment` verifies forward invariance of the random
     ball B(0, rho) along simulated trajectories, continuing the same
     recursion along the realized coefficients.
-  * `check_condition` Monte-Carlo-estimates the expectations entering the
-    contraction inequality and reports each summand with its standard error.
+  * `check_condition` evaluates the contraction inequality term by term: the
+    moments of w exactly (`_stationary_moments`), those of rho by Monte Carlo.
   * `synchronization_experiment` drives two states with the same noise path
     and fits the exponential contact rate; `stationary_statistics` reads off
     moments of the synchronized state.
@@ -75,31 +75,31 @@ class DecayConditionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _rates(params: ModelParams, constants: OperatorConstants) -> tuple[float, float]:
-    """(a, c) of the radius integrand exp(a*tau + c * int_tau^0 |grad w|^2) R.
+def _rates(params: ModelParams, constants: OperatorConstants) -> tuple[float, float, float]:
+    """(a, c, quad) of the radius integrand exp(a*tau + c * int_tau^0 |grad w|^2) R.
 
-    a = lambda1*nu - 2*beta*c_gx + 2r is the deterministic damping and
-    c = 3 c_b^2 / nu the gain of |grad w|^2; the only place either is formed.
+    a = lambda1*nu - 2*beta*c_gx + 2r is the deterministic damping, c = 3 c_b^2 / nu
+    the gain of |grad w|^2, and R = quad |w|^2 + c |w|^2 |grad w|^2; the only place any is formed.
     """
     a = constants.lambda1 * params.nu - 2.0 * params.beta * constants.c_gx + 2.0 * params.r
     c = 3.0 * constants.c_b**2 / params.nu
-    return a, c
+    quad = 3.0 * (constants.c_gx * params.beta + params.r) ** 2 / (params.nu * constants.lambda1)
+    return a, c, quad
 
 
 def driver_from_norms(
     w_l2_sq: float, w_h1_sq: float, params: ModelParams, constants: OperatorConstants
 ) -> float:
     """Driver R as a function of |w|^2 and |grad w|^2 (pure arithmetic)."""
-    quad = 3.0 * (constants.c_gx * params.beta + params.r) ** 2 / (params.nu * constants.lambda1)
-    _, mix = _rates(params, constants)
-    return quad * w_l2_sq + mix * w_l2_sq * w_h1_sq
+    _, c, quad = _rates(params, constants)
+    return quad * w_l2_sq + c * w_l2_sq * w_h1_sq
 
 
 def decay_margin(
     params: ModelParams, constants: OperatorConstants, grad2_mean: float
 ) -> float:
     """a - c * E|grad w|^2 = lambda1*nu + 2r - 2*c_gx*beta - (3 c_b^2 / nu) * E|grad w|^2."""
-    a, c = _rates(params, constants)
+    a, c, _ = _rates(params, constants)
     return a - c * grad2_mean
 
 
@@ -116,7 +116,7 @@ def propagate_rho_squared(
     its growth factor or a product, makes the path +inf or nan from there
     on, without a warning; callers that need a finite rho^2 check for one.
     """
-    a, c = _rates(params, constants)
+    a, c, _ = _rates(params, constants)
     path = np.empty(len(g))
     path[0] = rho2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,22 +212,35 @@ def _coefficient_window(
     return g, r, state
 
 
-def _stationary_draws(
-    kernel: OUKernel, stream: NoiseStream, offsets: range, params: ModelParams, constants: OperatorConstants
-) -> tuple[np.ndarray, np.ndarray]:
-    """|grad w|^2 and R of independent stationary draws, one per step offset.
+def _stationary_moments(
+    kernel: OUKernel, params: ModelParams, constants: OperatorConstants
+) -> tuple[float, float, float]:
+    """E|grad w|^2, E|grad w|^4 and E R of w = zw1 + zw2 under the law `ou_init` draws.
 
-    Draw j reads the stream shifted by `offsets[j]` steps; the draws are
-    taken `_NORM_BLOCK` at a time through `_block_driver`.
+    That law is Gaussian with one block per y-mode column: a lift column times one normal
+    (variances V1; rank one, not the chain's own joint law: see `noise`) plus independent modes
+    (V2).  With V = V1 + V2, the eigenvalues lam and the column sums a = sum lam V1 and
+    b = sum V1, Isserlis' theorem gives the moments below, and E R follows by linearity.
+
+        E|grad w|^2       = sum lam V
+        E|grad w|^4       = (sum lam V)^2 + 2 [sum a^2 + sum lam^2 V2 (2 V1 + V2)]
+        E|w|^2 |grad w|^2 = (sum V)(sum lam V) + 2 [sum a b + sum lam V2 (2 V1 + V2)]
+
+    A moment that is not finite is a `DecayConditionError`.
     """
+    v1, v2 = kernel.stationary_variances()
     lam = laplacian_eigenvalues(kernel.grid)
-    g = np.empty(len(offsets))
-    r = np.empty(len(offsets))
-    for lo in range(0, len(offsets), _NORM_BLOCK):
-        chunk = offsets[lo : lo + _NORM_BLOCK]
-        w = np.array([ou_init(kernel, wiener_shift(stream, j)).combined() for j in chunk])
-        g[lo : lo + len(chunk)], r[lo : lo + len(chunk)] = _block_driver(w, lam, params, constants)
-    return g, r
+    _, c, quad = _rates(params, constants)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = np.sum(lam * v1, axis=0), np.sum(v1, axis=0)
+        cross = v2 * (2.0 * v1 + v2)
+        grad2 = np.sum(lam * (v1 + v2))
+        grad4 = grad2**2 + 2.0 * (np.sum(a**2) + np.sum(lam**2 * cross))
+        l2_grad2 = np.sum(v1 + v2) * grad2 + 2.0 * (np.sum(a * b) + np.sum(lam * cross))
+        moments = np.array([grad2, grad4, quad * np.sum(v1 + v2) + c * l2_grad2])
+    if not np.isfinite(moments).all():
+        raise DecayConditionError("a stationary moment of w is not finite; the moments are not estimable")
+    return tuple(moments.tolist())
 
 
 def _rho_with_state(
@@ -238,16 +251,9 @@ def _rho_with_state(
     constants: OperatorConstants,
 ):
     """rho^2 at the stream's origin, with the window's (g, r, final coefficient state)."""
-    # plug-in estimate of E|grad w|^2 from 256 independent stationary draws
-    g, _ = _stationary_draws(kernel, stream, range(0, -256, -1), params, constants)
-    grad2 = float(np.mean(g))
-    if window is None:
-        window = default_rho_window(params, constants, grad2)
-    elif decay_margin(params, constants, grad2) <= 0:
-        raise DecayConditionError(
-            "mean-damping margin is nonpositive for the plug-in gradient estimate"
-        )
-    steps = _steps_at_least(window, stream.dt, 2)
+    grad2, _, _ = _stationary_moments(kernel, params, constants)
+    auto = default_rho_window(params, constants, grad2)  # refuses a nonpositive margin
+    steps = _steps_at_least(auto if window is None else window, stream.dt, 2)
     g, r, state = _coefficient_window(kernel, stream, steps, params, constants)
     rho2 = float(propagate_rho_squared(0.0, g, r, stream.dt, params, constants)[-1])
     if not math.isfinite(rho2):
@@ -349,7 +355,7 @@ class ConditionReport:
     """Evaluated contraction inequality with per-term attribution.
 
     `terms` holds the named summands whose sum is `lhs`; `estimates` maps
-    each Monte Carlo expectation to (mean, standard error).  When the
+    each expectation to (mean, standard error, 0.0 if exact).  When the
     mean-damping precondition fails the radius moments are not estimable:
     `satisfied` is False, `reason` explains why, and lhs/terms are None.
     """
@@ -387,15 +393,13 @@ def check_condition(
     grid: GridSpec,
     constants: OperatorConstants | None = None,
 ) -> ConditionReport:
-    """Monte-Carlo evaluation of the contraction inequality.
+    """The contraction inequality, summand by summand, with the plug-in constants.
 
-    The gradient and driver moments come from `samples` independent
-    stationary draws; the radius moments from decimated points of one long
-    propagated radius path (burn-in of one quadrature window).  Each
-    summand is formed with the plug-in constants and reported with the
-    standard error it inherits from its estimate.  A draw whose
-    |grad w|^2 or R is not finite, or a moment whose mean or standard
-    error is not finite, is refused with `DecayConditionError`.
+    E|grad w|^2, E|grad w|^4 and E R are exact (`_stationary_moments`,
+    standard error 0).  E rho^2 and E rho^4 are means over `samples`
+    decimated points of one long radius path, after a burn of one
+    quadrature window, and alone carry the standard error of lhs.  A
+    moment or an lhs that is not finite is a `DecayConditionError`.
     """
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
@@ -403,18 +407,12 @@ def check_condition(
         constants = estimate_constants(grid, seed=stream.seed & 0xFFFF)
     kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
 
-    g_vals, r_vals = _stationary_draws(kernel, stream, range(-1, -samples - 1, -1), params, constants)
-    if not (np.isfinite(g_vals).all() and np.isfinite(r_vals).all()):
-        raise DecayConditionError(
-            "a sampled |grad w|^2 or driver R is not finite; the moments are not estimable"
-        )
-
-    estimates = {"E_grad2": _moment(g_vals, 1), "E_grad4": _moment(g_vals, 2), "E_R": _moment(r_vals, 1)}
+    exact = zip(("E_grad2", "E_grad4", "E_R"), _stationary_moments(kernel, params, constants))
+    estimates = {key: {"mean": mean, "se": 0.0} for key, mean in exact}
     e_grad2 = estimates["E_grad2"]["mean"]
     margin = decay_margin(params, constants, e_grad2)
     if margin <= 0:
-        estimates["E_rho2"] = None
-        estimates["E_rho4"] = None
+        estimates.update(E_rho2=None, E_rho4=None)
         return ConditionReport(
             terms=None,
             lhs=None,
@@ -435,12 +433,11 @@ def check_condition(
     total = burn + samples * gap
     g, r, _ = _coefficient_window(kernel, wiener_shift(stream, total), total, params, constants)
     rho2 = propagate_rho_squared(0.0, g, r, stream.dt, params, constants)[burn + gap :: gap]
-    estimates["E_rho2"] = _moment(rho2, 1)
-    estimates["E_rho4"] = _moment(rho2, 2)
+    estimates.update(E_rho2=_moment(rho2, 1), E_rho4=_moment(rho2, 2))
 
     nu, beta = params.nu, params.beta
     cb2 = constants.c_b**2
-    _, c = _rates(params, constants)
+    _, c, _ = _rates(params, constants)
     rho2_gain = 2.0 * cb2 / nu**2 * (1.0 + 2.0 * math.sqrt(constants.lambda1) * constants.c_gx * beta)
     # estimated summand -> (coefficient, estimate), in the order of the sums
     estimated = {
@@ -457,7 +454,9 @@ def check_condition(
         **{name: coeff * estimates[key]["mean"] for name, (coeff, key) in estimated.items()},
     }
     lhs = float(sum(terms.values()))
-    se_lhs = math.sqrt(sum((coeff * estimates[key]["se"]) ** 2 for coeff, key in estimated.values()))
+    if not math.isfinite(lhs):  # inf or nan whenever a summand is
+        raise DecayConditionError(f"the contraction inequality's lhs is {lhs}; a summand is not finite")
+    se_lhs = math.hypot(*(coeff * estimates[key]["se"] for coeff, key in estimated.values()))
     margin_se = (-lhs / se_lhs) if se_lhs > 0 else None
     return ConditionReport(
         terms=terms,

@@ -10,6 +10,7 @@ from qgsync.analysis import (
     _block_driver,
     _coefficient_window,
     _rho_with_state,
+    _stationary_moments,
     check_condition,
     decay_margin,
     default_rho_window,
@@ -20,6 +21,7 @@ from qgsync.analysis import (
     synchronization_experiment,
 )
 from qgsync import dynamics
+from qgsync.config import RunConfig
 from qgsync.dynamics import ModelParams, dealias
 from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_h1, norm_l2
 from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
@@ -267,6 +269,67 @@ class TestForwardInvariance:
         assert [rep["seed"] for rep in report["per_seed"]] == [1, 2, 3]
 
 
+class TestStationaryMoments:
+    DRAWS = 4000
+    # a large c_b makes the cross moment E|w|^2 |grad w|^2 dominate E R
+    CROSS_HEAVY = OperatorConstants(lambda1=np.pi**2, c_b=100.0, c_gx=1.0 / (2 * np.pi))
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [{}, {"q1_amplitude": 0.0}, {"q2_amplitude": 0.0}],
+        ids=["default", "no-boundary", "no-interior"],
+    )
+    def test_closed_form_matches_stationary_draws(self, amplitudes):
+        # the independent `ou_init` draws the closed form replaces, at the
+        # default config; each moment within 4 standard errors
+        config = RunConfig(**amplitudes)
+        kernel = OUKernel(config.grid(), config.nu, config.cov1(), config.cov2(), config.dt)
+        stream = NoiseStream(seed=17, dt=config.dt)
+        lam = laplacian_eigenvalues(config.grid())
+        g, r, cross = [], [], []
+        for lo in range(0, self.DRAWS, 500):
+            w = np.array([ou_init(kernel, wiener_shift(stream, -i)).combined() for i in range(lo, lo + 500)])
+            g_block, r_block = _block_driver(w, lam, PARAMS, CONSTS)
+            g.append(g_block)
+            r.append(r_block)
+            cross.append(_block_driver(w, lam, PARAMS, self.CROSS_HEAVY)[1])
+        g, r, cross = np.concatenate(g), np.concatenate(r), np.concatenate(cross)
+        exact = (*_stationary_moments(kernel, PARAMS, CONSTS), _stationary_moments(kernel, PARAMS, self.CROSS_HEAVY)[2])
+        for sample, value in zip((g, g**2, r, cross), exact):
+            se = np.std(sample, ddof=1) / math.sqrt(sample.size)
+            assert abs(np.mean(sample) - value) < 4.0 * se
+
+    def test_closed_form_is_isserlis_on_the_dense_covariance(self):
+        # w = L xi, with column j of L the `ou_init` draw of the j-th unit
+        # init normal; Isserlis' theorem on the dense covariance, to round-off
+        config = RunConfig(grid_n=16, q2_amplitude=2.5e-4)
+        kernel = OUKernel(config.grid(), config.nu, config.cov1(), config.cov2(), config.dt)
+        channels = kernel.n_channels
+
+        class UnitNormal:
+            def __init__(self, j):
+                self.j = j
+
+            def normals(self, step, count):
+                return np.eye(count)[channels + self.j]
+
+        L = np.stack([ou_init(kernel, UnitNormal(j)).combined().ravel() for j in range(channels)], axis=1)
+        A = L.T @ (laplacian_eigenvalues(config.grid()).reshape(-1, 1) * L)
+        I = L.T @ L
+        quad = 3.0 * (CONSTS.c_gx * PARAMS.beta + PARAMS.r) ** 2 / (PARAMS.nu * CONSTS.lambda1)
+        mix = 3.0 * CONSTS.c_b**2 / PARAMS.nu
+        expected = (
+            np.trace(A),
+            np.trace(A) ** 2 + 2.0 * np.trace(A @ A),
+            quad * np.trace(I) + mix * (np.trace(I) * np.trace(A) + 2.0 * np.trace(I @ A)),
+        )
+        assert _stationary_moments(kernel, PARAMS, CONSTS) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_noise_off_moments_are_zero(self, grid32):
+        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        assert _stationary_moments(kernel, PARAMS, CONSTS) == (0.0, 0.0, 0.0)
+
+
 class TestConditionEvaluator:
     def test_noise_off_exact_value(self, grid32):
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
@@ -315,7 +378,8 @@ class TestConditionEvaluator:
         rep_b = check_condition(
             PARAMS, COV1, COV2, 600, NoiseStream(seed=10, dt=0.01), grid32, constants=CONSTS
         )
-        ratio = rep_a.estimates["E_grad2"]["se"] / rep_b.estimates["E_grad2"]["se"]
+        # E_grad2, E_grad4 and E_R are exact; the radius moments are sampled
+        ratio = rep_a.estimates["E_rho2"]["se"] / rep_b.estimates["E_rho2"]["se"]
         assert 1.4 < ratio < 2.9  # ~2 expected for 4x samples
 
     def test_report_dict_shape(self, grid32):

@@ -54,6 +54,10 @@ def write_config(tmp_path, text=SMALL_CONFIG, **overrides):
     return path
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -255,27 +259,43 @@ class TestOutputErrors:
 
 
 class TestOverflowRefusals:
-    @pytest.mark.parametrize("command", ["check-condition", "radius"])
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            # a viscosity whose square is 0.0 is refused at parse time, so
-            # this one squares to a subnormal
-            {"params.nu": "1e-160"},
-            {"noise.q1_amplitude": "1e200"},
-            # finite samples whose moments overflow: the squares at 3e153, their spread at 1e150
-            {"noise.q1_amplitude": "0", "noise.q2_amplitude": "3e153"},
-            {"noise.q1_amplitude": "0", "noise.q2_amplitude": "1e150"},
-        ],
-        ids=["tiny_viscosity", "huge_boundary_noise", "interior_noise_3e153", "interior_noise_1e150"],
-    )
-    def test_overflowing_moments_exit_3(self, tmp_path, capsys, command, overrides):
-        cfg = write_config(tmp_path, seeds="1", **overrides)
+    CASES = {
+        # a viscosity whose square is 0.0 is refused at parse time, so
+        # this one squares to a subnormal
+        "tiny_viscosity": {"params.nu": "1e-160"},
+        "huge_boundary_noise": {"noise.q1_amplitude": "1e200"},
+        # exact moments that are finite (E|grad w|^4 is 2.1e307 and 2.3e300)
+        # and a mean-damping margin far below 0
+        "interior_noise_3e153": {"noise.q1_amplitude": "0", "noise.q2_amplitude": "3e153"},
+        "interior_noise_1e150": {"noise.q1_amplitude": "0", "noise.q2_amplitude": "1e150"},
+    }
+    REFUSED = [
+        ("tiny_viscosity", "check-condition"),
+        ("tiny_viscosity", "radius"),
+        ("huge_boundary_noise", "check-condition"),
+        ("huge_boundary_noise", "radius"),
+        # the radius window needs a positive margin
+        ("interior_noise_3e153", "radius"),
+        ("interior_noise_1e150", "radius"),
+    ]
+
+    @pytest.mark.parametrize("case, command", REFUSED, ids=[f"{case}-{command}" for case, command in REFUSED])
+    def test_overflowing_moments_exit_3(self, tmp_path, capsys, case, command):
+        cfg = write_config(tmp_path, seeds="1", **self.CASES[case])
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("experiment refused:") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("case", ["interior_noise_3e153", "interior_noise_1e150"])
+    def test_finite_moments_exit_0(self, tmp_path, case):
+        cfg = write_config(tmp_path, seeds="1", **self.CASES[case])
+        out = tmp_path / "out"
+        assert main(["check-condition", "--config", str(cfg), "--output", str(out)]) == 0
+        payload = json.loads((out / "check-condition.json").read_text(), parse_constant=_reject_constant)
+        assert payload["satisfied"] is False and payload["lhs"] is None
+        assert payload["reason"].startswith("mean-damping condition violated")
 
 
 class TestQuadratureOverflow:
@@ -320,6 +340,16 @@ class TestViscositySquare:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_infinite_rho2_coefficient_is_refused(self, tmp_path, capsys):
+        # nu**2 is subnormal, so the rho^2 coefficient 2 c_b^2 / nu**2 is inf
+        # and inf * E_rho2 = inf * 0 is not a number
+        cfg = write_config(tmp_path, seeds="1", **{"params.nu": "1e-160"}, **self.NOISE_OFF)
+        out = tmp_path / "out"
+        assert main(["check-condition", "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("experiment refused:") and err.count("\n") == 1
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["check-condition", "radius"])
     def test_tiny_viscosity_with_a_square_runs(self, tmp_path, command):

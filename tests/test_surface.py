@@ -92,6 +92,16 @@ def test_one_stepping_loop():
     assert definitions_naming(PACKAGE, "ou_step") == {"dynamics.evolve", "analysis._coefficient_window"}
 
 
+def test_one_stationary_draw_per_chain():
+    # `ou_init` starts each chain; the condition's moments of its law are
+    # closed forms, so no second sampler draws from it
+    assert definitions_naming(PACKAGE, "ou_init") == {
+        "dynamics.evolve",
+        "analysis._coefficient_window",
+        "cli._suite_ou",
+    }
+
+
 def definitions_calling(package: Path, name: str) -> set[str]:
     """`module.definition` of each top-level definition in the package that calls `name(...)`.
 
@@ -109,7 +119,8 @@ def definitions_calling(package: Path, name: str) -> set[str]:
 
 def test_one_kernel_build_per_experiment():
     # radius and check-condition build the chain kernel once and hand it to
-    # the radius window and the stationary draws; evolve builds one per run
+    # the radius window and the exact stationary moments; evolve builds one
+    # per run
     assert definitions_calling(PACKAGE, "OUKernel") == {
         "dynamics.evolve",
         "analysis.radius_invariance_experiment",
