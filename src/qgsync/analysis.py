@@ -80,18 +80,23 @@ def _rates(params: ModelParams, constants: OperatorConstants) -> tuple[float, fl
 
     a = lambda1*nu - 2*beta*c_gx + 2r is the deterministic damping, c = 3 c_b^2 / nu
     the gain of |grad w|^2, and R = quad |w|^2 + c |w|^2 |grad w|^2; the only place any is formed.
+    A square c_gx*beta + r that overflows is a `DecayConditionError`: R is not finite.
     """
     a = constants.lambda1 * params.nu - 2.0 * params.beta * constants.c_gx + 2.0 * params.r
     c = 3.0 * constants.c_b**2 / params.nu
-    quad = 3.0 * (constants.c_gx * params.beta + params.r) ** 2 / (params.nu * constants.lambda1)
+    try:
+        quad = 3.0 * (constants.c_gx * params.beta + params.r) ** 2 / (params.nu * constants.lambda1)
+    except OverflowError:  # `float ** 2` raises where x * x would give inf
+        raise DecayConditionError(
+            f"the driver coefficient 3 (c_gx beta + r)^2 / (nu lambda1) overflows at r={params.r}, "
+            f"beta={params.beta}; R is not finite"
+        ) from None
     return a, c, quad
 
 
-def driver_from_norms(
-    w_l2_sq: float, w_h1_sq: float, params: ModelParams, constants: OperatorConstants
-) -> float:
-    """Driver R as a function of |w|^2 and |grad w|^2 (pure arithmetic)."""
-    _, c, quad = _rates(params, constants)
+def driver_from_norms(w_l2_sq, w_h1_sq, rates: tuple[float, float, float]):
+    """Driver R as a function of |w|^2 and |grad w|^2 (floats or arrays), with `rates` from `_rates`."""
+    _, c, quad = rates
     return quad * w_l2_sq + c * w_l2_sq * w_h1_sq
 
 
@@ -115,17 +120,26 @@ def propagate_rho_squared(
     k steps ending at sample k), to round-off.  A step that overflows, in
     its growth factor or a product, makes the path +inf or nan from there
     on, without a warning; callers that need a finite rho^2 check for one.
+    The recursion runs on Python floats, `_RHO_CHUNK` samples at a time.
     """
     a, c, _ = _rates(params, constants)
+    # the factors of -a*dt + c*0.5*dt*(g0 + g1) and 0.5*dt*(...), in their order
+    decay, gain, half = -a * dt, c * 0.5 * dt, 0.5 * dt
     path = np.empty(len(g))
-    path[0] = rho2
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(g)):
+    path[0] = rho = float(rho2)
+    g_prev, r_prev = float(g[0]), float(r[0])
+    for lo in range(1, len(g), _RHO_CHUNK):
+        hi = min(lo + _RHO_CHUNK, len(g))
+        chunk = []
+        for g_k, r_k in zip(g[lo:hi].tolist(), r[lo:hi].tolist()):
             try:
-                growth = math.exp(-a * dt + c * 0.5 * dt * (g[k - 1] + g[k]))
+                growth = math.exp(decay + gain * (g_prev + g_k))
             except OverflowError:
                 growth = math.inf
-            path[k] = growth * path[k - 1] + 0.5 * dt * (growth * r[k - 1] + r[k])
+            rho = growth * rho + half * (growth * r_prev + r_k)
+            chunk.append(rho)
+            g_prev, r_prev = g_k, r_k
+        path[lo:hi] = chunk
     return path
 
 
@@ -155,19 +169,20 @@ def _steps_at_least(t: float, dt: float, least: int) -> int:
 
 
 _NORM_BLOCK = 16  # chain steps whose norms `_coefficient_window` takes together
+_RHO_CHUNK = 1024  # samples that `propagate_rho_squared` lists at a time
 
 
 def _block_driver(
-    w: np.ndarray, lam: np.ndarray, params: ModelParams, constants: OperatorConstants
+    w: np.ndarray, lam: np.ndarray, rates: tuple[float, float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|grad w|^2 and R for a stack of combined coefficient arrays w[i].
+    """|grad w|^2 and R for a stack of combined coefficient arrays w[i], with `rates` from `_rates`.
 
-    The only place either is computed.  Bitwise equal to `norm_h1(w[i]) ** 2`
-    and `driver_from_norms(norm_l2(w[i]) ** 2, norm_h1(w[i]) ** 2, ...)` for
-    each array: the sums run over the same contiguous rows, and the norms
-    are squared as Python floats (libm `pow`, as `float ** 2` does), not as
-    x * x.  Overflow gives inf, not a warning; callers that need finite
-    values check for them.
+    The only place either is computed from arrays.  Bitwise equal to
+    `norm_h1(w[i]) ** 2` and `driver_from_norms(norm_l2(w[i]) ** 2,
+    norm_h1(w[i]) ** 2, rates)` for each array: the sums run over the same
+    contiguous rows, and the norms are squared as Python floats (libm `pow`,
+    as `float ** 2` does), not as x * x.  Overflow gives inf, not a warning;
+    callers that need finite values check for them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.square(w).reshape(len(w), -1)
@@ -175,7 +190,7 @@ def _block_driver(
         h1 = np.sqrt(np.sum(lam.reshape(1, -1) * sq, axis=1))
         l2_sq = np.array([x**2 for x in l2.tolist()])
         h1_sq = np.array([x**2 for x in h1.tolist()])
-        return h1_sq, driver_from_norms(l2_sq, h1_sq, params, constants)
+        return h1_sq, driver_from_norms(l2_sq, h1_sq, rates)
 
 
 def _coefficient_window(
@@ -187,28 +202,32 @@ def _coefficient_window(
     the driver R of w = zw1 + zw2 at every step, and the final state is the
     pathwise-consistent coefficient state at the stream's origin, ready to
     be transported into a forward run.  The chain advances one `ou_step`
-    at a time; each step's w is added into a buffer of `_NORM_BLOCK` rows,
-    and the norms and R of a full buffer are taken in one go.  A window
-    whose series of steps + 1 floats numpy cannot hold is a `ConfigError`.
+    at a time; each step's w is added into one row of a `_NORM_BLOCK`-row
+    buffer, and the norms and R of a full buffer are taken in one go.  A
+    window whose series of steps + 1 floats numpy cannot hold is a
+    `ConfigError`.
     """
     if (steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
         raise ConfigError(
             f"a coefficient window of 10^{math.log10(steps):.1f} steps of dt={stream.dt} "
             "is too long to simulate"
         )
+    rates = _rates(params, constants)
     past = wiener_shift(stream, -steps)
     state = ou_init(kernel, past)
     lam = laplacian_eigenvalues(kernel.grid)
     block = np.empty((_NORM_BLOCK, *kernel.grid.shape))
+    rows = list(block)
     g = np.empty(steps + 1)
     r = np.empty(steps + 1)
-    for j in range(steps + 1):
-        k = j % _NORM_BLOCK
-        np.add(state.zw1, state.zw2, out=block[k])
-        if k == _NORM_BLOCK - 1 or j == steps:
-            g[j - k : j + 1], r[j - k : j + 1] = _block_driver(block[: k + 1], lam, params, constants)
-        if j < steps:
-            state = ou_step(state, past, j)
+    for lo in range(0, steps + 1, _NORM_BLOCK):
+        hi = min(lo + _NORM_BLOCK, steps + 1)
+        for j, row in zip(range(lo, hi), rows):
+            if j:
+                state = ou_step(state, past, j - 1)
+            zw = state.zw
+            np.add(zw[0], zw[1], out=row)
+        g[lo:hi], r[lo:hi] = _block_driver(block[: hi - lo], lam, rates)
     return g, r, state
 
 
@@ -289,6 +308,7 @@ def radius_invariance_experiment(
         constants = estimate_constants(grid, seed=0)
     kernel = OUKernel(grid, params.nu, cov1, cov2, dt)
     lam = laplacian_eigenvalues(grid)
+    rates = _rates(params, constants)
     reports = []
     for seed in sorted(seeds):
         stream = NoiseStream(seed=seed, dt=dt)
@@ -306,7 +326,7 @@ def radius_invariance_experiment(
         states = evolve(t_end, stream, start, params, cov1, cov2, check_cfl=False)
         next(states)  # the start state
         for state in states:
-            (g_new,), (r_new,) = _block_driver(state.coeff.combined()[np.newaxis], lam, params, constants)
+            (g_new,), (r_new,) = _block_driver(state.coeff.combined()[np.newaxis], lam, rates)
             g_path.append(g_new)
             r_path.append(r_new)
             z2.append(norm_l2(state.members[0]) ** 2)
@@ -639,6 +659,5 @@ def cocycle_check(
     second = final(s, shifted, mid)
     return bool(
         np.array_equal(full.members, second.members)
-        and np.array_equal(full.coeff.zw1, second.coeff.zw1)
-        and np.array_equal(full.coeff.zw2, second.coeff.zw2)
+        and np.array_equal(full.coeff.zw, second.coeff.zw)
     )

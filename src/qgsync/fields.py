@@ -37,8 +37,9 @@ again on the next call.  A transform, `streamfunction_coeffs` or
 `derivative` writes into a caller's `out` array when given one (only the
 step passes one); otherwise it returns a fresh array that its caller owns.
 No function returns a view of a work array.  Every cached table (grid
-tables, masks, scales, difference operators) is read-only, so a misplaced
-`out=` raises instead of corrupting every later call.
+tables, masks, scales, the `random_coeffs` envelope, difference operators)
+is read-only, so a misplaced `out=` raises instead of corrupting every
+later call.
 """
 
 from __future__ import annotations
@@ -381,18 +382,29 @@ class Field:
         return f"Field({self.basis.name}, n={self.grid.n})"
 
 
-def random_field(
+@lru_cache(maxsize=64)
+def _envelope(n: int, slope: float) -> np.ndarray:
+    """Read-only (1 + k^2 + l^2)^(-slope/2) on the mode lattice."""
+    kx, ky, _, _ = _grid_tables(n)
+    return _read_only((1.0 + kx**2 + ky**2) ** (-slope / 2.0))[0]
+
+
+def random_coeffs(
     grid: GridSpec, rng: np.random.Generator, scale: float = 1.0, slope: float = 0.0
-) -> Field:
-    """Gaussian mean-zero cosine field: scale * N(0,1) * (1+k^2+l^2)^(-slope/2).
+) -> np.ndarray:
+    """Cosine coefficients of a Gaussian mean-zero field: scale * N(0,1) * (1+k^2+l^2)^(-slope/2).
 
     One `rng.standard_normal(grid.shape)` draw, zeroed off the retained modes.
     """
-    kx, ky, _, _ = _grid_tables(grid.n)
-    envelope = (1.0 + kx**2 + ky**2) ** (-slope / 2.0)
-    coeffs = scale * rng.standard_normal(grid.shape) * envelope
-    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
-    return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs * mask)
+    coeffs = scale * rng.standard_normal(grid.shape) * _envelope(grid.n, slope)
+    return coeffs * retained_mask(grid, Basis.NEUMANN_COSINE)
+
+
+def random_field(
+    grid: GridSpec, rng: np.random.Generator, scale: float = 1.0, slope: float = 0.0
+) -> Field:
+    """`random_coeffs` as a NEUMANN_COSINE field."""
+    return Field(grid, Basis.NEUMANN_COSINE, coeffs=random_coeffs(grid, rng, scale, slope))
 
 
 def inner(f: Field, g: Field) -> float:

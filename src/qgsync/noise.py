@@ -22,12 +22,13 @@ at different rates, so its stationary correlation between them is below 1.
 `OUKernel(grid, nu, cov1, cov2, dt)` is the one place the coefficient
 processes are set up: it builds the boundary lift itself, sized to the
 boundary covariance.  `ou_init(kernel, stream)` is the only stationary
-draw and `ou_step` the only update.  The state they return holds plain
-read-only NEUMANN_COSINE coefficient arrays, not `Field`s: the chain never
-leaves the package as a field, and callers that need one build it.  It
-holds no step counter either: `ou_step(state, stream, step)` is told which
-step to read, and the caller (for a trajectory, `CocycleState.step`) keeps
-the count.
+draw and `ou_step` the only update.  The state they return holds one
+read-only (2, n+1, n+1) array `zw`, whose planes `zw1` and `zw2` are the
+NEUMANN_COSINE coefficients of the two processes, not `Field`s: the chain
+never leaves the package as a field, and callers that need one build it.
+It holds no step counter either: `ou_step(state, stream, step)` is told
+which step to read, and the caller (for a trajectory, `CocycleState.step`)
+keeps the count.
 
 Channel layout per step, in one fixed vector of length 2C:
 
@@ -37,9 +38,18 @@ The first half drives `ou_step`, which draws only those C normals (a
 shorter draw is bitwise the prefix of a longer one); the second half is
 reserved for the stationary draw of `ou_init` (read at relative step -1),
 so a past-window simulation never re-reads channels that a later forward
-run consumes.  The update scales the state by the decay and adds each
-increment in place on its support: the lift columns of the boundary
-channels, and the interior modes of the diagonal channels.
+run consumes.
+
+The kernel lists, once, every entry of the state that receives an
+increment, as a flat index into `zw`: each lift column of plane 0 on every
+row (its channel is the column's boundary channel), then each interior
+mode of plane 1 (one diagonal channel each).  Next to the index it keeps
+each entry's channel and its step and stationary gains.  `ou_init` writes
+gain * normal at those entries of zeros.  `ou_step` makes one decay
+multiply of both planes (the decay broadcast, not stacked), takes the
+normals by channel, multiplies them by the gains and scatter-adds them at
+the index, whose entries are distinct: the same products and sums, in the
+same order, as adding each process's increments on its own plane.
 """
 
 from __future__ import annotations
@@ -186,21 +196,28 @@ class CovarianceSpec:
 class CoefficientState:
     """Current spectral state of the two stationary coefficient processes.
 
-    `zw1` and `zw2` are (n+1, n+1) NEUMANN_COSINE coefficient arrays; they
-    are made read-only in place, so a state can be shared freely.  The
-    state does not know its step: whoever advances it counts the steps.
+    `zw` is one (2, n+1, n+1) array whose planes `zw1` and `zw2` are the
+    NEUMANN_COSINE coefficients of the two processes; it is made read-only
+    in place, so a state can be shared freely.  The state does not know
+    its step: whoever advances it counts the steps.
     """
 
-    zw1: np.ndarray
-    zw2: np.ndarray
+    zw: np.ndarray
     kernel: "OUKernel"
 
     def __post_init__(self):
-        self.zw1.flags.writeable = False
-        self.zw2.flags.writeable = False
+        self.zw.flags.writeable = False
+
+    @property
+    def zw1(self) -> np.ndarray:
+        return self.zw[0]
+
+    @property
+    def zw2(self) -> np.ndarray:
+        return self.zw[1]
 
     def combined(self) -> np.ndarray:
-        return self.zw1 + self.zw2
+        return self.zw[0] + self.zw[1]
 
 
 class OUKernel:
@@ -238,34 +255,45 @@ class OUKernel:
             stat_scale = np.where(mask, 1.0 / (2.0 * rate), 0.0)
         self.decay = np.where(mask, np.exp(-rate * dt), 0.0)
 
-        # boundary-driven process: gain nu*lambda through lift column m2
+        # boundary-driven process (plane 0): gain nu*lambda through the lift,
+        # one column per channel, on every row of lift columns 1..n_boundary
         q1 = cov1.boundary_variances(grid)
         self.n_boundary = q1.size
-        self.w1_cols = slice(1, 1 + self.n_boundary)
+        cols = slice(1, 1 + self.n_boundary)
         lift = lifting_matrix(grid, nu, n_modes=self.n_boundary)
-        gain = rate[:, self.w1_cols] * lift
+        gain = rate[:, cols] * lift
         gain = gain * np.sqrt(q1)[np.newaxis, :]
-        self.w1_step = gain * np.sqrt(ou_var_scale[:, self.w1_cols])
-        self.w1_stat = gain * np.sqrt(stat_scale[:, self.w1_cols])
-        self.w1_step[~mask[:, self.w1_cols]] = 0.0
-        self.w1_stat[~mask[:, self.w1_cols]] = 0.0
+        w1_step = gain * np.sqrt(ou_var_scale[:, cols])
+        w1_stat = gain * np.sqrt(stat_scale[:, cols])
+        w1_step[~mask[:, cols]] = 0.0
+        w1_stat[~mask[:, cols]] = 0.0
 
-        # interior-driven process: diagonal
+        # interior-driven process (plane 1): diagonal, one channel per mode
         q2 = cov2.interior_variances(grid)
         idx = np.nonzero(q2 > 0)
-        self.w2_index = idx
-        self.w2_step = np.sqrt(q2[idx] * ou_var_scale[idx])
-        self.w2_stat = np.sqrt(q2[idx] * stat_scale[idx])
+        w2_step = np.sqrt(q2[idx] * ou_var_scale[idx])
+        w2_stat = np.sqrt(q2[idx] * stat_scale[idx])
 
+        # every entry of the (2, n+1, n+1) state that gets an increment, in
+        # flat order, with its channel and its step and stationary gains
+        rows, lift_ch = np.indices(w1_step.shape).reshape(2, -1)
+        shape = (2, *grid.shape)
+        self.index = np.concatenate([
+            np.ravel_multi_index((np.zeros_like(rows), rows, 1 + lift_ch), shape),
+            np.ravel_multi_index((np.ones_like(idx[0]), *idx), shape),
+        ])
+        self.channel = np.concatenate([lift_ch, self.n_boundary + np.arange(idx[0].size)])
+        self.step_gain = np.concatenate([w1_step.ravel(), w2_step])
+        self.stat_gain = np.concatenate([w1_stat.ravel(), w2_stat])
         self.n_channels = self.n_boundary + idx[0].size
+        for table in (self.decay, self.index, self.channel, self.step_gain, self.stat_gain):
+            table.flags.writeable = False
 
     def stationary_variances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Analytic per-mode stationary variances on the mode lattice."""
-        v1 = np.zeros(self.grid.shape)
-        v1[:, self.w1_cols] = self.w1_stat**2
-        v2 = np.zeros(self.grid.shape)
-        v2[self.w2_index] = self.w2_stat**2
-        return v1, v2
+        """Analytic per-mode stationary variances on the mode lattice, one array per process."""
+        v = np.zeros((2, *self.grid.shape))
+        v.reshape(-1)[self.index] = self.stat_gain**2
+        return v[0], v[1]
 
 
 def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
@@ -276,26 +304,23 @@ def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
     the reserved second half of the channel vector at relative step -1.
     """
     g = stream.normals(-1, 2 * kernel.n_channels)[kernel.n_channels :]
-    zw1 = np.zeros(kernel.grid.shape)
-    zw1[:, kernel.w1_cols] = kernel.w1_stat * g[: kernel.n_boundary]
-    zw2 = np.zeros(kernel.grid.shape)
-    zw2[kernel.w2_index] = kernel.w2_stat * g[kernel.n_boundary :]
-    return CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel)
+    zw = np.zeros((2, *kernel.grid.shape))
+    zw.reshape(-1)[kernel.index] = kernel.stat_gain * g.take(kernel.channel)
+    return CoefficientState(zw=zw, kernel=kernel)
 
 
 def ou_step(state: CoefficientState, stream: NoiseStream, step: int) -> CoefficientState:
     """Advance both processes by one exact Ornstein-Uhlenbeck update.
 
     The increments are the stream's first `n_channels` normals of `step`,
-    the step being taken; each is added in place on its support.
+    the step being taken: one decay multiply of both planes, then each
+    increment added at its entry (the entries are distinct).
     """
     kernel = state.kernel
     g = stream.normals(step, kernel.n_channels)
-    zw1 = kernel.decay * state.zw1
-    zw1[:, kernel.w1_cols] += kernel.w1_step * g[: kernel.n_boundary]
-    zw2 = kernel.decay * state.zw2
-    zw2[kernel.w2_index] += kernel.w2_step * g[kernel.n_boundary :]
-    return CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel)
+    zw = kernel.decay * state.zw
+    np.add.at(zw.reshape(-1), kernel.index, kernel.step_gain * g.take(kernel.channel))
+    return CoefficientState(zw=zw, kernel=kernel)
 
 
 def temperedness_diagnostic(series, horizon: float) -> float:

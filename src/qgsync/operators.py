@@ -24,7 +24,9 @@ as their two off-diagonals.  From n = `fields.DENSE_BELOW_N` cells per side
 they are applied as O(n)-per-line slice stencils; on smaller grids one BLAS
 matmul against the dense matrix is faster, as it is for the transforms in
 `fields`, which switch at the same size.  At power-of-two n both forms give
-the same bits.
+the same values, and the same bits but for the sign of some zeros: on the
+first node along the axis, De's stencil writes a[1] * 0.0 (-0.0 where
+a[1] < 0) and the matrix product +0.0.  Do agrees bit for bit.
 
 The Jacobian writes its lattice arrays (the four first differences, the
 running sum of the three forms and one product) into six per-thread, per-n
@@ -52,7 +54,7 @@ from .fields import (
     nodal_from_coeffs,
     norm_h1,
     norm_l2,
-    random_field,
+    random_coeffs,
     retained_mask,
 )
 
@@ -228,7 +230,11 @@ def _difference_operators(n: int):
     is returned as (lower, upper, dense): lower[i] = D[i+1, i],
     upper[i] = D[i, i+1], and the dense matrix only below DENSE_BELOW_N.
     At power-of-two n every coefficient is a power of two, so the stencil
-    and the matmul round once per entry and agree bit for bit.
+    and the matmul round once per entry and agree in value.  In bits they
+    agree except on De's first node along the axis (row 0 on axis 0,
+    column 0 on axis 1): its stencil entry is a[1] * 0.0, -0.0 where
+    a[1] < 0, while the matrix row of zeros sums to +0.0.  Do agrees bit
+    for bit.
     """
     h = 1.0 / n
     lower_e = np.full(n, -0.5 / h)
@@ -371,7 +377,7 @@ def estimate_constants(grid: GridSpec, trials: int = 200, seed: int = 0) -> Oper
     sup = 0.0
     for t in range(trials):
         slope = slopes[t % len(slopes)]
-        triple = tuple(random_field(grid, rng, slope=slope).coeffs for _ in range(3))
+        triple = tuple(random_coeffs(grid, rng, slope=slope) for _ in range(3))
         r = _triple_ratio(*triple, grid)
         sup = max(sup, r)
         if t < 100 and r > best_val:

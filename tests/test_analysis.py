@@ -9,6 +9,7 @@ from qgsync.analysis import (
     DecayConditionError,
     _block_driver,
     _coefficient_window,
+    _rates,
     _rho_with_state,
     _stationary_moments,
     check_condition,
@@ -42,13 +43,13 @@ class TestDriver:
     def test_zero_coefficients(self, grid32):
         coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=1, dt=0.01))
         lam = laplacian_eigenvalues(grid32)
-        g, r = _block_driver(coeff.combined()[np.newaxis], lam, PARAMS, CONSTS)
+        g, r = _block_driver(coeff.combined()[np.newaxis], lam, _rates(PARAMS, CONSTS))
         assert g[0] == 0.0 and r[0] == 0.0
 
     def test_plugin_arithmetic(self):
         # beta = 0, r = 1, nu = 1, |w| = 1, |grad w| = 0 -> R = 3 / pi^2
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
-        val = driver_from_norms(1.0, 0.0, params, CONSTS)
+        val = driver_from_norms(1.0, 0.0, _rates(params, CONSTS))
         assert val == pytest.approx(3.0 / np.pi**2, rel=1e-14)
         # independent sum of the two pieces
         quad = 3.0 * (CONSTS.c_gx * 0.0 + 1.0) ** 2 / (1.0 * np.pi**2) * 1.0
@@ -56,17 +57,17 @@ class TestDriver:
         assert val == pytest.approx(quad + mix, rel=1e-14)
 
     def test_quadratic_homogeneity(self):
-        base = driver_from_norms(1.7, 0.0, PARAMS, CONSTS)
+        base = driver_from_norms(1.7, 0.0, _rates(PARAMS, CONSTS))
         for c in (0.5, 2.0, 7.0):
-            assert driver_from_norms(c**2 * 1.7, 0.0, PARAMS, CONSTS) == pytest.approx(
+            assert driver_from_norms(c**2 * 1.7, 0.0, _rates(PARAMS, CONSTS)) == pytest.approx(
                 c**2 * base, rel=1e-12
             )
 
     def test_matches_field_norms(self, grid32):
         coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=2, dt=0.01))
         w = coeff.combined()
-        direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, PARAMS, CONSTS)
-        _, r = _block_driver(w[np.newaxis], laplacian_eigenvalues(grid32), PARAMS, CONSTS)
+        direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, _rates(PARAMS, CONSTS))
+        _, r = _block_driver(w[np.newaxis], laplacian_eigenvalues(grid32), _rates(PARAMS, CONSTS))
         assert r[0] == pytest.approx(direct, rel=1e-14)
 
 
@@ -82,7 +83,7 @@ class TestCoefficientWindow:
         for j in range(steps + 1):
             w = state.combined()
             g[j] = norm_h1(w) ** 2
-            r[j] = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, PARAMS, CONSTS)
+            r[j] = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, _rates(PARAMS, CONSTS))
             if j < steps:
                 state = ou_step(state, past, j)
         return g, r, state
@@ -98,8 +99,7 @@ class TestCoefficientWindow:
         g_ref, r_ref, state_ref = self.reference(stream, cov1, cov2, grid32, steps)
         assert np.array_equal(g, g_ref)
         assert np.array_equal(r, r_ref)
-        assert np.array_equal(state.zw1, state_ref.zw1)
-        assert np.array_equal(state.zw2, state_ref.zw2)
+        assert np.array_equal(state.zw, state_ref.zw)
 
     def test_window_builds_no_field(self, grid32, field_inits):
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
@@ -112,13 +112,13 @@ class TestCoefficientWindow:
         grid = GridSpec(8)
         rng = np.random.default_rng(5)
         w = rng.standard_normal((4000, *grid.shape)) * rng.uniform(0.1, 10.0, (4000, 1, 1))
-        g, r = _block_driver(w, laplacian_eigenvalues(grid), PARAMS, CONSTS)
+        g, r = _block_driver(w, laplacian_eigenvalues(grid), _rates(PARAMS, CONSTS))
         l2 = [float(np.sqrt(np.sum(a**2))) for a in w]
         h1 = [float(np.sqrt(np.sum(laplacian_eigenvalues(grid) * a**2))) for a in w]
         assert any(x**2 != x * x for x in h1 + l2)  # the test can tell the two apart
         assert np.array_equal(g, [x**2 for x in h1])
         assert np.array_equal(
-            r, [driver_from_norms(a**2, b**2, PARAMS, CONSTS) for a, b in zip(l2, h1)]
+            r, [driver_from_norms(a**2, b**2, _rates(PARAMS, CONSTS)) for a, b in zip(l2, h1)]
         )
 
 
@@ -209,6 +209,38 @@ class TestRadiusQuadrature:
             expected.append(growth * expected[-1] + 0.5 * dt * (growth * r[k] + r[k + 1]))
         assert np.array_equal(propagate_rho_squared(0.37, g, r, dt, PARAMS, CONSTS), expected)
 
+    @staticmethod
+    def numpy_scalar_path(rho2, g, r, dt):
+        """The recursion on numpy scalars, one sample at a time, writing each into the path."""
+        a, c, _ = _rates(PARAMS, CONSTS)
+        path = np.empty(len(g))
+        path[0] = rho2
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, len(g)):
+                try:
+                    growth = math.exp(-a * dt + c * 0.5 * dt * (g[k - 1] + g[k]))
+                except OverflowError:
+                    growth = math.inf
+                path[k] = growth * path[k - 1] + 0.5 * dt * (growth * r[k - 1] + r[k])
+        return path
+
+    def test_path_has_the_bits_of_the_numpy_scalar_loop(self, grid32):
+        # a window of several chunks, and windows whose growth factor or
+        # products overflow: +inf from a positive path, nan from 0 * inf
+        dt = 0.01
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
+        g, r, _ = _coefficient_window(kernel, NoiseStream(seed=12, dt=dt), 3000, PARAMS, CONSTS)
+        spike = np.full(2100, 1.0)
+        spike[1500] = 1e300
+        zeros = np.zeros(2100)
+        huge = np.full(2100, 1e308)
+        cases = [(0.0, g, r), (0.37, g, r), (0.5, spike, np.ones(2100)), (0.0, spike, zeros), (1.0, zeros, huge)]
+        for rho2, gs, rs in cases:
+            path = propagate_rho_squared(rho2, gs, rs, dt, PARAMS, CONSTS)
+            assert path.tobytes() == self.numpy_scalar_path(rho2, gs, rs, dt).tobytes()
+        assert np.isnan(propagate_rho_squared(0.0, spike, zeros, dt, PARAMS, CONSTS)[1500:]).all()
+        assert np.isinf(propagate_rho_squared(1.0, zeros, huge, dt, PARAMS, CONSTS)[-1])
+
     def test_overflowing_growth_gives_inf_without_a_warning(self):
         # a spike of |grad w|^2 makes exp(-a dt + c dt g) pass the largest
         # float; pytest turns any RuntimeWarning into a failure
@@ -289,10 +321,10 @@ class TestStationaryMoments:
         g, r, cross = [], [], []
         for lo in range(0, self.DRAWS, 500):
             w = np.array([ou_init(kernel, wiener_shift(stream, -i)).combined() for i in range(lo, lo + 500)])
-            g_block, r_block = _block_driver(w, lam, PARAMS, CONSTS)
+            g_block, r_block = _block_driver(w, lam, _rates(PARAMS, CONSTS))
             g.append(g_block)
             r.append(r_block)
-            cross.append(_block_driver(w, lam, PARAMS, self.CROSS_HEAVY)[1])
+            cross.append(_block_driver(w, lam, _rates(PARAMS, self.CROSS_HEAVY))[1])
         g, r, cross = np.concatenate(g), np.concatenate(r), np.concatenate(cross)
         exact = (*_stationary_moments(kernel, PARAMS, CONSTS), _stationary_moments(kernel, PARAMS, self.CROSS_HEAVY)[2])
         for sample, value in zip((g, g**2, r, cross), exact):

@@ -264,6 +264,8 @@ class TestOverflowRefusals:
         # this one squares to a subnormal
         "tiny_viscosity": {"params.nu": "1e-160"},
         "huge_boundary_noise": {"noise.q1_amplitude": "1e200"},
+        # (c_gx beta + r) ** 2 overflows in the driver coefficient
+        "huge_friction": {"params.r": "1e200"},
         # exact moments that are finite (E|grad w|^4 is 2.1e307 and 2.3e300)
         # and a mean-damping margin far below 0
         "interior_noise_3e153": {"noise.q1_amplitude": "0", "noise.q2_amplitude": "3e153"},
@@ -274,6 +276,8 @@ class TestOverflowRefusals:
         ("tiny_viscosity", "radius"),
         ("huge_boundary_noise", "check-condition"),
         ("huge_boundary_noise", "radius"),
+        ("huge_friction", "check-condition"),
+        ("huge_friction", "radius"),
         # the radius window needs a positive margin
         ("interior_noise_3e153", "radius"),
         ("interior_noise_1e150", "radius"),

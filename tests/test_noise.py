@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgsync.dynamics import ModelParams
-from qgsync.fields import Basis, laplacian_eigenvalues, norm_h1, retained_mask
+from qgsync.fields import Basis, GridSpec, laplacian_eigenvalues, norm_h1, retained_mask
 from qgsync.noise import (
     CoefficientState,
     ConfigError,
@@ -235,15 +235,21 @@ class TestArrayState:
 
 
 def full_array_step(state, stream, step):
-    """Reference update on whole arrays: scatter the increments into zeros, then decay * z + i."""
+    """Reference update on whole arrays, plane by plane: decay * z + gain * noise.
+
+    The noise is laid out on the lattice without the kernel's channel list:
+    one normal per lift column on every row of plane 0, one per interior
+    mode of plane 1 in row-major order.
+    """
     kernel = state.kernel
     nb, nc = kernel.n_boundary, kernel.n_channels
     vals = stream.normals(step, 2 * nc)
-    i1 = np.zeros(kernel.grid.shape)
-    i1[:, 1 : 1 + nb] = kernel.w1_step * vals[np.newaxis, :nb]
-    i2 = np.zeros(kernel.grid.shape)
-    i2[kernel.w2_index] = kernel.w2_step * vals[nb:nc]
-    return kernel.decay * state.zw1 + i1, kernel.decay * state.zw2 + i2
+    gain = np.zeros(state.zw.shape)
+    gain.reshape(-1)[kernel.index] = kernel.step_gain
+    noise = np.zeros(state.zw.shape)
+    noise[0, :, 1 : 1 + nb] = vals[:nb]
+    noise[1][gain[1] > 0] = vals[nb:nc]
+    return np.array([kernel.decay * state.zw1, kernel.decay * state.zw2]) + gain * noise
 
 
 NOISE_CASES = {
@@ -256,19 +262,38 @@ NOISE_CASES = {
 class TestChainUpdate:
     """`ou_step` adds its increments in place and draws only its half of the channels."""
 
-    @pytest.mark.parametrize("case", sorted(NOISE_CASES))
-    def test_matches_full_array_update_bit_for_bit(self, grid32, case):
-        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+    @pytest.mark.parametrize(
+        "case, n",
+        [pytest.param(case, 32, id=case) for case in sorted(NOISE_CASES)]
+        + [pytest.param(case, 256, id=f"{case}-256") for case in sorted(NOISE_CASES)],
+    )
+    def test_matches_full_array_update_bit_for_bit(self, case, n):
+        kernel = OUKernel(GridSpec(n), 1.0, *NOISE_CASES[case], 0.1)
         stream = NoiseStream(seed=31, dt=0.1, origin=-50)
         state = ou_init(kernel, stream)
-        zw1, zw2 = state.zw1, state.zw2
+        zw = state.zw
         for j in range(200):
-            zw1, zw2 = full_array_step(CoefficientState(zw1=zw1, zw2=zw2, kernel=kernel), stream, j)
+            zw = full_array_step(CoefficientState(zw=zw, kernel=kernel), stream, j)
             state = ou_step(state, stream, j)
-            assert state.zw1.tobytes() == zw1.tobytes()
-            assert state.zw2.tobytes() == zw2.tobytes()
+            assert state.zw.tobytes() == zw.tobytes()
         assert np.any(state.zw1) == (case != "interior_only")
         assert np.any(state.zw2) == (case != "boundary_only")
+
+    @pytest.mark.parametrize("case", sorted(NOISE_CASES))
+    def test_each_state_owns_read_only_arrays(self, grid32, case):
+        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        stream = NoiseStream(seed=8, dt=0.1)
+        state = ou_init(kernel, stream)
+        tables = (kernel.decay, kernel.index, kernel.channel, kernel.step_gain, kernel.stat_gain)
+        for j in range(5):
+            new = ou_step(state, stream, j)
+            assert new.zw.shape == (2, *grid32.shape)
+            for a in (new.zw, new.zw1, new.zw2):
+                assert not a.flags.writeable
+                assert not np.shares_memory(a, state.zw)
+                assert not any(np.shares_memory(a, t) for t in tables)
+            state = new
+        assert not any(t.flags.writeable for t in tables)
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES))
     def test_draws_per_call(self, grid32, monkeypatch, case):
@@ -297,7 +322,7 @@ class TestOUStep:
         state = ou_init(kernel, stream)
         # zero the increments by stepping a zero-amplitude kernel clone
         kernel0 = OUKernel(grid32, 1.0, CovarianceSpec(0.0, 3.0, 2), cov0, 0.2)
-        frozen = CoefficientState(zw1=state.zw1, zw2=state.zw2, kernel=kernel0)
+        frozen = CoefficientState(zw=state.zw, kernel=kernel0)
         stepped = ou_step(frozen, stream, 0)
         lam = np.pi**2 * (
             np.add.outer(np.arange(grid32.n + 1.0) ** 2, np.arange(grid32.n + 1.0) ** 2)

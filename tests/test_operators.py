@@ -463,6 +463,7 @@ class TestWorkArrays:
         tables = [
             *fields._grid_tables(n),
             *fields._cos_scales(n),
+            fields._envelope(n, 0.6),
             operators._edge_scales(n),
             operators._poisson_divisors(n),
             dynamics._dealias_mask(n),
@@ -478,7 +479,10 @@ class TestWorkArrays:
 
 class TestDifferenceOperators:
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
-    def test_stencil_and_matrix_forms_agree_bitwise(self, n):
+    def test_forms_agree_bitwise_but_for_signed_zeros(self, n):
+        # both forms agree in value; in bits everywhere except De's first
+        # node along the axis, where the stencil writes a[1] * 0.0 (-0.0
+        # where a[1] < 0) and the matrix product +0.0.  Do agrees bit for bit
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n + 1, n + 1))
         De, Do = _difference_operators(n)
@@ -486,9 +490,17 @@ class TestDifferenceOperators:
         for (lower, upper, dense), ref in ((De, ref_e), (Do, ref_o)):
             assert np.array_equal(np.diag(lower, -1) + np.diag(upper, 1), ref)
             assert dense is None or np.array_equal(dense, ref)
-            stencil = (lower, upper, None)
-            assert np.array_equal(diff(stencil, a, 0), ref @ a)
-            assert np.array_equal(diff(stencil, a, 1), a @ ref.T)
+            for axis in (0, 1):
+                stencil = diff((lower, upper, None), a, axis)
+                matrix = ref @ a if axis == 0 else a @ ref.T
+                # the lines along `axis` as rows, so that row 0 is the first node
+                s, m, lines = (stencil, matrix, a) if axis == 0 else (stencil.T, matrix.T, a.T)
+                assert np.array_equal(s, m)
+                if ref is ref_e:
+                    assert not np.signbit(m[0]).any()
+                    assert np.array_equal(np.signbit(s[0]), lines[1] < 0) and np.signbit(s[0]).any()
+                    s, m = s[1:], m[1:]
+                assert s.tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("n", [32, 128])
     def test_exact_on_linear_data(self, n):
@@ -625,10 +637,10 @@ class TestConstants:
         for n in (8, 24):
             assert estimate_constants(GridSpec(n), trials=100).c_gx == C_GX_EXACT
 
-    def test_search_builds_only_the_random_fields(self, field_inits):
-        # three per trial, in `random_field`; the ascent perturbs arrays
+    def test_search_builds_no_field(self, field_inits):
+        # the triples are `random_coeffs` arrays and the ascent perturbs arrays
         estimate_constants(GridSpec(16), trials=100)
-        assert field_inits[0] == 300
+        assert field_inits[0] == 0
 
     @pytest.mark.parametrize("n", [16, 24, 32, 128])
     def test_triple_ratio_has_the_bits_of_the_field_form(self, n):
