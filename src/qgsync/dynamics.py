@@ -39,7 +39,7 @@ from .fields import (
     Field,
     GridSpec,
     WorkArrays,
-    coeffs_from_nodal,
+    cosine_from_cosine_sine,
     derivative,
     laplacian_eigenvalues,
     nodal_from_coeffs,
@@ -118,8 +118,8 @@ def dealias(f: Field) -> Field:
     return Field(f.grid, f.basis, coeffs=f.coeffs * _dealias_mask(f.grid.n))
 
 
-# per thread and n: s then psi; s_nodal then r*w, the beta term's and the
-# derivatives' coefficients; psi_nodal then psi_x, then psi_y
+# per thread and n: s then psi; s_nodal then r*w and the derivatives'
+# coefficients; psi_nodal then |psi|, the beta term and psi_x, then psi_y
 _STEP_WORK = WorkArrays(lambda n: tuple(np.empty((n + 1, n + 1)) for _ in range(3)))
 
 
@@ -138,6 +138,7 @@ def step_imex(
     dt: float,
     step: int,
     check_cfl: bool = True,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One semi-implicit step of the transformed equation: the next z.
 
@@ -148,9 +149,9 @@ def step_imex(
     state.  Implicit: the diagonal solve for diffusion plus friction.  The
     chain is not advanced here; `evolve` does that.  The new z is an array,
     finite and zero off the retained modes: the step builds no field.  It
-    is the step's one fresh lattice array; every other lattice array is a
-    work array of this thread for the grid size, overwritten by the next
-    step.
+    is written into `out` if given (not `z` or `w`), else into a fresh
+    array; every other lattice array is a work array of this thread for
+    the grid size, overwritten by the next step.
     """
     grid = GridSpec(len(z) - 1)
     s, s_nodal, psi_nodal = _STEP_WORK.get(grid.n)
@@ -163,39 +164,55 @@ def step_imex(
     # all explicit terms at the old state; the advection self-term and the
     # coefficient cross/forcing terms collapse into one bilinear evaluation
     # of s = z + w by bilinearity, and likewise for the beta terms, so one
-    # streamfunction solve serves B, the CFL speed and the beta term, and
-    # one synthesis of d(psi)/dx serves the last two.  A non-finite s or psi
-    # makes B non-finite, so B is checked before the CFL check can warn
+    # streamfunction solve serves B, the beta term and the CFL speed.  A
+    # non-finite s or psi makes B non-finite, so B is checked before the
+    # CFL check can warn
     #
-    # b, the one fresh array, becomes the explicit terms
-    # -1.0 * (b * dealias) - r w [- beta psi_x] and then the new z; the
+    # b, the new z's array, becomes the explicit terms
+    # -1.0 * (b * dealias) - r w [- beta beta_term] and then the new z; the
     # products and sums are those of that expression, in its order
     with np.errstate(over="ignore", invalid="ignore"):
         np.add(z, w, out=s)
         nodal_from_coeffs(s, Basis.NEUMANN_COSINE, grid, out=s_nodal)
         psi = streamfunction_coeffs(s_nodal, grid, out=s)
         nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid, out=psi_nodal)
-        b = advection_coeffs(psi_nodal, s_nodal, grid)
+        b = advection_coeffs(psi_nodal, s_nodal, grid, out=out)
         if not np.all(np.isfinite(b)):
             raise _diverged()
         np.multiply(b, _dealias_mask(grid.n), out=b)
         np.multiply(b, -1.0, out=b)
         coeffs = s_nodal  # read for the last time by B
         np.subtract(b, np.multiply(w, params.r, out=coeffs), out=b)
+        # the CFL speed is max |grad psi| on the lattice.  Each orthonormal
+        # mode is at most sqrt(2) per axis there, so 2 sum |d| bounds the
+        # lattice values of a derivative with coefficients d: 2 pi sum k |psi|
+        # for psi_x and 2 pi sum l |psi| for psi_y.  Up to dt = h/2 the check
+        # fires only on a speed above 1, so a derivative whose bound is at
+        # most 1/2 is not synthesized, and the warning and its speed are
+        # those of the exact maximum.  A NaN bound is synthesized
+        synthesize = (False, False)
+        if check_cfl:
+            abs_psi = np.abs(psi, out=psi_nodal)
+            k = np.arange(grid.n + 1)
+            bounds = (2.0 * np.pi * np.dot(k, abs_psi.sum(axis=1)), 2.0 * np.pi * np.dot(k, abs_psi.sum(axis=0)))
+            synthesize = tuple(dt > 0.5 * grid.h or not bound <= 0.5 for bound in bounds)
         # max |grad psi| without the |a| arrays: the larger of max a and -min a,
         # from a 0.0 that keeps an all-zero speed +0.0
         speed = 0.0
-        if check_cfl or params.beta != 0.0:
-            psi_x = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 0, out=coeffs), grid, out=psi_nodal)
-            if check_cfl:
-                speed = max(speed, psi_x.max(), -psi_x.min())
+        if params.beta != 0.0 or synthesize[0]:
+            d_x = derivative(psi, Basis.DIRICHLET_SINE, 0, out=coeffs)[0]
             if params.beta != 0.0:
-                beta_term = coeffs_from_nodal(psi_x, Basis.NEUMANN_COSINE, grid, out=coeffs)
+                # the y axis of the round trip through psi_x's lattice values
+                beta_term = cosine_from_cosine_sine(d_x, grid, out=psi_nodal)
                 np.subtract(b, np.multiply(beta_term, params.beta, out=beta_term), out=b)
-        if check_cfl:
-            # psi_y takes psi_x's array, read for the last time above
+            if synthesize[0]:
+                psi_x = nodal_from_coeffs(d_x, Basis.COSINE_SINE, grid, out=psi_nodal)
+                speed = max(speed, psi_x.max(), -psi_x.min())
+        if synthesize[1]:
             psi_y = nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 1, out=coeffs), grid, out=psi_nodal)
-            speed = float(max(speed, psi_y.max(), -psi_y.min()))
+            speed = max(speed, psi_y.max(), -psi_y.min())
+        if check_cfl:
+            speed = float(speed)
             if dt > 0.5 * grid.h / max(1.0, speed):
                 warnings.warn(
                     f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) "
@@ -246,7 +263,9 @@ def evolve(
     yield state
     for step in range(steps):
         w = state.coeff.combined()
-        members = np.array([step_imex(z, w, params, stream.dt, step, check_cfl) for z in state.members])
+        members = np.empty_like(state.members)
+        for z, new in zip(state.members, members):
+            step_imex(z, w, params, stream.dt, step, check_cfl, out=new)
         state = CocycleState(step=step + 1, members=members, coeff=ou_step(state.coeff, stream, step))
         yield state
 

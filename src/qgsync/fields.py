@@ -28,18 +28,25 @@ n * eps * max|a|).  DENSE_BELOW_N is also where `operators` switches its
 difference operators from dense matrices to slice stencils, so one rule
 holds: below it every linear operator is a dense matrix.
 
+`cosine_from_cosine_sine` is the one transform that keeps the x axis: it
+re-expands a COSINE_SINE array's y-axis sine series in cosines on the
+lattice, the round trip through nodal values up to round-off, in two line
+passes instead of four.  The step takes its beta term, the cosine
+coefficients of psi_x, from it.
+
 Lattice-sized work arrays are held per thread and per grid size in
 `WorkArrays`, built on first use and kept for the life of the thread: the
 FFT transforms' rfft buffers here, the Arakawa Jacobian's arrays in
 `operators` and the step's arrays in `dynamics`.  Reusing them keeps the
 allocator from handing freed pages back to the OS and faulting them in
-again on the next call.  A transform, `streamfunction_coeffs` or
-`derivative` writes into a caller's `out` array when given one (only the
-step passes one); otherwise it returns a fresh array that its caller owns.
-No function returns a view of a work array.  Every cached table (grid
-tables, masks, scales, the `random_coeffs` envelope, difference operators)
-is read-only, so a misplaced `out=` raises instead of corrupting every
-later call.
+again on the next call.  A transform, `derivative`, or
+`operators.streamfunction_coeffs` or `advection_coeffs` writes into a
+caller's `out` array when given one (only the step passes one, and `evolve`
+passes the step a row of the next members stack); otherwise it returns a
+fresh array that its caller owns.  No function returns a view of a work
+array.  Every cached table (grid tables, masks, scales, the
+`random_coeffs` envelope, line and difference matrices) is read-only, so a
+misplaced `out=` raises instead of corrupting every later call.
 """
 
 from __future__ import annotations
@@ -332,6 +339,39 @@ def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec, out: np.
     if basis.ykind == "sin":
         v[:, ::n] = 0.0
     return v
+
+
+@lru_cache(maxsize=None)
+def _sine_to_cosine_matrix(n: int) -> np.ndarray:
+    """Read-only matrix of a sine-axis synthesis followed by a cosine-axis analysis on grid n."""
+    m = _line_matrix(n, "cos", False) @ _line_matrix(n, "sin", True)
+    m.flags.writeable = False
+    return m
+
+
+def cosine_from_cosine_sine(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """NEUMANN_COSINE coefficients of a COSINE_SINE array's lattice values, into `out` if given (not `coeffs`).
+
+    The round trip `coeffs_from_nodal(nodal_from_coeffs(coeffs, COSINE_SINE),
+    NEUMANN_COSINE)` up to round-off: its x-axis cosine synthesis and
+    analysis are the identity on the retained modes, so only the y axis is
+    transformed, a sine synthesis and a cosine analysis along the rows.
+    Below DENSE_BELOW_N that is one matmul against the product of the two
+    line matrices; from it up, two FFT line passes, the first of which
+    writes its lattice values back into the rfft lines.
+    """
+    n = grid.n
+    if n >= DENSE_BELOW_N:
+        ext, spec = _WORK.get(n)
+        lines = ext[:, : n + 1]
+        _synthesis_scale(coeffs, "sin", n, lines)
+        _transform_lines(ext, spec, "sin", n, synthesis=True, out=lines)
+        a = np.empty((n + 1, n + 1)) if out is None else out
+        _transform_lines(ext, spec, "cos", n, synthesis=False, out=a)
+    else:
+        a = np.matmul(coeffs, _sine_to_cosine_matrix(n).T, out=out)
+    a[_off_mask(n, Basis.NEUMANN_COSINE.value)] = 0.0
+    return a
 
 
 class Field:

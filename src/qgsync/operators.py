@@ -280,7 +280,7 @@ def _diff(op, a: np.ndarray, axis: int, out: np.ndarray, scratch: np.ndarray) ->
 _JACOBIAN_WORK = WorkArrays(lambda n: tuple(np.empty((n + 1, n + 1)) for _ in range(6)))
 
 
-def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec) -> np.ndarray:
+def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Cosine coefficients of the Arakawa bracket J(psi, a) = psi_x a_y - psi_y a_x, from lattice values.
 
     psi must vanish on the boundary, as the sine synthesis of
@@ -294,11 +294,11 @@ def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec) -> np.ndarr
     on the retained modes.
 
     The lattice arrays live in this thread's six Jacobian work arrays for
-    n, which outlive the call, so the only fresh array is the returned
-    coefficients.  Each form is evaluated in the order of the expression
-    (t1 + t2 + t3) / 3 with t1 = px ay - py ax, t2 = Do_x(psi ay) -
-    Do_y(psi ax) and t3 = Do_y(px a) - Do_x(py a), so the bits are those of
-    that expression.
+    n, which outlive the call, so the only array it may allocate is the
+    returned coefficients, which go into `out` if given (not `psi` or `a`).
+    Each form is evaluated in the order of the expression (t1 + t2 + t3) / 3
+    with t1 = px ay - py ax, t2 = Do_x(psi ay) - Do_y(psi ax) and
+    t3 = Do_y(px a) - Do_x(py a), so the bits are those of that expression.
     """
     De, Do = _difference_operators(grid.n)
     px, py, ax, ay, acc, prod = _JACOBIAN_WORK.get(grid.n)
@@ -326,7 +326,7 @@ def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec) -> np.ndarr
     np.subtract(ay, ax, out=ay)
     np.add(acc, ay, out=acc)
     np.divide(acc, 3.0, out=acc)
-    return coeffs_from_nodal(acc, Basis.NEUMANN_COSINE, grid)
+    return coeffs_from_nodal(acc, Basis.NEUMANN_COSINE, grid, out=out)
 
 
 def bilinear_b(v1: Field, v2: Field) -> Field:

@@ -75,6 +75,10 @@ def advection(v1: Field, v2: Field) -> np.ndarray:
 
 
 def beta_coeffs(v: Field) -> np.ndarray:
-    """Cosine coefficients of G(v)_x, the beta term, from the array functions the stepper calls."""
+    """Cosine coefficients of G(v)_x, the beta term, by the 2D round trip through psi_x's lattice values.
+
+    The reference form: the stepper transforms only the y axis
+    (`fields.cosine_from_cosine_sine`), which agrees with this to round-off.
+    """
     psi_x = derivative(streamfunction_coeffs(v.nodal, v.grid), Basis.DIRICHLET_SINE, 0)
     return coeffs_from_nodal(nodal_from_coeffs(*psi_x, v.grid), Basis.NEUMANN_COSINE, v.grid)

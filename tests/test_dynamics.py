@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from qgsync import dynamics, fields, operators
 from qgsync.analysis import cocycle_check
 from qgsync.dynamics import (
     CFLWarning,
@@ -22,6 +23,7 @@ from qgsync.fields import (
     DimensionMismatch,
     Field,
     GridSpec,
+    coeffs_from_nodal,
     derivative,
     laplacian_eigenvalues,
     nodal_from_coeffs,
@@ -54,6 +56,50 @@ def implicit_solve(grid: GridSpec, rhs: np.ndarray, dt: float, params: ModelPara
     denom = 1.0 + dt * (params.nu * laplacian_eigenvalues(grid) + params.r)
     mask = retained_mask(grid, Basis.NEUMANN_COSINE)
     return Field(grid, Basis.NEUMANN_COSINE, coeffs=rhs / denom * mask)
+
+
+def exact_cfl_text(z, w, dt, grid):
+    """The speed text of the CFL warning from exact syntheses of psi_x and psi_y, or None if it does not fire."""
+    psi = streamfunction_coeffs(nodal_from_coeffs(z + w, Basis.NEUMANN_COSINE, grid), grid)
+    grad = [nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, axis), grid) for axis in (0, 1)]
+    speed = max(float(np.max(np.abs(g))) for g in grad)
+    return f"(speed {speed:.3g})" if dt > 0.5 * grid.h / max(1.0, speed) else None
+
+
+def gradient_bounds(z, w, grid):
+    """2 sum |d| for the coefficients d of psi_x and of psi_y: bounds of their lattice values."""
+    psi = streamfunction_coeffs(nodal_from_coeffs(z + w, Basis.NEUMANN_COSINE, grid), grid)
+    return [2.0 * float(np.sum(np.abs(derivative(psi, Basis.DIRICHLET_SINE, axis)[0]))) for axis in (0, 1)]
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """List of the bases of every 2D transform call from now on, as (name, basis)."""
+    calls = []
+    for name in ("coeffs_from_nodal", "nodal_from_coeffs"):
+        transform = getattr(fields, name)
+
+        def counted(a, basis, *args, _name=name, _transform=transform, **kwargs):
+            calls.append((_name, basis))
+            return _transform(a, basis, *args, **kwargs)
+
+        for module in (fields, operators, dynamics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def step_cfl_text(z, w, params, dt, grid):
+    """The speed text of the CFL warning that one step raises, or None."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        step_imex(z, w, params, dt, 0)
+    messages = [str(r.message) for r in record if issubclass(r.category, CFLWarning)]
+    assert len(messages) <= 1
+    if not messages:
+        return None
+    assert messages[0].startswith(f"dt={dt} exceeds the advective limit 0.5*h/max(1,|grad psi|) at t=0.0 (speed ")
+    return messages[0][messages[0].index("(speed") :]
 
 
 class TestModelParams:
@@ -218,6 +264,62 @@ class TestStepImex:
         assert f"(speed {speed:.3g})" in str(record[0].message)
 
 
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_four_transforms_per_step(self, n, transforms):
+        # beta > 0 and the CFL check on a state whose gradient bounds are
+        # below 1/2: the synthesis of s, the Poisson analysis, the synthesis
+        # of psi and B's analysis; the beta term and the CFL speed take none
+        grid = GridSpec(n)
+        z, w = masked_field(grid, 28, scale=0.01).coeffs, masked_field(grid, 29, scale=0.001).coeffs
+        assert max(gradient_bounds(z, w, grid)) <= 0.5
+        transforms.clear()
+        step_imex(z, w, PARAMS, 0.5 * grid.h, 0, check_cfl=True)
+        assert len(transforms) == 4
+
+
+class TestCFLBound:
+    """The CFL check synthesizes a derivative only when its bound says it could decide the warning."""
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("dt_side", [-1, 1])
+    def test_bound_and_dt_straddle_their_thresholds(self, grid32, transforms, side, dt_side):
+        # the larger bound a hair below or above 1/2, dt one float below or above h/2
+        z0 = masked_field(grid32, 30, scale=1.0).coeffs
+        w0 = masked_field(grid32, 31, scale=0.1).coeffs
+        scale = 0.5 / max(gradient_bounds(z0, w0, grid32)) * (1.0 + side * 1e-9)
+        z, w = scale * z0, scale * w0
+        bounds = gradient_bounds(z, w, grid32)
+        assert (max(bounds) > 0.5) == (side > 0)
+        dt = float(np.nextafter(0.5 * grid32.h, dt_side * np.inf))
+        expected = exact_cfl_text(z, w, dt, grid32)
+        assert (expected is not None) == (dt_side > 0)
+        transforms.clear()
+        assert step_cfl_text(z, w, PARAMS, dt, grid32) == expected
+        synthesized = [b for name, b in transforms if b in (Basis.COSINE_SINE, Basis.SINE_COSINE)]
+        assert synthesized == [
+            b for b, bound in zip((Basis.COSINE_SINE, Basis.SINE_COSINE), bounds) if dt_side > 0 or bound > 0.5
+        ]
+
+    @pytest.mark.parametrize("dt_factor", [0.9, 1.1])
+    def test_skipped_small_axis_next_to_a_fast_one(self, grid32, transforms, dt_factor):
+        # psi ~ sin(pi x) sin(10 pi y): psi_x's bound is below 1/2, so it is
+        # not synthesized, while psi_y's speed is above 1 and decides the check
+        x = np.arange(grid32.n + 1) * grid32.h
+        z = coeffs_from_nodal(np.outer(np.sin(np.pi * x), np.sin(10 * np.pi * x)), Basis.NEUMANN_COSINE, grid32)
+        z = z * (0.45 / gradient_bounds(z, 0.0, grid32)[0])
+        w = np.zeros(grid32.shape)
+        bound_x, _ = gradient_bounds(z, w, grid32)
+        psi = streamfunction_coeffs(nodal_from_coeffs(z, Basis.NEUMANN_COSINE, grid32), grid32)
+        speed_y = float(np.max(np.abs(nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, 1), grid32))))
+        assert bound_x <= 0.5 and speed_y > 4.0
+        dt = dt_factor * 0.5 * grid32.h / speed_y
+        expected = exact_cfl_text(z, w, dt, grid32)
+        assert (expected is not None) == (dt_factor > 1)
+        transforms.clear()
+        assert step_cfl_text(z, w, PARAMS, dt, grid32) == expected
+        assert [b for _, b in transforms if b in (Basis.COSINE_SINE, Basis.SINE_COSINE)] == [Basis.SINE_COSINE]
+
+
 class TestEvolve:
     def test_zero_time_is_identity(self, grid32):
         z0 = masked_field(grid32, 11)
@@ -267,6 +369,24 @@ class TestEvolve:
         for state in evolve(0.02, stream, (masked_field(grid32, 24),), PARAMS, COV1, COV2, check_cfl=False):
             with pytest.raises(ValueError):
                 state.members[0, 1, 1] = 1.0
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_members_own_their_arrays(self, n):
+        # each stack is written in place by the steps, with the bits of
+        # stacking fresh steps, and shares no memory with the previous stack
+        # or any work array
+        grid = GridSpec(n)
+        stream = NoiseStream(seed=27, dt=0.001)
+        start = (masked_field(grid, 27), masked_field(grid, 28))
+        states = list(evolve(0.003, stream, start, PARAMS, COV1, COV2))
+        held = list(fields._WORK.get(n)) + list(operators._JACOBIAN_WORK.get(n)) + list(dynamics._STEP_WORK.get(n))
+        for prev, state in zip(states, states[1:]):
+            w = prev.coeff.combined()
+            fresh = np.array([step_imex(z, w, PARAMS, stream.dt, prev.step) for z in prev.members])
+            assert np.array_equal(state.members.view(np.int64), fresh.view(np.int64))
+            assert not np.shares_memory(state.members, prev.members)
+            assert not any(np.shares_memory(state.members, h) for h in held)
+            assert not np.shares_memory(state.members[0], state.members[1])
 
     def test_rejects_a_sine_start_field(self, grid32):
         # its sine coefficients would be stepped as cosine ones

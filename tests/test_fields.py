@@ -259,12 +259,14 @@ class TestDensePath:
         n = grid32.n
         x = np.random.default_rng(23).standard_normal(grid32.shape)
         matrices = [fields._line_matrix(n, kind, synthesis) for kind in ("cos", "sin") for synthesis in (False, True)]
+        matrices.append(fields._sine_to_cosine_matrix(n))
         assert not any(m.flags.writeable for m in matrices)
         z = x * retained_mask(grid32, Basis.NEUMANN_COSINE) * 1e-3
         outputs = [
             operators.streamfunction_coeffs(x, grid32),
             operators.advection_coeffs(x * retained_mask(grid32, Basis.DIRICHLET_SINE), x, grid32),
             dynamics.step_imex(z, 0.1 * z, dynamics.ModelParams(1.0, 1.0, 0.1), 0.01, 0),
+            fields.cosine_from_cosine_sine(x * retained_mask(grid32, Basis.COSINE_SINE), grid32),
         ]
         held = (
             matrices
