@@ -58,10 +58,10 @@ CASES = {
             ("stationary", 0),
         ],
     ),
-    # n = 128 takes the stencil path of the difference operators
+    # n = 128 takes the stencil path of the difference operators and the FFT transforms
     "n128": (
         {"grid.n": "128", "time.dt": "0.001", "time.t_end": "0.005", "time.burn": "0", "seeds": "1"},
-        [("simulate", 0)],
+        [("simulate", 0), ("validate", 0)],
     ),
 }
 
