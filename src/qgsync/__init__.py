@@ -9,11 +9,9 @@ synchronization diagnostics.
 
 from .fields import (
     Basis,
-    BoundaryField,
     DimensionMismatch,
     Field,
     GridSpec,
-    inner,
     norm_h1,
     norm_l2,
 )

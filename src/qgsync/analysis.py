@@ -47,6 +47,7 @@ from .fields import (
     laplacian_eigenvalues,
     norm_h1,
     norm_l2,
+    random_coeffs,
     random_field,
 )
 from .noise import (
@@ -315,7 +316,7 @@ def radius_invariance_experiment(
         rho2_0, (g, r, coeff0) = _rho_with_state(kernel, stream, window, params, constants)
         rho0 = math.sqrt(max(rho2_0, 0.0))
         rng = np.random.default_rng((seed, 0xABCD))
-        direction = dealias(random_field(grid, rng)).coeffs
+        direction = dealias(random_coeffs(grid, rng))
         dnorm = norm_l2(direction)
         scale = rng.uniform(0.0, 1.0) * rho0
         z0 = direction / dnorm * scale if dnorm > 0 else direction * 0.0

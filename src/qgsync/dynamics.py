@@ -113,9 +113,9 @@ def _dealias_mask(n: int) -> np.ndarray:
     return mask
 
 
-def dealias(f: Field) -> Field:
-    """Zero modes above the 2/3 cutoff (applied to advection products only)."""
-    return Field(f.grid, f.basis, coeffs=f.coeffs * _dealias_mask(f.grid.n))
+def dealias(coeffs: np.ndarray) -> np.ndarray:
+    """A coefficient array with its modes above the 2/3 cutoff zeroed (applied to advection products only)."""
+    return coeffs * _dealias_mask(len(coeffs) - 1)
 
 
 # per thread and n: s then psi; s_nodal then r*w and the derivatives'
@@ -258,7 +258,7 @@ def evolve(
         if any((f.grid, f.basis) != (grid, Basis.NEUMANN_COSINE) for f in start):
             raise DimensionMismatch(f"start fields must be NEUMANN_COSINE on one grid, got {start!r}")
         kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
-        members = np.array([dealias(f).coeffs for f in start])
+        members = np.array([dealias(f.coeffs) for f in start])
         state = CocycleState(step=0, members=members, coeff=ou_init(kernel, stream))
     yield state
     for step in range(steps):

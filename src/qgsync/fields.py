@@ -379,12 +379,12 @@ class Field:
 
     Coefficients have shape (n+1, n+1) and are indexed by literal mode
     numbers (k, l); they are copied, checked (shape, finite, zero off the
-    retained modes) and frozen, so fields are safe to share.  `nodal` is
-    their synthesis on the lattice, indexed (i, j), computed on first use
-    and cached.
+    retained modes) and frozen, so fields are safe to share.  A field holds
+    nothing else: its lattice values, indexed (i, j), are
+    `nodal_from_coeffs(f.coeffs, f.basis, f.grid)`, which the caller keeps.
     """
 
-    __slots__ = ("grid", "basis", "_coeffs", "_nodal")
+    __slots__ = ("grid", "basis", "_coeffs")
 
     def __init__(self, grid: GridSpec, basis: Basis, coeffs):
         coeffs = np.array(coeffs, dtype=float)
@@ -400,7 +400,6 @@ class Field:
         self.grid = grid
         self.basis = basis
         self._coeffs = coeffs
-        self._nodal = None
 
     @classmethod
     def zeros(cls, grid: GridSpec, basis: Basis) -> "Field":
@@ -409,14 +408,6 @@ class Field:
     @property
     def coeffs(self) -> np.ndarray:
         return self._coeffs
-
-    @property
-    def nodal(self) -> np.ndarray:
-        if self._nodal is None:
-            v = nodal_from_coeffs(self._coeffs, self.basis, self.grid)
-            v.flags.writeable = False
-            self._nodal = v
-        return self._nodal
 
     def __repr__(self) -> str:
         return f"Field({self.basis.name}, n={self.grid.n})"
@@ -445,13 +436,6 @@ def random_field(
 ) -> Field:
     """`random_coeffs` as a NEUMANN_COSINE field."""
     return Field(grid, Basis.NEUMANN_COSINE, coeffs=random_coeffs(grid, rng, scale, slope))
-
-
-def inner(f: Field, g: Field) -> float:
-    """L2(D) inner product via the coefficient Parseval identity."""
-    if f.grid != g.grid or f.basis is not g.basis:
-        raise DimensionMismatch(f"incompatible fields: {f!r} vs {g!r}")
-    return float(np.sum(f.coeffs * g.coeffs))
 
 
 def norm_l2(coeffs: np.ndarray) -> float:
@@ -490,32 +474,6 @@ def derivative(
     np.multiply(d, coeffs, out=d)
     np.multiply(d, _retained_mask(n, flipped.value), out=d)
     return d, flipped
-
-
-class BoundaryField:
-    """Mean-zero scalar on the left edge {0} x (0,1).
-
-    Stored as coefficients g_k of the orthonormal edge modes
-    sqrt(2) cos(k pi y), k = 1..K.  The absence of a k = 0 slot makes the
-    zero-average (Neumann compatibility) condition structural.
-    """
-
-    __slots__ = ("grid", "coeffs")
-
-    def __init__(self, grid: GridSpec, coeffs):
-        coeffs = np.array(coeffs, dtype=float)
-        if coeffs.ndim != 1 or not 1 <= coeffs.size <= grid.n - 1:
-            raise DimensionMismatch(
-                f"boundary coefficients must have length 1..{grid.n - 1}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("boundary field contains non-finite entries")
-        coeffs.flags.writeable = False
-        self.grid = grid
-        self.coeffs = coeffs
-
-    def __repr__(self) -> str:
-        return f"BoundaryField(n={self.grid.n}, K={self.coeffs.size})"
 
 
 def save_field(path, f: Field, time: float = 0.0) -> None:

@@ -332,12 +332,13 @@ def temperedness_diagnostic(series, horizon: float) -> float:
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or series.size == 0:
         raise ValueError("temperedness diagnostic needs a nonempty 1D series")
+    if not np.isfinite(series).all():
+        raise ValueError("series must be finite")
     if np.any(series < 0):
         raise ValueError("series must be nonnegative")
-    n = series.size
-    if n < 2:
-        raise ValueError("series too short")
-    times = np.linspace(0.0, horizon, n)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    times = np.linspace(0.0, horizon, series.size)
     window = times >= horizon / 2.0
     if np.count_nonzero(window) < 100:
         raise ValueError("horizon must cover at least 100 samples in [T/2, T]")

@@ -3,9 +3,12 @@
 The streamfunction solve, the Neumann boundary lift, the mean-zero Laplacian
 with its heat semigroup, and an Arakawa-type discrete Jacobian are collected
 here together with numerical estimates of the constants that enter the
-contraction analysis.  The lift is a plain (n+1, K) coefficient array from
-`lifting_matrix`; `neumann_lift` and the coefficient kernel
-`noise.OUKernel` are the only places that build it.
+contraction analysis.  Every operator takes and returns coefficient or
+lattice arrays, except `dirichlet_poisson` and `bilinear_b`, the field
+forms of the streamfunction solve and of B, which build a `Field`.  The
+lift is a plain (n+1, K) coefficient array from `lifting_matrix`;
+`neumann_lift` and the coefficient kernel `noise.OUKernel` are the only
+places that build it.
 
 The load-bearing discrete property is exact skew-symmetry of the advection
 operator B(v1, v2) = J(G v1, v2):
@@ -44,7 +47,6 @@ import numpy as np
 from .fields import (
     DENSE_BELOW_N,
     Basis,
-    BoundaryField,
     DimensionMismatch,
     Field,
     GridSpec,
@@ -113,21 +115,16 @@ def streamfunction_coeffs(nodal: np.ndarray, grid: GridSpec, out: np.ndarray | N
 
 def dirichlet_poisson(u: Field) -> Field:
     """Solve lap(psi) = u with psi = 0 on the boundary: `streamfunction_coeffs` as a field."""
-    return Field(u.grid, Basis.DIRICHLET_SINE, coeffs=streamfunction_coeffs(u.nodal, u.grid))
+    nodal = nodal_from_coeffs(u.coeffs, u.basis, u.grid)
+    return Field(u.grid, Basis.DIRICHLET_SINE, coeffs=streamfunction_coeffs(nodal, u.grid))
 
 
-def semigroup(f: Field, nu: float, t: float) -> Field:
-    """Heat semigroup S(t) = exp(-t A) acting on a mean-zero cosine field."""
-    _require_neumann(f)
+def semigroup(coeffs: np.ndarray, nu: float, t: float) -> np.ndarray:
+    """Heat semigroup S(t) = exp(-t A) acting on a mean-zero cosine coefficient array."""
     if t < 0:
         raise ValueError(f"semigroup requires t >= 0, got {t}")
-    decay = np.exp(-nu * t * laplacian_eigenvalues(f.grid))
-    return Field(f.grid, Basis.NEUMANN_COSINE, coeffs=decay * f.coeffs)
-
-
-def _require_neumann(f: Field):
-    if f.basis is not Basis.NEUMANN_COSINE:
-        raise DimensionMismatch(f"operator expects NEUMANN_COSINE, got {f.basis.name}")
+    decay = np.exp(-nu * t * laplacian_eigenvalues(GridSpec(len(coeffs) - 1)))
+    return decay * coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -171,42 +168,44 @@ def lifting_matrix(grid: GridSpec, nu: float, n_modes: int) -> np.ndarray:
     return c[:, np.newaxis] / (nu * np.pi**2 * (k**2 + m**2))
 
 
-def neumann_lift(g: BoundaryField, nu: float) -> Field:
-    """Lift edge data to the interior: -nu lap(u) = 0 with flux datum g.
+def neumann_lift(g: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
+    """Lift edge data to the interior: -nu lap(u) = 0 with flux datum g, as cosine coefficients.
 
-    The flux convention is variational, nu * du/dn = g on {0} x (0,1) and
-    zero on the other sides; `boundary_flux` reads the datum back from the
-    result exactly.
+    g holds the coefficients g_k of the orthonormal edge modes
+    sqrt(2) cos(k pi y), k = 1..K with K <= n - 1; there is no k = 0 slot,
+    so the data have zero average (Neumann compatibility).  The flux
+    convention is variational, nu * du/dn = g on {0} x (0,1) and zero on
+    the other sides; `boundary_flux` reads the datum back from the result
+    exactly.
     """
-    lift = lifting_matrix(g.grid, nu, n_modes=g.coeffs.size)
-    coeffs = np.zeros(g.grid.shape)
-    coeffs[:, 1 : 1 + g.coeffs.size] = lift * g.coeffs[np.newaxis, :]
-    coeffs[~retained_mask(g.grid, Basis.NEUMANN_COSINE)] = 0.0
-    return Field(g.grid, Basis.NEUMANN_COSINE, coeffs=coeffs)
+    lift = lifting_matrix(grid, nu, n_modes=g.size)
+    coeffs = np.zeros(grid.shape)
+    coeffs[:, 1 : 1 + g.size] = lift * g[np.newaxis, :]
+    coeffs[~retained_mask(grid, Basis.NEUMANN_COSINE)] = 0.0
+    return coeffs
 
 
-def boundary_flux(u: Field, nu: float) -> BoundaryField:
-    """Left-edge flux readout: the edge-delta-layer content of A(u).
+def boundary_flux(u: np.ndarray, nu: float) -> np.ndarray:
+    """Left-edge flux readout of cosine coefficients u: the edge-delta-layer content of A(u).
 
     A discretely harmonic field with edge datum g satisfies
     nu * lambda_(m,k) * u_(m,k) = c_m * g_k for every x-mode m, i.e. A(u)
     is exactly the truncated edge delta layer scaled by g.  The functional
-    returns the least-squares layer coefficients; `harmonicity_residual`
-    measures what A(u) leaves outside the layer.
+    returns the least-squares layer coefficients g_k, k = 1..n-1;
+    `harmonicity_residual` measures what A(u) leaves outside the layer.
     """
-    grid = u.grid
+    grid = GridSpec(len(u) - 1)
     c = _edge_scales(grid.n)
-    au = nu * laplacian_eigenvalues(grid) * u.coeffs
-    flux = (c @ au[:, 1 : grid.n]) / float(np.sum(c**2))
-    return BoundaryField(grid, flux)
+    au = nu * laplacian_eigenvalues(grid) * u
+    return (c @ au[:, 1 : grid.n]) / float(np.sum(c**2))
 
 
-def harmonicity_residual(u: Field, nu: float) -> float:
-    """Relative part of A(u) not explained by a left-edge flux layer."""
-    grid = u.grid
-    au = nu * laplacian_eigenvalues(grid) * u.coeffs
+def harmonicity_residual(u: np.ndarray, nu: float) -> float:
+    """Relative part of A(u) not explained by a left-edge flux layer, for cosine coefficients u."""
+    grid = GridSpec(len(u) - 1)
+    au = nu * laplacian_eigenvalues(grid) * u
     layer = np.zeros(grid.shape)
-    layer[:, 1 : grid.n] = np.outer(_edge_scales(grid.n), boundary_flux(u, nu).coeffs)
+    layer[:, 1 : grid.n] = np.outer(_edge_scales(grid.n), boundary_flux(u, nu))
     denom = float(np.linalg.norm(au))
     if denom == 0.0:
         return 0.0
@@ -334,7 +333,9 @@ def bilinear_b(v1: Field, v2: Field) -> Field:
     if v1.grid != v2.grid:
         raise DimensionMismatch("bilinear form arguments live on different grids")
     grid = v1.grid
-    coeffs = advection_coeffs(dirichlet_poisson(v1).nodal, v2.nodal, grid)
+    psi = dirichlet_poisson(v1)
+    psi_nodal = nodal_from_coeffs(psi.coeffs, psi.basis, grid)
+    coeffs = advection_coeffs(psi_nodal, nodal_from_coeffs(v2.coeffs, v2.basis, grid), grid)
     return Field(grid, Basis.NEUMANN_COSINE, coeffs=coeffs)
 
 
@@ -346,7 +347,9 @@ def bilinear_b(v1: Field, v2: Field) -> Field:
 def _triple_ratio(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, grid: GridSpec) -> float:
     """|<B(v1, v2), v3>| / (|v1| |grad v2| |grad v3|) of three cosine coefficient arrays.
 
-    Makes the array calls of `inner(bilinear_b(v1, v2), v3)` in its order, so it has its bits.
+    Makes the array calls of `bilinear_b(v1, v2)` in its order and sums the
+    product of the result's coefficients with v3, so it has the bits of
+    `np.sum(bilinear_b(v1, v2).coeffs * v3)`.
     """
     denom = norm_l2(v1) * norm_h1(v2) * norm_h1(v3)
     if denom == 0.0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgsync.dynamics import dealias
 from qgsync.fields import (
     Basis,
     Field,
@@ -68,17 +69,37 @@ def trapezoid_quadrature(grid, values_a, values_b):
     return grid.h**2 * float(np.sum(np.outer(w, w) * values_a * values_b))
 
 
-def advection(v1: Field, v2: Field) -> np.ndarray:
-    """Cosine coefficients of B(v1, v2), from the array functions the stepper calls."""
-    psi = nodal_from_coeffs(streamfunction_coeffs(v1.nodal, v1.grid), Basis.DIRICHLET_SINE, v1.grid)
-    return advection_coeffs(psi, v2.nodal, v1.grid)
+def dealiased(f: Field) -> Field:
+    """A field with its modes above the 2/3 cutoff zeroed."""
+    return Field(f.grid, f.basis, coeffs=dealias(f.coeffs))
 
 
-def beta_coeffs(v: Field) -> np.ndarray:
+def nodal(f: Field) -> np.ndarray:
+    """A field's lattice values."""
+    return nodal_from_coeffs(f.coeffs, f.basis, f.grid)
+
+
+def inner(f: Field, g: Field) -> float:
+    """L2(D) inner product of two fields in one basis, by the coefficient Parseval identity."""
+    return float(np.sum(f.coeffs * g.coeffs))
+
+
+def advection(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Cosine coefficients of B(v1, v2) for two cosine coefficient arrays, from the array functions the stepper calls."""
+    grid = GridSpec(len(v1) - 1)
+    u1 = nodal_from_coeffs(v1, Basis.NEUMANN_COSINE, grid)
+    psi = nodal_from_coeffs(streamfunction_coeffs(u1, grid), Basis.DIRICHLET_SINE, grid)
+    return advection_coeffs(psi, nodal_from_coeffs(v2, Basis.NEUMANN_COSINE, grid), grid)
+
+
+def beta_coeffs(v: np.ndarray) -> np.ndarray:
     """Cosine coefficients of G(v)_x, the beta term, by the 2D round trip through psi_x's lattice values.
 
-    The reference form: the stepper transforms only the y axis
-    (`fields.cosine_from_cosine_sine`), which agrees with this to round-off.
+    `v` is a cosine coefficient array.  The reference form: the stepper
+    transforms only the y axis (`fields.cosine_from_cosine_sine`), which
+    agrees with this to round-off.
     """
-    psi_x = derivative(streamfunction_coeffs(v.nodal, v.grid), Basis.DIRICHLET_SINE, 0)
-    return coeffs_from_nodal(nodal_from_coeffs(*psi_x, v.grid), Basis.NEUMANN_COSINE, v.grid)
+    grid = GridSpec(len(v) - 1)
+    psi = streamfunction_coeffs(nodal_from_coeffs(v, Basis.NEUMANN_COSINE, grid), grid)
+    psi_x = derivative(psi, Basis.DIRICHLET_SINE, 0)
+    return coeffs_from_nodal(nodal_from_coeffs(*psi_x, grid), Basis.NEUMANN_COSINE, grid)

@@ -23,12 +23,12 @@ from qgsync.analysis import (
 )
 from qgsync import dynamics
 from qgsync.config import RunConfig
-from qgsync.dynamics import ModelParams, dealias
+from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_h1, norm_l2
 from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import OperatorConstants
 
-from conftest import mode_field, random_field
+from conftest import dealiased, mode_field, random_field
 
 PARAMS = ModelParams(nu=1.0, r=1.0, beta=0.1)
 COV1 = CovarianceSpec(3e-4, 3.0, 4)
@@ -426,7 +426,7 @@ class TestConditionEvaluator:
 
 class TestSynchronization:
     def test_identical_states_stay_identical(self, grid32):
-        z0 = dealias(random_field(grid32, seed=12, scale=0.05))
+        z0 = dealiased(random_field(grid32, seed=12, scale=0.05))
         rep = synchronization_experiment(
             13, PARAMS, COV1, COV2, z0, z0, t_end=0.3, dt=0.01
         )
@@ -455,15 +455,15 @@ class TestSynchronization:
             return ou_step(state, stream, step)
 
         monkeypatch.setattr(dynamics, "ou_step", counted)
-        z0a = dealias(random_field(grid32, seed=24, scale=0.05))
-        z0b = dealias(random_field(grid32, seed=25, scale=0.05))
+        z0a = dealiased(random_field(grid32, seed=24, scale=0.05))
+        z0b = dealiased(random_field(grid32, seed=25, scale=0.05))
         synchronization_experiment(26, PARAMS, COV1, COV2, z0a, z0b, t_end=0.1, dt=0.01)
         assert steps == list(range(10))
 
     def test_noisy_config_synchronizes(self, grid32):
         rng = np.random.default_rng(15)
-        z0a = dealias(random_field(grid32, seed=16, scale=0.05))
-        z0b = dealias(random_field(grid32, seed=17, scale=0.05))
+        z0a = dealiased(random_field(grid32, seed=16, scale=0.05))
+        z0b = dealiased(random_field(grid32, seed=17, scale=0.05))
         rep = synchronization_experiment(
             18, PARAMS, COV1, COV2, z0a, z0b, t_end=3.0, dt=0.01
         )

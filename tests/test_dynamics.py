@@ -33,7 +33,7 @@ from qgsync.fields import (
 from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init
 from qgsync.operators import dirichlet_poisson, streamfunction_coeffs
 
-from conftest import advection, beta_coeffs, mode_field, random_field
+from conftest import advection, beta_coeffs, dealiased, mode_field, nodal, random_field
 
 PARAMS = ModelParams(nu=1.0, r=1.0, beta=0.1)
 COV1 = CovarianceSpec(3e-4, 3.0, 4)
@@ -43,7 +43,7 @@ COV_OFF = CovarianceSpec(0.0, 3.0, 4)
 
 def masked_field(grid, seed, scale=0.05, within_dealias=True):
     f = random_field(grid, seed=seed, scale=scale, slope=2.0)
-    return dealias(f) if within_dealias else f
+    return dealiased(f) if within_dealias else f
 
 
 def last(states):
@@ -125,8 +125,8 @@ class TestStepImex:
         z = masked_field(grid32, 1)
         stream = NoiseStream(seed=1, dt=dt)
         _, state = evolve(dt, stream, (z,), PARAMS, COV_OFF, COV_OFF)
-        b = dealias(Field(grid32, Basis.NEUMANN_COSINE, coeffs=advection(z, z))).coeffs
-        tendency = -b - PARAMS.beta * beta_coeffs(z)
+        b = dealias(advection(z.coeffs, z.coeffs))
+        tendency = -b - PARAMS.beta * beta_coeffs(z.coeffs)
         expected = implicit_solve(grid32, z.coeffs + dt * tendency, dt)
         assert norm_l2(state.members[0] - expected.coeffs) <= 1e-14 * norm_l2(expected.coeffs)
 
@@ -136,9 +136,9 @@ class TestStepImex:
         dt = 0.01
         stream = NoiseStream(seed=2, dt=dt)
         start, state = evolve(dt, stream, (Field.zeros(grid32, Basis.NEUMANN_COSINE),), PARAMS, COV1, COV2)
-        w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=start.coeff.combined())
-        b = dealias(Field(grid32, Basis.NEUMANN_COSINE, coeffs=advection(w, w))).coeffs
-        tendency = -b - PARAMS.beta * beta_coeffs(w) - PARAMS.r * w.coeffs
+        w = start.coeff.combined()
+        b = dealias(advection(w, w))
+        tendency = -b - PARAMS.beta * beta_coeffs(w) - PARAMS.r * w
         expected = implicit_solve(grid32, dt * tendency, dt)
         assert norm_l2(state.members[0] - expected.coeffs) <= 1e-14 * norm_l2(expected.coeffs)
 
@@ -254,11 +254,11 @@ class TestStepImex:
         assert field_inits[0] == 0
 
     def test_cfl_warning(self, grid32):
-        z0 = dealias(random_field(grid32, seed=9, scale=100.0))
+        z0 = dealiased(random_field(grid32, seed=9, scale=100.0))
         with pytest.warns(CFLWarning) as record:
             step_imex(z0.coeffs, np.zeros(grid32.shape), PARAMS, 0.1, 0)
         # the speed it reports is max |grad psi| on the lattice
-        psi = streamfunction_coeffs(z0.nodal, grid32)
+        psi = streamfunction_coeffs(nodal(z0), grid32)
         grad = [nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, axis), grid32) for axis in (0, 1)]
         speed = max(float(np.max(np.abs(g))) for g in grad)
         assert f"(speed {speed:.3g})" in str(record[0].message)
@@ -463,7 +463,7 @@ class TestUntransform:
         stream = NoiseStream(seed=20, dt=0.01)
         _, state = evolve(0.01, stream, (masked_field(grid32, 20),), PARAMS, COV1, COV2, check_cfl=False)
         u = Field(grid32, Basis.NEUMANN_COSINE, untransform(state.members[0], state.coeff))
-        nod = dirichlet_poisson(u).nodal
+        nod = nodal(dirichlet_poisson(u))
         edge = max(
             np.max(np.abs(nod[0, :])),
             np.max(np.abs(nod[-1, :])),

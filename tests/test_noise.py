@@ -427,6 +427,18 @@ class TestTemperedness:
         with pytest.raises(ValueError):
             temperedness_diagnostic(np.ones(50), 10.0)
 
+    def test_non_finite_series_rejected(self):
+        for bad in (np.nan, np.inf):
+            series = np.ones(500)
+            series[400] = bad
+            with pytest.raises(ValueError, match="series must be finite"):
+                temperedness_diagnostic(series, 100.0)
+
+    def test_horizon_must_be_finite_and_positive(self):
+        for horizon in (0.0, -100.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="horizon must be finite and positive"):
+                temperedness_diagnostic(np.ones(500), horizon)
+
     def test_stationary_orbit_is_tame(self, grid32):
         cov1 = CovarianceSpec(3e-4, 3.0, 4)
         cov2 = CovarianceSpec(3e-4, 2.5, 4)

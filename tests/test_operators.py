@@ -9,11 +9,8 @@ import pytest
 from qgsync import dynamics, fields, operators
 from qgsync.fields import (
     Basis,
-    BoundaryField,
-    DimensionMismatch,
     Field,
     GridSpec,
-    inner,
     laplacian_eigenvalues,
     norm_h1,
     norm_l2,
@@ -39,14 +36,14 @@ from qgsync.operators import _diff, _difference_operators, _triple_ratio
 
 from qgsync.noise import NoiseStream, OUKernel, ou_init
 
-from conftest import beta_coeffs, mode_field, nodes, random_field
+from conftest import beta_coeffs, inner, mode_field, nodal, nodes, random_field
 from test_dynamics import COV1, COV2, PARAMS, masked_field
 from test_fields import _same_bits
 
 
 def raw_jacobian(psi: Field, q: np.ndarray) -> Field:
     """The Arakawa bracket J(psi, q) of nodal values q, projected onto the mean-zero cosine family."""
-    return Field(psi.grid, Basis.NEUMANN_COSINE, coeffs=advection_coeffs(psi.nodal, q, psi.grid))
+    return Field(psi.grid, Basis.NEUMANN_COSINE, coeffs=advection_coeffs(nodal(psi), q, psi.grid))
 
 
 class TestDirichletPoisson:
@@ -66,7 +63,7 @@ class TestDirichletPoisson:
         psi = dirichlet_poisson(u)
         lam = laplacian_eigenvalues(grid32)
         lap_psi = Field(grid32, Basis.DIRICHLET_SINE, coeffs=-lam * psi.coeffs)
-        diff = lap_psi.nodal[1:-1, 1:-1] - u.nodal[1:-1, 1:-1]
+        diff = nodal(lap_psi)[1:-1, 1:-1] - nodal(u)[1:-1, 1:-1]
         assert np.max(np.abs(diff)) < 1e-10 * max(norm_l2(u.coeffs), 1.0)
 
     def test_residual_in_norm(self, grid32):
@@ -75,7 +72,7 @@ class TestDirichletPoisson:
         lam = laplacian_eigenvalues(grid32)
         lap_psi = Field(grid32, Basis.DIRICHLET_SINE, coeffs=-lam * psi.coeffs)
         # compare in the sine basis where the solve is defined
-        u_sine = coeffs_from_nodal(u.nodal, Basis.DIRICHLET_SINE, grid32)
+        u_sine = coeffs_from_nodal(nodal(u), Basis.DIRICHLET_SINE, grid32)
         rel = np.linalg.norm(lap_psi.coeffs - u_sine) / np.linalg.norm(u_sine)
         assert rel < 1e-12
 
@@ -89,14 +86,14 @@ class TestNeumannLift:
             g = GridSpec(n)
             coeffs = np.zeros(g.n - 1)
             coeffs[0] = 1.0 / np.sqrt(2.0)  # cos(pi y) in the orthonormal edge basis
-            bf = BoundaryField(g, coeffs)
-            u = neumann_lift(bf, 1.0)
+            u = neumann_lift(coeffs, g, 1.0)
             x = nodes(g)
             expected = np.outer(
                 np.cosh(np.pi * (1 - x)), np.cos(np.pi * x)
             ) / (np.pi * np.sinh(np.pi))
             slab = x >= 0.25
-            errs[n] = np.max(np.abs(u.nodal[slab, :] - expected[slab, :])) / np.max(
+            u_nodal = nodal_from_coeffs(u, Basis.NEUMANN_COSINE, g)
+            errs[n] = np.max(np.abs(u_nodal[slab, :] - expected[slab, :])) / np.max(
                 np.abs(expected)
             )
         assert errs[64] < 2e-4
@@ -104,21 +101,19 @@ class TestNeumannLift:
 
     def test_interior_harmonicity_residual(self, grid32):
         # A(lift) must be exactly an edge flux layer: nothing left outside it
-        bf = BoundaryField(grid32, [1.0, -0.4, 0.2])
-        u = neumann_lift(bf, 0.7)
+        u = neumann_lift(np.array([1.0, -0.4, 0.2]), grid32, 0.7)
         assert harmonicity_residual(u, 0.7) < 1e-12
 
     def test_harmonicity_residual_detects_bulk(self, grid32):
         # negative control: a generic field is far from edge-harmonic
         f = random_field(grid32, seed=21)
-        assert harmonicity_residual(f, 1.0) > 0.1
+        assert harmonicity_residual(f.coeffs, 1.0) > 0.1
 
     def test_fd_laplacian_small_away_from_edge(self, grid32):
         # independent strong-form check on the slab x >= 0.25
-        bf = BoundaryField(grid32, [1.0])
-        u = neumann_lift(bf, 1.0)
+        u = neumann_lift(np.array([1.0]), grid32, 1.0)
         h = grid32.h
-        nod = u.nodal
+        nod = nodal_from_coeffs(u, Basis.NEUMANN_COSINE, grid32)
         lap = (
             nod[:-2, 1:-1] + nod[2:, 1:-1] + nod[1:-1, :-2] + nod[1:-1, 2:]
             - 4 * nod[1:-1, 1:-1]
@@ -127,28 +122,26 @@ class TestNeumannLift:
         assert np.max(np.abs(lap[slab, :])) < 0.05 * np.max(np.abs(nod)) / h
 
     def test_flux_recovers_datum(self, grid32):
-        bf = BoundaryField(grid32, [0.9, 0.0, -0.3, 0.05])
+        g = np.array([0.9, 0.0, -0.3, 0.05])
         for nu in (1.0, 0.25):
-            u = neumann_lift(bf, nu)
+            u = neumann_lift(g, grid32, nu)
             flux = boundary_flux(u, nu)
-            assert np.max(np.abs(flux.coeffs[:4] - bf.coeffs)) < 1e-8
-            assert np.max(np.abs(flux.coeffs[4:])) < 1e-8
+            assert np.max(np.abs(flux[:4] - g)) < 1e-8
+            assert np.max(np.abs(flux[4:])) < 1e-8
 
     def test_zero_datum(self, grid32):
-        bf = BoundaryField(grid32, np.zeros(5))
-        assert norm_l2(neumann_lift(bf, 1.0).coeffs) == 0.0
+        assert norm_l2(neumann_lift(np.zeros(5), grid32, 1.0)) == 0.0
 
     def test_linearity(self, grid32):
-        g1 = BoundaryField(grid32, [1.0, 0.2])
-        g2 = BoundaryField(grid32, [-0.5, 0.8])
-        both = BoundaryField(grid32, g1.coeffs + g2.coeffs)
-        lhs = neumann_lift(both, 1.0)
-        rhs = neumann_lift(g1, 1.0).coeffs + neumann_lift(g2, 1.0).coeffs
-        assert np.max(np.abs(lhs.coeffs - rhs)) < 1e-12
+        g1 = np.array([1.0, 0.2])
+        g2 = np.array([-0.5, 0.8])
+        lhs = neumann_lift(g1 + g2, grid32, 1.0)
+        rhs = neumann_lift(g1, grid32, 1.0) + neumann_lift(g2, grid32, 1.0)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_mean_zero_output(self, grid32):
-        u = neumann_lift(BoundaryField(grid32, [1.0, 1.0]), 1.0)
-        assert u.coeffs[0, 0] == 0.0
+        u = neumann_lift(np.array([1.0, 1.0]), grid32, 1.0)
+        assert u[0, 0] == 0.0
 
     def test_h1_bound(self, grid32):
         # bounded lift: |grad u| <= C |g| with C of order 1/nu
@@ -156,9 +149,9 @@ class TestNeumannLift:
         rng = np.random.default_rng(4)
         worst = 0.0
         for _ in range(20):
-            bf = BoundaryField(grid32, 0.5 * rng.standard_normal(8))
-            u = neumann_lift(bf, nu)
-            worst = max(worst, norm_h1(u.coeffs) / np.linalg.norm(bf.coeffs))
+            g = 0.5 * rng.standard_normal(8)
+            u = neumann_lift(g, grid32, nu)
+            worst = max(worst, norm_h1(u) / np.linalg.norm(g))
         assert worst < 1.0 / nu
 
     def test_lifting_matrix_columns_decay(self, grid32):
@@ -195,41 +188,36 @@ class TestSemigroup:
     def test_eigenfunction_decay(self, grid32):
         f = mode_field(grid32, Basis.NEUMANN_COSINE, {(1, 0): 1.0})
         nu, t = 0.8, 0.37
-        out = semigroup(f, nu, t)
-        assert out.coeffs[1, 0] == pytest.approx(np.exp(-nu * np.pi**2 * t), rel=1e-14)
+        out = semigroup(f.coeffs, nu, t)
+        assert out[1, 0] == pytest.approx(np.exp(-nu * np.pi**2 * t), rel=1e-14)
 
     def test_identity_at_zero(self, grid32):
         f = random_field(grid32, seed=5)
-        assert np.array_equal(semigroup(f, 1.0, 0.0).coeffs, f.coeffs)
+        assert np.array_equal(semigroup(f.coeffs, 1.0, 0.0), f.coeffs)
 
     def test_semigroup_law(self, grid32):
         f = random_field(grid32, seed=6)
         nu, s, t = 0.6, 0.2, 0.5
-        a = semigroup(f, nu, s + t)
-        b = semigroup(semigroup(f, nu, s), nu, t)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14 * np.max(np.abs(f.coeffs))
+        a = semigroup(f.coeffs, nu, s + t)
+        b = semigroup(semigroup(f.coeffs, nu, s), nu, t)
+        assert np.max(np.abs(a - b)) < 1e-14 * np.max(np.abs(f.coeffs))
 
     def test_negative_time_rejected(self, grid32):
         with pytest.raises(ValueError):
-            semigroup(random_field(grid32, seed=7), 1.0, -0.1)
+            semigroup(random_field(grid32, seed=7).coeffs, 1.0, -0.1)
 
     def test_contractivity(self, grid32):
         f = random_field(grid32, seed=8)
         nu, t = 1.0, 0.15
-        assert norm_l2(semigroup(f, nu, t).coeffs) <= np.exp(-nu * np.pi**2 * t) * norm_l2(f.coeffs) * (
+        assert norm_l2(semigroup(f.coeffs, nu, t)) <= np.exp(-nu * np.pi**2 * t) * norm_l2(f.coeffs) * (
             1 + 1e-12
         )
-
-    def test_wrong_basis_rejected(self, grid32):
-        f = random_field(grid32, Basis.DIRICHLET_SINE, seed=9)
-        with pytest.raises(DimensionMismatch):
-            semigroup(f, 1.0, 0.1)
 
 
 class TestJacobian:
     def test_self_bracket_vanishes(self, grid32):
         f = random_field(grid32, Basis.DIRICHLET_SINE, seed=10)
-        assert norm_l2(raw_jacobian(f, f.nodal).coeffs) < 1e-13 * norm_l2(f.coeffs) ** 2 / grid32.h
+        assert norm_l2(raw_jacobian(f, nodal(f)).coeffs) < 1e-13 * norm_l2(f.coeffs) ** 2 / grid32.h
 
     def test_constant_second_argument(self, grid32):
         psi = random_field(grid32, Basis.DIRICHLET_SINE, seed=11)
@@ -251,7 +239,7 @@ class TestJacobian:
                 * np.pi**2
                 * np.outer(np.sin(np.pi * x) * np.sin(2 * np.pi * x), np.cos(np.pi * x))
             )
-            errs[n] = np.max(np.abs(out.nodal[1:-1, 1:-1] - analytic[1:-1, 1:-1]))
+            errs[n] = np.max(np.abs(nodal(out)[1:-1, 1:-1] - analytic[1:-1, 1:-1]))
         assert 3.0 < errs[32] / errs[64] < 5.0
         assert 3.0 < errs[64] / errs[128] < 5.0
 
@@ -373,7 +361,7 @@ class TestReferenceBits:
     def test_poisson_and_jacobian(self, n):
         grid = GridSpec(n)
         for seed in range(3):
-            u = random_field(grid, seed=40 + seed, slope=1.0).nodal
+            u = nodal(random_field(grid, seed=40 + seed, slope=1.0))
             psi = streamfunction_coeffs(u, grid)
             assert _same_bits(psi, reference_streamfunction_coeffs(u, grid))
             psi_nodal = nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid)
@@ -397,7 +385,7 @@ class TestWorkArrays:
         first, kept = [], []
         for seed in (60, 70):
             z, w = step_inputs(grid, seed)
-            u = random_field(grid, seed=seed + 2).nodal
+            u = nodal(random_field(grid, seed=seed + 2))
             psi = streamfunction_coeffs(u, grid)
             psi_nodal = nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid)
             outputs = [psi, advection_coeffs(psi_nodal, u, grid), step_imex(z, w, params, 1e-4, 0)]
@@ -442,7 +430,7 @@ class TestWorkArrays:
     def test_out_is_written_in_place(self, n):
         # `out` gets the bits of the fresh result and is what the call returns
         grid = GridSpec(n)
-        x = random_field(grid, seed=80).nodal
+        x = nodal(random_field(grid, seed=80))
         o = np.full(grid.shape, np.nan)
         for basis in Basis:
             coeffs = x * retained_mask(grid, basis)
@@ -569,7 +557,7 @@ class TestBilinearForm:
         # adjoint from the adjoint difference matrices: J* = -J exactly
         # when psi is a streamfunction, 0 on every edge
         grid = GridSpec(n)
-        u = random_field(grid, seed=n).nodal
+        u = nodal(random_field(grid, seed=n))
         psi = nodal_from_coeffs(streamfunction_coeffs(u, grid), Basis.DIRICHLET_SINE, grid)
         assert not psi[[0, -1], :].any() and not psi[:, [0, -1]].any()
         jac, adj = bracket_and_adjoint_matrices(psi)
@@ -581,14 +569,14 @@ class TestBilinearForm:
         transpose = jac.T * weights[np.newaxis, :] / weights[:, np.newaxis]
         assert np.max(np.abs(adj - transpose)) <= 1e-12 * np.max(np.abs(jac))
         # the package's bracket is the reference bracket, projected
-        q = random_field(grid, seed=n + 1).nodal
+        q = nodal(random_field(grid, seed=n + 1))
         ref = coeffs_from_nodal((jac @ q.ravel()).reshape(grid.shape), Basis.NEUMANN_COSINE, grid)
         assert np.max(np.abs(advection_coeffs(psi, q, grid) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_bracket_is_not_skew_when_psi_has_edge_values(self):
         # negative control: the same construction with psi != 0 on the edges
         grid = GridSpec(16)
-        psi = random_field(grid, seed=16).nodal
+        psi = nodal(random_field(grid, seed=16))
         assert psi[0, :].any()
         jac, adj = bracket_and_adjoint_matrices(psi)
         assert np.linalg.norm(adj + jac) > 0.1 * np.linalg.norm(jac)
@@ -600,7 +588,7 @@ class TestBilinearForm:
 
 class TestBetaTerm:
     def test_zero(self, grid32):
-        assert not beta_coeffs(Field.zeros(grid32, Basis.NEUMANN_COSINE)).any()
+        assert not beta_coeffs(np.zeros(grid32.shape)).any()
 
     @pytest.mark.parametrize("n", [16, 24, 32, 128, 256])
     def test_one_axis_pair_matches_the_round_trip(self, n):
@@ -611,8 +599,8 @@ class TestBetaTerm:
         grid = GridSpec(n)
         for seed, slope in ((31, 0.0), (32, 1.0), (33, 2.0)):
             z = random_field(grid, seed=seed, slope=slope)
-            psi_x = derivative(streamfunction_coeffs(z.nodal, grid), Basis.DIRICHLET_SINE, 0)[0]
-            expected = beta_coeffs(z)
+            psi_x = derivative(streamfunction_coeffs(nodal(z), grid), Basis.DIRICHLET_SINE, 0)[0]
+            expected = beta_coeffs(z.coeffs)
             got = fields.cosine_from_cosine_sine(psi_x, grid)
             assert norm_l2(got - expected) <= 1e-13 * norm_l2(expected)
             assert not got[~retained_mask(grid, Basis.NEUMANN_COSINE)].any()
@@ -627,13 +615,13 @@ class TestBetaTerm:
         x = nodes(grid32)
         values = np.outer(np.sin(2 * np.pi * x), np.sin(np.pi * x))
         z = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeffs_from_nodal(values, Basis.NEUMANN_COSINE, grid32))
-        out = Field(grid32, Basis.NEUMANN_COSINE, coeffs=beta_coeffs(z))
+        out = Field(grid32, Basis.NEUMANN_COSINE, coeffs=beta_coeffs(z.coeffs))
         expected = -(2.0 / (5 * np.pi)) * np.outer(np.cos(2 * np.pi * x), np.sin(np.pi * x))
-        err = np.max(np.abs(out.nodal - expected))
+        err = np.max(np.abs(nodal(out) - expected))
         assert err < 1e-3  # Nyquist truncation of the sine factor
         # finite-difference oracle on the streamfunction
         psi = dirichlet_poisson(z)
-        fd = (psi.nodal[2:, :] - psi.nodal[:-2, :]) / (2 * grid32.h)
+        fd = (nodal(psi)[2:, :] - nodal(psi)[:-2, :]) / (2 * grid32.h)
         assert np.max(np.abs(fd - expected[1:-1, :])) < 5e-3
 
     def test_norm_bound(self, grid32):
@@ -642,7 +630,7 @@ class TestBetaTerm:
         mask = retained_mask(grid32, Basis.NEUMANN_COSINE)
         for _ in range(1000):
             z = Field(grid32, Basis.NEUMANN_COSINE, coeffs=rng.standard_normal(grid32.shape) * mask)
-            assert np.linalg.norm(beta_coeffs(z)) <= C_GX_EXACT * norm_l2(z.coeffs) * (1 + 1e-12)
+            assert np.linalg.norm(beta_coeffs(z.coeffs)) <= C_GX_EXACT * norm_l2(z.coeffs) * (1 + 1e-12)
 
 
 class TestConstants:

@@ -131,19 +131,22 @@ def test_one_kernel_build_per_experiment():
 
 def test_field_is_a_boundary_type():
     # a trajectory is arrays between `evolve`'s start fields and a caller's
-    # snapshot: no step, untransform, analysis or constants search builds a
-    # field, and the remaining builders are entry points and the field-level
-    # operators
+    # snapshot: no step, untransform, analysis, validation suite or
+    # constants search builds a field, and the remaining builders are the
+    # snapshot, the random start state and the two field-level operators
+    # (ROADMAP item 2)
     assert definitions_calling(PACKAGE, "Field") == {
-        "cli._suite_poisson",
         "cli.cmd_simulate",
-        "dynamics.dealias",
         "fields.random_field",
         "operators.bilinear_b",
         "operators.dirichlet_poisson",
-        "operators.neumann_lift",
-        "operators.semigroup",
     }
+
+
+def test_field_holds_no_lattice_cache():
+    # a field is its checked coefficients; lattice values are the caller's
+    assert qgsync.Field.__slots__ == ("grid", "basis", "_coeffs")
+    assert not hasattr(qgsync.Field, "nodal")
 
 
 def unused_parameters(package: Path) -> set[str]:
