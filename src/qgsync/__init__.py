@@ -26,7 +26,6 @@ from .operators import (
     semigroup,
 )
 from .noise import (
-    CoefficientState,
     ConfigError,
     CovarianceSpec,
     NoiseStream,

@@ -199,14 +199,14 @@ def _coefficient_window(
 ):
     """Simulate the coefficient processes from relative step -steps up to 0.
 
-    Returns (g_series, r_series, final_state): g samples |grad w|^2 and r
-    the driver R of w = zw1 + zw2 at every step, and the final state is the
-    pathwise-consistent coefficient state at the stream's origin, ready to
-    be transported into a forward run.  The chain advances one `ou_step`
-    at a time; each step's w is added into one row of a `_NORM_BLOCK`-row
-    buffer, and the norms and R of a full buffer are taken in one go.  A
-    window whose series of steps + 1 floats numpy cannot hold is a
-    `ConfigError`.
+    Returns (g_series, r_series, zw): g samples |grad w|^2 and r the driver
+    R of w = zw[0] + zw[1] at every step, and `zw` is the read-only chain
+    array at the stream's origin, pathwise consistent with the window and
+    ready to be transported into a forward run with this kernel.  The chain
+    advances one `ou_step` at a time; each step's w is added into one row
+    of a `_NORM_BLOCK`-row buffer, and the norms and R of a full buffer are
+    taken in one go.  A window whose series of steps + 1 floats numpy
+    cannot hold is a `ConfigError`.
     """
     if (steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
         raise ConfigError(
@@ -215,7 +215,7 @@ def _coefficient_window(
         )
     rates = _rates(params, constants)
     past = wiener_shift(stream, -steps)
-    state = ou_init(kernel, past)
+    zw = ou_init(kernel, past)
     lam = laplacian_eigenvalues(kernel.grid)
     block = np.empty((_NORM_BLOCK, *kernel.grid.shape))
     rows = list(block)
@@ -225,11 +225,10 @@ def _coefficient_window(
         hi = min(lo + _NORM_BLOCK, steps + 1)
         for j, row in zip(range(lo, hi), rows):
             if j:
-                state = ou_step(state, past, j - 1)
-            zw = state.zw
+                zw = ou_step(kernel, zw, past, j - 1)
             np.add(zw[0], zw[1], out=row)
         g[lo:hi], r[lo:hi] = _block_driver(block[: hi - lo], lam, rates)
-    return g, r, state
+    return g, r, zw
 
 
 def _stationary_moments(
@@ -270,15 +269,15 @@ def _rho_with_state(
     params: ModelParams,
     constants: OperatorConstants,
 ):
-    """rho^2 at the stream's origin, with the window's (g, r, final coefficient state)."""
+    """rho^2 at the stream's origin, with the window's (g, r, final chain array zw)."""
     grad2, _, _ = _stationary_moments(kernel, params, constants)
     auto = default_rho_window(params, constants, grad2)  # refuses a nonpositive margin
     steps = _steps_at_least(auto if window is None else window, stream.dt, 2)
-    g, r, state = _coefficient_window(kernel, stream, steps, params, constants)
+    g, r, zw = _coefficient_window(kernel, stream, steps, params, constants)
     rho2 = float(propagate_rho_squared(0.0, g, r, stream.dt, params, constants)[-1])
     if not math.isfinite(rho2):
         raise DecayConditionError(f"rho^2 at the origin is {rho2}; the radius quadrature overflows")
-    return rho2, (g, r, state)
+    return rho2, (g, r, zw)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def radius_invariance_experiment(
     reports = []
     for seed in sorted(seeds):
         stream = NoiseStream(seed=seed, dt=dt)
-        rho2_0, (g, r, coeff0) = _rho_with_state(kernel, stream, window, params, constants)
+        rho2_0, (g, r, zw0) = _rho_with_state(kernel, stream, window, params, constants)
         rho0 = math.sqrt(max(rho2_0, 0.0))
         rng = np.random.default_rng((seed, 0xABCD))
         direction = dealias(random_coeffs(grid, rng))
@@ -323,11 +322,11 @@ def radius_invariance_experiment(
 
         # g and R continue the window's series from its last sample, time 0
         g_path, r_path, z2 = [g[-1]], [r[-1]], []
-        start = CocycleState(step=0, members=z0[np.newaxis], coeff=coeff0)
+        start = CocycleState(step=0, members=z0[np.newaxis], zw=zw0, kernel=kernel)
         states = evolve(t_end, stream, start, params, cov1, cov2, check_cfl=False)
         next(states)  # the start state
         for state in states:
-            (g_new,), (r_new,) = _block_driver(state.coeff.combined()[np.newaxis], lam, rates)
+            (g_new,), (r_new,) = _block_driver((state.zw[0] + state.zw[1])[np.newaxis], lam, rates)
             g_path.append(g_new)
             r_path.append(r_new)
             z2.append(norm_l2(state.members[0]) ** 2)
@@ -596,7 +595,7 @@ def stationary_statistics(
         for state in evolve(t_end, stream, (z0a, z0b), params, cov1, cov2, check_cfl=False):
             if state.step > burn_steps:
                 a, b = state.members
-                u = untransform(a, state.coeff)
+                u = untransform(a, state.zw)
                 l2, h1 = norm_l2(u), norm_h1(u)
                 # squared as products first: `float ** 2` raises on overflow
                 if not (math.isfinite(l2 * l2) and math.isfinite(h1 * h1)):
@@ -660,5 +659,5 @@ def cocycle_check(
     second = final(s, shifted, mid)
     return bool(
         np.array_equal(full.members, second.members)
-        and np.array_equal(full.coeff.zw, second.coeff.zw)
+        and np.array_equal(full.zw, second.zw)
     )

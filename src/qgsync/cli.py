@@ -62,9 +62,9 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+        return "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -169,9 +169,9 @@ def _suite_ou(config: RunConfig) -> dict:
     acc1 = np.zeros(grid.shape)
     acc2 = np.zeros(grid.shape)
     for i in range(samples):
-        st = ou_init(kernel, wiener_shift(stream, -i))
-        acc1 += st.zw1**2
-        acc2 += st.zw2**2
+        zw = ou_init(kernel, wiener_shift(stream, -i))
+        acc1 += zw[0] ** 2
+        acc2 += zw[1] ** 2
     acc1 /= samples
     acc2 /= samples
     tol = 5.0 * math.sqrt(2.0 / samples)  # ~5 sigma on a variance ratio
@@ -246,9 +246,9 @@ def cmd_simulate(config: RunConfig, outdir: str) -> int:
                     state.step * config.dt,
                     norm_l2(z),
                     norm_h1(z),
-                    norm_l2(untransform(z, state.coeff)),
-                    norm_l2(state.coeff.zw1),
-                    norm_l2(state.coeff.zw2),
+                    norm_l2(untransform(z, state.zw)),
+                    norm_l2(state.zw[0]),
+                    norm_l2(state.zw[1]),
                 )
             )
         write_csv(

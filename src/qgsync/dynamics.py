@@ -45,7 +45,7 @@ from .fields import (
     nodal_from_coeffs,
     retained_mask,
 )
-from .noise import CoefficientState, CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step
+from .noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step
 from .operators import advection_coeffs, streamfunction_coeffs
 
 # B's field form, which `step_imex` computes on arrays instead; the name stays
@@ -90,18 +90,23 @@ class ModelParams:
 class CocycleState:
     """One point of an experiment: its members' transformed states and their one chain.
 
-    `members` is the E members' z as one (E, n+1, n+1) NEUMANN_COSINE array,
-    made read-only in place as in `CoefficientState`; all are driven by the
-    one `coeff`.  `step` is the only step counter; the next step reads the
-    noise of that step for every member and for the chain.
+    `members` is the E members' z as one (E, n+1, n+1) NEUMANN_COSINE array;
+    all are driven by the one chain `zw`, the (2, n+1, n+1) array that
+    `ou_init` and `ou_step` return, whose planes are zw1 and zw2, and which
+    `kernel` advances.  Both arrays are made read-only in place, so a state
+    can be shared freely; it is the only restart token.  `step` is the only
+    step counter; the next step reads the noise of that step for every
+    member and for the chain.
     """
 
     step: int
     members: np.ndarray
-    coeff: CoefficientState
+    zw: np.ndarray
+    kernel: OUKernel
 
     def __post_init__(self):
         self.members.flags.writeable = False
+        self.zw.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -243,33 +248,36 @@ def evolve(
     Yields the start state, then the state after each step.  A tuple of
     NEUMANN_COSINE fields on one grid (else `DimensionMismatch`) starts an
     experiment: they are dealiased and stacked once and share one
-    stationary coefficient draw.  A `CocycleState` keeps its members and
-    chain and restarts at step 0 of the (shifted) stream, so that restarts
-    continue the same noise path.  Each step combines the chain's arrays
-    once, steps every member's array with them, and advances the chain once.
+    stationary coefficient draw.  A `CocycleState` keeps its members,
+    chain and kernel and restarts at step 0 of the (shifted) stream, so that
+    restarts continue the same noise path; `params.nu`, `cov1` and `cov2` do
+    not rebuild its chain, which steps with the state's own kernel.  Each
+    step forms w = zw[0] + zw[1] once, steps every member's array with it,
+    and advances the chain once.
     """
     steps = stream.steps_for(t)
     if steps < 0:
         raise ValueError("evolution time must be nonnegative")
     if isinstance(start, CocycleState):
-        state = CocycleState(step=0, members=start.members, coeff=start.coeff)
+        state = CocycleState(step=0, members=start.members, zw=start.zw, kernel=start.kernel)
     else:
         grid = start[0].grid
         if any((f.grid, f.basis) != (grid, Basis.NEUMANN_COSINE) for f in start):
             raise DimensionMismatch(f"start fields must be NEUMANN_COSINE on one grid, got {start!r}")
         kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
         members = np.array([dealias(f.coeffs) for f in start])
-        state = CocycleState(step=0, members=members, coeff=ou_init(kernel, stream))
+        state = CocycleState(step=0, members=members, zw=ou_init(kernel, stream), kernel=kernel)
     yield state
     for step in range(steps):
-        w = state.coeff.combined()
+        w = state.zw[0] + state.zw[1]
         members = np.empty_like(state.members)
         for z, new in zip(state.members, members):
             step_imex(z, w, params, stream.dt, step, check_cfl, out=new)
-        state = CocycleState(step=step + 1, members=members, coeff=ou_step(state.coeff, stream, step))
+        zw = ou_step(state.kernel, state.zw, stream, step)
+        state = CocycleState(step=step + 1, members=members, zw=zw, kernel=state.kernel)
         yield state
 
 
-def untransform(z: np.ndarray, coeff: CoefficientState) -> np.ndarray:
-    """One member's physical coefficients u = z + zw1 + zw2, summed in that order (it fixes the bits)."""
-    return z + coeff.zw1 + coeff.zw2
+def untransform(z: np.ndarray, zw: np.ndarray) -> np.ndarray:
+    """One member's physical coefficients u = z + zw[0] + zw[1], summed in that order (it fixes the bits)."""
+    return z + zw[0] + zw[1]

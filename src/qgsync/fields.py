@@ -118,14 +118,11 @@ class GridSpec:
 
 @lru_cache(maxsize=None)
 def _grid_tables(n: int):
-    """Mode-index meshes, Laplacian eigenvalues and trapezoid weights."""
+    """Read-only mode-index meshes kx, ky and Laplacian eigenvalues on grid n."""
     k = np.arange(n + 1, dtype=float)
     kx, ky = np.meshgrid(k, k, indexing="ij")
     lam = np.pi**2 * (kx**2 + ky**2)
-    w = np.ones(n + 1)
-    w[0] = 0.5
-    w[-1] = 0.5
-    return _read_only(kx, ky, lam, w)
+    return _read_only(kx, ky, lam)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -416,7 +413,7 @@ class Field:
 @lru_cache(maxsize=64)
 def _envelope(n: int, slope: float) -> np.ndarray:
     """Read-only (1 + k^2 + l^2)^(-slope/2) on the mode lattice."""
-    kx, ky, _, _ = _grid_tables(n)
+    kx, ky, _ = _grid_tables(n)
     return _read_only((1.0 + kx**2 + ky**2) ** (-slope / 2.0))[0]
 
 

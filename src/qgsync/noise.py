@@ -22,13 +22,13 @@ at different rates, so its stationary correlation between them is below 1.
 `OUKernel(grid, nu, cov1, cov2, dt)` is the one place the coefficient
 processes are set up: it builds the boundary lift itself, sized to the
 boundary covariance.  `ou_init(kernel, stream)` is the only stationary
-draw and `ou_step` the only update.  The state they return holds one
-read-only (2, n+1, n+1) array `zw`, whose planes `zw1` and `zw2` are the
-NEUMANN_COSINE coefficients of the two processes, not `Field`s: the chain
-never leaves the package as a field, and callers that need one build it.
-It holds no step counter either: `ou_step(state, stream, step)` is told
-which step to read, and the caller (for a trajectory, `CocycleState.step`)
-keeps the count.
+draw and `ou_step` the only update.  The state they return is one bare
+read-only (2, n+1, n+1) array `zw`, whose planes `zw[0]` and `zw[1]` are
+the NEUMANN_COSINE coefficients zw1 and zw2 of the two processes, not
+`Field`s: the chain never leaves the package as a field, and callers that
+need one build it.  The array holds neither its kernel nor a step counter:
+`ou_step(kernel, zw, stream, step)` is given both, and the caller (for a
+trajectory, `CocycleState`) keeps them.
 
 Channel layout per step, in one fixed vector of length 2C:
 
@@ -192,34 +192,6 @@ class CovarianceSpec:
         return q
 
 
-@dataclass(frozen=True)
-class CoefficientState:
-    """Current spectral state of the two stationary coefficient processes.
-
-    `zw` is one (2, n+1, n+1) array whose planes `zw1` and `zw2` are the
-    NEUMANN_COSINE coefficients of the two processes; it is made read-only
-    in place, so a state can be shared freely.  The state does not know
-    its step: whoever advances it counts the steps.
-    """
-
-    zw: np.ndarray
-    kernel: "OUKernel"
-
-    def __post_init__(self):
-        self.zw.flags.writeable = False
-
-    @property
-    def zw1(self) -> np.ndarray:
-        return self.zw[0]
-
-    @property
-    def zw2(self) -> np.ndarray:
-        return self.zw[1]
-
-    def combined(self) -> np.ndarray:
-        return self.zw[0] + self.zw[1]
-
-
 class OUKernel:
     """Precomputed arrays for the exact per-mode coefficient updates.
 
@@ -296,8 +268,8 @@ class OUKernel:
         return v[0], v[1]
 
 
-def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
-    """Sample the exact stationary law of both coefficient processes at t = 0.
+def ou_init(kernel: OUKernel, stream: NoiseStream) -> np.ndarray:
+    """Sample the exact stationary law of both coefficient processes at t = 0: a read-only `zw`.
 
     Boundary-channel amplitudes are drawn first and mapped through the lift,
     so modes sharing an edge channel come out correlated.  The draw reads
@@ -306,21 +278,23 @@ def ou_init(kernel: OUKernel, stream: NoiseStream) -> CoefficientState:
     g = stream.normals(-1, 2 * kernel.n_channels)[kernel.n_channels :]
     zw = np.zeros((2, *kernel.grid.shape))
     zw.reshape(-1)[kernel.index] = kernel.stat_gain * g.take(kernel.channel)
-    return CoefficientState(zw=zw, kernel=kernel)
+    zw.flags.writeable = False
+    return zw
 
 
-def ou_step(state: CoefficientState, stream: NoiseStream, step: int) -> CoefficientState:
-    """Advance both processes by one exact Ornstein-Uhlenbeck update.
+def ou_step(kernel: OUKernel, zw: np.ndarray, stream: NoiseStream, step: int) -> np.ndarray:
+    """Advance both processes of `zw` by one exact Ornstein-Uhlenbeck update: the next read-only `zw`.
 
     The increments are the stream's first `n_channels` normals of `step`,
     the step being taken: one decay multiply of both planes, then each
-    increment added at its entry (the entries are distinct).
+    increment added at its entry (the entries are distinct).  `zw` is not
+    written.
     """
-    kernel = state.kernel
     g = stream.normals(step, kernel.n_channels)
-    zw = kernel.decay * state.zw
+    zw = kernel.decay * zw
     np.add.at(zw.reshape(-1), kernel.index, kernel.step_gain * g.take(kernel.channel))
-    return CoefficientState(zw=zw, kernel=kernel)
+    zw.flags.writeable = False
+    return zw
 
 
 def temperedness_diagnostic(series, horizon: float) -> float:

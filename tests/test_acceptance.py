@@ -140,15 +140,15 @@ def test_criterion_3_ou_stationarity():
     dt = 0.5
     kernel = OUKernel(GRID, PARAMS.nu, cov1, cov2, dt)
     stream = NoiseStream(seed=33, dt=dt)
-    state = ou_init(kernel, stream)
+    zw = ou_init(kernel, stream)
     v1, v2 = kernel.stationary_variances()
     n_steps = 100_000
     acc1 = np.zeros(GRID.shape)
     acc2 = np.zeros(GRID.shape)
     for j in range(n_steps):
-        acc1 += state.zw1**2
-        acc2 += state.zw2**2
-        state = ou_step(state, stream, j)
+        acc1 += zw[0] ** 2
+        acc2 += zw[1] ** 2
+        zw = ou_step(kernel, zw, stream, j)
     acc1 /= n_steps
     acc2 /= n_steps
     assert np.max(np.abs(acc1[v1 > 0] / v1[v1 > 0] - 1.0)) < 0.05
@@ -158,12 +158,12 @@ def test_criterion_3_ou_stationarity():
     dt = 0.02
     kernel = OUKernel(GRID, PARAMS.nu, cov1, cov2, dt)
     stream = NoiseStream(seed=34, dt=dt)
-    state = ou_init(kernel, stream)
+    zw = ou_init(kernel, stream)
     n_steps = 100_000
     series = np.empty(n_steps)
     for j in range(n_steps):
-        series[j] = state.zw2[1, 0]
-        state = ou_step(state, stream, j)
+        series[j] = zw[1][1, 0]
+        zw = ou_step(kernel, zw, stream, j)
     rate = PARAMS.nu * math.pi**2
     var = float(np.var(series))
     for lag in (1, 2, 3, 4, 5):
@@ -281,12 +281,12 @@ def test_criterion_9_temperedness():
     horizon = 200.0
     kernel = OUKernel(GRID, PARAMS.nu, COV1, COV2, dt)
     stream = NoiseStream(seed=9, dt=dt)
-    state = ou_init(kernel, stream)
+    zw = ou_init(kernel, stream)
     n_steps = int(horizon / dt) + 1
     series = np.empty(n_steps)
     for j in range(n_steps):
-        series[j] = np.sqrt(np.sum(state.zw1**2))
-        state = ou_step(state, stream, j)
+        series[j] = np.sqrt(np.sum(zw[0] ** 2))
+        zw = ou_step(kernel, zw, stream, j)
     assert temperedness_diagnostic(series, horizon) < 0.05
 
     t = np.linspace(0.0, horizon, n_steps)

@@ -41,9 +41,9 @@ CONSTS = OperatorConstants(lambda1=np.pi**2, c_b=0.25, c_gx=1.0 / (2 * np.pi))
 
 class TestDriver:
     def test_zero_coefficients(self, grid32):
-        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=1, dt=0.01))
+        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=1, dt=0.01))
         lam = laplacian_eigenvalues(grid32)
-        g, r = _block_driver(coeff.combined()[np.newaxis], lam, _rates(PARAMS, CONSTS))
+        g, r = _block_driver((zw[0] + zw[1])[np.newaxis], lam, _rates(PARAMS, CONSTS))
         assert g[0] == 0.0 and r[0] == 0.0
 
     def test_plugin_arithmetic(self):
@@ -64,8 +64,8 @@ class TestDriver:
             )
 
     def test_matches_field_norms(self, grid32):
-        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=2, dt=0.01))
-        w = coeff.combined()
+        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=2, dt=0.01))
+        w = zw[0] + zw[1]
         direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, _rates(PARAMS, CONSTS))
         _, r = _block_driver(w[np.newaxis], laplacian_eigenvalues(grid32), _rates(PARAMS, CONSTS))
         assert r[0] == pytest.approx(direct, rel=1e-14)
@@ -77,16 +77,17 @@ class TestCoefficientWindow:
     @staticmethod
     def reference(stream, cov1, cov2, grid, steps):
         past = wiener_shift(stream, -steps)
-        state = ou_init(OUKernel(grid, PARAMS.nu, cov1, cov2, stream.dt), past)
+        kernel = OUKernel(grid, PARAMS.nu, cov1, cov2, stream.dt)
+        zw = ou_init(kernel, past)
         g = np.empty(steps + 1)
         r = np.empty(steps + 1)
         for j in range(steps + 1):
-            w = state.combined()
+            w = zw[0] + zw[1]
             g[j] = norm_h1(w) ** 2
             r[j] = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, _rates(PARAMS, CONSTS))
             if j < steps:
-                state = ou_step(state, past, j)
-        return g, r, state
+                zw = ou_step(kernel, zw, past, j)
+        return g, r, zw
 
     @pytest.mark.parametrize("steps", [15, 16, 17, 33])
     @pytest.mark.parametrize(
@@ -95,11 +96,11 @@ class TestCoefficientWindow:
     def test_matches_per_step_loop(self, grid32, steps, cov1, cov2):
         stream = NoiseStream(seed=913, dt=0.01)
         kernel = OUKernel(grid32, PARAMS.nu, cov1, cov2, stream.dt)
-        g, r, state = _coefficient_window(kernel, stream, steps, PARAMS, CONSTS)
-        g_ref, r_ref, state_ref = self.reference(stream, cov1, cov2, grid32, steps)
+        g, r, zw = _coefficient_window(kernel, stream, steps, PARAMS, CONSTS)
+        g_ref, r_ref, zw_ref = self.reference(stream, cov1, cov2, grid32, steps)
         assert np.array_equal(g, g_ref)
         assert np.array_equal(r, r_ref)
-        assert np.array_equal(state.zw, state_ref.zw)
+        assert np.array_equal(zw, zw_ref)
 
     def test_window_builds_no_field(self, grid32, field_inits):
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
@@ -320,7 +321,7 @@ class TestStationaryMoments:
         lam = laplacian_eigenvalues(config.grid())
         g, r, cross = [], [], []
         for lo in range(0, self.DRAWS, 500):
-            w = np.array([ou_init(kernel, wiener_shift(stream, -i)).combined() for i in range(lo, lo + 500)])
+            w = np.array([ou_init(kernel, wiener_shift(stream, -i)).sum(axis=0) for i in range(lo, lo + 500)])
             g_block, r_block = _block_driver(w, lam, _rates(PARAMS, CONSTS))
             g.append(g_block)
             r.append(r_block)
@@ -345,7 +346,7 @@ class TestStationaryMoments:
             def normals(self, step, count):
                 return np.eye(count)[channels + self.j]
 
-        L = np.stack([ou_init(kernel, UnitNormal(j)).combined().ravel() for j in range(channels)], axis=1)
+        L = np.stack([ou_init(kernel, UnitNormal(j)).sum(axis=0).ravel() for j in range(channels)], axis=1)
         A = L.T @ (laplacian_eigenvalues(config.grid()).reshape(-1, 1) * L)
         I = L.T @ L
         quad = 3.0 * (CONSTS.c_gx * PARAMS.beta + PARAMS.r) ** 2 / (PARAMS.nu * CONSTS.lambda1)
@@ -450,9 +451,9 @@ class TestSynchronization:
         # the pair shares one coefficient chain: one OU step per time step
         steps = []
 
-        def counted(state, stream, step):
+        def counted(kernel, zw, stream, step):
             steps.append(step)
-            return ou_step(state, stream, step)
+            return ou_step(kernel, zw, stream, step)
 
         monkeypatch.setattr(dynamics, "ou_step", counted)
         z0a = dealiased(random_field(grid32, seed=24, scale=0.05))

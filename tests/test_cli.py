@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -188,6 +189,21 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             write_json(path, {"lhs": float("nan")})
         assert not path.exists()
+
+    def test_reports_write_signed_infinities(self, tmp_path):
+        # Python and numpy infinities alike, in a scalar, a list and an array
+        path = tmp_path / "report.json"
+        payload = {
+            "py": [math.inf, -math.inf],
+            "np": [np.float64(np.inf), np.float64(-np.inf)],
+            "array": np.array([np.inf, -np.inf, 1.5]),
+        }
+        write_json(path, payload)
+        assert json.loads(path.read_text()) == {
+            "py": ["inf", "-inf"],
+            "np": ["inf", "-inf"],
+            "array": ["inf", "-inf", 1.5],
+        }
 
 
 class TestParseTimeRejections:

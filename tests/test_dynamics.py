@@ -11,6 +11,7 @@ from qgsync import dynamics, fields, operators
 from qgsync.analysis import cocycle_check
 from qgsync.dynamics import (
     CFLWarning,
+    CocycleState,
     DivergenceError,
     ModelParams,
     dealias,
@@ -30,7 +31,7 @@ from qgsync.fields import (
     norm_l2,
     retained_mask,
 )
-from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init
+from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init, wiener_shift
 from qgsync.operators import dirichlet_poisson, streamfunction_coeffs
 
 from conftest import advection, beta_coeffs, dealiased, mode_field, nodal, random_field
@@ -136,7 +137,7 @@ class TestStepImex:
         dt = 0.01
         stream = NoiseStream(seed=2, dt=dt)
         start, state = evolve(dt, stream, (Field.zeros(grid32, Basis.NEUMANN_COSINE),), PARAMS, COV1, COV2)
-        w = start.coeff.combined()
+        w = start.zw[0] + start.zw[1]
         b = dealias(advection(w, w))
         tendency = -b - PARAMS.beta * beta_coeffs(w) - PARAMS.r * w
         expected = implicit_solve(grid32, dt * tendency, dt)
@@ -239,8 +240,8 @@ class TestStepImex:
         }
         assert states[True].step == 5
         assert np.array_equal(states[True].members[0], states[False].members[0])
-        assert np.array_equal(states[True].coeff.zw1, states[False].coeff.zw1)
-        assert np.array_equal(states[True].coeff.zw2, states[False].coeff.zw2)
+        assert np.array_equal(states[True].zw[0], states[False].zw[0])
+        assert np.array_equal(states[True].zw[1], states[False].zw[1])
 
     @pytest.mark.parametrize("check_cfl", [True, False])
     def test_step_builds_few_fields(self, grid32, field_inits, check_cfl):
@@ -248,7 +249,8 @@ class TestStepImex:
         # terms, the CFL speed, the solve and the new z are all arrays
         stream = NoiseStream(seed=12, dt=0.01)
         z = masked_field(grid32, 12).coeffs
-        w = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), stream).combined()
+        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), stream)
+        w = zw[0] + zw[1]
         field_inits[0] = 0
         step_imex(z, w, PARAMS, 0.01, 0, check_cfl=check_cfl)
         assert field_inits[0] == 0
@@ -359,8 +361,8 @@ class TestEvolve:
         for shared, single in zip(pair, alone):
             assert shared.step == single.step
             assert np.array_equal(shared.members[0], single.members[0])
-            assert np.array_equal(shared.coeff.zw1, single.coeff.zw1)
-            assert np.array_equal(shared.coeff.zw2, single.coeff.zw2)
+            assert np.array_equal(shared.zw[0], single.zw[0])
+            assert np.array_equal(shared.zw[1], single.zw[1])
         assert not np.array_equal(pair[-1].members[1], pair[-1].members[0])
 
     def test_members_are_read_only(self, grid32):
@@ -381,7 +383,7 @@ class TestEvolve:
         states = list(evolve(0.003, stream, start, PARAMS, COV1, COV2))
         held = list(fields._WORK.get(n)) + list(operators._JACOBIAN_WORK.get(n)) + list(dynamics._STEP_WORK.get(n))
         for prev, state in zip(states, states[1:]):
-            w = prev.coeff.combined()
+            w = prev.zw[0] + prev.zw[1]
             fresh = np.array([step_imex(z, w, PARAMS, stream.dt, prev.step) for z in prev.members])
             assert np.array_equal(state.members.view(np.int64), fresh.view(np.int64))
             assert not np.shares_memory(state.members, prev.members)
@@ -443,26 +445,52 @@ class TestCocycle:
             stream, PARAMS, COV1, COV2, 0.05, 0.07, z0, shift_override=0.08
         )
 
+    def test_restart_keeps_the_states_kernel(self, grid32):
+        # the state is the restart token: the covariances a restart is given
+        # do not rebuild its chain, which goes on with the state's kernel
+        z0 = masked_field(grid32, 30)
+        stream = NoiseStream(seed=30, dt=0.01)
+        full = last(evolve(0.12, stream, (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        mid = last(evolve(0.05, stream, (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        second = last(evolve(0.07, wiener_shift(stream, 5), mid, PARAMS, COV_OFF, COV_OFF, check_cfl=False))
+        assert second.kernel is mid.kernel
+        assert np.array_equal(second.zw, full.zw)
+        assert np.array_equal(second.members, full.members)
+
+    def test_built_state_steps_its_chain_with_its_kernel(self, grid32):
+        # a chain drawn with noise, paired with a noise-free kernel, only
+        # decays, whatever covariances the run is given
+        kernel0 = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        stream = NoiseStream(seed=31, dt=0.01)
+        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), stream).copy()
+        start = CocycleState(step=0, members=masked_field(grid32, 31).coeffs[np.newaxis], zw=zw, kernel=kernel0)
+        assert not start.zw.flags.writeable and not start.members.flags.writeable
+        states = list(evolve(0.02, stream, start, PARAMS, COV1, COV2, check_cfl=False))
+        assert all(state.kernel is kernel0 for state in states)
+        assert np.any(zw)
+        assert np.array_equal(states[1].zw, kernel0.decay * zw)
+        assert np.array_equal(states[2].zw, kernel0.decay * (kernel0.decay * zw))
+
 
 class TestUntransform:
     def test_zero_coefficients_identity(self, grid32):
         z = masked_field(grid32, 18)
-        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=18, dt=0.01))
-        u = untransform(z.coeffs, coeff)
+        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=18, dt=0.01))
+        u = untransform(z.coeffs, zw)
         assert np.array_equal(u, z.coeffs)
         assert dirichlet_poisson(Field(grid32, Basis.NEUMANN_COSINE, u)).basis is Basis.DIRICHLET_SINE
 
     def test_transform_untransform_round_trip(self, grid32):
         z = masked_field(grid32, 19)
-        coeff = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=19, dt=0.01))
-        u = untransform(z.coeffs, coeff)
-        back = Field(grid32, Basis.NEUMANN_COSINE, coeffs=u - coeff.zw1 - coeff.zw2)
+        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=19, dt=0.01))
+        u = untransform(z.coeffs, zw)
+        back = Field(grid32, Basis.NEUMANN_COSINE, coeffs=u - zw[0] - zw[1])
         assert norm_l2(back.coeffs - z.coeffs) < 1e-14 * max(norm_l2(u), 1.0)
 
     def test_streamfunction_vanishes_on_boundary(self, grid32):
         stream = NoiseStream(seed=20, dt=0.01)
         _, state = evolve(0.01, stream, (masked_field(grid32, 20),), PARAMS, COV1, COV2, check_cfl=False)
-        u = Field(grid32, Basis.NEUMANN_COSINE, untransform(state.members[0], state.coeff))
+        u = Field(grid32, Basis.NEUMANN_COSINE, untransform(state.members[0], state.zw))
         nod = nodal(dirichlet_poisson(u))
         edge = max(
             np.max(np.abs(nod[0, :])),

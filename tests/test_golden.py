@@ -8,6 +8,16 @@ meant to alter results regenerates the fixture with
     PYTHONPATH=src python tests/test_golden.py
 
 and says so in CHANGES.md.
+
+The fixture's last digits are not a byte-exact reference.  Regenerating
+the three `radius.json` files (`rho0`, `z0_norm`) can change their last
+digit on another machine even at the commit that wrote them, within
+RTOL; only `no-interior`'s `simulate_seed2.csv` and
+`synchronize_seed1.csv` drifted with the code (the one-axis beta term).
+So a change meant to keep results is checked by running the parent and
+the change on one machine and comparing their outputs byte for byte, not
+by comparing against this fixture; a change that regenerates on purpose
+lists the sub-1e-12 digits it sweeps in, or restores those files.
 """
 
 import json

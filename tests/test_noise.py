@@ -8,7 +8,6 @@ import pytest
 from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, GridSpec, laplacian_eigenvalues, norm_h1, retained_mask
 from qgsync.noise import (
-    CoefficientState,
     ConfigError,
     CovarianceSpec,
     NoiseStream,
@@ -157,8 +156,8 @@ class TestStationaryLaw:
     def test_zero_amplitude_gives_zero_fields(self, grid32):
         cov0 = CovarianceSpec(0.0, 3.0, 4)
         kernel = OUKernel(grid32, 1.0, cov0, cov0, 0.1)
-        state = ou_init(kernel, NoiseStream(seed=1, dt=0.1))
-        assert not state.zw1.any() and not state.zw2.any()
+        zw = ou_init(kernel, NoiseStream(seed=1, dt=0.1))
+        assert not zw[0].any() and not zw[1].any()
 
     def test_single_channel_variance_oracle(self, grid32):
         # scalar OU oracle: variance = gain^2 * q / (2 * rate) per mode,
@@ -188,9 +187,9 @@ class TestStationaryLaw:
         acc1 = np.zeros(grid32.shape)
         acc2 = np.zeros(grid32.shape)
         for i in range(n_samples):
-            st = ou_init(kernel, wiener_shift(stream, -i))
-            acc1 += st.zw1**2
-            acc2 += st.zw2**2
+            zw = ou_init(kernel, wiener_shift(stream, -i))
+            acc1 += zw[0] ** 2
+            acc2 += zw[1] ** 2
         acc1 /= n_samples
         acc2 /= n_samples
         tol = 6.0 * math.sqrt(2.0 / n_samples)
@@ -207,49 +206,11 @@ class TestStationaryLaw:
         a = np.empty(n_samples)
         b = np.empty(n_samples)
         for i in range(n_samples):
-            st = ou_init(kernel, wiener_shift(stream, -i))
-            a[i] = st.zw1[0, 1]
-            b[i] = st.zw2[0, 1]
+            zw = ou_init(kernel, wiener_shift(stream, -i))
+            a[i] = zw[0][0, 1]
+            b[i] = zw[1][0, 1]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(n_samples)
-
-
-class TestArrayState:
-    """The chain works on plain arrays: no `Field` is built, and the state is read-only."""
-
-    def test_init_and_step_build_no_field(self, grid32, field_inits):
-        kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
-        stream = NoiseStream(seed=4, dt=0.1)
-        state = ou_init(kernel, stream)
-        assert field_inits[0] == 0
-        ou_step(state, stream, 0)
-        assert field_inits[0] == 0
-
-    @pytest.mark.parametrize("which", ["zw1", "zw2"])
-    def test_state_arrays_are_read_only(self, grid32, which):
-        kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
-        stream = NoiseStream(seed=5, dt=0.1)
-        for state in (ou_init(kernel, stream), ou_step(ou_init(kernel, stream), stream, 0)):
-            with pytest.raises(ValueError):
-                getattr(state, which)[1, 1] = 1.0
-
-
-def full_array_step(state, stream, step):
-    """Reference update on whole arrays, plane by plane: decay * z + gain * noise.
-
-    The noise is laid out on the lattice without the kernel's channel list:
-    one normal per lift column on every row of plane 0, one per interior
-    mode of plane 1 in row-major order.
-    """
-    kernel = state.kernel
-    nb, nc = kernel.n_boundary, kernel.n_channels
-    vals = stream.normals(step, 2 * nc)
-    gain = np.zeros(state.zw.shape)
-    gain.reshape(-1)[kernel.index] = kernel.step_gain
-    noise = np.zeros(state.zw.shape)
-    noise[0, :, 1 : 1 + nb] = vals[:nb]
-    noise[1][gain[1] > 0] = vals[nb:nc]
-    return np.array([kernel.decay * state.zw1, kernel.decay * state.zw2]) + gain * noise
 
 
 NOISE_CASES = {
@@ -257,6 +218,53 @@ NOISE_CASES = {
     "boundary_only": (CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(0.0, 2.5, 3)),
     "interior_only": (CovarianceSpec(0.0, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3)),
 }
+
+
+class TestArrayState:
+    """The chain is a bare read-only array: no `Field` is built and no wrapper."""
+
+    def test_init_and_step_build_no_field(self, grid32, field_inits):
+        kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
+        stream = NoiseStream(seed=4, dt=0.1)
+        zw = ou_init(kernel, stream)
+        assert field_inits[0] == 0
+        ou_step(kernel, zw, stream, 0)
+        assert field_inits[0] == 0
+
+    @pytest.mark.parametrize("plane", [0, 1], ids=["zw1", "zw2"])
+    def test_state_arrays_are_read_only(self, grid32, plane):
+        kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
+        stream = NoiseStream(seed=5, dt=0.1)
+        for zw in (ou_init(kernel, stream), ou_step(kernel, ou_init(kernel, stream), stream, 0)):
+            with pytest.raises(ValueError):
+                zw[plane][1, 1] = 1.0
+
+    @pytest.mark.parametrize("case", sorted(NOISE_CASES))
+    def test_init_and_step_return_read_only_ndarrays(self, grid32, case):
+        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        stream = NoiseStream(seed=6, dt=0.1)
+        zw = ou_init(kernel, stream)
+        for new in (zw, ou_step(kernel, zw, stream, 0)):
+            assert type(new) is np.ndarray
+            assert new.shape == (2, *grid32.shape) and new.dtype == np.float64
+            assert not new.flags.writeable
+
+
+def full_array_step(kernel, zw, stream, step):
+    """Reference update on whole arrays, plane by plane: decay * z + gain * noise.
+
+    The noise is laid out on the lattice without the kernel's channel list:
+    one normal per lift column on every row of plane 0, one per interior
+    mode of plane 1 in row-major order.
+    """
+    nb, nc = kernel.n_boundary, kernel.n_channels
+    vals = stream.normals(step, 2 * nc)
+    gain = np.zeros(zw.shape)
+    gain.reshape(-1)[kernel.index] = kernel.step_gain
+    noise = np.zeros(zw.shape)
+    noise[0, :, 1 : 1 + nb] = vals[:nb]
+    noise[1][gain[1] > 0] = vals[nb:nc]
+    return np.array([kernel.decay * zw[0], kernel.decay * zw[1]]) + gain * noise
 
 
 class TestChainUpdate:
@@ -270,29 +278,28 @@ class TestChainUpdate:
     def test_matches_full_array_update_bit_for_bit(self, case, n):
         kernel = OUKernel(GridSpec(n), 1.0, *NOISE_CASES[case], 0.1)
         stream = NoiseStream(seed=31, dt=0.1, origin=-50)
-        state = ou_init(kernel, stream)
-        zw = state.zw
+        zw = ref = ou_init(kernel, stream)
         for j in range(200):
-            zw = full_array_step(CoefficientState(zw=zw, kernel=kernel), stream, j)
-            state = ou_step(state, stream, j)
-            assert state.zw.tobytes() == zw.tobytes()
-        assert np.any(state.zw1) == (case != "interior_only")
-        assert np.any(state.zw2) == (case != "boundary_only")
+            ref = full_array_step(kernel, ref, stream, j)
+            zw = ou_step(kernel, zw, stream, j)
+            assert zw.tobytes() == ref.tobytes()
+        assert np.any(zw[0]) == (case != "interior_only")
+        assert np.any(zw[1]) == (case != "boundary_only")
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES))
     def test_each_state_owns_read_only_arrays(self, grid32, case):
         kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
         stream = NoiseStream(seed=8, dt=0.1)
-        state = ou_init(kernel, stream)
+        zw = ou_init(kernel, stream)
         tables = (kernel.decay, kernel.index, kernel.channel, kernel.step_gain, kernel.stat_gain)
         for j in range(5):
-            new = ou_step(state, stream, j)
-            assert new.zw.shape == (2, *grid32.shape)
-            for a in (new.zw, new.zw1, new.zw2):
+            new = ou_step(kernel, zw, stream, j)
+            assert new.shape == (2, *grid32.shape)
+            for a in (new, new[0], new[1]):
                 assert not a.flags.writeable
-                assert not np.shares_memory(a, state.zw)
+                assert not np.shares_memory(a, zw)
                 assert not any(np.shares_memory(a, t) for t in tables)
-            state = new
+            zw = new
         assert not any(t.flags.writeable for t in tables)
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES))
@@ -307,8 +314,8 @@ class TestChainUpdate:
 
         monkeypatch.setattr(NoiseStream, "normals", counted)
         stream = NoiseStream(seed=2, dt=0.1)
-        state = ou_init(kernel, stream)
-        ou_step(state, stream, 0)
+        zw = ou_init(kernel, stream)
+        ou_step(kernel, zw, stream, 0)
         assert kernel.n_channels > 0
         assert counts == [2 * kernel.n_channels, kernel.n_channels]
 
@@ -319,17 +326,16 @@ class TestOUStep:
         cov0 = CovarianceSpec(0.0, 3.0, 2)
         kernel = OUKernel(grid32, 1.0, cov1, cov0, 0.2)
         stream = NoiseStream(seed=3, dt=0.2)
-        state = ou_init(kernel, stream)
+        zw = ou_init(kernel, stream)
         # zero the increments by stepping a zero-amplitude kernel clone
         kernel0 = OUKernel(grid32, 1.0, CovarianceSpec(0.0, 3.0, 2), cov0, 0.2)
-        frozen = CoefficientState(zw=state.zw, kernel=kernel0)
-        stepped = ou_step(frozen, stream, 0)
+        stepped = ou_step(kernel0, zw, stream, 0)
         lam = np.pi**2 * (
             np.add.outer(np.arange(grid32.n + 1.0) ** 2, np.arange(grid32.n + 1.0) ** 2)
         )
         mask = retained_mask(grid32, Basis.NEUMANN_COSINE)
-        expected = np.where(mask, np.exp(-1.0 * lam * 0.2), 0.0) * state.zw1
-        assert np.max(np.abs(stepped.zw1 - expected)) < 1e-15
+        expected = np.where(mask, np.exp(-1.0 * lam * 0.2), 0.0) * zw[0]
+        assert np.max(np.abs(stepped[0] - expected)) < 1e-15
 
     def test_autocovariance_shape(self, grid32):
         # single interior mode chain: autocorrelation e^{-nu lambda j dt}
@@ -338,12 +344,12 @@ class TestOUStep:
         dt = 0.1
         kernel = OUKernel(grid32, 1.0, cov0, cov2, dt)
         stream = NoiseStream(seed=11, dt=dt)
-        state = ou_init(kernel, stream)
+        zw = ou_init(kernel, stream)
         n_steps = 20000
         series = np.empty(n_steps)
         for j in range(n_steps):
-            series[j] = state.zw2[1, 0]
-            state = ou_step(state, stream, j)
+            series[j] = zw[1][1, 0]
+            zw = ou_step(kernel, zw, stream, j)
         rate = 1.0 * np.pi**2  # mode (1, 0)
         var = np.var(series)
         for lag in (1, 2, 3):
@@ -356,16 +362,16 @@ class TestOUStep:
         dt = 0.4
         kernel = OUKernel(grid32, 1.0, cov1, cov2, dt)
         stream = NoiseStream(seed=13, dt=dt)
-        state = ou_init(kernel, stream)
+        zw = ou_init(kernel, stream)
         v1, v2 = kernel.stationary_variances()
         n_steps = 20000
         acc_mean = np.zeros(grid32.shape)
         acc_sq = np.zeros(grid32.shape)
         for j in range(n_steps):
-            z = state.zw2
+            z = zw[1]
             acc_mean += z
             acc_sq += z**2
-            state = ou_step(state, stream, j)
+            zw = ou_step(kernel, zw, stream, j)
         mean = acc_mean / n_steps
         var = acc_sq / n_steps
         sel = v2 > 0
@@ -382,14 +388,14 @@ class TestOUStep:
         kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
         s0 = NoiseStream(seed=21, dt=0.1)
         s3 = wiener_shift(s0, 3)
-        state = ou_init(kernel, s0)
+        zw = ou_init(kernel, s0)
         for j in range(3):
-            state = ou_step(state, s0, j)
+            zw = ou_step(kernel, zw, s0, j)
         # transported: the same state, stepping the shifted stream from step 0
-        a = ou_step(state, s0, 3)
-        b = ou_step(state, s3, 0)
-        assert np.array_equal(a.zw1, b.zw1)
-        assert np.array_equal(a.zw2, b.zw2)
+        a = ou_step(kernel, zw, s0, 3)
+        b = ou_step(kernel, zw, s3, 0)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_gradient_moments_stable_under_doubling(self, grid32):
         cov1 = CovarianceSpec(1e-2, 3.0, 3)
@@ -400,8 +406,8 @@ class TestOUStep:
         def moments(m):
             g2 = np.empty(m)
             for i in range(m):
-                st = ou_init(kernel, wiener_shift(stream, -i))
-                g2[i] = norm_h1(st.combined()) ** 2
+                zw = ou_init(kernel, wiener_shift(stream, -i))
+                g2[i] = norm_h1(zw[0] + zw[1]) ** 2
             return np.mean(g2), np.mean(g2**2)
 
         m2a, m4a = moments(2000)
@@ -445,10 +451,10 @@ class TestTemperedness:
         dt = 0.1
         kernel = OUKernel(grid32, 1.0, cov1, cov2, dt)
         stream = NoiseStream(seed=29, dt=dt)
-        state = ou_init(kernel, stream)
+        zw = ou_init(kernel, stream)
         n_steps = 2001
         series = np.empty(n_steps)
         for j in range(n_steps):
-            series[j] = np.sqrt(np.sum(state.zw1**2))
-            state = ou_step(state, stream, j)
+            series[j] = np.sqrt(np.sum(zw[0] ** 2))
+            zw = ou_step(kernel, zw, stream, j)
         assert temperedness_diagnostic(series, 200.0) < 0.05
