@@ -182,13 +182,18 @@ def _block_driver(
     `norm_h1(w[i]) ** 2` and `driver_from_norms(norm_l2(w[i]) ** 2,
     norm_h1(w[i]) ** 2, rates)` for each array: the sums run over the same
     contiguous rows, and the norms are squared as Python floats (libm `pow`,
-    as `float ** 2` does), not as x * x.  Overflow gives inf, not a warning;
-    callers that need finite values check for them.
+    as `float ** 2` does), not as x * x.  `lam` holds the Laplacian
+    eigenvalues once, shape (n+1, n+1), or once per array of w, shape
+    (len(w), n+1, n+1); numpy multiplies such a table of full rows on its
+    same-shape loop, faster than it broadcasts one row, with the same
+    products, and they overwrite the squares once |w| is summed.  Overflow
+    gives inf, not a warning; callers that need finite values check for
+    them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.square(w).reshape(len(w), -1)
         l2 = np.sqrt(np.sum(sq, axis=1))
-        h1 = np.sqrt(np.sum(lam.reshape(1, -1) * sq, axis=1))
+        h1 = np.sqrt(np.sum(np.multiply(lam.reshape(-1, sq.shape[1]), sq, out=sq), axis=1))
         l2_sq = np.array([x**2 for x in l2.tolist()])
         h1_sq = np.array([x**2 for x in h1.tolist()])
         return h1_sq, driver_from_norms(l2_sq, h1_sq, rates)
@@ -216,8 +221,8 @@ def _coefficient_window(
     rates = _rates(params, constants)
     past = wiener_shift(stream, -steps)
     zw = ou_init(kernel, past)
-    lam = laplacian_eigenvalues(kernel.grid)
     block = np.empty((_NORM_BLOCK, *kernel.grid.shape))
+    lam = np.broadcast_to(laplacian_eigenvalues(kernel.grid), block.shape).copy()
     rows = list(block)
     g = np.empty(steps + 1)
     r = np.empty(steps + 1)
@@ -227,7 +232,7 @@ def _coefficient_window(
             if j:
                 zw = ou_step(kernel, zw, past, j - 1)
             np.add(zw[0], zw[1], out=row)
-        g[lo:hi], r[lo:hi] = _block_driver(block[: hi - lo], lam, rates)
+        g[lo:hi], r[lo:hi] = _block_driver(block[: hi - lo], lam[: hi - lo], rates)
     return g, r, zw
 
 

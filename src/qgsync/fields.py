@@ -25,8 +25,8 @@ numpy alone.  On smaller grids a 2D transform is two BLAS matmuls,
 Mx @ a @ My.T, against per-axis matrices built once from that FFT line
 transform; they differ from the FFT path by round-off only (at most a few
 n * eps * max|a|).  DENSE_BELOW_N is also where `operators` switches its
-difference operators from dense matrices to slice stencils, so one rule
-holds: below it every linear operator is a dense matrix.
+difference operators from dense matrices to flat-lattice stencils, so
+one rule holds: below it every linear operator is a dense matrix.
 
 `cosine_from_cosine_sine` is the one transform that keeps the x axis: it
 re-expands a COSINE_SINE array's y-axis sine series in cosines on the
@@ -87,7 +87,7 @@ _BY_KINDS = {b.value: b for b in Basis}
 # Grids with fewer cells per side apply every linear operator as a dense
 # matrix, one BLAS matmul per axis: the transforms here and the difference
 # operators in `operators`.  From this size up the transforms are FFTs and
-# the difference operators O(n) slice stencils, which win there (measured
+# the difference operators flat-lattice stencils, which win there (measured
 # on the 2D transforms and the Arakawa Jacobian).
 DENSE_BELOW_N = 128
 

@@ -24,12 +24,19 @@ boundary, and the sine synthesis of psi writes exactly 0 there (see
 
 The Jacobian's difference operators are zero-diagonal tridiagonal, stored
 as their two off-diagonals.  From n = `fields.DENSE_BELOW_N` cells per side
-they are applied as O(n)-per-line slice stencils; on smaller grids one BLAS
-matmul against the dense matrix is faster, as it is for the transforms in
-`fields`, which switch at the same size.  At power-of-two n both forms give
-the same values, and the same bits but for the sign of some zeros: on the
-first node along the axis, De's stencil writes a[1] * 0.0 (-0.0 where
-a[1] < 0) and the matrix product +0.0.  Do agrees bit for bit.
+each is applied as a flat-lattice stencil: one subtract over the flattened
+lattice, offset by one line or one entry, one multiply by the interior
+factor n/2 and a rewrite of the first and last node along the axis (see
+`_diff`).  On smaller grids one BLAS matmul against the dense matrix is
+faster, as it is for the transforms in `fields`, which switch at the same
+size.  At power-of-two n the factor n/2 is a power of two, so
+(a[i+1] - a[i-1]) * n/2 rounds as n/2 * a[i+1] - n/2 * a[i-1] does
+(barring overflow and underflow): both forms give the same values, and
+the same bits but for the sign of some zeros.  On the first node along
+the axis, De's stencil writes a[1] * 0.0 (-0.0 where a[1] < 0) and the
+matrix product +0.0; Do agrees bit for bit.  At other n the two forms
+differ by round-off, at most 4 eps * n/2 * (|a[i+1]| + |a[i-1]|) per
+entry.
 
 The Jacobian writes its lattice arrays (the four first differences, the
 running sum of the three forms and one product) into six per-thread, per-n
@@ -228,12 +235,13 @@ def _difference_operators(n: int):
     Each operator is zero-diagonal tridiagonal on the n+1 lattice nodes and
     is returned as (lower, upper, dense): lower[i] = D[i+1, i],
     upper[i] = D[i, i+1], and the dense matrix only below DENSE_BELOW_N.
-    At power-of-two n every coefficient is a power of two, so the stencil
-    and the matmul round once per entry and agree in value.  In bits they
-    agree except on De's first node along the axis (row 0 on axis 0,
-    column 0 on axis 1): its stencil entry is a[1] * 0.0, -0.0 where
-    a[1] < 0, while the matrix row of zeros sums to +0.0.  Do agrees bit
-    for bit.
+    Inside, upper[i] = -lower[i-1] = 0.5 / h = n/2: the stencil of `_diff`
+    scales a[i+1] - a[i-1] by upper[1], and the matmul sums the two
+    products.  At power-of-two n every coefficient is a power of two, so
+    both round once per entry and agree in value.  In bits they agree except on De's first
+    node along the axis (row 0 on axis 0, column 0 on axis 1): its stencil
+    entry is a[1] * 0.0, -0.0 where a[1] < 0, while the matrix row of zeros
+    sums to +0.0.  Do agrees bit for bit.
     """
     h = 1.0 / n
     lower_e = np.full(n, -0.5 / h)
@@ -255,22 +263,36 @@ def _difference_operators(n: int):
     return op(lower_e, upper_e), op(lower_o, upper_o)
 
 
-def _diff(op, a: np.ndarray, axis: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _diff(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """Apply one difference operator along an axis of a nodal array, into `out` (not `a`).
 
-    The stencil form keeps its second product in `scratch`, which may be
-    `a` itself when the caller no longer needs it.
+    The stencil form writes through the flat view of `out`, so `out` must
+    be C-contiguous; `a` is only read.  One subtract over the flattened
+    lattice, offset by one line (axis 0) or one entry (axis 1), gives
+    a[i+1] - a[i-1], and one multiply scales it by the interior factor
+    upper[1] = n/2.  The first and last node along the axis are then
+    written as the tridiagonal sum writes them, a[1] * upper[0] and
+    0.0 + lower[n-1] * a[n-1]; along axis 1 they are the entries whose
+    flat difference crossed a row break, zeroed before the scaling so that
+    it cannot overflow on them.
     """
     lower, upper, dense = op
     if dense is not None:
         return np.matmul(dense, a, out=out) if axis == 0 else np.matmul(a, dense.T, out=out)
+    if not out.flags.c_contiguous:
+        raise ValueError("the difference stencil writes through a flat view: out must be C-contiguous")
     # the lines along `axis` as rows: on 2D arrays a transpose is np.moveaxis(x, 1, 0)
-    src, dst, product = (a, out, scratch) if axis == 0 else (a.T, out.T, scratch.T)
-    np.multiply(src[1:], upper[:, np.newaxis], out=dst[:-1])
+    src, dst = (a, out) if axis == 0 else (a.T, out.T)
+    shift = a.shape[1] if axis == 0 else 1
+    flat = a.reshape(-1)
+    interior = out.reshape(-1)[shift:-shift]
+    np.subtract(flat[2 * shift :], flat[: -2 * shift], out=interior)
+    dst[0] = 0.0
     dst[-1] = 0.0
-    # the product lands where its factor src[:-1] was, so scratch = a is overwritten in place
-    np.multiply(lower[:, np.newaxis], src[:-1], out=product[:-1])
-    np.add(dst[1:], product[:-1], out=dst[1:])
+    np.multiply(interior, upper[1], out=interior)
+    np.multiply(src[1], upper[0], out=dst[0])
+    np.multiply(src[-2], lower[-1], out=dst[-1])
+    np.add(dst[-1], 0.0, out=dst[-1])
     return out
 
 
@@ -301,10 +323,10 @@ def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec, out: np.nda
     """
     De, Do = _difference_operators(grid.n)
     px, py, ax, ay, acc, prod = _JACOBIAN_WORK.get(grid.n)
-    _diff(Do, psi, 0, px, acc)
-    _diff(Do, psi, 1, py, acc)
-    _diff(De, a, 0, ax, acc)
-    _diff(De, a, 1, ay, acc)
+    _diff(Do, psi, 0, px)
+    _diff(Do, psi, 1, py)
+    _diff(De, a, 0, ax)
+    _diff(De, a, 1, ay)
     # t1 into acc
     np.multiply(px, ay, out=acc)
     np.multiply(py, ax, out=prod)
@@ -312,16 +334,16 @@ def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec, out: np.nda
     # t2: ay and then ax are free once their products with psi are taken,
     # and each product is free once it is differenced
     np.multiply(psi, ay, out=prod)
-    _diff(Do, prod, 0, ay, prod)
+    _diff(Do, prod, 0, ay)
     np.multiply(psi, ax, out=prod)
-    _diff(Do, prod, 1, ax, prod)
+    _diff(Do, prod, 1, ax)
     np.subtract(ay, ax, out=ay)
     np.add(acc, ay, out=acc)
     # t3
     np.multiply(px, a, out=prod)
-    _diff(Do, prod, 1, ay, prod)
+    _diff(Do, prod, 1, ay)
     np.multiply(py, a, out=prod)
-    _diff(Do, prod, 0, ax, prod)
+    _diff(Do, prod, 0, ax)
     np.subtract(ay, ax, out=ay)
     np.add(acc, ay, out=acc)
     np.divide(acc, 3.0, out=acc)

@@ -12,15 +12,15 @@ and says so in CHANGES.md.
 The fixture's last digits are not a byte-exact reference.  Regenerating
 the three `radius.json` files (`rho0`, `z0_norm`) can change their last
 digit on another machine even at the commit that wrote them, within
-RTOL; only `no-interior`'s `simulate_seed2.csv` and
-`synchronize_seed1.csv` drifted with the code (the one-axis beta term).
-So a change meant to keep results is checked by running the parent and
-the change on one machine and comparing their outputs byte for byte, not
-by comparing against this fixture; a change that regenerates on purpose
-lists the sub-1e-12 digits it sweeps in, or restores those files.
+RTOL.  So a change meant to keep results is checked by running the
+parent and the change on one machine and comparing their outputs byte for
+byte, not by comparing against this fixture.  A regeneration keeps the
+bytes of every stored file that the new output matches (no `mismatches`),
+so it rewrites only the files whose results moved beyond RTOL.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -136,16 +136,49 @@ def test_comparison_tolerance():
     assert mismatches([0.0], [1e-300])
 
 
+def test_regeneration_rewrites_only_what_moved(tmp_path, monkeypatch):
+    # a stored file within RTOL keeps its bytes, one beyond RTOL is
+    # rewritten and one the run no longer writes is deleted
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path / "golden")
+    monkeypatch.setitem(globals(), "CASES", {"tiny": (CASES["n128"][0], [("simulate", 0)])})
+    regenerate()
+    stored = tmp_path / "golden" / "tiny"
+    fresh = {p.name: p.read_bytes() for p in stored.iterdir()}
+    report = json.loads(fresh["simulate_seed1.json"])
+    key = next(k for k, v in report.items() if isinstance(v, float) and v != 0.0)
+    report[key] = math.nextafter(report[key], math.inf)
+    (stored / "simulate_seed1.json").write_text(json.dumps(report))
+    kept = (stored / "simulate_seed1.json").read_bytes()
+    (stored / "simulate_seed1.csv").write_text("t,x\n0.0,1.0\n")
+    (stored / "stale.json").write_text("{}")
+    regenerate()
+    assert (stored / "simulate_seed1.json").read_bytes() == kept
+    assert (stored / "simulate_seed1.csv").read_bytes() == fresh["simulate_seed1.csv"]
+    assert sorted(p.name for p in stored.iterdir()) == sorted(fresh)
+
+
 def regenerate() -> None:
-    """Rewrite the fixture from the qgsync on the import path."""
+    """Rewrite the fixture from the qgsync on the import path, file by file.
+
+    A stored file that the new output matches within RTOL keeps its bytes;
+    one that differs is overwritten, a new one is added and one no longer
+    written is deleted.
+    """
     import shutil
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
             out = run_case(name, Path(tmp))
-            shutil.rmtree(GOLDEN / name, ignore_errors=True)
-            shutil.copytree(out, GOLDEN / name)
+            stored = GOLDEN / name
+            stored.mkdir(parents=True, exist_ok=True)
+            for old in stored.iterdir():
+                if not (out / old.name).exists():
+                    old.unlink()
+            for new in out.iterdir():
+                old = stored / new.name
+                if not old.exists() or mismatches(_parse(new), _parse(old)):
+                    shutil.copyfile(new, old)
 
 
 if __name__ == "__main__":

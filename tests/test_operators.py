@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ def bracket_and_adjoint_matrices(psi):
 
 def diff(op, a, axis):
     """`_diff` into a fresh array."""
-    return _diff(op, a, axis, np.empty_like(a), np.empty_like(a))
+    return _diff(op, a, axis, np.empty_like(a, order="C"))
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +515,76 @@ class TestDifferenceOperators:
     def test_matrices_only_below_the_stencil_switch(self):
         assert all(op[2] is not None for op in _difference_operators(DENSE_BELOW_N - 2))
         assert all(op[2] is None for op in _difference_operators(DENSE_BELOW_N))
+
+    @pytest.mark.parametrize("n", [130, 192])
+    def test_non_power_of_two_grids_move_by_round_off(self, n):
+        # n/2 is not a power of two, so (a[i+1] - a[i-1]) n/2 and
+        # n/2 a[i+1] - n/2 a[i-1] round differently; each is within
+        # eps n/2 (|a[i+1]| + |a[i-1]|) of the exact value, so they differ by
+        # at most twice that.  The bound is 4 eps n/2 (|a[i+1]| + |a[i-1]|),
+        # and the first and last node, where nothing is subtracted, agree bit
+        # for bit: with zeros next to the last node, Do writes
+        # 0.0 + (-n)(+0.0) = +0.0 there, as the tridiagonal sum does
+        a = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+        a[n - 1, ::2] = a[::2, n - 1] = 0.0
+        for op in _difference_operators(n):
+            half = op[1][1]
+            for axis in (0, 1):
+                got, want, lines = (
+                    np.moveaxis(x, axis, 0) for x in (diff(op, a, axis), reference_diff(op, a, axis), a)
+                )
+                assert got[[0, -1]].tobytes() == want[[0, -1]].tobytes()
+                bound = 4.0 * np.finfo(float).eps * half * (np.abs(lines[2:]) + np.abs(lines[:-2]))
+                assert np.all(np.abs(got[1:-1] - want[1:-1]) <= bound)
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_input_is_left_unchanged(self, n):
+        a = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+        kept = a.copy()
+        for lower, upper, _ in _difference_operators(n):
+            for axis in (0, 1):
+                diff((lower, upper, None), a, axis)
+                assert a.tobytes() == kept.tobytes()
+
+    def test_non_contiguous_out_is_refused(self):
+        # the stencil writes through out.reshape(-1), which would be a copy
+        n = 256
+        a = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+        for op in _difference_operators(n):
+            for out in (np.empty((n + 1, n + 1)).T, np.empty((n + 1, 2 * (n + 1)))[:, ::2]):
+                with pytest.raises(ValueError, match="C-contiguous"):
+                    _diff(op, a, 1, out)
+
+    @staticmethod
+    def warnings_of(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        return result, {str(w.message) for w in caught}
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_row_breaks_raise_no_new_warnings(self, n):
+        # the flat subtract pairs a[r, n] with a[r+1, 1] and a[r, n-1] with
+        # a[r+1, 0] across each row break.  Huge values in columns 0 and n,
+        # and values in columns 0, 1, n-1 and n whose scaled differences
+        # across a break overflow while every product of the tridiagonal sum
+        # stays finite, must warn only as that sum warns
+        rng = np.random.default_rng(n)
+        half = _difference_operators(n)[0][1][1]
+        huge = rng.standard_normal((n + 1, n + 1))
+        huge[:, 0], huge[:, n] = 1e308, -1e308
+        tight = rng.standard_normal((n + 1, n + 1))
+        big = 0.75 * np.finfo(float).max / half
+        tight[:, [0, 1]], tight[:, [n - 1, n]] = big, -big
+        quiet = self.warnings_of(lambda: reference_diff(_difference_operators(n)[0], tight, 1))[1]
+        assert not quiet  # so a stencil that scaled across the breaks would warn on De
+        for a in (huge, tight):
+            for op in _difference_operators(n):
+                for axis, lines in ((0, np.ascontiguousarray(a.T)), (1, a)):
+                    got, new = self.warnings_of(lambda: diff(op, lines, axis))
+                    want, old = self.warnings_of(lambda: reference_diff(op, lines, axis))
+                    assert new <= old
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestBilinearForm:
