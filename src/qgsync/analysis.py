@@ -5,9 +5,11 @@ This module turns the stability theory into executable checks:
   * `driver_from_norms` is the nonautonomous driver R fed by the coefficient
     processes, and `propagate_rho_squared` the one computation of the
     absorbing radius rho: the affine recursion of the trapezoid pullback
-    quadrature, started from 0 at the far end of a window.  |grad w|^2 and R
-    of the coefficient arrays w = zw1 + zw2 are taken in one place,
-    `_block_driver`, for a whole stack of arrays.
+    quadrature, started from 0 at the far end of a window.  |w|^2 and
+    |grad w|^2 of the coefficient arrays w = zw1 + zw2 are taken in one
+    place, `_norm_squares`, for a whole stack of arrays; the chain and its
+    norm series carry no condition constant, and each experiment forms
+    its rates (`_rates`) once and hands them to the consumers.
   * `radius_invariance_experiment` verifies forward invariance of the random
     ball B(0, rho) along simulated trajectories, continuing the same
     recursion along the realized coefficients.
@@ -101,16 +103,14 @@ def driver_from_norms(w_l2_sq, w_h1_sq, rates: tuple[float, float, float]):
     return quad * w_l2_sq + c * w_l2_sq * w_h1_sq
 
 
-def decay_margin(
-    params: ModelParams, constants: OperatorConstants, grad2_mean: float
-) -> float:
+def decay_margin(rates: tuple[float, float, float], grad2_mean: float) -> float:
     """a - c * E|grad w|^2 = lambda1*nu + 2r - 2*c_gx*beta - (3 c_b^2 / nu) * E|grad w|^2."""
-    a, c, _ = _rates(params, constants)
+    a, c, _ = rates
     return a - c * grad2_mean
 
 
 def propagate_rho_squared(
-    rho2: float, g: np.ndarray, r: np.ndarray, dt: float, params: ModelParams, constants: OperatorConstants
+    rho2: float, g: np.ndarray, r: np.ndarray, dt: float, rates: tuple[float, float, float]
 ) -> np.ndarray:
     """rho^2 along a sampled path of |grad w|^2 and R, from its value at sample 0.
 
@@ -121,9 +121,10 @@ def propagate_rho_squared(
     k steps ending at sample k), to round-off.  A step that overflows, in
     its growth factor or a product, makes the path +inf or nan from there
     on, without a warning; callers that need a finite rho^2 check for one.
-    The recursion runs on Python floats, `_RHO_CHUNK` samples at a time.
+    The recursion runs on Python floats, `_RHO_CHUNK` samples at a time,
+    with `rates` from `_rates`.
     """
-    a, c, _ = _rates(params, constants)
+    a, c, _ = rates
     # the factors of -a*dt + c*0.5*dt*(g0 + g1) and 0.5*dt*(...), in their order
     decay, gain, half = -a * dt, c * 0.5 * dt, 0.5 * dt
     path = np.empty(len(g))
@@ -144,18 +145,6 @@ def propagate_rho_squared(
     return path
 
 
-def default_rho_window(
-    params: ModelParams, constants: OperatorConstants, grad2_mean: float
-) -> float:
-    """Quadrature window making the dropped tail weight below exp(-20)."""
-    margin = decay_margin(params, constants, grad2_mean)
-    if margin <= 0:
-        raise DecayConditionError(
-            f"mean-damping margin is {margin:.6g} <= 0; the radius integral may diverge"
-        )
-    return 20.0 / margin
-
-
 def _steps_at_least(t: float, dt: float, least: int) -> int:
     """A window time as whole steps of dt, rounded and at least `least`.
 
@@ -169,77 +158,86 @@ def _steps_at_least(t: float, dt: float, least: int) -> int:
     return max(least, round(ratio))
 
 
+def _window_steps(
+    rates: tuple[float, float, float], grad2_mean: float, window: float | None, dt: float
+) -> int:
+    """Steps of the radius window: `window`, or one whose dropped tail weight is below exp(-20).
+
+    A mean-damping margin a - c * E|grad w|^2 that is not positive is a
+    `DecayConditionError` whether `window` is given or not: the radius
+    integral may diverge.
+    """
+    margin = decay_margin(rates, grad2_mean)
+    if margin <= 0:
+        raise DecayConditionError(
+            f"mean-damping margin is {margin:.6g} <= 0; the radius integral may diverge"
+        )
+    return _steps_at_least(20.0 / margin if window is None else window, dt, 2)
+
+
 _NORM_BLOCK = 16  # chain steps whose norms `_coefficient_window` takes together
 _RHO_CHUNK = 1024  # samples that `propagate_rho_squared` lists at a time
 
 
-def _block_driver(
-    w: np.ndarray, lam: np.ndarray, rates: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """|grad w|^2 and R for a stack of combined coefficient arrays w[i], with `rates` from `_rates`.
+def _norm_squares(w: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|w|^2 and |grad w|^2 for a stack of combined coefficient arrays w[i].
 
     The only place either is computed from arrays.  Bitwise equal to
-    `norm_h1(w[i]) ** 2` and `driver_from_norms(norm_l2(w[i]) ** 2,
-    norm_h1(w[i]) ** 2, rates)` for each array: the sums run over the same
-    contiguous rows, and the norms are squared as Python floats (libm `pow`,
-    as `float ** 2` does), not as x * x.  `lam` holds the Laplacian
-    eigenvalues once, shape (n+1, n+1), or once per array of w, shape
-    (len(w), n+1, n+1); numpy multiplies such a table of full rows on its
-    same-shape loop, faster than it broadcasts one row, with the same
-    products, and they overwrite the squares once |w| is summed.  Overflow
-    gives inf, not a warning; callers that need finite values check for
-    them.
+    `norm_l2(w[i]) ** 2` and `norm_h1(w[i]) ** 2` for each array: the sums
+    run over the same contiguous rows, and the norms are squared as Python
+    floats (libm `pow`, as `float ** 2` does), not as x * x.  `lam` holds
+    the Laplacian eigenvalues once, shape (n+1, n+1), or once per array of
+    w, shape (len(w), n+1, n+1); numpy multiplies such a table of full rows
+    on its same-shape loop, faster than it broadcasts one row, with the
+    same products, and they overwrite the squares once |w| is summed.
+    Overflow gives inf, not a warning; callers that need finite values
+    check for them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.square(w).reshape(len(w), -1)
         l2 = np.sqrt(np.sum(sq, axis=1))
         h1 = np.sqrt(np.sum(np.multiply(lam.reshape(-1, sq.shape[1]), sq, out=sq), axis=1))
-        l2_sq = np.array([x**2 for x in l2.tolist()])
-        h1_sq = np.array([x**2 for x in h1.tolist()])
-        return h1_sq, driver_from_norms(l2_sq, h1_sq, rates)
+        return np.array([x**2 for x in l2.tolist()]), np.array([x**2 for x in h1.tolist()])
 
 
-def _coefficient_window(
-    kernel: OUKernel, stream: NoiseStream, steps: int, params: ModelParams, constants: OperatorConstants
-):
+def _coefficient_window(kernel: OUKernel, stream: NoiseStream, steps: int):
     """Simulate the coefficient processes from relative step -steps up to 0.
 
-    Returns (g_series, r_series, zw): g samples |grad w|^2 and r the driver
-    R of w = zw[0] + zw[1] at every step, and `zw` is the read-only chain
-    array at the stream's origin, pathwise consistent with the window and
-    ready to be transported into a forward run with this kernel.  The chain
-    advances one `ou_step` at a time; each step's w is added into one row
-    of a `_NORM_BLOCK`-row buffer, and the norms and R of a full buffer are
-    taken in one go.  A window whose series of steps + 1 floats numpy
-    cannot hold is a `ConfigError`.
+    Returns (l2, h1, zw): l2 and h1 sample |w|^2 and |grad w|^2 of
+    w = zw[0] + zw[1] at every step, and `zw` is the read-only chain array
+    at the stream's origin, pathwise consistent with the window and ready
+    to be transported into a forward run with this kernel.  The series
+    carry no condition constant: a consumer forms R with
+    `driver_from_norms` under its own rates.  The chain advances one
+    `ou_step` at a time; each step's w is added into one row of a
+    `_NORM_BLOCK`-row buffer, and the norms of a full buffer are taken in
+    one go.  A window whose series of steps + 1 floats numpy cannot hold is
+    a `ConfigError`.
     """
     if (steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
         raise ConfigError(
             f"a coefficient window of 10^{math.log10(steps):.1f} steps of dt={stream.dt} "
             "is too long to simulate"
         )
-    rates = _rates(params, constants)
     past = wiener_shift(stream, -steps)
     zw = ou_init(kernel, past)
     block = np.empty((_NORM_BLOCK, *kernel.grid.shape))
     lam = np.broadcast_to(laplacian_eigenvalues(kernel.grid), block.shape).copy()
     rows = list(block)
-    g = np.empty(steps + 1)
-    r = np.empty(steps + 1)
+    l2 = np.empty(steps + 1)
+    h1 = np.empty(steps + 1)
     for lo in range(0, steps + 1, _NORM_BLOCK):
         hi = min(lo + _NORM_BLOCK, steps + 1)
         for j, row in zip(range(lo, hi), rows):
             if j:
                 zw = ou_step(kernel, zw, past, j - 1)
             np.add(zw[0], zw[1], out=row)
-        g[lo:hi], r[lo:hi] = _block_driver(block[: hi - lo], lam[: hi - lo], rates)
-    return g, r, zw
+        l2[lo:hi], h1[lo:hi] = _norm_squares(block[: hi - lo], lam[: hi - lo])
+    return l2, h1, zw
 
 
-def _stationary_moments(
-    kernel: OUKernel, params: ModelParams, constants: OperatorConstants
-) -> tuple[float, float, float]:
-    """E|grad w|^2, E|grad w|^4 and E R of w = zw1 + zw2 under the law `ou_init` draws.
+def _stationary_moments(kernel: OUKernel, rates: tuple[float, float, float]) -> tuple[float, float, float]:
+    """E|grad w|^2, E|grad w|^4 and E R of w = zw1 + zw2 under the law `ou_init` draws, R under `rates`.
 
     That law is Gaussian with one block per y-mode column: a lift column times one normal
     (variances V1; rank one, not the chain's own joint law: see `noise`) plus independent modes
@@ -254,7 +252,7 @@ def _stationary_moments(
     """
     v1, v2 = kernel.stationary_variances()
     lam = laplacian_eigenvalues(kernel.grid)
-    _, c, quad = _rates(params, constants)
+    _, c, quad = rates
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = np.sum(lam * v1, axis=0), np.sum(v1, axis=0)
         cross = v2 * (2.0 * v1 + v2)
@@ -265,24 +263,6 @@ def _stationary_moments(
     if not np.isfinite(moments).all():
         raise DecayConditionError("a stationary moment of w is not finite; the moments are not estimable")
     return tuple(moments.tolist())
-
-
-def _rho_with_state(
-    kernel: OUKernel,
-    stream: NoiseStream,
-    window: float | None,
-    params: ModelParams,
-    constants: OperatorConstants,
-):
-    """rho^2 at the stream's origin, with the window's (g, r, final chain array zw)."""
-    grad2, _, _ = _stationary_moments(kernel, params, constants)
-    auto = default_rho_window(params, constants, grad2)  # refuses a nonpositive margin
-    steps = _steps_at_least(auto if window is None else window, stream.dt, 2)
-    g, r, zw = _coefficient_window(kernel, stream, steps, params, constants)
-    rho2 = float(propagate_rho_squared(0.0, g, r, stream.dt, params, constants)[-1])
-    if not math.isfinite(rho2):
-        raise DecayConditionError(f"rho^2 at the origin is {rho2}; the radius quadrature overflows")
-    return rho2, (g, r, zw)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +287,24 @@ def radius_invariance_experiment(
     the affine recursion driven by the same realized coefficients as the
     trajectory.  Excursions beyond (1 + RADIUS_SLACK) * rho^2 count as
     violations; the slack covers the first-order time discretization of the
-    comparison argument.
+    comparison argument.  The rates, the stationary moments and the window
+    depend on no seed, so they are formed once; each seed's window runs its
+    own chain up to time 0, where rho^2 must be finite.
     """
     if constants is None:
         constants = estimate_constants(grid, seed=0)
     kernel = OUKernel(grid, params.nu, cov1, cov2, dt)
     lam = laplacian_eigenvalues(grid)
     rates = _rates(params, constants)
+    grad2, _, _ = _stationary_moments(kernel, rates)
+    steps = _window_steps(rates, grad2, window, dt)
     reports = []
     for seed in sorted(seeds):
         stream = NoiseStream(seed=seed, dt=dt)
-        rho2_0, (g, r, zw0) = _rho_with_state(kernel, stream, window, params, constants)
+        l2, h1, zw0 = _coefficient_window(kernel, stream, steps)
+        rho2_0 = float(propagate_rho_squared(0.0, h1, driver_from_norms(l2, h1, rates), dt, rates)[-1])
+        if not math.isfinite(rho2_0):
+            raise DecayConditionError(f"rho^2 at the origin is {rho2_0}; the radius quadrature overflows")
         rho0 = math.sqrt(max(rho2_0, 0.0))
         rng = np.random.default_rng((seed, 0xABCD))
         direction = dealias(random_coeffs(grid, rng))
@@ -325,18 +312,17 @@ def radius_invariance_experiment(
         scale = rng.uniform(0.0, 1.0) * rho0
         z0 = direction / dnorm * scale if dnorm > 0 else direction * 0.0
 
-        # g and R continue the window's series from its last sample, time 0
-        g_path, r_path, z2 = [g[-1]], [r[-1]], []
+        # the norm series continue the window's from its last sample, time 0
+        norms, z2 = [(l2[-1:], h1[-1:])], []
         start = CocycleState(step=0, members=z0[np.newaxis], zw=zw0, kernel=kernel)
         states = evolve(t_end, stream, start, params, cov1, cov2, check_cfl=False)
         next(states)  # the start state
         for state in states:
-            (g_new,), (r_new,) = _block_driver((state.zw[0] + state.zw[1])[np.newaxis], lam, rates)
-            g_path.append(g_new)
-            r_path.append(r_new)
+            norms.append(_norm_squares((state.zw[0] + state.zw[1])[np.newaxis], lam))
             z2.append(norm_l2(state.members[0]) ** 2)
-        g_path, r_path, z2 = np.array(g_path), np.array(r_path), np.array(z2)
-        zeta = propagate_rho_squared(rho2_0, g_path, r_path, dt, params, constants)[1:]
+        l2, h1 = np.concatenate(norms, axis=1)
+        zeta = propagate_rho_squared(rho2_0, h1, driver_from_norms(l2, h1, rates), dt, rates)[1:]
+        z2 = np.array(z2)
         # a positive |z|^2 against a nonpositive rho^2 is an unbounded excursion
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             excursion = np.where(zeta > 0, z2 / zeta - 1.0, np.where(z2 > 1e-300, np.inf, 0.0))
@@ -431,11 +417,12 @@ def check_condition(
     if constants is None:
         constants = estimate_constants(grid, seed=stream.seed & 0xFFFF)
     kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
+    rates = _rates(params, constants)
 
-    exact = zip(("E_grad2", "E_grad4", "E_R"), _stationary_moments(kernel, params, constants))
+    exact = zip(("E_grad2", "E_grad4", "E_R"), _stationary_moments(kernel, rates))
     estimates = {key: {"mean": mean, "se": 0.0} for key, mean in exact}
     e_grad2 = estimates["E_grad2"]["mean"]
-    margin = decay_margin(params, constants, e_grad2)
+    margin = decay_margin(rates, e_grad2)
     if margin <= 0:
         estimates.update(E_rho2=None, E_rho4=None)
         return ConditionReport(
@@ -453,16 +440,17 @@ def check_condition(
         )
 
     # one long radius path: burn one window, then decimate
-    burn = _steps_at_least(default_rho_window(params, constants, e_grad2), stream.dt, 2)
+    burn = _window_steps(rates, e_grad2, None, stream.dt)
     gap = _steps_at_least(CONDITION_GAP_TIME, stream.dt, 1)
     total = burn + samples * gap
-    g, r, _ = _coefficient_window(kernel, wiener_shift(stream, total), total, params, constants)
-    rho2 = propagate_rho_squared(0.0, g, r, stream.dt, params, constants)[burn + gap :: gap]
+    l2, h1, _ = _coefficient_window(kernel, wiener_shift(stream, total), total)
+    r = driver_from_norms(l2, h1, rates)
+    rho2 = propagate_rho_squared(0.0, h1, r, stream.dt, rates)[burn + gap :: gap]
     estimates.update(E_rho2=_moment(rho2, 1), E_rho4=_moment(rho2, 2))
 
     nu, beta = params.nu, params.beta
     cb2 = constants.c_b**2
-    _, c, _ = _rates(params, constants)
+    _, c, _ = rates
     rho2_gain = 2.0 * cb2 / nu**2 * (1.0 + 2.0 * math.sqrt(constants.lambda1) * constants.c_gx * beta)
     # estimated summand -> (coefficient, estimate), in the order of the sums
     estimated = {
@@ -557,9 +545,11 @@ def synchronization_experiment(
     dists = np.array([norm_l2(state.members[0] - state.members[1]) for state in states])
     times = dt * np.arange(dists.size)
     rate, stderr = _fit_log_rate(times, dists)
-    initial = dists[0]
+    # the distance rule needs the first distance below 1e-6 of the initial one to be
+    # positive: a pair whose members round to one array jumps to 0 without contracting
+    below = dists < 1e-6 * dists[0]
     converged = bool(
-        (initial > 0 and dists[-1] < 1e-6 * initial)
+        (below[-1] and dists[np.argmax(below)] > 0)
         or (rate < 0 and abs(rate) > 3.0 * stderr)
     )
     return SyncReport(

@@ -7,14 +7,13 @@ import pytest
 
 from qgsync.analysis import (
     DecayConditionError,
-    _block_driver,
     _coefficient_window,
+    _norm_squares,
     _rates,
-    _rho_with_state,
     _stationary_moments,
+    _window_steps,
     check_condition,
     decay_margin,
-    default_rho_window,
     driver_from_norms,
     propagate_rho_squared,
     radius_invariance_experiment,
@@ -37,14 +36,21 @@ COV_OFF = CovarianceSpec(0.0, 3.0, 4)
 
 # fixed plug-in constants keep the oracle arithmetic transparent
 CONSTS = OperatorConstants(lambda1=np.pi**2, c_b=0.25, c_gx=1.0 / (2 * np.pi))
+RATES = _rates(PARAMS, CONSTS)
+
+
+def window_series(kernel, stream, steps):
+    """(|grad w|^2, R, zw) of the radius window, R under PARAMS and CONSTS."""
+    l2, h1, zw = _coefficient_window(kernel, stream, steps)
+    return h1, driver_from_norms(l2, h1, RATES), zw
 
 
 class TestDriver:
     def test_zero_coefficients(self, grid32):
         zw = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=1, dt=0.01))
         lam = laplacian_eigenvalues(grid32)
-        g, r = _block_driver((zw[0] + zw[1])[np.newaxis], lam, _rates(PARAMS, CONSTS))
-        assert g[0] == 0.0 and r[0] == 0.0
+        l2, h1 = _norm_squares((zw[0] + zw[1])[np.newaxis], lam)
+        assert h1[0] == 0.0 and driver_from_norms(l2, h1, RATES)[0] == 0.0
 
     def test_plugin_arithmetic(self):
         # beta = 0, r = 1, nu = 1, |w| = 1, |grad w| = 0 -> R = 3 / pi^2
@@ -57,37 +63,39 @@ class TestDriver:
         assert val == pytest.approx(quad + mix, rel=1e-14)
 
     def test_quadratic_homogeneity(self):
-        base = driver_from_norms(1.7, 0.0, _rates(PARAMS, CONSTS))
+        base = driver_from_norms(1.7, 0.0, RATES)
         for c in (0.5, 2.0, 7.0):
-            assert driver_from_norms(c**2 * 1.7, 0.0, _rates(PARAMS, CONSTS)) == pytest.approx(
+            assert driver_from_norms(c**2 * 1.7, 0.0, RATES) == pytest.approx(
                 c**2 * base, rel=1e-12
             )
 
     def test_matches_field_norms(self, grid32):
         zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=2, dt=0.01))
         w = zw[0] + zw[1]
-        direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, _rates(PARAMS, CONSTS))
-        _, r = _block_driver(w[np.newaxis], laplacian_eigenvalues(grid32), _rates(PARAMS, CONSTS))
-        assert r[0] == pytest.approx(direct, rel=1e-14)
+        direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, RATES)
+        l2, h1 = _norm_squares(w[np.newaxis], laplacian_eigenvalues(grid32))
+        assert driver_from_norms(l2, h1, RATES)[0] == pytest.approx(direct, rel=1e-14)
 
 
 class TestCoefficientWindow:
-    """The block-norm window against the plain per-step loop, bit for bit."""
+    """The block-norm window against the per-step loop, bit for bit, and R of a series against R per step."""
 
     @staticmethod
     def reference(stream, cov1, cov2, grid, steps):
         past = wiener_shift(stream, -steps)
         kernel = OUKernel(grid, PARAMS.nu, cov1, cov2, stream.dt)
         zw = ou_init(kernel, past)
-        g = np.empty(steps + 1)
+        l2 = np.empty(steps + 1)
+        h1 = np.empty(steps + 1)
         r = np.empty(steps + 1)
         for j in range(steps + 1):
             w = zw[0] + zw[1]
-            g[j] = norm_h1(w) ** 2
-            r[j] = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, _rates(PARAMS, CONSTS))
+            l2[j] = norm_l2(w) ** 2
+            h1[j] = norm_h1(w) ** 2
+            r[j] = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, RATES)
             if j < steps:
                 zw = ou_step(kernel, zw, past, j)
-        return g, r, zw
+        return l2, h1, r, zw
 
     @pytest.mark.parametrize("steps", [15, 16, 17, 33])
     @pytest.mark.parametrize(
@@ -96,15 +104,16 @@ class TestCoefficientWindow:
     def test_matches_per_step_loop(self, grid32, steps, cov1, cov2):
         stream = NoiseStream(seed=913, dt=0.01)
         kernel = OUKernel(grid32, PARAMS.nu, cov1, cov2, stream.dt)
-        g, r, zw = _coefficient_window(kernel, stream, steps, PARAMS, CONSTS)
-        g_ref, r_ref, zw_ref = self.reference(stream, cov1, cov2, grid32, steps)
-        assert np.array_equal(g, g_ref)
-        assert np.array_equal(r, r_ref)
+        l2, h1, zw = _coefficient_window(kernel, stream, steps)
+        l2_ref, h1_ref, r_ref, zw_ref = self.reference(stream, cov1, cov2, grid32, steps)
+        assert np.array_equal(l2, l2_ref)
+        assert np.array_equal(h1, h1_ref)
+        assert np.array_equal(driver_from_norms(l2, h1, RATES), r_ref)
         assert np.array_equal(zw, zw_ref)
 
     def test_window_builds_no_field(self, grid32, field_inits):
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
-        _coefficient_window(kernel, NoiseStream(seed=3, dt=0.01), 100, PARAMS, CONSTS)
+        _coefficient_window(kernel, NoiseStream(seed=3, dt=0.01), 100)
         assert field_inits[0] == 0
 
     def test_block_squares_like_python_floats(self):
@@ -113,13 +122,15 @@ class TestCoefficientWindow:
         grid = GridSpec(8)
         rng = np.random.default_rng(5)
         w = rng.standard_normal((4000, *grid.shape)) * rng.uniform(0.1, 10.0, (4000, 1, 1))
-        g, r = _block_driver(w, laplacian_eigenvalues(grid), _rates(PARAMS, CONSTS))
+        l2_sq, h1_sq = _norm_squares(w, laplacian_eigenvalues(grid))
         l2 = [float(np.sqrt(np.sum(a**2))) for a in w]
         h1 = [float(np.sqrt(np.sum(laplacian_eigenvalues(grid) * a**2))) for a in w]
         assert any(x**2 != x * x for x in h1 + l2)  # the test can tell the two apart
-        assert np.array_equal(g, [x**2 for x in h1])
+        assert np.array_equal(l2_sq, [x**2 for x in l2])
+        assert np.array_equal(h1_sq, [x**2 for x in h1])
         assert np.array_equal(
-            r, [driver_from_norms(a**2, b**2, _rates(PARAMS, CONSTS)) for a, b in zip(l2, h1)]
+            driver_from_norms(l2_sq, h1_sq, RATES),
+            [driver_from_norms(a**2, b**2, RATES) for a, b in zip(l2, h1)],
         )
 
 
@@ -142,22 +153,28 @@ def trapezoid_rho_squared(g, r, dt):
 
 def pullback_rho_squared(g, r, dt):
     """rho^2 at the end of the window: the recursion started from 0."""
-    return propagate_rho_squared(0.0, g, r, dt, PARAMS, CONSTS)[-1]
+    return propagate_rho_squared(0.0, g, r, dt, RATES)[-1]
+
+
+def rho_squared_at_origin(kernel, stream, window):
+    """rho^2 at the stream's origin, over the window and with the moments `radius` forms."""
+    grad2, _, _ = _stationary_moments(kernel, RATES)
+    g, r, _ = window_series(kernel, stream, _window_steps(RATES, grad2, window, stream.dt))
+    return pullback_rho_squared(g, r, stream.dt)
 
 
 class TestRadiusQuadrature:
     def test_recursion_is_the_trapezoid_quadrature(self, grid32):
         dt = 0.01
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
-        g, r, _ = _coefficient_window(kernel, NoiseStream(seed=7, dt=dt), 5000, PARAMS, CONSTS)
+        g, r, _ = window_series(kernel, NoiseStream(seed=7, dt=dt), 5000)
         want = trapezoid_rho_squared(g, r, dt)
         assert want > 0
         assert pullback_rho_squared(g, r, dt) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_noise_off_gives_zero(self, grid32):
         kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
-        rho2, _ = _rho_with_state(kernel, NoiseStream(seed=3, dt=0.01), 1.0, PARAMS, CONSTS)
-        assert rho2 == 0.0
+        assert rho_squared_at_origin(kernel, NoiseStream(seed=3, dt=0.01), 1.0) == 0.0
 
     def test_frozen_coefficients_closed_form(self):
         # constant driver, zero gradient: rho^2 = R / (lambda1 nu - 2 beta c_gx + 2r)
@@ -190,10 +207,10 @@ class TestRadiusQuadrature:
         stream = NoiseStream(seed=4, dt=dt)
         steps = 400
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
-        g, r, _ = _coefficient_window(kernel, wiener_shift(stream, 1), steps + 1, PARAMS, CONSTS)
+        g, r, _ = window_series(kernel, wiener_shift(stream, 1), steps + 1)
         rho2_old = pullback_rho_squared(g[:-1], r[:-1], dt)
         rho2_new = pullback_rho_squared(g[1:], r[1:], dt)
-        prop = propagate_rho_squared(rho2_old, g[-2:], r[-2:], dt, PARAMS, CONSTS)[-1]
+        prop = propagate_rho_squared(rho2_old, g[-2:], r[-2:], dt, RATES)[-1]
         assert prop == pytest.approx(rho2_new, rel=0.01)
 
     def test_path_is_the_scalar_recursion(self):
@@ -208,12 +225,12 @@ class TestRadiusQuadrature:
         for k in range(49):
             growth = math.exp(-a * dt + c * 0.5 * dt * (g[k] + g[k + 1]))
             expected.append(growth * expected[-1] + 0.5 * dt * (growth * r[k] + r[k + 1]))
-        assert np.array_equal(propagate_rho_squared(0.37, g, r, dt, PARAMS, CONSTS), expected)
+        assert np.array_equal(propagate_rho_squared(0.37, g, r, dt, RATES), expected)
 
     @staticmethod
     def numpy_scalar_path(rho2, g, r, dt):
         """The recursion on numpy scalars, one sample at a time, writing each into the path."""
-        a, c, _ = _rates(PARAMS, CONSTS)
+        a, c, _ = RATES
         path = np.empty(len(g))
         path[0] = rho2
         with np.errstate(over="ignore", invalid="ignore"):
@@ -230,17 +247,17 @@ class TestRadiusQuadrature:
         # products overflow: +inf from a positive path, nan from 0 * inf
         dt = 0.01
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
-        g, r, _ = _coefficient_window(kernel, NoiseStream(seed=12, dt=dt), 3000, PARAMS, CONSTS)
+        g, r, _ = window_series(kernel, NoiseStream(seed=12, dt=dt), 3000)
         spike = np.full(2100, 1.0)
         spike[1500] = 1e300
         zeros = np.zeros(2100)
         huge = np.full(2100, 1e308)
         cases = [(0.0, g, r), (0.37, g, r), (0.5, spike, np.ones(2100)), (0.0, spike, zeros), (1.0, zeros, huge)]
         for rho2, gs, rs in cases:
-            path = propagate_rho_squared(rho2, gs, rs, dt, PARAMS, CONSTS)
+            path = propagate_rho_squared(rho2, gs, rs, dt, RATES)
             assert path.tobytes() == self.numpy_scalar_path(rho2, gs, rs, dt).tobytes()
-        assert np.isnan(propagate_rho_squared(0.0, spike, zeros, dt, PARAMS, CONSTS)[1500:]).all()
-        assert np.isinf(propagate_rho_squared(1.0, zeros, huge, dt, PARAMS, CONSTS)[-1])
+        assert np.isnan(propagate_rho_squared(0.0, spike, zeros, dt, RATES)[1500:]).all()
+        assert np.isinf(propagate_rho_squared(1.0, zeros, huge, dt, RATES)[-1])
 
     def test_overflowing_growth_gives_inf_without_a_warning(self):
         # a spike of |grad w|^2 makes exp(-a dt + c dt g) pass the largest
@@ -248,7 +265,7 @@ class TestRadiusQuadrature:
         g = np.full(6, 1.0)
         g[3] = 1e300
         r = np.full(6, 1.0)
-        path = propagate_rho_squared(0.5, g, r, 0.01, PARAMS, CONSTS)
+        path = propagate_rho_squared(0.5, g, r, 0.01, RATES)
         assert np.isfinite(path[:3]).all()
         assert np.all(path[3:] == np.inf)
 
@@ -258,16 +275,18 @@ class TestRadiusQuadrature:
             c1 = CovarianceSpec(amp, 3.0, 4)
             c2 = CovarianceSpec(amp, 2.5, 4)
             kernel = OUKernel(grid32, PARAMS.nu, c1, c2, 0.01)
-            rho2, _ = _rho_with_state(kernel, NoiseStream(seed=5, dt=0.01), None, PARAMS, CONSTS)
-            rho2s.append(rho2)
+            rho2s.append(rho_squared_at_origin(kernel, NoiseStream(seed=5, dt=0.01), None))
         assert rho2s[0] < rho2s[1] < rho2s[2]
 
     def test_default_window_guard(self):
-        with pytest.raises(DecayConditionError):
-            default_rho_window(ModelParams(nu=0.01, r=0.01, beta=0.0), CONSTS, grad2_mean=100.0)
+        # a nonpositive margin is refused with the window left to default and with one given
+        rates = _rates(ModelParams(nu=0.01, r=0.01, beta=0.0), CONSTS)
+        for window in (None, 0.5):
+            with pytest.raises(DecayConditionError):
+                _window_steps(rates, 100.0, window, 0.01)
 
     def test_decay_margin_formula(self):
-        m = decay_margin(PARAMS, CONSTS, grad2_mean=0.0)
+        m = decay_margin(RATES, grad2_mean=0.0)
         assert m == pytest.approx(np.pi**2 + 2.0 - 2 * PARAMS.beta * CONSTS.c_gx, rel=1e-14)
 
 
@@ -319,15 +338,16 @@ class TestStationaryMoments:
         kernel = OUKernel(config.grid(), config.nu, config.cov1(), config.cov2(), config.dt)
         stream = NoiseStream(seed=17, dt=config.dt)
         lam = laplacian_eigenvalues(config.grid())
+        cross_rates = _rates(PARAMS, self.CROSS_HEAVY)
         g, r, cross = [], [], []
         for lo in range(0, self.DRAWS, 500):
             w = np.array([ou_init(kernel, wiener_shift(stream, -i)).sum(axis=0) for i in range(lo, lo + 500)])
-            g_block, r_block = _block_driver(w, lam, _rates(PARAMS, CONSTS))
-            g.append(g_block)
-            r.append(r_block)
-            cross.append(_block_driver(w, lam, _rates(PARAMS, self.CROSS_HEAVY))[1])
+            l2_block, h1_block = _norm_squares(w, lam)
+            g.append(h1_block)
+            r.append(driver_from_norms(l2_block, h1_block, RATES))
+            cross.append(driver_from_norms(l2_block, h1_block, cross_rates))
         g, r, cross = np.concatenate(g), np.concatenate(r), np.concatenate(cross)
-        exact = (*_stationary_moments(kernel, PARAMS, CONSTS), _stationary_moments(kernel, PARAMS, self.CROSS_HEAVY)[2])
+        exact = (*_stationary_moments(kernel, RATES), _stationary_moments(kernel, cross_rates)[2])
         for sample, value in zip((g, g**2, r, cross), exact):
             se = np.std(sample, ddof=1) / math.sqrt(sample.size)
             assert abs(np.mean(sample) - value) < 4.0 * se
@@ -356,11 +376,11 @@ class TestStationaryMoments:
             np.trace(A) ** 2 + 2.0 * np.trace(A @ A),
             quad * np.trace(I) + mix * (np.trace(I) * np.trace(A) + 2.0 * np.trace(I @ A)),
         )
-        assert _stationary_moments(kernel, PARAMS, CONSTS) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert _stationary_moments(kernel, RATES) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_noise_off_moments_are_zero(self, grid32):
         kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
-        assert _stationary_moments(kernel, PARAMS, CONSTS) == (0.0, 0.0, 0.0)
+        assert _stationary_moments(kernel, RATES) == (0.0, 0.0, 0.0)
 
 
 class TestConditionEvaluator:
@@ -471,6 +491,17 @@ class TestSynchronization:
         assert rep.converged
         assert rep.fitted_rate < 0
         assert rep.distances[-1] < 1e-6 * rep.distances[0]
+
+    def test_round_off_collapse_is_not_convergence(self, grid32):
+        # noise so strong that both members round to one array after one step:
+        # the distance drops to 0 without passing a positive value below 1e-6 of
+        # the initial one, so it is not contraction
+        huge1, huge2 = CovarianceSpec(1e156, 3.0, 4), CovarianceSpec(1e156, 2.5, 4)
+        z0a = dealiased(random_field(grid32, seed=27, scale=0.05))
+        z0b = dealiased(random_field(grid32, seed=28, scale=0.05))
+        rep = synchronization_experiment(29, PARAMS, huge1, huge2, z0a, z0b, t_end=0.02, dt=0.01)
+        assert rep.distances[0] > 0 and np.all(rep.distances[1:] == 0.0)
+        assert not rep.converged
 
 
 class TestStationaryStatistics:

@@ -507,6 +507,16 @@ class TestCommands:
         assert payload["all_converged"] is True
         assert payload["per_seed"][0]["fitted_rate"] < 0
 
+    def test_synchronize_round_off_collapse_exits_1(self, tmp_path):
+        # both members round to one array in one step: distance 0 is not contraction
+        overrides = {"noise.q1_amplitude": "1e156", "noise.q2_amplitude": "1e156"}
+        cfg = write_config(tmp_path, seeds="1", **{"time.t_end": "0.02", "time.burn": "0"}, **overrides)
+        out = tmp_path / "out"
+        assert main(["synchronize", "--config", str(cfg), "--output", str(out)]) == 1
+        payload = json.loads((out / "synchronize.json").read_text())
+        assert payload["all_converged"] is False
+        assert payload["per_seed"][0]["final_distance"] == 0.0
+
     def test_check_condition_noise_off(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -131,6 +131,15 @@ def test_one_kernel_build_per_experiment():
     }
 
 
+def test_rates_formed_once_per_experiment():
+    # the condition constants enter where an experiment forms its rates; the
+    # chain's norm series, the window, the moments and the recursion take them
+    assert definitions_calling(PACKAGE, "_rates") == {
+        "analysis.radius_invariance_experiment",
+        "analysis.check_condition",
+    }
+
+
 def test_field_is_a_boundary_type():
     # a trajectory is arrays between `evolve`'s start fields and a caller's
     # snapshot: no step, untransform, analysis, validation suite or
