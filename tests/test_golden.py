@@ -73,6 +73,12 @@ CASES = {
         {"grid.n": "128", "time.dt": "0.001", "time.t_end": "0.005", "time.burn": "0", "seeds": "1"},
         [("simulate", 0), ("validate", 0)],
     ),
+    # strong noise at small nu: the mean-damping margin is negative, so
+    # check-condition writes its refusal report and radius refuses with exit 3
+    "no-margin": (
+        {"params.nu": "0.01", "noise.q1_amplitude": "1e4", "noise.q2_amplitude": "1e4", "seeds": "1"},
+        [("check-condition", 0), ("radius", 3)],
+    ),
 }
 
 
