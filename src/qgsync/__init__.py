@@ -45,9 +45,7 @@ from .dynamics import (
     untransform,
 )
 from .analysis import (
-    ConditionReport,
     DecayConditionError,
-    SyncReport,
     check_condition,
     cocycle_check,
     radius_invariance_experiment,

@@ -20,6 +20,11 @@ This module turns the stability theory into executable checks:
     moments of the synchronized state.
   * `cocycle_check` is the bitwise flow-property regression test.
 
+Each experiment returns its report body as a plain dict, with the keys in
+the order its JSON report writes them; the entry that
+`synchronization_experiment` returns also carries the distance record,
+which the CLI writes as CSV.
+
 All estimates are plug-in: the trilinear constant is an empirical lower
 bound of the discrete operator norm, the expectations carry standard
 errors, and every report states the verdict together with its margin.
@@ -31,7 +36,6 @@ eigenvalue convention unambiguous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -361,40 +365,6 @@ def _moment(vals: np.ndarray, power: int) -> dict:
     return {"mean": mean, "se": se}
 
 
-@dataclass
-class ConditionReport:
-    """Evaluated contraction inequality with per-term attribution.
-
-    `terms` holds the named summands whose sum is `lhs`; `estimates` maps
-    each expectation to (mean, standard error, 0.0 if exact).  When the
-    mean-damping precondition fails the radius moments are not estimable:
-    `satisfied` is False, `reason` explains why, and lhs/terms are None.
-    """
-
-    terms: dict | None
-    lhs: float | None
-    satisfied: bool
-    estimates: dict
-    constants: OperatorConstants
-    margin_se: float | None = None
-    reason: str | None = None
-    nu_lambda1: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "terms": self.terms,
-            "lhs": self.lhs,
-            "satisfied": self.satisfied,
-            "margin_se": self.margin_se,
-            "reason": self.reason,
-            "estimates": self.estimates,
-            "constants": self.constants.to_dict(),
-            "nu_lambda1": self.nu_lambda1,
-            "lambda1": self.constants.lambda1,
-            "norm_convention": NORM_CONVENTION,
-        }
-
-
 def check_condition(
     params: ModelParams,
     cov1: CovarianceSpec,
@@ -403,14 +373,21 @@ def check_condition(
     stream: NoiseStream,
     grid: GridSpec,
     constants: OperatorConstants | None = None,
-) -> ConditionReport:
+) -> dict:
     """The contraction inequality, summand by summand, with the plug-in constants.
 
+    Returns the body of check-condition.json.  `terms` holds the named
+    summands whose sum is `lhs`; `satisfied` is lhs < 0, and `margin_se`
+    is -lhs in standard errors (None when the standard error is 0).
+    `estimates` maps each expectation to its mean and standard error.
     E|grad w|^2, E|grad w|^4 and E R are exact (`_stationary_moments`,
     standard error 0).  E rho^2 and E rho^4 are means over `samples`
     decimated points of one long radius path, after a burn of one
-    quadrature window, and alone carry the standard error of lhs.  A
-    moment or an lhs that is not finite is a `DecayConditionError`.
+    quadrature window, and alone carry the standard error of lhs.  When
+    the mean-damping precondition fails, the radius moments are not
+    estimable: `reason` says why, `satisfied` is False, and terms, lhs,
+    margin_se, E_rho2 and E_rho4 are None.  A moment or an lhs that is
+    not finite is a `DecayConditionError`.
     """
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
@@ -422,22 +399,27 @@ def check_condition(
     exact = zip(("E_grad2", "E_grad4", "E_R"), _stationary_moments(kernel, rates))
     estimates = {key: {"mean": mean, "se": 0.0} for key, mean in exact}
     e_grad2 = estimates["E_grad2"]["mean"]
+    report = {
+        "terms": None,
+        "lhs": None,
+        "satisfied": False,
+        "margin_se": None,
+        "reason": None,
+        "estimates": estimates,
+        "constants": constants.to_dict(),
+        "nu_lambda1": params.nu * constants.lambda1,
+        "lambda1": constants.lambda1,
+        "norm_convention": NORM_CONVENTION,
+    }
     margin = decay_margin(rates, e_grad2)
     if margin <= 0:
         estimates.update(E_rho2=None, E_rho4=None)
-        return ConditionReport(
-            terms=None,
-            lhs=None,
-            satisfied=False,
-            estimates=estimates,
-            constants=constants,
-            reason=(
-                "mean-damping condition violated: "
-                f"lambda1*nu + 2r - 2*c_gx*beta - (3 c_b^2/nu) E|grad w|^2 = {margin:.6g} <= 0; "
-                "radius moments are not estimable"
-            ),
-            nu_lambda1=params.nu * constants.lambda1,
+        report["reason"] = (
+            "mean-damping condition violated: "
+            f"lambda1*nu + 2r - 2*c_gx*beta - (3 c_b^2/nu) E|grad w|^2 = {margin:.6g} <= 0; "
+            "radius moments are not estimable"
         )
+        return report
 
     # one long radius path: burn one window, then decimate
     burn = _window_steps(rates, e_grad2, None, stream.dt)
@@ -471,40 +453,13 @@ def check_condition(
         raise DecayConditionError(f"the contraction inequality's lhs is {lhs}; a summand is not finite")
     se_lhs = math.hypot(*(coeff * estimates[key]["se"] for coeff, key in estimated.values()))
     margin_se = (-lhs / se_lhs) if se_lhs > 0 else None
-    return ConditionReport(
-        terms=terms,
-        lhs=lhs,
-        satisfied=lhs < 0,
-        estimates=estimates,
-        constants=constants,
-        margin_se=margin_se,
-        nu_lambda1=nu * constants.lambda1,
-    )
+    report.update(terms=terms, lhs=lhs, satisfied=lhs < 0, margin_se=margin_se)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Synchronization and stationary statistics
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SyncReport:
-    """Distance record between two trajectories driven by the same noise."""
-
-    times: np.ndarray
-    distances: np.ndarray
-    fitted_rate: float
-    rate_stderr: float
-    converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "fitted_rate": self.fitted_rate,
-            "rate_stderr": self.rate_stderr,
-            "converged": self.converged,
-            "initial_distance": float(self.distances[0]),
-            "final_distance": float(self.distances[-1]),
-        }
 
 
 def _fit_log_rate(times: np.ndarray, dists: np.ndarray):
@@ -533,12 +488,15 @@ def synchronization_experiment(
     z0_b: Field,
     t_end: float,
     dt: float,
-) -> SyncReport:
+) -> dict:
     """Evolve two initial states under one noise path and fit the contact rate.
 
     Both members share one coefficient chain (one realized environment),
     so any approach of the two states is pathwise synchronization, not
-    averaging.
+    averaging.  Returns the seed's report entry: the fitted log-distance
+    rate with its standard error, the convergence verdict and the first
+    and last distance, followed by the `times` and `distances` arrays of
+    the whole distance record.
     """
     stream = NoiseStream(seed=seed, dt=dt)
     states = evolve(t_end, stream, (z0_a, z0_b), params, cov1, cov2, check_cfl=False)
@@ -552,9 +510,15 @@ def synchronization_experiment(
         (below[-1] and dists[np.argmax(below)] > 0)
         or (rate < 0 and abs(rate) > 3.0 * stderr)
     )
-    return SyncReport(
-        times=times, distances=dists, fitted_rate=rate, rate_stderr=stderr, converged=converged
-    )
+    return {
+        "fitted_rate": rate,
+        "rate_stderr": stderr,
+        "converged": converged,
+        "initial_distance": float(dists[0]),
+        "final_distance": float(dists[-1]),
+        "times": times,
+        "distances": dists,
+    }
 
 
 def stationary_statistics(

@@ -285,13 +285,14 @@ def cmd_synchronize(config: RunConfig, outdir: str) -> int:
         report = analysis.synchronization_experiment(
             seed, params, cov1, cov2, z0a, z0b, config.t_end, config.dt
         )
-        all_converged = all_converged and report.converged
+        times, distances = report.pop("times"), report.pop("distances")
+        all_converged = all_converged and report["converged"]
         write_csv(
             os.path.join(outdir, f"synchronize_seed{seed}.csv"),
             ["t", "distance"],
-            zip(report.times, report.distances),
+            zip(times, distances),
         )
-        summary.append({"seed": seed, **report.to_dict()})
+        summary.append({"seed": seed, **report})
     write_json(
         os.path.join(outdir, "synchronize.json"),
         _report_payload(
@@ -330,9 +331,9 @@ def cmd_check_condition(config: RunConfig, outdir: str) -> int:
     )
     write_json(
         os.path.join(outdir, "check-condition.json"),
-        _report_payload("check-condition", config, report.to_dict()),
+        _report_payload("check-condition", config, report),
     )
-    print(f"contraction condition satisfied: {report.satisfied}")
+    print(f"contraction condition satisfied: {report['satisfied']}")
     return 0
 
 

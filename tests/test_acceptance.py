@@ -200,8 +200,8 @@ def test_criterion_5_linear_rate():
         5, params, COV_OFF, COV_OFF, z0a, z0b, t_end=2.0, dt=1e-3
     )
     ref = -(math.pi**2 + 2.0)
-    assert rep.fitted_rate < 0
-    assert abs(rep.fitted_rate - ref) / abs(ref) < 0.2
+    assert rep["fitted_rate"] < 0
+    assert abs(rep["fitted_rate"] - ref) / abs(ref) < 0.2
 
 
 @criterion("criterion 6: contraction condition evaluator (exact / satisfied / violated)")
@@ -211,8 +211,8 @@ def test_criterion_6_condition_evaluator(constants):
     rep = check_condition(
         params0, COV_OFF, COV_OFF, 100, NoiseStream(seed=6, dt=DT), GRID, constants=constants
     )
-    assert rep.satisfied
-    assert rep.lhs == pytest.approx(-params0.nu * math.pi**2 - 2.0 * params0.r, abs=1e-12)
+    assert rep["satisfied"]
+    assert rep["lhs"] == pytest.approx(-params0.nu * math.pi**2 - 2.0 * params0.r, abs=1e-12)
 
     # (b) default small-noise configuration: total traces at most 1e-3
     gradient_trace = float(np.sum(laplacian_eigenvalues(GRID) * COV2.interior_variances(GRID)))
@@ -221,8 +221,8 @@ def test_criterion_6_condition_evaluator(constants):
     rep_b = check_condition(
         PARAMS, COV1, COV2, DEFAULT.mc_samples, NoiseStream(seed=1, dt=DT), GRID, constants=constants
     )
-    assert rep_b.satisfied
-    assert rep_b.margin_se is not None and rep_b.margin_se > 3.0
+    assert rep_b["satisfied"]
+    assert rep_b["margin_se"] is not None and rep_b["margin_se"] > 3.0
 
     # (c) amplitudes x 1e4 at nu = 0.01: condition must fail
     big1 = CovarianceSpec(COV1.amplitude * 1e4, COV1.decay, COV1.cutoff)
@@ -232,7 +232,7 @@ def test_criterion_6_condition_evaluator(constants):
     rep_c = check_condition(
         params_c, big1, big2, 100, NoiseStream(seed=2, dt=DT), GRID, constants=constants_c
     )
-    assert not rep_c.satisfied
+    assert not rep_c["satisfied"]
 
 
 @criterion("criterion 7: synchronization on >= 15/16 seeds and pathwise uniqueness")
@@ -247,7 +247,7 @@ def test_criterion_7_synchronization_at_scale():
         rep = synchronization_experiment(
             seed, PARAMS, COV1, COV2, z0a, z0b, t_end=t_end, dt=DT
         )
-        if rep.converged and rep.fitted_rate < 0 and rep.distances[-1] < 1e-6 * rep.distances[0]:
+        if rep["converged"] and rep["fitted_rate"] < 0 and rep["distances"][-1] < 1e-6 * rep["distances"][0]:
             good += 1
     assert good >= 15
 

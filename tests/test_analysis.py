@@ -389,20 +389,20 @@ class TestConditionEvaluator:
         report = check_condition(
             params, COV_OFF, COV_OFF, 100, NoiseStream(seed=6, dt=0.01), grid32, constants=CONSTS
         )
-        assert report.satisfied
-        assert report.lhs == pytest.approx(-np.pi**2 - 2.0, abs=1e-12)
-        assert report.lhs == pytest.approx(sum(report.terms.values()), abs=1e-12)
-        assert report.nu_lambda1 == pytest.approx(np.pi**2, rel=1e-14)
+        assert report["satisfied"]
+        assert report["lhs"] == pytest.approx(-np.pi**2 - 2.0, abs=1e-12)
+        assert report["lhs"] == pytest.approx(sum(report["terms"].values()), abs=1e-12)
+        assert report["nu_lambda1"] == pytest.approx(np.pi**2, rel=1e-14)
 
     def test_small_noise_satisfied_with_margin(self, grid32):
         report = check_condition(
             PARAMS, COV1, COV2, 200, NoiseStream(seed=7, dt=0.01), grid32, constants=CONSTS
         )
-        assert report.satisfied
-        assert report.margin_se is not None and report.margin_se > 3.0
-        assert report.lhs < -10.0
+        assert report["satisfied"]
+        assert report["margin_se"] is not None and report["margin_se"] > 3.0
+        assert report["lhs"] < -10.0
         for key in ("E_grad2", "E_grad4", "E_rho2", "E_rho4", "E_R"):
-            assert report.estimates[key]["se"] >= 0.0
+            assert report["estimates"][key]["se"] >= 0.0
 
     def test_large_noise_not_satisfied(self, grid32):
         big1 = CovarianceSpec(3e-4 * 1e4, 3.0, 4)
@@ -411,8 +411,8 @@ class TestConditionEvaluator:
         report = check_condition(
             params, big1, big2, 100, NoiseStream(seed=8, dt=0.01), grid32, constants=CONSTS
         )
-        assert not report.satisfied
-        assert report.reason is not None
+        assert not report["satisfied"]
+        assert report["reason"] is not None
 
     def test_monotone_in_viscosity(self, grid32):
         values = []
@@ -421,7 +421,7 @@ class TestConditionEvaluator:
             rep = check_condition(
                 params, COV1, COV2, 100, NoiseStream(seed=9, dt=0.01), grid32, constants=CONSTS
             )
-            values.append(rep.lhs)
+            values.append(rep["lhs"])
         assert values[0] > values[1] > values[2]
 
     def test_standard_errors_shrink(self, grid32):
@@ -432,17 +432,21 @@ class TestConditionEvaluator:
             PARAMS, COV1, COV2, 600, NoiseStream(seed=10, dt=0.01), grid32, constants=CONSTS
         )
         # E_grad2, E_grad4 and E_R are exact; the radius moments are sampled
-        ratio = rep_a.estimates["E_rho2"]["se"] / rep_b.estimates["E_rho2"]["se"]
+        ratio = rep_a["estimates"]["E_rho2"]["se"] / rep_b["estimates"]["E_rho2"]["se"]
         assert 1.4 < ratio < 2.9  # ~2 expected for 4x samples
 
     def test_report_dict_shape(self, grid32):
         report = check_condition(
             PARAMS, COV1, COV2, 100, NoiseStream(seed=11, dt=0.01), grid32, constants=CONSTS
         )
-        payload = report.to_dict()
-        assert set(payload["estimates"]) == {"E_grad2", "E_grad4", "E_rho2", "E_rho4", "E_R"}
-        assert payload["lambda1"] == pytest.approx(np.pi**2)
-        assert "norm_convention" in payload
+        assert set(report["estimates"]) == {"E_grad2", "E_grad4", "E_rho2", "E_rho4", "E_R"}
+        assert report["lambda1"] == pytest.approx(np.pi**2)
+        assert "norm_convention" in report
+        # the key order is the order check-condition.json writes
+        assert list(report) == [
+            "terms", "lhs", "satisfied", "margin_se", "reason", "estimates",
+            "constants", "nu_lambda1", "lambda1", "norm_convention",
+        ]
 
 
 class TestSynchronization:
@@ -451,7 +455,7 @@ class TestSynchronization:
         rep = synchronization_experiment(
             13, PARAMS, COV1, COV2, z0, z0, t_end=0.3, dt=0.01
         )
-        assert np.all(rep.distances == 0.0)
+        assert np.all(rep["distances"] == 0.0)
 
     def test_noise_off_linear_rate(self, grid32):
         # difference decays in the weakest mode at ~ (nu pi^2 + r); the
@@ -463,9 +467,9 @@ class TestSynchronization:
             14, params, COV_OFF, COV_OFF, z0a, z0b, t_end=2.0, dt=1e-3
         )
         ref = -(np.pi**2 + 2.0)
-        assert rep.converged
-        assert rep.fitted_rate < 0
-        assert abs(rep.fitted_rate - ref) / abs(ref) < 0.2
+        assert rep["converged"]
+        assert rep["fitted_rate"] < 0
+        assert abs(rep["fitted_rate"] - ref) / abs(ref) < 0.2
 
     def test_one_chain_step_per_step(self, grid32, monkeypatch):
         # the pair shares one coefficient chain: one OU step per time step
@@ -488,9 +492,9 @@ class TestSynchronization:
         rep = synchronization_experiment(
             18, PARAMS, COV1, COV2, z0a, z0b, t_end=3.0, dt=0.01
         )
-        assert rep.converged
-        assert rep.fitted_rate < 0
-        assert rep.distances[-1] < 1e-6 * rep.distances[0]
+        assert rep["converged"]
+        assert rep["fitted_rate"] < 0
+        assert rep["distances"][-1] < 1e-6 * rep["distances"][0]
 
     def test_round_off_collapse_is_not_convergence(self, grid32):
         # noise so strong that both members round to one array after one step:
@@ -500,8 +504,8 @@ class TestSynchronization:
         z0a = dealiased(random_field(grid32, seed=27, scale=0.05))
         z0b = dealiased(random_field(grid32, seed=28, scale=0.05))
         rep = synchronization_experiment(29, PARAMS, huge1, huge2, z0a, z0b, t_end=0.02, dt=0.01)
-        assert rep.distances[0] > 0 and np.all(rep.distances[1:] == 0.0)
-        assert not rep.converged
+        assert rep["distances"][0] > 0 and np.all(rep["distances"][1:] == 0.0)
+        assert not rep["converged"]
 
 
 class TestStationaryStatistics:

@@ -204,3 +204,10 @@ def unused_imports(paths) -> set[str]:
 
 def test_no_unused_imports():
     assert unused_imports(sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))) == set()
+
+
+def test_analysis_defines_no_report_class():
+    # every experiment returns the dict its report writes, so the module's
+    # one class is its refusal
+    tree = ast.parse((PACKAGE / "analysis.py").read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == ["DecayConditionError"]
