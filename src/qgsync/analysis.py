@@ -6,8 +6,8 @@ This module turns the stability theory into executable checks:
     processes, and `propagate_rho_squared` the one computation of the
     absorbing radius rho: the affine recursion of the trapezoid pullback
     quadrature, started from 0 at the far end of a window.  |w|^2 and
-    |grad w|^2 of the coefficient arrays w = zw1 + zw2 are taken in one
-    place, `_norm_squares`, for a whole stack of arrays; the chain and its
+    |grad w|^2 of w = zw1 + zw2 at the chain's cells (`OUKernel.combined`)
+    are taken in one place, `_norm_squares`, for a stack; the chain and its
     norm series carry no condition constant, and each experiment forms
     its rates (`_rates`) once and hands them to the consumers.
   * `radius_invariance_experiment` verifies forward invariance of the random
@@ -184,36 +184,30 @@ _RHO_CHUNK = 1024  # samples that `propagate_rho_squared` lists at a time
 
 
 def _norm_squares(w: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|w|^2 and |grad w|^2 for a stack of combined coefficient arrays w[i].
+    """|w|^2 and |grad w|^2 for a stack of rows w[i] of w = zw1 + zw2 at the kernel's `cells`.
 
-    The only place either is computed from arrays.  Bitwise equal to
-    `norm_l2(w[i]) ** 2` and `norm_h1(w[i]) ** 2` for each array: the sums
-    run over the same contiguous rows, and the norms are squared as Python
-    floats (libm `pow`, as `float ** 2` does), not as x * x.  `lam` holds
-    the Laplacian eigenvalues once, shape (n+1, n+1), or once per array of
-    w, shape (len(w), n+1, n+1); numpy multiplies such a table of full rows
-    on its same-shape loop, faster than it broadcasts one row, with the
-    same products, and they overwrite the squares once |w| is summed.
-    Overflow gives inf, not a warning; callers that need finite values
-    check for them.
+    The only place either is computed from the chain.  `lam` holds the
+    Laplacian eigenvalues at the same cells.  w is zero off them, so these
+    are `norm_l2(w) ** 2` and `norm_h1(w) ** 2` of the lattice array up to
+    round-off of the sums.  Overflow gives inf, not a warning; callers that
+    need finite values check for them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.square(w).reshape(len(w), -1)
-        l2 = np.sqrt(np.sum(sq, axis=1))
-        h1 = np.sqrt(np.sum(np.multiply(lam.reshape(-1, sq.shape[1]), sq, out=sq), axis=1))
-        return np.array([x**2 for x in l2.tolist()]), np.array([x**2 for x in h1.tolist()])
+        sq = np.square(w)
+        l2 = np.sum(sq, axis=1)
+        return l2, np.sum(np.multiply(sq, lam, out=sq), axis=1)
 
 
 def _coefficient_window(kernel: OUKernel, stream: NoiseStream, steps: int):
     """Simulate the coefficient processes from relative step -steps up to 0.
 
     Returns (l2, h1, zw): l2 and h1 sample |w|^2 and |grad w|^2 of
-    w = zw[0] + zw[1] at every step, and `zw` is the read-only chain array
+    w = zw1 + zw2 at every step, and `zw` is the read-only chain vector
     at the stream's origin, pathwise consistent with the window and ready
     to be transported into a forward run with this kernel.  The series
     carry no condition constant: a consumer forms R with
     `driver_from_norms` under its own rates.  The chain advances one
-    `ou_step` at a time; each step's w is added into one row of a
+    `ou_step` at a time; each step's w at the cells is one row of a
     `_NORM_BLOCK`-row buffer, and the norms of a full buffer are taken in
     one go.  A window whose series of steps + 1 floats numpy cannot hold is
     a `ConfigError`.
@@ -225,18 +219,17 @@ def _coefficient_window(kernel: OUKernel, stream: NoiseStream, steps: int):
         )
     past = wiener_shift(stream, -steps)
     zw = ou_init(kernel, past)
-    block = np.empty((_NORM_BLOCK, *kernel.grid.shape))
-    lam = np.broadcast_to(laplacian_eigenvalues(kernel.grid), block.shape).copy()
-    rows = list(block)
+    block = np.empty((_NORM_BLOCK, kernel.cells.size))
+    lam = laplacian_eigenvalues(kernel.grid).take(kernel.cells)
     l2 = np.empty(steps + 1)
     h1 = np.empty(steps + 1)
     for lo in range(0, steps + 1, _NORM_BLOCK):
         hi = min(lo + _NORM_BLOCK, steps + 1)
-        for j, row in zip(range(lo, hi), rows):
+        for j, row in zip(range(lo, hi), block):
             if j:
                 zw = ou_step(kernel, zw, past, j - 1)
-            np.add(zw[0], zw[1], out=row)
-        l2[lo:hi], h1[lo:hi] = _norm_squares(block[: hi - lo], lam[: hi - lo])
+            row[:] = kernel.combined(zw)
+        l2[lo:hi], h1[lo:hi] = _norm_squares(block[: hi - lo], lam)
     return l2, h1, zw
 
 
@@ -254,7 +247,7 @@ def _stationary_moments(kernel: OUKernel, rates: tuple[float, float, float]) -> 
 
     A moment that is not finite is a `DecayConditionError`.
     """
-    v1, v2 = kernel.stationary_variances()
+    v1, v2 = kernel.planes(kernel.stat_gain**2)
     lam = laplacian_eigenvalues(kernel.grid)
     _, c, quad = rates
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,7 +291,7 @@ def radius_invariance_experiment(
     if constants is None:
         constants = estimate_constants(grid, seed=0)
     kernel = OUKernel(grid, params.nu, cov1, cov2, dt)
-    lam = laplacian_eigenvalues(grid)
+    lam = laplacian_eigenvalues(grid).take(kernel.cells)
     rates = _rates(params, constants)
     grad2, _, _ = _stationary_moments(kernel, rates)
     steps = _window_steps(rates, grad2, window, dt)
@@ -322,7 +315,7 @@ def radius_invariance_experiment(
         states = evolve(t_end, stream, start, params, cov1, cov2, check_cfl=False)
         next(states)  # the start state
         for state in states:
-            norms.append(_norm_squares((state.zw[0] + state.zw[1])[np.newaxis], lam))
+            norms.append(_norm_squares(kernel.combined(state.zw)[np.newaxis], lam))
             z2.append(norm_l2(state.members[0]) ** 2)
         l2, h1 = np.concatenate(norms, axis=1)
         zeta = propagate_rho_squared(rho2_0, h1, driver_from_norms(l2, h1, rates), dt, rates)[1:]
@@ -554,7 +547,7 @@ def stationary_statistics(
         for state in evolve(t_end, stream, (z0a, z0b), params, cov1, cov2, check_cfl=False):
             if state.step > burn_steps:
                 a, b = state.members
-                u = untransform(a, state.zw)
+                u = untransform(a, state.kernel.planes(state.zw))
                 l2, h1 = norm_l2(u), norm_h1(u)
                 # squared as products first: `float ** 2` raises on overflow
                 if not (math.isfinite(l2 * l2) and math.isfinite(h1 * h1)):

@@ -23,10 +23,10 @@ at different rates, so its stationary correlation between them is below 1.
 processes are set up: it builds the boundary lift itself, sized to the
 boundary covariance.  `ou_init(kernel, stream)` is the only stationary
 draw and `ou_step` the only update.  The state they return is one bare
-read-only (2, n+1, n+1) array `zw`, whose planes `zw[0]` and `zw[1]` are
-the NEUMANN_COSINE coefficients zw1 and zw2 of the two processes, not
+read-only float64 vector `zw`: the entries of the NEUMANN_COSINE
+coefficients zw1 and zw2 of the two processes that are ever nonzero, not
 `Field`s: the chain never leaves the package as a field, and callers that
-need one build it.  The array holds neither its kernel nor a step counter:
+need one build it.  The vector holds neither its kernel nor a step counter:
 `ou_step(kernel, zw, stream, step)` is given both, and the caller (for a
 trajectory, `CocycleState`) keeps them.
 
@@ -40,16 +40,15 @@ reserved for the stationary draw of `ou_init` (read at relative step -1),
 so a past-window simulation never re-reads channels that a later forward
 run consumes.
 
-The kernel lists, once, every entry of the state that receives an
-increment, as a flat index into `zw`: each lift column of plane 0 on every
-row (its channel is the column's boundary channel), then each interior
-mode of plane 1 (one diagonal channel each).  Next to the index it keeps
-each entry's channel and its step and stationary gains.  `ou_init` writes
-gain * normal at those entries of zeros.  `ou_step` makes one decay
-multiply of both planes (the decay broadcast, not stacked), takes the
-normals by channel, multiplies them by the gains and scatter-adds them at
-the index, whose entries are distinct: the same products and sums, in the
-same order, as adding each process's increments on its own plane.
+The kernel is the one owner of the lattice layout.  It lists, once, each
+entry of the vector as a flat index into the two (n+1, n+1) planes: each
+lift column of plane 0 on every row (its channel is the column's boundary
+channel), then each interior mode of plane 1 (one diagonal channel each).
+Next to the index it keeps each entry's channel, decay, and step and
+stationary gains, so `ou_step` is decay * zw + step_gain * normals[channel],
+the products and sums of each process's update on its lattice plane.
+`planes` lays a vector out on the two planes, and `combined` sums it into
+w = zw1 + zw2 at the `cells` that either plane uses.
 """
 
 from __future__ import annotations
@@ -225,7 +224,6 @@ class OUKernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             ou_var_scale = np.where(mask, (1.0 - np.exp(-2.0 * rate * dt)) / (2.0 * rate), 0.0)
             stat_scale = np.where(mask, 1.0 / (2.0 * rate), 0.0)
-        self.decay = np.where(mask, np.exp(-rate * dt), 0.0)
 
         # boundary-driven process (plane 0): gain nu*lambda through the lift,
         # one column per channel, on every row of lift columns 1..n_boundary
@@ -246,8 +244,8 @@ class OUKernel:
         w2_step = np.sqrt(q2[idx] * ou_var_scale[idx])
         w2_stat = np.sqrt(q2[idx] * stat_scale[idx])
 
-        # every entry of the (2, n+1, n+1) state that gets an increment, in
-        # flat order, with its channel and its step and stationary gains
+        # each entry of the chain vector: its flat index into the two planes,
+        # in flat order, its channel, decay and step and stationary gains
         rows, lift_ch = np.indices(w1_step.shape).reshape(2, -1)
         shape = (2, *grid.shape)
         self.index = np.concatenate([
@@ -255,17 +253,27 @@ class OUKernel:
             np.ravel_multi_index((np.ones_like(idx[0]), *idx), shape),
         ])
         self.channel = np.concatenate([lift_ch, self.n_boundary + np.arange(idx[0].size)])
+        cell = self.index % lam.size  # the entry's lattice cell
+        self.decay = np.where(mask, np.exp(-rate * dt), 0.0).take(cell)
         self.step_gain = np.concatenate([w1_step.ravel(), w2_step])
         self.stat_gain = np.concatenate([w1_stat.ravel(), w2_stat])
         self.n_channels = self.n_boundary + idx[0].size
-        for table in (self.decay, self.index, self.channel, self.step_gain, self.stat_gain):
+        # the cells either plane uses, and each entry's position among them
+        # (as np.unique(cell, return_inverse=True), without its 0.3 MB of RSS)
+        self.cells = np.flatnonzero(np.bincount(cell, minlength=lam.size))
+        self.into = self.cells.searchsorted(cell)
+        for table in (self.index, self.channel, self.decay, self.step_gain, self.stat_gain, self.cells, self.into):
             table.flags.writeable = False
 
-    def stationary_variances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Analytic per-mode stationary variances on the mode lattice, one array per process."""
-        v = np.zeros((2, *self.grid.shape))
-        v.reshape(-1)[self.index] = self.stat_gain**2
-        return v[0], v[1]
+    def planes(self, zw: np.ndarray) -> np.ndarray:
+        """A vector over the support (a chain: zw1 and zw2) on its two (n+1, n+1) lattice planes, zero elsewhere."""
+        out = np.zeros((2, *self.grid.shape))
+        out.reshape(-1)[self.index] = zw
+        return out
+
+    def combined(self, zw: np.ndarray) -> np.ndarray:
+        """w = zw1 + zw2 at `cells`, summed from 0.0 with plane 0 first; float64 also when there are none."""
+        return np.bincount(self.into, weights=zw, minlength=self.cells.size).astype(float, copy=False)
 
 
 def ou_init(kernel: OUKernel, stream: NoiseStream) -> np.ndarray:
@@ -276,8 +284,7 @@ def ou_init(kernel: OUKernel, stream: NoiseStream) -> np.ndarray:
     the reserved second half of the channel vector at relative step -1.
     """
     g = stream.normals(-1, 2 * kernel.n_channels)[kernel.n_channels :]
-    zw = np.zeros((2, *kernel.grid.shape))
-    zw.reshape(-1)[kernel.index] = kernel.stat_gain * g.take(kernel.channel)
+    zw = kernel.stat_gain * g.take(kernel.channel)
     zw.flags.writeable = False
     return zw
 
@@ -286,13 +293,10 @@ def ou_step(kernel: OUKernel, zw: np.ndarray, stream: NoiseStream, step: int) ->
     """Advance both processes of `zw` by one exact Ornstein-Uhlenbeck update: the next read-only `zw`.
 
     The increments are the stream's first `n_channels` normals of `step`,
-    the step being taken: one decay multiply of both planes, then each
-    increment added at its entry (the entries are distinct).  `zw` is not
-    written.
+    the step being taken.  `zw` is not written.
     """
     g = stream.normals(step, kernel.n_channels)
-    zw = kernel.decay * zw
-    np.add.at(zw.reshape(-1), kernel.index, kernel.step_gain * g.take(kernel.channel))
+    zw = kernel.decay * zw + kernel.step_gain * g.take(kernel.channel)
     zw.flags.writeable = False
     return zw
 

@@ -18,13 +18,18 @@ thread and no bytecode written into either tree:
 Every output file (snapshots included), standard output, standard error
 and exit code must match byte for byte.  The only text masked is each
 checkout's root path in standard error, where a warning prints its source
-file.  Each difference is printed; the exit code is 1 if there is any,
+file.  Each difference is printed; for a JSON file, so are the largest
+relative difference over its numbers and every difference that is not
+between two numbers, which tells round-off from a changed result where no
+golden tolerance applies.  The exit code is 1 if there is any difference,
 else 0.  The cases are read from this checkout; `perfbench/` is only
 read.
 """
 
 import difflib
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +92,32 @@ def run_tree(root: Path, workdir: Path, config: str, commands) -> dict:
     return results
 
 
+def json_differences(want, got, path: str = "$") -> tuple[float, list[str]]:
+    """(largest relative difference over the numbers, other differences) of two parsed JSON values.
+
+    Two numbers that differ, both finite, count by |a - b| / max(|a|, |b|);
+    every other difference (a string, a boolean, a key, a length, a
+    non-finite number) is listed with its path.
+    """
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if number(want) and number(got) and math.isfinite(want) and math.isfinite(got):
+        return (abs(want - got) / max(abs(want), abs(got)) if want != got else 0.0), []
+    if isinstance(want, dict) and isinstance(got, dict) and list(want) == list(got):
+        pairs = [(want[k], got[k], f"{path}.{k}") for k in want]
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        pairs = [(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(want, got))]
+    else:
+        same = json.dumps(want) == json.dumps(got)  # NaN equals NaN here
+        return 0.0, [] if same else [f"{path}: {want!r} -> {got!r}"]
+    worst, other = 0.0, []
+    for a, b, sub in pairs:
+        rel, found = json_differences(a, b, sub)
+        worst, other = max(worst, rel), other + found
+    return worst, other
+
+
 def differences(want: dict, got: dict) -> list[str]:
     """One message per result that the two runs of a case do not share byte for byte."""
     found = []
@@ -103,6 +134,14 @@ def differences(want: dict, got: dict) -> list[str]:
                 n=0,
             )
             found.append(f"{label} differs:\n" + "\n".join(list(diff)[:12]))
+            if label.endswith(".json"):
+                try:
+                    rel, other = json_differences(json.loads(want[label]), json.loads(got[label]))
+                except ValueError:
+                    found[-1] += "\nnot comparable as JSON"
+                    continue
+                found[-1] += f"\nlargest relative difference over its numbers: {rel:.3g}"
+                found[-1] += "\nnon-numeric differences: " + ("; ".join(other) if other else "none")
     return found
 
 

@@ -103,3 +103,11 @@ def beta_coeffs(v: np.ndarray) -> np.ndarray:
     psi = streamfunction_coeffs(nodal_from_coeffs(v, Basis.NEUMANN_COSINE, grid), grid)
     psi_x = derivative(psi, Basis.DIRICHLET_SINE, 0)
     return coeffs_from_nodal(nodal_from_coeffs(*psi_x, grid), Basis.NEUMANN_COSINE, grid)
+
+
+def chain_entry(kernel, plane: int, k: int, l: int) -> int:
+    """Position in a chain vector of `kernel` of mode (k, l) of plane `plane` (0 for zw1, 1 for zw2)."""
+    flat = np.ravel_multi_index((plane, k, l), (2, *kernel.grid.shape))
+    pos = int(np.searchsorted(kernel.index, flat))
+    assert kernel.index[pos] == flat, f"mode {(k, l)} of plane {plane} is not on the chain's support"
+    return pos

@@ -23,7 +23,7 @@ from qgsync.analysis import (
 from qgsync import dynamics
 from qgsync.config import RunConfig
 from qgsync.dynamics import ModelParams
-from qgsync.fields import Basis, Field, GridSpec, laplacian_eigenvalues, norm_h1, norm_l2
+from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, norm_l2
 from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import OperatorConstants
 
@@ -47,9 +47,10 @@ def window_series(kernel, stream, steps):
 
 class TestDriver:
     def test_zero_coefficients(self, grid32):
-        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=1, dt=0.01))
-        lam = laplacian_eigenvalues(grid32)
-        l2, h1 = _norm_squares((zw[0] + zw[1])[np.newaxis], lam)
+        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        zw = ou_init(kernel, NoiseStream(seed=1, dt=0.01))
+        lam = laplacian_eigenvalues(grid32).take(kernel.cells)
+        l2, h1 = _norm_squares(kernel.combined(zw)[np.newaxis], lam)
         assert h1[0] == 0.0 and driver_from_norms(l2, h1, RATES)[0] == 0.0
 
     def test_plugin_arithmetic(self):
@@ -70,15 +71,24 @@ class TestDriver:
             )
 
     def test_matches_field_norms(self, grid32):
-        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=2, dt=0.01))
-        w = zw[0] + zw[1]
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        zw = ou_init(kernel, NoiseStream(seed=2, dt=0.01))
+        planes = kernel.planes(zw)
+        w = planes[0] + planes[1]
         direct = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, RATES)
-        l2, h1 = _norm_squares(w[np.newaxis], laplacian_eigenvalues(grid32))
+        l2, h1 = _norm_squares(kernel.combined(zw)[np.newaxis], laplacian_eigenvalues(grid32).take(kernel.cells))
         assert driver_from_norms(l2, h1, RATES)[0] == pytest.approx(direct, rel=1e-14)
 
 
 class TestCoefficientWindow:
-    """The block-norm window against the per-step loop, bit for bit, and R of a series against R per step."""
+    """The block-norm window against lattice norms per step, and R of a series against R per step.
+
+    The chain is compared bit for bit.  The window sums |w|^2 and |grad w|^2
+    over the support's cells, the reference over whole lattices, so those
+    and R are compared within a relative `RTOL` fixed in advance.
+    """
+
+    RTOL = 1e-14
 
     @staticmethod
     def reference(stream, cov1, cov2, grid, steps):
@@ -89,7 +99,8 @@ class TestCoefficientWindow:
         h1 = np.empty(steps + 1)
         r = np.empty(steps + 1)
         for j in range(steps + 1):
-            w = zw[0] + zw[1]
+            planes = kernel.planes(zw)
+            w = planes[0] + planes[1]
             l2[j] = norm_l2(w) ** 2
             h1[j] = norm_h1(w) ** 2
             r[j] = driver_from_norms(norm_l2(w) ** 2, norm_h1(w) ** 2, RATES)
@@ -106,32 +117,15 @@ class TestCoefficientWindow:
         kernel = OUKernel(grid32, PARAMS.nu, cov1, cov2, stream.dt)
         l2, h1, zw = _coefficient_window(kernel, stream, steps)
         l2_ref, h1_ref, r_ref, zw_ref = self.reference(stream, cov1, cov2, grid32, steps)
-        assert np.array_equal(l2, l2_ref)
-        assert np.array_equal(h1, h1_ref)
-        assert np.array_equal(driver_from_norms(l2, h1, RATES), r_ref)
+        np.testing.assert_allclose(l2, l2_ref, rtol=self.RTOL, atol=0.0)
+        np.testing.assert_allclose(h1, h1_ref, rtol=self.RTOL, atol=0.0)
+        np.testing.assert_allclose(driver_from_norms(l2, h1, RATES), r_ref, rtol=self.RTOL, atol=0.0)
         assert np.array_equal(zw, zw_ref)
 
     def test_window_builds_no_field(self, grid32, field_inits):
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
         _coefficient_window(kernel, NoiseStream(seed=3, dt=0.01), 100)
         assert field_inits[0] == 0
-
-    def test_block_squares_like_python_floats(self):
-        # float ** 2 (libm pow) and x * x differ in the last bit for about
-        # 0.1% of inputs; 4000 norms hold several such cases
-        grid = GridSpec(8)
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal((4000, *grid.shape)) * rng.uniform(0.1, 10.0, (4000, 1, 1))
-        l2_sq, h1_sq = _norm_squares(w, laplacian_eigenvalues(grid))
-        l2 = [float(np.sqrt(np.sum(a**2))) for a in w]
-        h1 = [float(np.sqrt(np.sum(laplacian_eigenvalues(grid) * a**2))) for a in w]
-        assert any(x**2 != x * x for x in h1 + l2)  # the test can tell the two apart
-        assert np.array_equal(l2_sq, [x**2 for x in l2])
-        assert np.array_equal(h1_sq, [x**2 for x in h1])
-        assert np.array_equal(
-            driver_from_norms(l2_sq, h1_sq, RATES),
-            [driver_from_norms(a**2, b**2, RATES) for a, b in zip(l2, h1)],
-        )
 
 
 def trapezoid_rho_squared(g, r, dt):
@@ -337,11 +331,11 @@ class TestStationaryMoments:
         config = RunConfig(**amplitudes)
         kernel = OUKernel(config.grid(), config.nu, config.cov1(), config.cov2(), config.dt)
         stream = NoiseStream(seed=17, dt=config.dt)
-        lam = laplacian_eigenvalues(config.grid())
+        lam = laplacian_eigenvalues(config.grid()).take(kernel.cells)
         cross_rates = _rates(PARAMS, self.CROSS_HEAVY)
         g, r, cross = [], [], []
         for lo in range(0, self.DRAWS, 500):
-            w = np.array([ou_init(kernel, wiener_shift(stream, -i)).sum(axis=0) for i in range(lo, lo + 500)])
+            w = np.array([kernel.combined(ou_init(kernel, wiener_shift(stream, -i))) for i in range(lo, lo + 500)])
             l2_block, h1_block = _norm_squares(w, lam)
             g.append(h1_block)
             r.append(driver_from_norms(l2_block, h1_block, RATES))
@@ -366,7 +360,7 @@ class TestStationaryMoments:
             def normals(self, step, count):
                 return np.eye(count)[channels + self.j]
 
-        L = np.stack([ou_init(kernel, UnitNormal(j)).sum(axis=0).ravel() for j in range(channels)], axis=1)
+        L = np.stack([kernel.planes(ou_init(kernel, UnitNormal(j))).sum(axis=0).ravel() for j in range(channels)], axis=1)
         A = L.T @ (laplacian_eigenvalues(config.grid()).reshape(-1, 1) * L)
         I = L.T @ L
         quad = 3.0 * (CONSTS.c_gx * PARAMS.beta + PARAMS.r) ** 2 / (PARAMS.nu * CONSTS.lambda1)

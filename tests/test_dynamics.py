@@ -31,7 +31,7 @@ from qgsync.fields import (
     norm_l2,
     retained_mask,
 )
-from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init, wiener_shift
+from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import dirichlet_poisson, streamfunction_coeffs
 
 from conftest import advection, beta_coeffs, dealiased, mode_field, nodal, random_field
@@ -137,7 +137,8 @@ class TestStepImex:
         dt = 0.01
         stream = NoiseStream(seed=2, dt=dt)
         start, state = evolve(dt, stream, (Field.zeros(grid32, Basis.NEUMANN_COSINE),), PARAMS, COV1, COV2)
-        w = start.zw[0] + start.zw[1]
+        planes = start.kernel.planes(start.zw)
+        w = planes[0] + planes[1]
         b = dealias(advection(w, w))
         tendency = -b - PARAMS.beta * beta_coeffs(w) - PARAMS.r * w
         expected = implicit_solve(grid32, dt * tendency, dt)
@@ -240,8 +241,9 @@ class TestStepImex:
         }
         assert states[True].step == 5
         assert np.array_equal(states[True].members[0], states[False].members[0])
-        assert np.array_equal(states[True].zw[0], states[False].zw[0])
-        assert np.array_equal(states[True].zw[1], states[False].zw[1])
+        planes = {check_cfl: state.kernel.planes(state.zw) for check_cfl, state in states.items()}
+        assert np.array_equal(planes[True][0], planes[False][0])
+        assert np.array_equal(planes[True][1], planes[False][1])
 
     @pytest.mark.parametrize("check_cfl", [True, False])
     def test_step_builds_few_fields(self, grid32, field_inits, check_cfl):
@@ -249,8 +251,9 @@ class TestStepImex:
         # terms, the CFL speed, the solve and the new z are all arrays
         stream = NoiseStream(seed=12, dt=0.01)
         z = masked_field(grid32, 12).coeffs
-        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), stream)
-        w = zw[0] + zw[1]
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        planes = kernel.planes(ou_init(kernel, stream))
+        w = planes[0] + planes[1]
         field_inits[0] = 0
         step_imex(z, w, PARAMS, 0.01, 0, check_cfl=check_cfl)
         assert field_inits[0] == 0
@@ -334,6 +337,32 @@ class TestEvolve:
         b = last(evolve(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
         assert np.array_equal(a.members[0], b.members[0])
 
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_step_w_is_the_sum_of_the_chain_planes(self, monkeypatch, n):
+        # the w each step hands to `step_imex` is zw1 + zw2 of the lattice
+        # planes byte for byte, and `combined` is that sum at the cells
+        seen = []
+
+        def record(z, w, params, dt, step, check_cfl, out):
+            seen.append(w.copy())
+            out[...] = z
+            return out
+
+        monkeypatch.setattr(dynamics, "step_imex", record)
+        grid = GridSpec(n)
+        start = (Field.zeros(grid, Basis.NEUMANN_COSINE),)
+        states = evolve(2.0, NoiseStream(seed=33, dt=0.01), start, PARAMS, COV1, COV2)
+        prev = next(states)
+        for state in states:
+            (w,) = seen
+            planes = prev.kernel.planes(prev.zw)
+            assert w.tobytes() == (planes[0] + planes[1]).tobytes()
+            assert prev.kernel.combined(prev.zw).tobytes() == w.take(prev.kernel.cells).tobytes()
+            seen.clear()
+            prev = state
+        assert prev.step == 200
+        assert np.any(w)
+
     def test_time_must_be_step_multiple(self, grid32):
         with pytest.raises(ConfigError):
             next(evolve(0.015, NoiseStream(seed=13, dt=0.01), (masked_field(grid32, 13),), PARAMS, COV1, COV2))
@@ -361,8 +390,9 @@ class TestEvolve:
         for shared, single in zip(pair, alone):
             assert shared.step == single.step
             assert np.array_equal(shared.members[0], single.members[0])
-            assert np.array_equal(shared.zw[0], single.zw[0])
-            assert np.array_equal(shared.zw[1], single.zw[1])
+            shared_planes, single_planes = shared.kernel.planes(shared.zw), single.kernel.planes(single.zw)
+            assert np.array_equal(shared_planes[0], single_planes[0])
+            assert np.array_equal(shared_planes[1], single_planes[1])
         assert not np.array_equal(pair[-1].members[1], pair[-1].members[0])
 
     def test_members_are_read_only(self, grid32):
@@ -383,7 +413,8 @@ class TestEvolve:
         states = list(evolve(0.003, stream, start, PARAMS, COV1, COV2))
         held = list(fields._WORK.get(n)) + list(operators._JACOBIAN_WORK.get(n)) + list(dynamics._STEP_WORK.get(n))
         for prev, state in zip(states, states[1:]):
-            w = prev.zw[0] + prev.zw[1]
+            planes = prev.kernel.planes(prev.zw)
+            w = planes[0] + planes[1]
             fresh = np.array([step_imex(z, w, PARAMS, stream.dt, prev.step) for z in prev.members])
             assert np.array_equal(state.members.view(np.int64), fresh.view(np.int64))
             assert not np.shares_memory(state.members, prev.members)
@@ -458,39 +489,46 @@ class TestCocycle:
         assert np.array_equal(second.members, full.members)
 
     def test_built_state_steps_its_chain_with_its_kernel(self, grid32):
-        # a chain drawn with noise, paired with a noise-free kernel, only
-        # decays, whatever covariances the run is given
-        kernel0 = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        # a chain paired with a kernel of another viscosity (the same
+        # support, other decays and gains) steps with that kernel, whatever
+        # parameters and covariances the run is given
+        kernel0 = OUKernel(grid32, 4.0 * PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
         stream = NoiseStream(seed=31, dt=0.01)
-        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), stream).copy()
+        zw = ou_init(kernel, stream).copy()
         start = CocycleState(step=0, members=masked_field(grid32, 31).coeffs[np.newaxis], zw=zw, kernel=kernel0)
         assert not start.zw.flags.writeable and not start.members.flags.writeable
-        states = list(evolve(0.02, stream, start, PARAMS, COV1, COV2, check_cfl=False))
+        states = list(evolve(0.02, stream, start, PARAMS, COV_OFF, COV_OFF, check_cfl=False))
         assert all(state.kernel is kernel0 for state in states)
         assert np.any(zw)
-        assert np.array_equal(states[1].zw, kernel0.decay * zw)
-        assert np.array_equal(states[2].zw, kernel0.decay * (kernel0.decay * zw))
+        increments = kernel0.step_gain * stream.normals(0, kernel0.n_channels).take(kernel0.channel)
+        assert np.array_equal(states[1].zw, kernel0.decay * zw + increments)
+        assert np.array_equal(states[2].zw, ou_step(kernel0, states[1].zw, stream, 1))
+        assert not np.array_equal(states[1].zw, ou_step(kernel, zw, stream, 0))
 
 
 class TestUntransform:
     def test_zero_coefficients_identity(self, grid32):
         z = masked_field(grid32, 18)
-        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01), NoiseStream(seed=18, dt=0.01))
-        u = untransform(z.coeffs, zw)
+        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        zw = ou_init(kernel, NoiseStream(seed=18, dt=0.01))
+        u = untransform(z.coeffs, kernel.planes(zw))
         assert np.array_equal(u, z.coeffs)
         assert dirichlet_poisson(Field(grid32, Basis.NEUMANN_COSINE, u)).basis is Basis.DIRICHLET_SINE
 
     def test_transform_untransform_round_trip(self, grid32):
         z = masked_field(grid32, 19)
-        zw = ou_init(OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), NoiseStream(seed=19, dt=0.01))
-        u = untransform(z.coeffs, zw)
-        back = Field(grid32, Basis.NEUMANN_COSINE, coeffs=u - zw[0] - zw[1])
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        zw = ou_init(kernel, NoiseStream(seed=19, dt=0.01))
+        planes = kernel.planes(zw)
+        u = untransform(z.coeffs, planes)
+        back = Field(grid32, Basis.NEUMANN_COSINE, coeffs=u - planes[0] - planes[1])
         assert norm_l2(back.coeffs - z.coeffs) < 1e-14 * max(norm_l2(u), 1.0)
 
     def test_streamfunction_vanishes_on_boundary(self, grid32):
         stream = NoiseStream(seed=20, dt=0.01)
         _, state = evolve(0.01, stream, (masked_field(grid32, 20),), PARAMS, COV1, COV2, check_cfl=False)
-        u = Field(grid32, Basis.NEUMANN_COSINE, untransform(state.members[0], state.zw))
+        u = Field(grid32, Basis.NEUMANN_COSINE, untransform(state.members[0], state.kernel.planes(state.zw)))
         nod = nodal(dirichlet_poisson(u))
         edge = max(
             np.max(np.abs(nod[0, :])),

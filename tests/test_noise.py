@@ -19,6 +19,8 @@ from qgsync.noise import (
 )
 from qgsync.operators import lifting_matrix
 
+from conftest import chain_entry
+
 
 PARAMS = ModelParams(nu=1.0, r=1.0, beta=0.1)
 
@@ -157,7 +159,8 @@ class TestStationaryLaw:
         cov0 = CovarianceSpec(0.0, 3.0, 4)
         kernel = OUKernel(grid32, 1.0, cov0, cov0, 0.1)
         zw = ou_init(kernel, NoiseStream(seed=1, dt=0.1))
-        assert not zw[0].any() and not zw[1].any()
+        planes = kernel.planes(zw)
+        assert not planes[0].any() and not planes[1].any()
 
     def test_single_channel_variance_oracle(self, grid32):
         # scalar OU oracle: variance = gain^2 * q / (2 * rate) per mode,
@@ -166,7 +169,7 @@ class TestStationaryLaw:
         cov0 = CovarianceSpec(0.0, 3.0, 1)
         kernel = OUKernel(grid32, 1.0, cov1, cov0, 0.1)
         lift = lifting_matrix(grid32, 1.0, n_modes=1)
-        v1, _ = kernel.stationary_variances()
+        v1, _ = kernel.planes(kernel.stat_gain**2)
         lam = np.pi**2 * (np.arange(grid32.n + 1) ** 2 + 1.0)
         q1 = 1.0
         for m in (0, 1, 5):
@@ -182,14 +185,14 @@ class TestStationaryLaw:
         cov2 = CovarianceSpec(1e-2, 2.5, 3)
         kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
         stream = NoiseStream(seed=42, dt=0.1)
-        v1, v2 = kernel.stationary_variances()
+        v1, v2 = kernel.planes(kernel.stat_gain**2)
         n_samples = 3000
         acc1 = np.zeros(grid32.shape)
         acc2 = np.zeros(grid32.shape)
         for i in range(n_samples):
-            zw = ou_init(kernel, wiener_shift(stream, -i))
-            acc1 += zw[0] ** 2
-            acc2 += zw[1] ** 2
+            zw1, zw2 = kernel.planes(ou_init(kernel, wiener_shift(stream, -i)))
+            acc1 += zw1**2
+            acc2 += zw2**2
         acc1 /= n_samples
         acc2 /= n_samples
         tol = 6.0 * math.sqrt(2.0 / n_samples)
@@ -206,9 +209,9 @@ class TestStationaryLaw:
         a = np.empty(n_samples)
         b = np.empty(n_samples)
         for i in range(n_samples):
-            zw = ou_init(kernel, wiener_shift(stream, -i))
-            a[i] = zw[0][0, 1]
-            b[i] = zw[1][0, 1]
+            zw1, zw2 = kernel.planes(ou_init(kernel, wiener_shift(stream, -i)))
+            a[i] = zw1[0, 1]
+            b[i] = zw2[0, 1]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(n_samples)
 
@@ -217,11 +220,12 @@ NOISE_CASES = {
     "both": (CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3)),
     "boundary_only": (CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(0.0, 2.5, 3)),
     "interior_only": (CovarianceSpec(0.0, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3)),
+    "off": (CovarianceSpec(0.0, 3.0, 3), CovarianceSpec(0.0, 2.5, 3)),
 }
 
 
 class TestArrayState:
-    """The chain is a bare read-only array: no `Field` is built and no wrapper."""
+    """The chain is a bare read-only float64 vector over the kernel's support: no `Field` is built and no wrapper."""
 
     def test_init_and_step_build_no_field(self, grid32, field_inits):
         kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
@@ -237,7 +241,7 @@ class TestArrayState:
         stream = NoiseStream(seed=5, dt=0.1)
         for zw in (ou_init(kernel, stream), ou_step(kernel, ou_init(kernel, stream), stream, 0)):
             with pytest.raises(ValueError):
-                zw[plane][1, 1] = 1.0
+                zw[chain_entry(kernel, plane, 1, 1)] = 1.0
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES))
     def test_init_and_step_return_read_only_ndarrays(self, grid32, case):
@@ -246,8 +250,9 @@ class TestArrayState:
         zw = ou_init(kernel, stream)
         for new in (zw, ou_step(kernel, zw, stream, 0)):
             assert type(new) is np.ndarray
-            assert new.shape == (2, *grid32.shape) and new.dtype == np.float64
+            assert new.shape == (kernel.index.size,) and new.dtype == np.float64
             assert not new.flags.writeable
+        assert kernel.combined(zw).shape == kernel.cells.shape and kernel.combined(zw).dtype == np.float64
 
 
 def full_array_step(kernel, zw, stream, step):
@@ -255,8 +260,13 @@ def full_array_step(kernel, zw, stream, step):
 
     The noise is laid out on the lattice without the kernel's channel list:
     one normal per lift column on every row of plane 0, one per interior
-    mode of plane 1 in row-major order.
+    mode of plane 1 in row-major order.  The decay is formed here on the
+    lattice, exp(-nu lambda dt) on the retained modes, for nu = 1 and
+    dt = 0.1.
     """
+    grid = kernel.grid
+    mask = retained_mask(grid, Basis.NEUMANN_COSINE)
+    decay = np.where(mask, np.exp(-1.0 * laplacian_eigenvalues(grid) * 0.1), 0.0)
     nb, nc = kernel.n_boundary, kernel.n_channels
     vals = stream.normals(step, 2 * nc)
     gain = np.zeros(zw.shape)
@@ -264,11 +274,11 @@ def full_array_step(kernel, zw, stream, step):
     noise = np.zeros(zw.shape)
     noise[0, :, 1 : 1 + nb] = vals[:nb]
     noise[1][gain[1] > 0] = vals[nb:nc]
-    return np.array([kernel.decay * zw[0], kernel.decay * zw[1]]) + gain * noise
+    return np.array([decay * zw[0], decay * zw[1]]) + gain * noise
 
 
 class TestChainUpdate:
-    """`ou_step` adds its increments in place and draws only its half of the channels."""
+    """`ou_step` is the whole-array update on the support, and draws only its half of the channels."""
 
     @pytest.mark.parametrize(
         "case, n",
@@ -278,31 +288,46 @@ class TestChainUpdate:
     def test_matches_full_array_update_bit_for_bit(self, case, n):
         kernel = OUKernel(GridSpec(n), 1.0, *NOISE_CASES[case], 0.1)
         stream = NoiseStream(seed=31, dt=0.1, origin=-50)
-        zw = ref = ou_init(kernel, stream)
+        zw = ou_init(kernel, stream)
+        ref = kernel.planes(zw)
         for j in range(200):
             ref = full_array_step(kernel, ref, stream, j)
             zw = ou_step(kernel, zw, stream, j)
-            assert zw.tobytes() == ref.tobytes()
-        assert np.any(zw[0]) == (case != "interior_only")
-        assert np.any(zw[1]) == (case != "boundary_only")
+            assert kernel.planes(zw).tobytes() == ref.tobytes()
+        planes = kernel.planes(zw)
+        assert np.any(planes[0]) == (case in ("both", "boundary_only"))
+        assert np.any(planes[1]) == (case in ("both", "interior_only"))
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES))
     def test_each_state_owns_read_only_arrays(self, grid32, case):
         kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
         stream = NoiseStream(seed=8, dt=0.1)
         zw = ou_init(kernel, stream)
-        tables = (kernel.decay, kernel.index, kernel.channel, kernel.step_gain, kernel.stat_gain)
+        tables = (
+            kernel.decay, kernel.index, kernel.channel, kernel.step_gain, kernel.stat_gain, kernel.cells, kernel.into
+        )
         for j in range(5):
             new = ou_step(kernel, zw, stream, j)
-            assert new.shape == (2, *grid32.shape)
-            for a in (new, new[0], new[1]):
-                assert not a.flags.writeable
-                assert not np.shares_memory(a, zw)
-                assert not any(np.shares_memory(a, t) for t in tables)
+            assert new.shape == (kernel.index.size,)
+            assert not new.flags.writeable
+            assert not np.shares_memory(new, zw)
+            assert not any(np.shares_memory(new, t) for t in tables)
             zw = new
         assert not any(t.flags.writeable for t in tables)
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES))
+    def test_cells_are_the_union_of_the_planes(self, grid32, case):
+        # `cells` and `into` are np.unique of the entries' lattice cells with
+        # its inverse, and `combined` is zw1 + zw2 of the planes there
+        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        cells, into = np.unique(kernel.index % grid32.shape[0] ** 2, return_inverse=True)
+        assert np.array_equal(kernel.cells, cells) and np.array_equal(kernel.into, into)
+        zw = ou_step(kernel, ou_init(kernel, NoiseStream(seed=9, dt=0.1)), NoiseStream(seed=9, dt=0.1), 0)
+        planes = kernel.planes(zw)
+        assert np.array_equal(kernel.combined(zw), (planes[0] + planes[1]).take(kernel.cells))
+        assert not np.any(np.delete(planes.sum(axis=0), kernel.cells))
+
+    @pytest.mark.parametrize("case", sorted(NOISE_CASES.keys() - {"off"}))
     def test_draws_per_call(self, grid32, monkeypatch, case):
         kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
         counts = []
@@ -327,14 +352,19 @@ class TestOUStep:
         kernel = OUKernel(grid32, 1.0, cov1, cov0, 0.2)
         stream = NoiseStream(seed=3, dt=0.2)
         zw = ou_init(kernel, stream)
-        # zero the increments by stepping a zero-amplitude kernel clone
-        kernel0 = OUKernel(grid32, 1.0, CovarianceSpec(0.0, 3.0, 2), cov0, 0.2)
-        stepped = ou_step(kernel0, zw, stream, 0)
+
+        class ZeroNormals:
+            """A stream whose increments are all zero."""
+
+            def normals(self, step, count):
+                return np.zeros(count)
+
+        stepped = kernel.planes(ou_step(kernel, zw, ZeroNormals(), 0))
         lam = np.pi**2 * (
             np.add.outer(np.arange(grid32.n + 1.0) ** 2, np.arange(grid32.n + 1.0) ** 2)
         )
         mask = retained_mask(grid32, Basis.NEUMANN_COSINE)
-        expected = np.where(mask, np.exp(-1.0 * lam * 0.2), 0.0) * zw[0]
+        expected = np.where(mask, np.exp(-1.0 * lam * 0.2), 0.0) * kernel.planes(zw)[0]
         assert np.max(np.abs(stepped[0] - expected)) < 1e-15
 
     def test_autocovariance_shape(self, grid32):
@@ -345,10 +375,11 @@ class TestOUStep:
         kernel = OUKernel(grid32, 1.0, cov0, cov2, dt)
         stream = NoiseStream(seed=11, dt=dt)
         zw = ou_init(kernel, stream)
+        probe = chain_entry(kernel, 1, 1, 0)
         n_steps = 20000
         series = np.empty(n_steps)
         for j in range(n_steps):
-            series[j] = zw[1][1, 0]
+            series[j] = zw[probe]
             zw = ou_step(kernel, zw, stream, j)
         rate = 1.0 * np.pi**2  # mode (1, 0)
         var = np.var(series)
@@ -363,17 +394,16 @@ class TestOUStep:
         kernel = OUKernel(grid32, 1.0, cov1, cov2, dt)
         stream = NoiseStream(seed=13, dt=dt)
         zw = ou_init(kernel, stream)
-        v1, v2 = kernel.stationary_variances()
+        _, v2 = kernel.planes(kernel.stat_gain**2)
         n_steps = 20000
-        acc_mean = np.zeros(grid32.shape)
-        acc_sq = np.zeros(grid32.shape)
+        acc_mean = np.zeros(zw.shape)
+        acc_sq = np.zeros(zw.shape)
         for j in range(n_steps):
-            z = zw[1]
-            acc_mean += z
-            acc_sq += z**2
+            acc_mean += zw
+            acc_sq += zw**2
             zw = ou_step(kernel, zw, stream, j)
-        mean = acc_mean / n_steps
-        var = acc_sq / n_steps
+        mean = kernel.planes(acc_mean)[1] / n_steps
+        var = kernel.planes(acc_sq)[1] / n_steps
         sel = v2 > 0
         # mean within 4 standard errors of 0
         se = np.sqrt(v2[sel] / n_steps) * 2.0  # inflation for residual correlation
@@ -392,8 +422,8 @@ class TestOUStep:
         for j in range(3):
             zw = ou_step(kernel, zw, s0, j)
         # transported: the same state, stepping the shifted stream from step 0
-        a = ou_step(kernel, zw, s0, 3)
-        b = ou_step(kernel, zw, s3, 0)
+        a = kernel.planes(ou_step(kernel, zw, s0, 3))
+        b = kernel.planes(ou_step(kernel, zw, s3, 0))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
@@ -406,8 +436,8 @@ class TestOUStep:
         def moments(m):
             g2 = np.empty(m)
             for i in range(m):
-                zw = ou_init(kernel, wiener_shift(stream, -i))
-                g2[i] = norm_h1(zw[0] + zw[1]) ** 2
+                zw1, zw2 = kernel.planes(ou_init(kernel, wiener_shift(stream, -i)))
+                g2[i] = norm_h1(zw1 + zw2) ** 2
             return np.mean(g2), np.mean(g2**2)
 
         m2a, m4a = moments(2000)
@@ -455,6 +485,6 @@ class TestTemperedness:
         n_steps = 2001
         series = np.empty(n_steps)
         for j in range(n_steps):
-            series[j] = np.sqrt(np.sum(zw[0] ** 2))
+            series[j] = np.sqrt(np.sum(kernel.planes(zw)[0] ** 2))
             zw = ou_step(kernel, zw, stream, j)
         assert temperedness_diagnostic(series, 200.0) < 0.05

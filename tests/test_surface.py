@@ -211,3 +211,16 @@ def test_analysis_defines_no_report_class():
     # one class is its refusal
     tree = ast.parse((PACKAGE / "analysis.py").read_text())
     assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == ["DecayConditionError"]
+
+
+def test_chain_is_a_vector_over_its_support():
+    # the chain holds only the entries that are ever nonzero (ROADMAP item
+    # 18): no scatter-add onto a lattice, no lattice of stationary
+    # variances, and one float64 per entry of the kernel's index
+    assert definitions_calling(PACKAGE, "at") == set()
+    assert not hasattr(qgsync.OUKernel, "stationary_variances")
+    kernel = qgsync.OUKernel(
+        qgsync.GridSpec(16), 1.0, qgsync.CovarianceSpec(1e-2, 3.0, 3), qgsync.CovarianceSpec(1e-2, 2.5, 3), 0.1
+    )
+    zw = qgsync.ou_init(kernel, qgsync.NoiseStream(seed=1, dt=0.1))
+    assert zw.shape == (kernel.index.size,) and zw.dtype == float
