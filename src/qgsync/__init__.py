@@ -16,7 +16,6 @@ from .fields import (
     norm_l2,
 )
 from .operators import (
-    OperatorConstants,
     bilinear_b,
     boundary_flux,
     dirichlet_poisson,

@@ -25,9 +25,11 @@ the order its JSON report writes them; the entry that
 `synchronization_experiment` returns also carries the distance record,
 which the CLI writes as CSV.
 
-All estimates are plug-in: the trilinear constant is an empirical lower
-bound of the discrete operator norm, the expectations carry standard
-errors, and every report states the verdict together with its margin.
+All estimates are plug-in: lambda1 and c_gx are exact, and the trilinear
+constant c_b is an empirical lower bound of the discrete operator norm
+that depends on the grid alone (`estimate_constants`, the default of both
+experiments that use it).  The expectations carry standard errors, and
+every report states the verdict together with its margin.
 Norm convention: the gradient seminorm is used wherever a first-order
 energy norm appears, and reports echo both pi^2 and nu*pi^2 to keep the
 eigenvalue convention unambiguous.
@@ -65,7 +67,7 @@ from .noise import (
     ou_step,
     wiener_shift,
 )
-from .operators import OperatorConstants, estimate_constants
+from .operators import C_GX_EXACT, LAMBDA1, estimate_constants
 
 NORM_CONVENTION = "first-order norm = gradient seminorm |grad(.)|"
 RADIUS_SLACK = 0.02  # relative excursion over rho^2 that counts as a violation
@@ -82,17 +84,17 @@ class DecayConditionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _rates(params: ModelParams, constants: OperatorConstants) -> tuple[float, float, float]:
+def _rates(params: ModelParams, c_b: float) -> tuple[float, float, float]:
     """(a, c, quad) of the radius integrand exp(a*tau + c * int_tau^0 |grad w|^2) R.
 
     a = lambda1*nu - 2*beta*c_gx + 2r is the deterministic damping, c = 3 c_b^2 / nu
     the gain of |grad w|^2, and R = quad |w|^2 + c |w|^2 |grad w|^2; the only place any is formed.
     A square c_gx*beta + r that overflows is a `DecayConditionError`: R is not finite.
     """
-    a = constants.lambda1 * params.nu - 2.0 * params.beta * constants.c_gx + 2.0 * params.r
-    c = 3.0 * constants.c_b**2 / params.nu
+    a = LAMBDA1 * params.nu - 2.0 * params.beta * C_GX_EXACT + 2.0 * params.r
+    c = 3.0 * c_b**2 / params.nu
     try:
-        quad = 3.0 * (constants.c_gx * params.beta + params.r) ** 2 / (params.nu * constants.lambda1)
+        quad = 3.0 * (C_GX_EXACT * params.beta + params.r) ** 2 / (params.nu * LAMBDA1)
     except OverflowError:  # `float ** 2` raises where x * x would give inf
         raise DecayConditionError(
             f"the driver coefficient 3 (c_gx beta + r)^2 / (nu lambda1) overflows at r={params.r}, "
@@ -275,7 +277,7 @@ def radius_invariance_experiment(
     grid: GridSpec,
     t_end: float,
     dt: float,
-    constants: OperatorConstants | None = None,
+    c_b: float | None = None,
     window: float | None = None,
 ) -> dict:
     """Track |z(t)|^2 against the propagated rho^2 along each seed's path.
@@ -288,11 +290,11 @@ def radius_invariance_experiment(
     depend on no seed, so they are formed once; each seed's window runs its
     own chain up to time 0, where rho^2 must be finite.
     """
-    if constants is None:
-        constants = estimate_constants(grid, seed=0)
+    if c_b is None:
+        c_b = estimate_constants(grid)
     kernel = OUKernel(grid, params.nu, cov1, cov2, dt)
     lam = laplacian_eigenvalues(grid).take(kernel.cells)
-    rates = _rates(params, constants)
+    rates = _rates(params, c_b)
     grad2, _, _ = _stationary_moments(kernel, rates)
     steps = _window_steps(rates, grad2, window, dt)
     reports = []
@@ -365,7 +367,7 @@ def check_condition(
     samples: int,
     stream: NoiseStream,
     grid: GridSpec,
-    constants: OperatorConstants | None = None,
+    c_b: float | None = None,
 ) -> dict:
     """The contraction inequality, summand by summand, with the plug-in constants.
 
@@ -384,10 +386,10 @@ def check_condition(
     """
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
-    if constants is None:
-        constants = estimate_constants(grid, seed=stream.seed & 0xFFFF)
+    if c_b is None:
+        c_b = estimate_constants(grid)
     kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
-    rates = _rates(params, constants)
+    rates = _rates(params, c_b)
 
     exact = zip(("E_grad2", "E_grad4", "E_R"), _stationary_moments(kernel, rates))
     estimates = {key: {"mean": mean, "se": 0.0} for key, mean in exact}
@@ -399,9 +401,9 @@ def check_condition(
         "margin_se": None,
         "reason": None,
         "estimates": estimates,
-        "constants": constants.to_dict(),
-        "nu_lambda1": params.nu * constants.lambda1,
-        "lambda1": constants.lambda1,
+        "constants": {"lambda1": LAMBDA1, "c_b": c_b, "c_gx": C_GX_EXACT},
+        "nu_lambda1": params.nu * LAMBDA1,
+        "lambda1": LAMBDA1,
         "norm_convention": NORM_CONVENTION,
     }
     margin = decay_margin(rates, e_grad2)
@@ -424,9 +426,9 @@ def check_condition(
     estimates.update(E_rho2=_moment(rho2, 1), E_rho4=_moment(rho2, 2))
 
     nu, beta = params.nu, params.beta
-    cb2 = constants.c_b**2
+    cb2 = c_b**2
     _, c, _ = rates
-    rho2_gain = 2.0 * cb2 / nu**2 * (1.0 + 2.0 * math.sqrt(constants.lambda1) * constants.c_gx * beta)
+    rho2_gain = 2.0 * cb2 / nu**2 * (1.0 + 2.0 * math.sqrt(LAMBDA1) * C_GX_EXACT * beta)
     # estimated summand -> (coefficient, estimate), in the order of the sums
     estimated = {
         "grad2": (c, "E_grad2"),
@@ -436,8 +438,8 @@ def check_condition(
         "driver_mean": (2.0 / nu, "E_R"),
     }
     terms = {
-        "viscous_damping": -nu * constants.lambda1,
-        "beta_drift": 2.0 * beta * constants.c_gx,
+        "viscous_damping": -nu * LAMBDA1,
+        "beta_drift": 2.0 * beta * C_GX_EXACT,
         "friction_damping": -2.0 * params.r,
         **{name: coeff * estimates[key]["mean"] for name, (coeff, key) in estimated.items()},
     }

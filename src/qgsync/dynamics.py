@@ -95,7 +95,8 @@ class CocycleState:
     `ou_step` return, which `kernel` advances and lays out on the lattice.
     Both arrays are made read-only in place, so a state can be shared freely; it is the only restart token.  `step` is the only
     step counter; the next step reads the noise of that step for every
-    member and for the chain.
+    member and for the chain.  A chain that is not one entry per entry of
+    the kernel's index, or members off its grid, is a `DimensionMismatch`.
     """
 
     step: int
@@ -104,6 +105,10 @@ class CocycleState:
     kernel: OUKernel
 
     def __post_init__(self):
+        if self.zw.shape != (self.kernel.index.size,):
+            raise DimensionMismatch(f"chain of shape {self.zw.shape} for a kernel of {self.kernel.index.size} entries")
+        if self.members.shape[1:] != self.kernel.grid.shape:
+            raise DimensionMismatch(f"members of shape {self.members.shape[1:]} for a grid of {self.kernel.grid.shape}")
         self.members.flags.writeable = False
         self.zw.flags.writeable = False
 

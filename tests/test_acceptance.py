@@ -77,8 +77,8 @@ def criterion(label):
 
 
 @pytest.fixture(scope="module")
-def constants():
-    return estimate_constants(GRID, trials=200, seed=0)
+def c_b():
+    return estimate_constants(GRID)
 
 
 @criterion("criterion 1: advection bilinear identities at 1e-12")
@@ -203,11 +203,11 @@ def test_criterion_5_linear_rate():
 
 
 @criterion("criterion 6: contraction condition evaluator (exact / satisfied / violated)")
-def test_criterion_6_condition_evaluator(constants):
+def test_criterion_6_condition_evaluator(c_b):
     # (a) noise off, beta = 0: exactly the two deterministic damping terms
     params0 = ModelParams(nu=1.0, r=1.0, beta=0.0)
     rep = check_condition(
-        params0, COV_OFF, COV_OFF, 100, NoiseStream(seed=6, dt=DT), GRID, constants=constants
+        params0, COV_OFF, COV_OFF, 100, NoiseStream(seed=6, dt=DT), GRID, c_b=c_b
     )
     assert rep["satisfied"]
     assert rep["lhs"] == pytest.approx(-params0.nu * math.pi**2 - 2.0 * params0.r, abs=1e-12)
@@ -217,7 +217,7 @@ def test_criterion_6_condition_evaluator(constants):
     total_trace = float(np.sum(COV1.boundary_variances(GRID))) + gradient_trace
     assert total_trace <= 1e-3
     rep_b = check_condition(
-        PARAMS, COV1, COV2, DEFAULT.mc_samples, NoiseStream(seed=1, dt=DT), GRID, constants=constants
+        PARAMS, COV1, COV2, DEFAULT.mc_samples, NoiseStream(seed=1, dt=DT), GRID, c_b=c_b
     )
     assert rep_b["satisfied"]
     assert rep_b["margin_se"] is not None and rep_b["margin_se"] > 3.0
@@ -226,10 +226,7 @@ def test_criterion_6_condition_evaluator(constants):
     big1 = CovarianceSpec(COV1.amplitude * 1e4, COV1.decay, COV1.cutoff)
     big2 = CovarianceSpec(COV2.amplitude * 1e4, COV2.decay, COV2.cutoff)
     params_c = ModelParams(nu=0.01, r=1.0, beta=0.1)
-    constants_c = estimate_constants(GRID, trials=100, seed=1)
-    rep_c = check_condition(
-        params_c, big1, big2, 100, NoiseStream(seed=2, dt=DT), GRID, constants=constants_c
-    )
+    rep_c = check_condition(params_c, big1, big2, 100, NoiseStream(seed=2, dt=DT), GRID, c_b=c_b)
     assert not rep_c["satisfied"]
 
 
@@ -258,7 +255,7 @@ def test_criterion_7_synchronization_at_scale():
 
 
 @criterion("criterion 8: forward invariance of the absorbing ball on 16 seeds")
-def test_criterion_8_forward_invariance(constants):
+def test_criterion_8_forward_invariance(c_b):
     report = radius_invariance_experiment(
         DEFAULT.seeds,
         PARAMS,
@@ -267,7 +264,7 @@ def test_criterion_8_forward_invariance(constants):
         GRID,
         t_end=DEFAULT.t_end,
         dt=DT,
-        constants=constants,
+        c_b=c_b,
     )
     assert report["total_violations"] == 0
     assert report["max_excursion"] <= 0.02

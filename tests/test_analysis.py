@@ -20,12 +20,12 @@ from qgsync.analysis import (
     stationary_statistics,
     synchronization_experiment,
 )
-from qgsync import dynamics
+from qgsync import dynamics, operators
 from qgsync.config import RunConfig
 from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, norm_l2
 from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
-from qgsync.operators import OperatorConstants
+from qgsync.operators import C_GX_EXACT, LAMBDA1, estimate_constants
 
 from conftest import dealiased, mode_field, random_field
 
@@ -34,8 +34,8 @@ COV1 = CovarianceSpec(3e-4, 3.0, 4)
 COV2 = CovarianceSpec(3e-4, 2.5, 4)
 COV_OFF = CovarianceSpec(0.0, 3.0, 4)
 
-# fixed plug-in constants keep the oracle arithmetic transparent
-CONSTS = OperatorConstants(lambda1=np.pi**2, c_b=0.25, c_gx=1.0 / (2 * np.pi))
+# a fixed plug-in c_b keeps the oracle arithmetic transparent
+CONSTS = 0.25
 RATES = _rates(PARAMS, CONSTS)
 
 
@@ -59,8 +59,8 @@ class TestDriver:
         val = driver_from_norms(1.0, 0.0, _rates(params, CONSTS))
         assert val == pytest.approx(3.0 / np.pi**2, rel=1e-14)
         # independent sum of the two pieces
-        quad = 3.0 * (CONSTS.c_gx * 0.0 + 1.0) ** 2 / (1.0 * np.pi**2) * 1.0
-        mix = 3.0 * CONSTS.c_b**2 / 1.0 * 1.0 * 0.0
+        quad = 3.0 * (C_GX_EXACT * 0.0 + 1.0) ** 2 / (1.0 * np.pi**2) * 1.0
+        mix = 3.0 * CONSTS**2 / 1.0 * 1.0 * 0.0
         assert val == pytest.approx(quad + mix, rel=1e-14)
 
     def test_quadratic_homogeneity(self):
@@ -137,8 +137,8 @@ def trapezoid_rho_squared(g, r, dt):
     """
     m = g.size
     taus = -dt * np.arange(m - 1, -1, -1)
-    a = CONSTS.lambda1 * PARAMS.nu - 2.0 * PARAMS.beta * CONSTS.c_gx + 2.0 * PARAMS.r
-    c = 3.0 * CONSTS.c_b**2 / PARAMS.nu
+    a = LAMBDA1 * PARAMS.nu - 2.0 * PARAMS.beta * C_GX_EXACT + 2.0 * PARAMS.r
+    c = 3.0 * CONSTS**2 / PARAMS.nu
     inner = np.zeros(m)
     inner[:-1] = np.cumsum((0.5 * dt * (g[:-1] + g[1:]))[::-1])[::-1]
     integrand = np.exp(a * taus + c * inner) * r
@@ -173,7 +173,7 @@ class TestRadiusQuadrature:
     def test_frozen_coefficients_closed_form(self):
         # constant driver, zero gradient: rho^2 = R / (lambda1 nu - 2 beta c_gx + 2r)
         dt = 0.005
-        a = CONSTS.lambda1 * PARAMS.nu - 2 * PARAMS.beta * CONSTS.c_gx + 2 * PARAMS.r
+        a = LAMBDA1 * PARAMS.nu - 2 * PARAMS.beta * C_GX_EXACT + 2 * PARAMS.r
         window = 40.0 / a
         m = int(round(window / dt)) + 1
         g = np.zeros(m)
@@ -183,7 +183,7 @@ class TestRadiusQuadrature:
         assert rho2 == pytest.approx(r_const / a, rel=1e-3)
 
     def test_quadrature_self_convergence(self):
-        a = CONSTS.lambda1 * PARAMS.nu - 2 * PARAMS.beta * CONSTS.c_gx + 2 * PARAMS.r
+        a = LAMBDA1 * PARAMS.nu - 2 * PARAMS.beta * C_GX_EXACT + 2 * PARAMS.r
         r_const = 1.0
         vals = []
         for dt in (0.02, 0.01):
@@ -213,8 +213,8 @@ class TestRadiusQuadrature:
         dt = 0.01
         g = rng.uniform(0.0, 40.0, 50)
         r = rng.uniform(0.0, 3.0, 50)
-        a = CONSTS.lambda1 * PARAMS.nu - 2.0 * PARAMS.beta * CONSTS.c_gx + 2.0 * PARAMS.r
-        c = 3.0 * CONSTS.c_b**2 / PARAMS.nu
+        a = LAMBDA1 * PARAMS.nu - 2.0 * PARAMS.beta * C_GX_EXACT + 2.0 * PARAMS.r
+        c = 3.0 * CONSTS**2 / PARAMS.nu
         expected = [0.37]
         for k in range(49):
             growth = math.exp(-a * dt + c * 0.5 * dt * (g[k] + g[k + 1]))
@@ -281,7 +281,7 @@ class TestRadiusQuadrature:
 
     def test_decay_margin_formula(self):
         m = decay_margin(RATES, grad2_mean=0.0)
-        assert m == pytest.approx(np.pi**2 + 2.0 - 2 * PARAMS.beta * CONSTS.c_gx, rel=1e-14)
+        assert m == pytest.approx(np.pi**2 + 2.0 - 2 * PARAMS.beta * C_GX_EXACT, rel=1e-14)
 
 
 class TestForwardInvariance:
@@ -294,7 +294,7 @@ class TestForwardInvariance:
             grid32,
             t_end=0.2,
             dt=0.01,
-            constants=CONSTS,
+            c_b=CONSTS,
             window=0.5,
         )
         assert report["total_violations"] == 0
@@ -308,7 +308,7 @@ class TestForwardInvariance:
             grid32,
             t_end=1.0,
             dt=0.01,
-            constants=CONSTS,
+            c_b=CONSTS,
         )
         assert report["total_violations"] == 0
         assert report["max_excursion"] <= 0.02
@@ -318,7 +318,7 @@ class TestForwardInvariance:
 class TestStationaryMoments:
     DRAWS = 4000
     # a large c_b makes the cross moment E|w|^2 |grad w|^2 dominate E R
-    CROSS_HEAVY = OperatorConstants(lambda1=np.pi**2, c_b=100.0, c_gx=1.0 / (2 * np.pi))
+    CROSS_HEAVY = 100.0
 
     @pytest.mark.parametrize(
         "amplitudes",
@@ -363,8 +363,8 @@ class TestStationaryMoments:
         L = np.stack([kernel.planes(ou_init(kernel, UnitNormal(j))).sum(axis=0).ravel() for j in range(channels)], axis=1)
         A = L.T @ (laplacian_eigenvalues(config.grid()).reshape(-1, 1) * L)
         I = L.T @ L
-        quad = 3.0 * (CONSTS.c_gx * PARAMS.beta + PARAMS.r) ** 2 / (PARAMS.nu * CONSTS.lambda1)
-        mix = 3.0 * CONSTS.c_b**2 / PARAMS.nu
+        quad = 3.0 * (C_GX_EXACT * PARAMS.beta + PARAMS.r) ** 2 / (PARAMS.nu * LAMBDA1)
+        mix = 3.0 * CONSTS**2 / PARAMS.nu
         expected = (
             np.trace(A),
             np.trace(A) ** 2 + 2.0 * np.trace(A @ A),
@@ -381,7 +381,7 @@ class TestConditionEvaluator:
     def test_noise_off_exact_value(self, grid32):
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
         report = check_condition(
-            params, COV_OFF, COV_OFF, 100, NoiseStream(seed=6, dt=0.01), grid32, constants=CONSTS
+            params, COV_OFF, COV_OFF, 100, NoiseStream(seed=6, dt=0.01), grid32, c_b=CONSTS
         )
         assert report["satisfied"]
         assert report["lhs"] == pytest.approx(-np.pi**2 - 2.0, abs=1e-12)
@@ -390,7 +390,7 @@ class TestConditionEvaluator:
 
     def test_small_noise_satisfied_with_margin(self, grid32):
         report = check_condition(
-            PARAMS, COV1, COV2, 200, NoiseStream(seed=7, dt=0.01), grid32, constants=CONSTS
+            PARAMS, COV1, COV2, 200, NoiseStream(seed=7, dt=0.01), grid32, c_b=CONSTS
         )
         assert report["satisfied"]
         assert report["margin_se"] is not None and report["margin_se"] > 3.0
@@ -403,7 +403,7 @@ class TestConditionEvaluator:
         big2 = CovarianceSpec(3e-4 * 1e4, 2.5, 4)
         params = ModelParams(nu=0.01, r=1.0, beta=0.1)
         report = check_condition(
-            params, big1, big2, 100, NoiseStream(seed=8, dt=0.01), grid32, constants=CONSTS
+            params, big1, big2, 100, NoiseStream(seed=8, dt=0.01), grid32, c_b=CONSTS
         )
         assert not report["satisfied"]
         assert report["reason"] is not None
@@ -413,17 +413,17 @@ class TestConditionEvaluator:
         for nu in (0.5, 1.0, 2.0):
             params = ModelParams(nu=nu, r=1.0, beta=0.1)
             rep = check_condition(
-                params, COV1, COV2, 100, NoiseStream(seed=9, dt=0.01), grid32, constants=CONSTS
+                params, COV1, COV2, 100, NoiseStream(seed=9, dt=0.01), grid32, c_b=CONSTS
             )
             values.append(rep["lhs"])
         assert values[0] > values[1] > values[2]
 
     def test_standard_errors_shrink(self, grid32):
         rep_a = check_condition(
-            PARAMS, COV1, COV2, 150, NoiseStream(seed=10, dt=0.01), grid32, constants=CONSTS
+            PARAMS, COV1, COV2, 150, NoiseStream(seed=10, dt=0.01), grid32, c_b=CONSTS
         )
         rep_b = check_condition(
-            PARAMS, COV1, COV2, 600, NoiseStream(seed=10, dt=0.01), grid32, constants=CONSTS
+            PARAMS, COV1, COV2, 600, NoiseStream(seed=10, dt=0.01), grid32, c_b=CONSTS
         )
         # E_grad2, E_grad4 and E_R are exact; the radius moments are sampled
         ratio = rep_a["estimates"]["E_rho2"]["se"] / rep_b["estimates"]["E_rho2"]["se"]
@@ -431,7 +431,7 @@ class TestConditionEvaluator:
 
     def test_report_dict_shape(self, grid32):
         report = check_condition(
-            PARAMS, COV1, COV2, 100, NoiseStream(seed=11, dt=0.01), grid32, constants=CONSTS
+            PARAMS, COV1, COV2, 100, NoiseStream(seed=11, dt=0.01), grid32, c_b=CONSTS
         )
         assert set(report["estimates"]) == {"E_grad2", "E_grad4", "E_rho2", "E_rho4", "E_R"}
         assert report["lambda1"] == pytest.approx(np.pi**2)
@@ -441,6 +441,24 @@ class TestConditionEvaluator:
             "terms", "lhs", "satisfied", "margin_se", "reason", "estimates",
             "constants", "nu_lambda1", "lambda1", "norm_convention",
         ]
+
+
+class TestOneTrilinearConstant:
+    # c_b is a property of the grid's operator, not of a noise realization:
+    # no seed enters it, and radius and check-condition share one search
+
+    def test_condition_reports_the_grids_constant(self, grid32):
+        report = check_condition(PARAMS, COV1, COV2, 100, NoiseStream(seed=5, dt=0.01), grid32)
+        assert list(report["constants"]) == ["lambda1", "c_b", "c_gx"]
+        assert report["constants"]["c_b"] == estimate_constants(grid32)
+        assert report["constants"]["lambda1"] == LAMBDA1 and report["constants"]["c_gx"] == C_GX_EXACT
+
+    def test_both_experiments_share_one_search(self, grid32):
+        search = operators._trilinear_search
+        search.cache_clear()
+        radius_invariance_experiment([3], PARAMS, COV1, COV2, grid32, t_end=0.05, dt=0.01)
+        check_condition(PARAMS, COV1, COV2, 100, NoiseStream(seed=5, dt=0.01), grid32)
+        assert search.cache_info().misses == 1
 
 
 class TestSynchronization:

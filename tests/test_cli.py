@@ -331,20 +331,30 @@ class TestQuadratureOverflow:
         "time.burn": "5",
     }
 
+    # the condition's amplitudes keep the mean-damping margin positive, so
+    # the run reaches the sampled radius moments that overflow
     @pytest.mark.parametrize(
-        "command, overrides",
+        "command, overrides, message",
         [
-            ("check-condition", {"noise.q1_amplitude": "3.4e7", "noise.q2_amplitude": "2.7e6"}),
-            ("radius", {"noise.q1_amplitude": "1e7", "noise.q2_amplitude": "1e5", "rho.window": "1000"}),
+            (
+                "check-condition",
+                {"noise.q1_amplitude": "1.5e7", "noise.q2_amplitude": "1.2e6"},
+                "a sampled moment is not finite",
+            ),
+            (
+                "radius",
+                {"noise.q1_amplitude": "1e7", "noise.q2_amplitude": "1e5", "rho.window": "1000"},
+                "rho^2 at the origin is inf",
+            ),
         ],
         ids=["condition_moments", "radius_origin"],
     )
-    def test_overflowing_growth_exits_3_with_one_line(self, tmp_path, capsys, command, overrides):
+    def test_overflowing_growth_exits_3_with_one_line(self, tmp_path, capsys, command, overrides, message):
         cfg = write_config(tmp_path, seeds="1", **self.BASE, **overrides)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("experiment refused:") and err.count("\n") == 1
+        assert err.startswith(f"experiment refused: {message}") and err.count("\n") == 1
         assert not any(out.iterdir())
 
 

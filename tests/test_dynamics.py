@@ -506,6 +506,24 @@ class TestCocycle:
         assert np.array_equal(states[2].zw, ou_step(kernel0, states[1].zw, stream, 1))
         assert not np.array_equal(states[1].zw, ou_step(kernel, zw, stream, 0))
 
+    def test_chain_of_another_kernel_is_refused(self, grid32):
+        # a noisy chain paired with a noise-free kernel: the state refuses
+        # it, naming both sizes, before a step can index the planes with it
+        noisy = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        quiet = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        zw = ou_init(noisy, NoiseStream(seed=32, dt=0.01))
+        assert zw.size != quiet.index.size
+        members = masked_field(grid32, 32).coeffs[np.newaxis]
+        with pytest.raises(DimensionMismatch, match=rf"\({zw.size},\).*{quiet.index.size} entries"):
+            CocycleState(step=0, members=members, zw=zw, kernel=quiet)
+
+    def test_members_on_another_grid_are_refused(self, grid32):
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        zw = ou_init(kernel, NoiseStream(seed=33, dt=0.01))
+        members = masked_field(GridSpec(16), 33).coeffs[np.newaxis]
+        with pytest.raises(DimensionMismatch, match=r"\(17, 17\).*\(33, 33\)"):
+            CocycleState(step=0, members=members, zw=zw, kernel=kernel)
+
 
 class TestUntransform:
     def test_zero_coefficients_identity(self, grid32):

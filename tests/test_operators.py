@@ -707,11 +707,10 @@ class TestBetaTerm:
 
 class TestConstants:
     def test_exact_constants(self, grid32):
-        consts = estimate_constants(grid32, trials=100, seed=1)
-        assert consts.lambda1 == pytest.approx(np.pi**2, abs=1e-12)
-        assert consts.c_gx == pytest.approx(1.0 / (2 * np.pi), abs=1e-12)
-        assert consts.c_gx <= 1.0 / (2 * np.pi) + 1e-12
-        assert consts.c_b > 0
+        assert LAMBDA1 == pytest.approx(np.pi**2, abs=1e-12)
+        assert C_GX_EXACT == pytest.approx(1.0 / (2 * np.pi), abs=1e-12)
+        assert C_GX_EXACT <= 1.0 / (2 * np.pi) + 1e-12
+        assert estimate_constants(grid32) > 0
 
     def test_lambda1_is_minimum_eigenvalue(self, grid32):
         lam = laplacian_eigenvalues(grid32)
@@ -724,12 +723,11 @@ class TestConstants:
             ks = np.arange(1, n)
             kk, ll = np.meshgrid(ks, ks, indexing="ij")
             assert float(np.max(kk * np.pi / (np.pi**2 * (kk**2 + ll**2)))).hex() == C_GX_EXACT.hex()
-        for n in (8, 24):
-            assert estimate_constants(GridSpec(n), trials=100).c_gx == C_GX_EXACT
 
     def test_search_builds_no_field(self, field_inits):
-        # the triples are `random_coeffs` arrays and the ascent perturbs arrays
-        estimate_constants(GridSpec(16), trials=100)
+        # the triples are `random_coeffs` arrays and the ascent perturbs
+        # arrays; the uncached search runs, whatever the cache holds
+        operators._trilinear_search.__wrapped__(16)
         assert field_inits[0] == 0
 
     @pytest.mark.parametrize("n", [16, 24, 32, 128])
@@ -751,17 +749,15 @@ class TestConstants:
         zero = np.zeros(grid.shape)
         assert _triple_ratio(zero, v2.coeffs, v3.coeffs, grid) == 0.0
 
-    def test_monotone_in_trials_and_reproducible(self, grid32):
-        vals = [
-            estimate_constants(grid32, trials=t, seed=7).c_b
-            for t in (100, 140, 180)
-        ]
-        assert vals[0] <= vals[1] <= vals[2]
-        again = estimate_constants(grid32, trials=140, seed=7).c_b
-        assert again == vals[1]
+    def test_reproducible_and_pinned(self, grid32):
+        # c_b is a function of n alone: two uncached searches give the same
+        # bits, and the value at n = 32 is the one every report at n = 32 writes
+        first, again = (operators._trilinear_search.__wrapped__(32) for _ in range(2))
+        assert first.hex() == again.hex() == estimate_constants(grid32).hex()
+        assert first.hex() == (0.0002369117153426131).hex()
 
     def test_bound_holds_on_samples(self, grid32):
-        consts = estimate_constants(grid32, trials=100, seed=3)
+        c_b = estimate_constants(grid32)
         rng = np.random.default_rng(99)
         mask = retained_mask(grid32, Basis.NEUMANN_COSINE)
         for _ in range(50):
@@ -770,5 +766,5 @@ class TestConstants:
                 for _ in range(3)
             )
             val = abs(inner(bilinear_b(v1, v2), v3))
-            bound = consts.c_b * norm_l2(v1.coeffs) * norm_h1(v2.coeffs) * norm_h1(v3.coeffs)
+            bound = c_b * norm_l2(v1.coeffs) * norm_h1(v2.coeffs) * norm_h1(v3.coeffs)
             assert val <= bound * (1 + 1e-9)

@@ -6,6 +6,7 @@ experiment builds its coefficient kernel once.
 """
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -138,6 +139,20 @@ def test_rates_formed_once_per_experiment():
         "analysis.radius_invariance_experiment",
         "analysis.check_condition",
     }
+
+
+def test_one_trilinear_constant_per_grid():
+    # c_b is the one estimated constant and a function of the grid alone:
+    # the two experiments that use it call the one search, no seed or trial
+    # count reaches it, and lambda1 and c_gx are module constants.  It stays
+    # a plain function, which a tracer can find by `inspect.isfunction`.
+    assert definitions_calling(PACKAGE, "estimate_constants") == {
+        "analysis.radius_invariance_experiment",
+        "analysis.check_condition",
+    }
+    assert not hasattr(qgsync, "OperatorConstants")
+    assert list(inspect.signature(qgsync.estimate_constants).parameters) == ["grid"]
+    assert inspect.isfunction(qgsync.estimate_constants)
 
 
 def test_field_is_a_boundary_type():
