@@ -40,6 +40,7 @@ from .dynamics import (
     DivergenceError,
     ModelParams,
     evolve,
+    start_state,
     step_imex,
     untransform,
 )

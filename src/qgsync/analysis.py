@@ -20,7 +20,10 @@ This module turns the stability theory into executable checks:
     moments of the synchronized state.
   * `cocycle_check` is the bitwise flow-property regression test.
 
-Each experiment returns its report body as a plain dict, with the keys in
+Each experiment takes the run's one coefficient kernel (`OUKernel`), built
+once per command, and reads the grid and the step size from it; a seed's
+noise is the stream `NoiseStream(seed, kernel.dt)`.  Each experiment
+returns its report body as a plain dict, with the keys in
 the order its JSON report writes them; the entry that
 `synchronization_experiment` returns also carries the distance record,
 which the CLI writes as CSV.
@@ -47,11 +50,11 @@ from .dynamics import (
     ModelParams,
     dealias,
     evolve,
+    start_state,
     untransform,
 )
 from .fields import (
     Field,
-    GridSpec,
     laplacian_eigenvalues,
     norm_h1,
     norm_l2,
@@ -60,7 +63,6 @@ from .fields import (
 )
 from .noise import (
     ConfigError,
-    CovarianceSpec,
     NoiseStream,
     OUKernel,
     ou_init,
@@ -211,20 +213,23 @@ def _coefficient_window(kernel: OUKernel, stream: NoiseStream, steps: int):
     `driver_from_norms` under its own rates.  The chain advances one
     `ou_step` at a time; each step's w at the cells is one row of a
     `_NORM_BLOCK`-row buffer, and the norms of a full buffer are taken in
-    one go.  A window whose series of steps + 1 floats numpy cannot hold is
-    a `ConfigError`.
+    one go.  A window whose series of steps + 1 floats numpy cannot index
+    or the machine cannot allocate is a `ConfigError`.
     """
-    if (steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise ConfigError(
-            f"a coefficient window of 10^{math.log10(steps):.1f} steps of dt={stream.dt} "
-            "is too long to simulate"
-        )
     past = wiener_shift(stream, -steps)
     zw = ou_init(kernel, past)
     block = np.empty((_NORM_BLOCK, kernel.cells.size))
     lam = laplacian_eigenvalues(kernel.grid).take(kernel.cells)
-    l2 = np.empty(steps + 1)
-    h1 = np.empty(steps + 1)
+    try:
+        if (steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise MemoryError  # numpy cannot index the series
+        l2 = np.empty(steps + 1)
+        h1 = np.empty(steps + 1)
+    except MemoryError:
+        raise ConfigError(
+            f"a coefficient window of 10^{math.log10(steps):.1f} steps of dt={stream.dt} "
+            "is too long to simulate"
+        ) from None
     for lo in range(0, steps + 1, _NORM_BLOCK):
         hi = min(lo + _NORM_BLOCK, steps + 1)
         for j, row in zip(range(lo, hi), block):
@@ -272,11 +277,8 @@ def _stationary_moments(kernel: OUKernel, rates: tuple[float, float, float]) -> 
 def radius_invariance_experiment(
     seeds,
     params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
-    grid: GridSpec,
+    kernel: OUKernel,
     t_end: float,
-    dt: float,
     c_b: float | None = None,
     window: float | None = None,
 ) -> dict:
@@ -290,16 +292,16 @@ def radius_invariance_experiment(
     depend on no seed, so they are formed once; each seed's window runs its
     own chain up to time 0, where rho^2 must be finite.
     """
+    grid, dt = kernel.grid, kernel.dt
     if c_b is None:
         c_b = estimate_constants(grid)
-    kernel = OUKernel(grid, params.nu, cov1, cov2, dt)
     lam = laplacian_eigenvalues(grid).take(kernel.cells)
     rates = _rates(params, c_b)
     grad2, _, _ = _stationary_moments(kernel, rates)
     steps = _window_steps(rates, grad2, window, dt)
     reports = []
     for seed in sorted(seeds):
-        stream = NoiseStream(seed=seed, dt=dt)
+        stream = NoiseStream(seed, dt)
         l2, h1, zw0 = _coefficient_window(kernel, stream, steps)
         rho2_0 = float(propagate_rho_squared(0.0, h1, driver_from_norms(l2, h1, rates), dt, rates)[-1])
         if not math.isfinite(rho2_0):
@@ -314,7 +316,7 @@ def radius_invariance_experiment(
         # the norm series continue the window's from its last sample, time 0
         norms, z2 = [(l2[-1:], h1[-1:])], []
         start = CocycleState(step=0, members=z0[np.newaxis], zw=zw0, kernel=kernel)
-        states = evolve(t_end, stream, start, params, cov1, cov2, check_cfl=False)
+        states = evolve(t_end, stream, start, params, check_cfl=False)
         next(states)  # the start state
         for state in states:
             norms.append(_norm_squares(kernel.combined(state.zw)[np.newaxis], lam))
@@ -362,11 +364,9 @@ def _moment(vals: np.ndarray, power: int) -> dict:
 
 def check_condition(
     params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
+    kernel: OUKernel,
     samples: int,
-    stream: NoiseStream,
-    grid: GridSpec,
+    seed: int,
     c_b: float | None = None,
 ) -> dict:
     """The contraction inequality, summand by summand, with the plug-in constants.
@@ -377,18 +377,17 @@ def check_condition(
     `estimates` maps each expectation to its mean and standard error.
     E|grad w|^2, E|grad w|^4 and E R are exact (`_stationary_moments`,
     standard error 0).  E rho^2 and E rho^4 are means over `samples`
-    decimated points of one long radius path, after a burn of one
-    quadrature window, and alone carry the standard error of lhs.  When
-    the mean-damping precondition fails, the radius moments are not
-    estimable: `reason` says why, `satisfied` is False, and terms, lhs,
-    margin_se, E_rho2 and E_rho4 are None.  A moment or an lhs that is
-    not finite is a `DecayConditionError`.
+    decimated points of one long radius path of the noise of `seed`,
+    after a burn of one quadrature window, and alone carry the standard
+    error of lhs.  When the mean-damping precondition fails, the radius
+    moments are not estimable: `reason` says why, `satisfied` is False,
+    and terms, lhs, margin_se, E_rho2 and E_rho4 are None.  A moment or
+    an lhs that is not finite is a `DecayConditionError`.
     """
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
     if c_b is None:
-        c_b = estimate_constants(grid)
-    kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
+        c_b = estimate_constants(kernel.grid)
     rates = _rates(params, c_b)
 
     exact = zip(("E_grad2", "E_grad4", "E_R"), _stationary_moments(kernel, rates))
@@ -416,7 +415,8 @@ def check_condition(
         )
         return report
 
-    # one long radius path: burn one window, then decimate
+    # one long radius path of the seed's noise: burn one window, then decimate
+    stream = NoiseStream(seed, kernel.dt)
     burn = _window_steps(rates, e_grad2, None, stream.dt)
     gap = _steps_at_least(CONDITION_GAP_TIME, stream.dt, 1)
     total = burn + samples * gap
@@ -477,12 +477,10 @@ def _fit_log_rate(times: np.ndarray, dists: np.ndarray):
 def synchronization_experiment(
     seed: int,
     params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
+    kernel: OUKernel,
     z0_a: Field,
     z0_b: Field,
     t_end: float,
-    dt: float,
 ) -> dict:
     """Evolve two initial states under one noise path and fit the contact rate.
 
@@ -493,10 +491,10 @@ def synchronization_experiment(
     and last distance, followed by the `times` and `distances` arrays of
     the whole distance record.
     """
-    stream = NoiseStream(seed=seed, dt=dt)
-    states = evolve(t_end, stream, (z0_a, z0_b), params, cov1, cov2, check_cfl=False)
+    stream = NoiseStream(seed, kernel.dt)
+    states = evolve(t_end, stream, start_state(kernel, stream, (z0_a, z0_b)), params, check_cfl=False)
     dists = np.array([norm_l2(state.members[0] - state.members[1]) for state in states])
-    times = dt * np.arange(dists.size)
+    times = kernel.dt * np.arange(dists.size)
     rate, stderr = _fit_log_rate(times, dists)
     # the distance rule needs the first distance below 1e-6 of the initial one to be
     # positive: a pair whose members round to one array jumps to 0 without contracting
@@ -519,12 +517,9 @@ def synchronization_experiment(
 def stationary_statistics(
     seeds,
     params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
-    grid: GridSpec,
+    kernel: OUKernel,
     t_end: float,
     burn: float,
-    dt: float,
 ) -> dict:
     """Time-averaged moments of the synchronized physical state.
 
@@ -534,9 +529,10 @@ def stationary_statistics(
     A post-burn physical field whose energy or enstrophy is not finite
     raises `DivergenceError`: its moments are not estimable.
     """
+    grid = kernel.grid
     per_seed = []
     for seed in sorted(seeds):
-        stream = NoiseStream(seed=seed, dt=dt)
+        stream = NoiseStream(seed, kernel.dt)
         rng = np.random.default_rng((seed, 0xFEED))
         z0a = random_field(grid, rng, 0.5, 3.0)
         z0b = random_field(grid, rng, 0.5, 3.0)
@@ -546,7 +542,7 @@ def stationary_statistics(
         mean_field = np.zeros(grid.shape)
         max_gap = 0.0
         count = 0
-        for state in evolve(t_end, stream, (z0a, z0b), params, cov1, cov2, check_cfl=False):
+        for state in evolve(t_end, stream, start_state(kernel, stream, (z0a, z0b)), params, check_cfl=False):
             if state.step > burn_steps:
                 a, b = state.members
                 u = untransform(a, state.kernel.planes(state.zw))
@@ -554,7 +550,7 @@ def stationary_statistics(
                 # squared as products first: `float ** 2` raises on overflow
                 if not (math.isfinite(l2 * l2) and math.isfinite(h1 * h1)):
                     raise DivergenceError(
-                        f"the physical field's energy or enstrophy is not finite at t={state.step * dt}"
+                        f"the physical field's energy or enstrophy is not finite at t={state.step * kernel.dt}"
                     )
                 energy.append(l2**2)
                 enstrophy.append(h1**2)
@@ -588,8 +584,7 @@ def stationary_statistics(
 def cocycle_check(
     stream: NoiseStream,
     params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
+    kernel: OUKernel,
     s: float,
     t: float,
     z0: Field,
@@ -597,18 +592,19 @@ def cocycle_check(
 ) -> bool:
     """Bitwise flow property: phi(s+t, w, z0) == phi(s, theta_t w, phi(t, w, z0)).
 
-    The intermediate state (including its coefficient processes) is
-    transported into the second leg, whose stream is the original shifted
-    by t; `shift_override` mis-shifts it deliberately for negative
-    controls.
+    The two legs from z0 share one start state.  The intermediate state
+    (including its coefficient processes) is transported into the second
+    leg, whose stream is the original shifted by t; `shift_override`
+    mis-shifts it deliberately for negative controls.
     """
     def final(span, noise, start):
-        for state in evolve(span, noise, start, params, cov1, cov2, check_cfl=False):
+        for state in evolve(span, noise, start, params, check_cfl=False):
             pass
         return state
 
-    full = final(s + t, stream, (z0,))
-    mid = final(t, stream, (z0,))
+    start = start_state(kernel, stream, (z0,))
+    full = final(s + t, stream, start)
+    mid = final(t, stream, start)
     shifted = wiener_shift(stream, stream.steps_for(t if shift_override is None else shift_override))
     second = final(s, shifted, mid)
     return bool(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .config import RunConfig, config_from_flat, parse_config
-from .dynamics import DivergenceError, evolve, untransform
+from .dynamics import DivergenceError, evolve, start_state, untransform
 from .fields import (
     Basis,
     Field,
@@ -160,9 +160,8 @@ def _suite_semigroup(config: RunConfig) -> dict:
     }
 
 
-def _suite_ou(config: RunConfig) -> dict:
-    stream = NoiseStream(seed=424242, dt=config.dt)
-    kernel = OUKernel(config.grid(), config.nu, config.cov1(), config.cov2(), config.dt)
+def _suite_ou(kernel: OUKernel) -> dict:
+    stream = NoiseStream(seed=424242, dt=kernel.dt)
     var = kernel.stat_gain**2  # each chain entry's analytic stationary variance
     samples = 3000
     acc = np.zeros(var.shape)
@@ -178,14 +177,12 @@ def _suite_ou(config: RunConfig) -> dict:
     }
 
 
-def _suite_cocycle(config: RunConfig) -> dict:
-    grid = config.grid()
+def _suite_cocycle(config: RunConfig, kernel: OUKernel) -> dict:
     params = config.params()
-    cov1, cov2 = config.cov1(), config.cov2()
-    z0 = random_field(grid, np.random.default_rng(31), 0.1)
+    z0 = random_field(kernel.grid, np.random.default_rng(31), 0.1)
     stream = NoiseStream(seed=9001, dt=config.dt)
-    ok = analysis.cocycle_check(stream, params, cov1, cov2, 5 * config.dt, 7 * config.dt, z0)
-    if cov1.boundary_variances(grid).size == 0 and not (cov2.interior_variances(grid) > 0).any():
+    ok = analysis.cocycle_check(stream, params, kernel, 5 * config.dt, 7 * config.dt, z0)
+    if kernel.n_channels == 0:
         # every shift of the stream drives nothing, so a mis-shifted run cannot differ
         return {
             "name": "cocycle flow property",
@@ -193,7 +190,7 @@ def _suite_cocycle(config: RunConfig) -> dict:
             "detail": f"aligned {ok}, mis-shifted control does not apply without noise",
         }
     bad = analysis.cocycle_check(
-        stream, params, cov1, cov2, 5 * config.dt, 7 * config.dt, z0, shift_override=8 * config.dt
+        stream, params, kernel, 5 * config.dt, 7 * config.dt, z0, shift_override=8 * config.dt
     )
     return {
         "name": "cocycle flow property",
@@ -203,13 +200,14 @@ def _suite_cocycle(config: RunConfig) -> dict:
 
 
 def cmd_validate(config: RunConfig, outdir: str) -> int:
+    kernel = config.kernel()
     checks = [
         _suite_bilinear(config),
         _suite_poisson(config),
         _suite_lift(config),
         _suite_semigroup(config),
-        _suite_ou(config),
-        _suite_cocycle(config),
+        _suite_ou(kernel),
+        _suite_cocycle(config, kernel),
     ]
     passed = all(c["passed"] for c in checks)
     payload = _report_payload("validate", config, {"passed": passed, "checks": checks})
@@ -227,12 +225,12 @@ def cmd_validate(config: RunConfig, outdir: str) -> int:
 def cmd_simulate(config: RunConfig, outdir: str) -> int:
     grid = config.grid()
     params = config.params()
-    cov1, cov2 = config.cov1(), config.cov2()
+    kernel = config.kernel()
     for seed in sorted(config.seeds):
         stream = NoiseStream(seed=seed, dt=config.dt)
-        start = (Field.zeros(grid, Basis.NEUMANN_COSINE),)
+        start = start_state(kernel, stream, (Field.zeros(grid, Basis.NEUMANN_COSINE),))
         rows = []
-        for state in evolve(config.t_end, stream, start, params, cov1, cov2):
+        for state in evolve(config.t_end, stream, start, params):
             (z,) = state.members
             planes = state.kernel.planes(state.zw)
             rows.append(
@@ -269,16 +267,14 @@ def cmd_simulate(config: RunConfig, outdir: str) -> int:
 def cmd_synchronize(config: RunConfig, outdir: str) -> int:
     grid = config.grid()
     params = config.params()
-    cov1, cov2 = config.cov1(), config.cov2()
+    kernel = config.kernel()
     all_converged = True
     summary = []
     for seed in sorted(config.seeds):
         rng = np.random.default_rng((seed, 0x51AC))
         z0a = random_field(grid, rng, 0.05)
         z0b = random_field(grid, rng, 0.05)
-        report = analysis.synchronization_experiment(
-            seed, params, cov1, cov2, z0a, z0b, config.t_end, config.dt
-        )
+        report = analysis.synchronization_experiment(seed, params, kernel, z0a, z0b, config.t_end)
         times, distances = report.pop("times"), report.pop("distances")
         all_converged = all_converged and report["converged"]
         write_csv(
@@ -300,29 +296,14 @@ def cmd_synchronize(config: RunConfig, outdir: str) -> int:
 
 def cmd_radius(config: RunConfig, outdir: str) -> int:
     report = analysis.radius_invariance_experiment(
-        config.seeds,
-        config.params(),
-        config.cov1(),
-        config.cov2(),
-        config.grid(),
-        config.t_end,
-        config.dt,
-        window=config.rho_window,
+        config.seeds, config.params(), config.kernel(), config.t_end, window=config.rho_window
     )
     write_json(os.path.join(outdir, "radius.json"), _report_payload("radius", config, report))
     return 0 if report["total_violations"] == 0 else 1
 
 
 def cmd_check_condition(config: RunConfig, outdir: str) -> int:
-    stream = NoiseStream(seed=min(config.seeds), dt=config.dt)
-    report = analysis.check_condition(
-        config.params(),
-        config.cov1(),
-        config.cov2(),
-        config.mc_samples,
-        stream,
-        config.grid(),
-    )
+    report = analysis.check_condition(config.params(), config.kernel(), config.mc_samples, min(config.seeds))
     write_json(
         os.path.join(outdir, "check-condition.json"),
         _report_payload("check-condition", config, report),
@@ -333,14 +314,7 @@ def cmd_check_condition(config: RunConfig, outdir: str) -> int:
 
 def cmd_stationary(config: RunConfig, outdir: str) -> int:
     report = analysis.stationary_statistics(
-        config.seeds,
-        config.params(),
-        config.cov1(),
-        config.cov2(),
-        config.grid(),
-        config.t_end,
-        config.burn,
-        config.dt,
+        config.seeds, config.params(), config.kernel(), config.t_end, config.burn
     )
     write_json(
         os.path.join(outdir, "stationary.json"),

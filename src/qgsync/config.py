@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dynamics import ModelParams
 from .fields import GridSpec
-from .noise import ConfigError, CovarianceSpec, NoiseStream
+from .noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel
 
 
 @dataclass
@@ -97,6 +97,10 @@ class RunConfig:
         spec = CovarianceSpec(self.q2_amplitude, self.q2_decay, self.cutoff)
         spec.interior_variances(self.grid())
         return spec
+
+    def kernel(self) -> OUKernel:
+        """The run's one coefficient kernel, which every experiment of a subcommand shares."""
+        return OUKernel(self.grid(), self.nu, self.cov1(), self.cov2(), self.dt)
 
     def to_flat_dict(self) -> dict:
         """The settings under their configuration keys, in `_KEY_PARSERS` order."""

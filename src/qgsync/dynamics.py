@@ -7,12 +7,13 @@ diffusion-plus-friction part is solved exactly per mode (it is diagonal in
 this basis), all advection terms are explicit at the old state, and the
 coefficient processes advance by their exact recursion.
 
-`evolve` is the package's only stepping loop, and a `Field` enters it only
-as a start state: the members (several initial states) become one
-(E, n+1, n+1) array of cosine coefficients, and from there a trajectory is
-arrays until a caller wraps one (a snapshot).  The members share one
-coefficient chain, the realized noise path: each step advances the chain
-once and steps every member with it.
+`evolve` is the package's only stepping loop, and it steps a `CocycleState`.
+A `Field` enters only through `start_state`: the members (several initial
+states) become one (E, n+1, n+1) array of cosine coefficients, and from
+there a trajectory is arrays until a caller wraps one (a snapshot).  The
+members share one coefficient chain, the realized noise path, stepped by
+the kernel the caller built once for the run: each step advances the
+chain once and steps every member with it.
 
 Trajectories are bit-reproducible functions of (seed, dt, z0, parameters).
 A member's path does not depend on which other members share its chain.
@@ -27,7 +28,7 @@ import math
 import sys
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,7 +46,7 @@ from .fields import (
     nodal_from_coeffs,
     retained_mask,
 )
-from .noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step
+from .noise import ConfigError, NoiseStream, OUKernel, ou_init, ou_step
 from .operators import advection_coeffs, streamfunction_coeffs
 
 # B's field form, which `step_imex` computes on arrays instead; the name stays
@@ -77,9 +78,9 @@ class ModelParams:
         if self.nu < sys.float_info.min:
             # a subnormal viscosity overflows 1/(2 nu lambda) in the OU kernel and the lift
             raise ValueError(f"viscosity must be positive and normal, got {self.nu}")
-        if self.nu**2 == 0.0:
-            # the contraction condition divides by nu**2
-            raise ValueError(f"viscosity must have a nonzero square, got {self.nu}")
+        if not 0.0 < self.nu * self.nu < math.inf:
+            # the contraction condition divides by nu**2; a product, as `float ** 2` raises on overflow
+            raise ValueError(f"viscosity must have a finite, nonzero square, got {self.nu}")
         if self.r <= 0:
             raise ValueError(f"friction constant must be positive, got {self.r}")
         if self.beta < 0:
@@ -238,39 +239,42 @@ def step_imex(
     return b
 
 
+def start_state(kernel: OUKernel, stream: NoiseStream, fields: tuple[Field, ...]) -> CocycleState:
+    """The state at step 0 of an experiment whose members start at `fields`.
+
+    The fields must be NEUMANN_COSINE on the kernel's grid, else
+    `DimensionMismatch`.  They are dealiased and stacked once and share one
+    stationary coefficient draw from `stream`.
+    """
+    if any((f.grid, f.basis) != (kernel.grid, Basis.NEUMANN_COSINE) for f in fields):
+        raise DimensionMismatch(f"start fields must be NEUMANN_COSINE on {kernel.grid}, got {fields!r}")
+    members = np.array([dealias(f.coeffs) for f in fields])
+    return CocycleState(step=0, members=members, zw=ou_init(kernel, stream), kernel=kernel)
+
+
 def evolve(
     t: float,
     stream: NoiseStream,
-    start: tuple[Field, ...] | CocycleState,
+    start: CocycleState,
     params: ModelParams,
-    cov1: CovarianceSpec,
-    cov2: CovarianceSpec,
     check_cfl: bool = True,
 ) -> Iterator[CocycleState]:
     """Run the cocycle for time t (a multiple of the stream's dt); the only stepping loop.
 
-    Yields the start state, then the state after each step.  A tuple of
-    NEUMANN_COSINE fields on one grid (else `DimensionMismatch`) starts an
-    experiment: they are dealiased and stacked once and share one
-    stationary coefficient draw.  A `CocycleState` keeps its members,
-    chain and kernel and restarts at step 0 of the (shifted) stream, so that
-    restarts continue the same noise path; `params.nu`, `cov1` and `cov2` do
-    not rebuild its chain, which steps with the state's own kernel.  Each
-    step forms w = zw1 + zw2 once from the chain's lattice planes, steps
-    every member's array with it, and advances the chain once.
+    Yields the start state, then the state after each step.  The start
+    keeps its members, chain and kernel and restarts at step 0 of the
+    (shifted) stream, so that restarts continue the same noise path; its
+    chain steps with its own kernel, and a stream whose dt is not the
+    kernel's is a `ConfigError`.  Each step forms w = zw1 + zw2 once from
+    the chain's lattice planes, steps every member's array with it, and
+    advances the chain once.
     """
+    if stream.dt != start.kernel.dt:
+        raise ConfigError(f"a stream of dt={stream.dt} cannot step a chain whose kernel has dt={start.kernel.dt}")
     steps = stream.steps_for(t)
     if steps < 0:
         raise ValueError("evolution time must be nonnegative")
-    if isinstance(start, CocycleState):
-        state = CocycleState(step=0, members=start.members, zw=start.zw, kernel=start.kernel)
-    else:
-        grid = start[0].grid
-        if any((f.grid, f.basis) != (grid, Basis.NEUMANN_COSINE) for f in start):
-            raise DimensionMismatch(f"start fields must be NEUMANN_COSINE on one grid, got {start!r}")
-        kernel = OUKernel(grid, params.nu, cov1, cov2, stream.dt)
-        members = np.array([dealias(f.coeffs) for f in start])
-        state = CocycleState(step=0, members=members, zw=ou_init(kernel, stream), kernel=kernel)
+    state = replace(start, step=0)
     yield state
     for step in range(steps):
         # unnamed, the planes are freed before the members step: held across

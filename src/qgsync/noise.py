@@ -21,11 +21,12 @@ at different rates, so its stationary correlation between them is below 1.
 
 `OUKernel(grid, nu, cov1, cov2, dt)` is the one place the coefficient
 processes are set up: it builds the boundary lift itself, sized to the
-boundary covariance.  `ou_init(kernel, stream)` is the only stationary
-draw and `ou_step` the only update.  The state they return is one bare
-read-only float64 vector `zw`: the entries of the NEUMANN_COSINE
-coefficients zw1 and zw2 of the two processes that are ever nonzero, not
-`Field`s: the chain never leaves the package as a field, and callers that
+boundary covariance, and keeps its grid and step size.  A run builds one
+kernel (`RunConfig.kernel`) and hands it to every experiment it runs.
+`ou_init(kernel, stream)` is the only stationary draw and `ou_step` the
+only update.  The state they return is one bare read-only float64 vector
+`zw`: the entries of the NEUMANN_COSINE coefficients zw1 and zw2 of the
+two processes that are ever nonzero, not `Field`s: the chain never leaves the package as a field, and callers that
 need one build it.  The vector holds neither its kernel nor a step counter:
 `ou_step(kernel, zw, stream, step)` is given both, and the caller (for a
 trajectory, `CocycleState`) keeps them.
@@ -217,6 +218,7 @@ class OUKernel:
         if dt <= 0:
             raise ConfigError("step size must be positive")
         self.grid = grid
+        self.dt = dt
 
         lam = laplacian_eigenvalues(grid)
         mask = retained_mask(grid, Basis.NEUMANN_COSINE)

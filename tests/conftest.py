@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgsync.dynamics import dealias
+from qgsync.dynamics import dealias, evolve, start_state
 from qgsync.fields import (
     Basis,
     Field,
@@ -11,6 +11,7 @@ from qgsync.fields import (
     nodal_from_coeffs,
     retained_mask,
 )
+from qgsync.noise import OUKernel
 from qgsync.operators import advection_coeffs, streamfunction_coeffs
 
 
@@ -36,6 +37,12 @@ def field_inits(monkeypatch):
 
     monkeypatch.setattr(Field, "__init__", counted)
     return count
+
+
+def evolve_fields(t, stream, fields, params, cov1, cov2, check_cfl=True):
+    """`evolve` from start fields, under a kernel of (params.nu, cov1, cov2) on the first field's grid at the stream's dt."""
+    kernel = OUKernel(fields[0].grid, params.nu, cov1, cov2, stream.dt)
+    return evolve(t, stream, start_state(kernel, stream, fields), params, check_cfl)
 
 
 def random_field(grid, basis=Basis.NEUMANN_COSINE, seed=0, scale=1.0, slope=0.0):

@@ -174,6 +174,7 @@ def test_criterion_3_ou_stationarity():
 def test_criterion_4_cocycle_law():
     rng = np.random.default_rng(44)
     mask = retained_mask(GRID, Basis.NEUMANN_COSINE)
+    kernel = DEFAULT.kernel()
     for trial in range(20):
         seed = int(rng.integers(1, 10_000))
         s = int(rng.integers(1, 10)) * DT
@@ -182,11 +183,11 @@ def test_criterion_4_cocycle_law():
             Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask)
         )
         stream = NoiseStream(seed=seed, dt=DT)
-        assert cocycle_check(stream, PARAMS, COV1, COV2, s, t, z0)
+        assert cocycle_check(stream, PARAMS, kernel, s, t, z0)
     # negative control: a mis-shifted second leg must not match
     z0 = dealiased(Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask))
     stream = NoiseStream(seed=77, dt=DT)
-    assert not cocycle_check(stream, PARAMS, COV1, COV2, 5 * DT, 6 * DT, z0, shift_override=7 * DT)
+    assert not cocycle_check(stream, PARAMS, kernel, 5 * DT, 6 * DT, z0, shift_override=7 * DT)
 
 
 @criterion("criterion 5: noise-off synchronization rate within 20% of -(pi^2 + 2)")
@@ -194,9 +195,8 @@ def test_criterion_5_linear_rate():
     params = ModelParams(nu=1.0, r=1.0, beta=0.0)
     z0a = Field.zeros(GRID, Basis.NEUMANN_COSINE)
     z0b = mode_field(GRID, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
-    rep = synchronization_experiment(
-        5, params, COV_OFF, COV_OFF, z0a, z0b, t_end=2.0, dt=1e-3
-    )
+    kernel = OUKernel(GRID, params.nu, COV_OFF, COV_OFF, 1e-3)
+    rep = synchronization_experiment(5, params, kernel, z0a, z0b, t_end=2.0)
     ref = -(math.pi**2 + 2.0)
     assert rep["fitted_rate"] < 0
     assert abs(rep["fitted_rate"] - ref) / abs(ref) < 0.2
@@ -206,9 +206,7 @@ def test_criterion_5_linear_rate():
 def test_criterion_6_condition_evaluator(c_b):
     # (a) noise off, beta = 0: exactly the two deterministic damping terms
     params0 = ModelParams(nu=1.0, r=1.0, beta=0.0)
-    rep = check_condition(
-        params0, COV_OFF, COV_OFF, 100, NoiseStream(seed=6, dt=DT), GRID, c_b=c_b
-    )
+    rep = check_condition(params0, OUKernel(GRID, params0.nu, COV_OFF, COV_OFF, DT), 100, 6, c_b=c_b)
     assert rep["satisfied"]
     assert rep["lhs"] == pytest.approx(-params0.nu * math.pi**2 - 2.0 * params0.r, abs=1e-12)
 
@@ -216,9 +214,7 @@ def test_criterion_6_condition_evaluator(c_b):
     gradient_trace = float(np.sum(laplacian_eigenvalues(GRID) * COV2.interior_variances(GRID)))
     total_trace = float(np.sum(COV1.boundary_variances(GRID))) + gradient_trace
     assert total_trace <= 1e-3
-    rep_b = check_condition(
-        PARAMS, COV1, COV2, DEFAULT.mc_samples, NoiseStream(seed=1, dt=DT), GRID, c_b=c_b
-    )
+    rep_b = check_condition(PARAMS, DEFAULT.kernel(), DEFAULT.mc_samples, 1, c_b=c_b)
     assert rep_b["satisfied"]
     assert rep_b["margin_se"] is not None and rep_b["margin_se"] > 3.0
 
@@ -226,46 +222,34 @@ def test_criterion_6_condition_evaluator(c_b):
     big1 = CovarianceSpec(COV1.amplitude * 1e4, COV1.decay, COV1.cutoff)
     big2 = CovarianceSpec(COV2.amplitude * 1e4, COV2.decay, COV2.cutoff)
     params_c = ModelParams(nu=0.01, r=1.0, beta=0.1)
-    rep_c = check_condition(params_c, big1, big2, 100, NoiseStream(seed=2, dt=DT), GRID, c_b=c_b)
+    rep_c = check_condition(params_c, OUKernel(GRID, params_c.nu, big1, big2, DT), 100, 2, c_b=c_b)
     assert not rep_c["satisfied"]
 
 
 @criterion("criterion 7: synchronization on >= 15/16 seeds and pathwise uniqueness")
 def test_criterion_7_synchronization_at_scale():
     t_end = 4.0
+    kernel = DEFAULT.kernel()
     good = 0
     for seed in DEFAULT.seeds:
         rng = np.random.default_rng((seed, 7))
         mask = retained_mask(GRID, Basis.NEUMANN_COSINE)
         z0a = dealiased(Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask))
         z0b = dealiased(Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask))
-        rep = synchronization_experiment(
-            seed, PARAMS, COV1, COV2, z0a, z0b, t_end=t_end, dt=DT
-        )
+        rep = synchronization_experiment(seed, PARAMS, kernel, z0a, z0b, t_end=t_end)
         if rep["converged"] and rep["fitted_rate"] < 0 and rep["distances"][-1] < 1e-6 * rep["distances"][0]:
             good += 1
     assert good >= 15
 
     # pathwise uniqueness: two fresh initial conditions collapse after burn-in
-    stats = stationary_statistics(
-        DEFAULT.seeds, PARAMS, COV1, COV2, GRID, t_end=4.0, burn=2.0, dt=DT
-    )
+    stats = stationary_statistics(DEFAULT.seeds, PARAMS, kernel, t_end=4.0, burn=2.0)
     assert stats["max_postburn_distance"] < 1e-6
     assert stats["energy_cross_seed_std"] > 0.0
 
 
 @criterion("criterion 8: forward invariance of the absorbing ball on 16 seeds")
 def test_criterion_8_forward_invariance(c_b):
-    report = radius_invariance_experiment(
-        DEFAULT.seeds,
-        PARAMS,
-        COV1,
-        COV2,
-        GRID,
-        t_end=DEFAULT.t_end,
-        dt=DT,
-        c_b=c_b,
-    )
+    report = radius_invariance_experiment(DEFAULT.seeds, PARAMS, DEFAULT.kernel(), t_end=DEFAULT.t_end, c_b=c_b)
     assert report["total_violations"] == 0
     assert report["max_excursion"] <= 0.02
 

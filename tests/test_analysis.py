@@ -286,30 +286,13 @@ class TestRadiusQuadrature:
 
 class TestForwardInvariance:
     def test_noise_off_trivial(self, grid32):
-        report = radius_invariance_experiment(
-            [1, 2],
-            PARAMS,
-            COV_OFF,
-            COV_OFF,
-            grid32,
-            t_end=0.2,
-            dt=0.01,
-            c_b=CONSTS,
-            window=0.5,
-        )
+        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        report = radius_invariance_experiment([1, 2], PARAMS, kernel, t_end=0.2, c_b=CONSTS, window=0.5)
         assert report["total_violations"] == 0
 
     def test_small_noise_run(self, grid32):
-        report = radius_invariance_experiment(
-            [1, 2, 3],
-            PARAMS,
-            COV1,
-            COV2,
-            grid32,
-            t_end=1.0,
-            dt=0.01,
-            c_b=CONSTS,
-        )
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        report = radius_invariance_experiment([1, 2, 3], PARAMS, kernel, t_end=1.0, c_b=CONSTS)
         assert report["total_violations"] == 0
         assert report["max_excursion"] <= 0.02
         assert [rep["seed"] for rep in report["per_seed"]] == [1, 2, 3]
@@ -380,18 +363,14 @@ class TestStationaryMoments:
 class TestConditionEvaluator:
     def test_noise_off_exact_value(self, grid32):
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
-        report = check_condition(
-            params, COV_OFF, COV_OFF, 100, NoiseStream(seed=6, dt=0.01), grid32, c_b=CONSTS
-        )
+        report = check_condition(params, OUKernel(grid32, params.nu, COV_OFF, COV_OFF, 0.01), 100, 6, c_b=CONSTS)
         assert report["satisfied"]
         assert report["lhs"] == pytest.approx(-np.pi**2 - 2.0, abs=1e-12)
         assert report["lhs"] == pytest.approx(sum(report["terms"].values()), abs=1e-12)
         assert report["nu_lambda1"] == pytest.approx(np.pi**2, rel=1e-14)
 
     def test_small_noise_satisfied_with_margin(self, grid32):
-        report = check_condition(
-            PARAMS, COV1, COV2, 200, NoiseStream(seed=7, dt=0.01), grid32, c_b=CONSTS
-        )
+        report = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 200, 7, c_b=CONSTS)
         assert report["satisfied"]
         assert report["margin_se"] is not None and report["margin_se"] > 3.0
         assert report["lhs"] < -10.0
@@ -402,9 +381,7 @@ class TestConditionEvaluator:
         big1 = CovarianceSpec(3e-4 * 1e4, 3.0, 4)
         big2 = CovarianceSpec(3e-4 * 1e4, 2.5, 4)
         params = ModelParams(nu=0.01, r=1.0, beta=0.1)
-        report = check_condition(
-            params, big1, big2, 100, NoiseStream(seed=8, dt=0.01), grid32, c_b=CONSTS
-        )
+        report = check_condition(params, OUKernel(grid32, params.nu, big1, big2, 0.01), 100, 8, c_b=CONSTS)
         assert not report["satisfied"]
         assert report["reason"] is not None
 
@@ -412,27 +389,19 @@ class TestConditionEvaluator:
         values = []
         for nu in (0.5, 1.0, 2.0):
             params = ModelParams(nu=nu, r=1.0, beta=0.1)
-            rep = check_condition(
-                params, COV1, COV2, 100, NoiseStream(seed=9, dt=0.01), grid32, c_b=CONSTS
-            )
+            rep = check_condition(params, OUKernel(grid32, params.nu, COV1, COV2, 0.01), 100, 9, c_b=CONSTS)
             values.append(rep["lhs"])
         assert values[0] > values[1] > values[2]
 
     def test_standard_errors_shrink(self, grid32):
-        rep_a = check_condition(
-            PARAMS, COV1, COV2, 150, NoiseStream(seed=10, dt=0.01), grid32, c_b=CONSTS
-        )
-        rep_b = check_condition(
-            PARAMS, COV1, COV2, 600, NoiseStream(seed=10, dt=0.01), grid32, c_b=CONSTS
-        )
+        rep_a = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 150, 10, c_b=CONSTS)
+        rep_b = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 600, 10, c_b=CONSTS)
         # E_grad2, E_grad4 and E_R are exact; the radius moments are sampled
         ratio = rep_a["estimates"]["E_rho2"]["se"] / rep_b["estimates"]["E_rho2"]["se"]
         assert 1.4 < ratio < 2.9  # ~2 expected for 4x samples
 
     def test_report_dict_shape(self, grid32):
-        report = check_condition(
-            PARAMS, COV1, COV2, 100, NoiseStream(seed=11, dt=0.01), grid32, c_b=CONSTS
-        )
+        report = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 100, 11, c_b=CONSTS)
         assert set(report["estimates"]) == {"E_grad2", "E_grad4", "E_rho2", "E_rho4", "E_R"}
         assert report["lambda1"] == pytest.approx(np.pi**2)
         assert "norm_convention" in report
@@ -448,7 +417,7 @@ class TestOneTrilinearConstant:
     # no seed enters it, and radius and check-condition share one search
 
     def test_condition_reports_the_grids_constant(self, grid32):
-        report = check_condition(PARAMS, COV1, COV2, 100, NoiseStream(seed=5, dt=0.01), grid32)
+        report = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 100, 5)
         assert list(report["constants"]) == ["lambda1", "c_b", "c_gx"]
         assert report["constants"]["c_b"] == estimate_constants(grid32)
         assert report["constants"]["lambda1"] == LAMBDA1 and report["constants"]["c_gx"] == C_GX_EXACT
@@ -456,17 +425,16 @@ class TestOneTrilinearConstant:
     def test_both_experiments_share_one_search(self, grid32):
         search = operators._trilinear_search
         search.cache_clear()
-        radius_invariance_experiment([3], PARAMS, COV1, COV2, grid32, t_end=0.05, dt=0.01)
-        check_condition(PARAMS, COV1, COV2, 100, NoiseStream(seed=5, dt=0.01), grid32)
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        radius_invariance_experiment([3], PARAMS, kernel, t_end=0.05)
+        check_condition(PARAMS, kernel, 100, 5)
         assert search.cache_info().misses == 1
 
 
 class TestSynchronization:
     def test_identical_states_stay_identical(self, grid32):
         z0 = dealiased(random_field(grid32, seed=12, scale=0.05))
-        rep = synchronization_experiment(
-            13, PARAMS, COV1, COV2, z0, z0, t_end=0.3, dt=0.01
-        )
+        rep = synchronization_experiment(13, PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), z0, z0, t_end=0.3)
         assert np.all(rep["distances"] == 0.0)
 
     def test_noise_off_linear_rate(self, grid32):
@@ -475,9 +443,8 @@ class TestSynchronization:
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
         z0a = Field.zeros(grid32, Basis.NEUMANN_COSINE)
         z0b = mode_field(grid32, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
-        rep = synchronization_experiment(
-            14, params, COV_OFF, COV_OFF, z0a, z0b, t_end=2.0, dt=1e-3
-        )
+        kernel = OUKernel(grid32, params.nu, COV_OFF, COV_OFF, 1e-3)
+        rep = synchronization_experiment(14, params, kernel, z0a, z0b, t_end=2.0)
         ref = -(np.pi**2 + 2.0)
         assert rep["converged"]
         assert rep["fitted_rate"] < 0
@@ -494,16 +461,14 @@ class TestSynchronization:
         monkeypatch.setattr(dynamics, "ou_step", counted)
         z0a = dealiased(random_field(grid32, seed=24, scale=0.05))
         z0b = dealiased(random_field(grid32, seed=25, scale=0.05))
-        synchronization_experiment(26, PARAMS, COV1, COV2, z0a, z0b, t_end=0.1, dt=0.01)
+        synchronization_experiment(26, PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), z0a, z0b, t_end=0.1)
         assert steps == list(range(10))
 
     def test_noisy_config_synchronizes(self, grid32):
         rng = np.random.default_rng(15)
         z0a = dealiased(random_field(grid32, seed=16, scale=0.05))
         z0b = dealiased(random_field(grid32, seed=17, scale=0.05))
-        rep = synchronization_experiment(
-            18, PARAMS, COV1, COV2, z0a, z0b, t_end=3.0, dt=0.01
-        )
+        rep = synchronization_experiment(18, PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), z0a, z0b, t_end=3.0)
         assert rep["converged"]
         assert rep["fitted_rate"] < 0
         assert rep["distances"][-1] < 1e-6 * rep["distances"][0]
@@ -515,7 +480,8 @@ class TestSynchronization:
         huge1, huge2 = CovarianceSpec(1e156, 3.0, 4), CovarianceSpec(1e156, 2.5, 4)
         z0a = dealiased(random_field(grid32, seed=27, scale=0.05))
         z0b = dealiased(random_field(grid32, seed=28, scale=0.05))
-        rep = synchronization_experiment(29, PARAMS, huge1, huge2, z0a, z0b, t_end=0.02, dt=0.01)
+        kernel = OUKernel(grid32, PARAMS.nu, huge1, huge2, 0.01)
+        rep = synchronization_experiment(29, PARAMS, kernel, z0a, z0b, t_end=0.02)
         assert rep["distances"][0] > 0 and np.all(rep["distances"][1:] == 0.0)
         assert not rep["converged"]
 
@@ -523,17 +489,15 @@ class TestSynchronization:
 class TestStationaryStatistics:
     def test_noise_off_everything_zero(self, grid32):
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
-        report = stationary_statistics(
-            [1], params, COV_OFF, COV_OFF, grid32, t_end=2.5, burn=1.5, dt=0.01
-        )
+        kernel = OUKernel(grid32, params.nu, COV_OFF, COV_OFF, 0.01)
+        report = stationary_statistics([1], params, kernel, t_end=2.5, burn=1.5)
         assert report["per_seed"][0]["energy_mean"] < 1e-12
         assert report["per_seed"][0]["enstrophy_mean"] < 1e-9
         assert report["max_postburn_distance"] < 1e-6
 
     def test_synchronized_and_random(self, grid32):
-        report = stationary_statistics(
-            [1, 2, 3], PARAMS, COV1, COV2, grid32, t_end=3.0, burn=1.5, dt=0.01
-        )
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        report = stationary_statistics([1, 2, 3], PARAMS, kernel, t_end=3.0, burn=1.5)
         assert report["max_postburn_distance"] < 1e-6
         assert report["energy_cross_seed_std"] > 0.0
         energies = [rep["energy_mean"] for rep in report["per_seed"]]

@@ -16,7 +16,7 @@ import qgsync
 from qgsync import cli
 from qgsync.cli import main, write_json
 from qgsync.config import RunConfig, config_from_flat, parse_config
-from qgsync.noise import ConfigError
+from qgsync.noise import ConfigError, OUKernel
 
 
 SMALL_CONFIG = """
@@ -388,6 +388,23 @@ class TestViscositySquare:
         assert main([command, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
 
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_viscosity_whose_square_overflows_exits_2(self, tmp_path, capsys, command):
+        # nu * nu is inf: refused when parsed, before `float ** 2` can raise
+        cfg = write_config(tmp_path, seeds="1", **{"params.nu": "1e300"})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: viscosity must have a finite, nonzero square, got 1e+300\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_huge_viscosity_with_a_finite_square_runs(self, tmp_path, command):
+        overrides = {"params.nu": "1e154", "time.t_end": "0.1", "time.burn": "0"}
+        cfg = write_config(tmp_path, seeds="1", **overrides)
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+
+
 class TestWindowRefusals:
     # step counts whose series numpy cannot index: refused before numpy
     # computes the array shape, as one configuration error
@@ -403,12 +420,16 @@ class TestWindowRefusals:
             ),
             # burn + samples * gap steps is past the largest float
             ("check-condition", {"time.dt": "1e-307", "time.t_end": "1e-305", "time.burn": "0"}),
+            # 5e16 steps: numpy can index the 4e17-byte series, but no x86-64
+            # address space (at most 2^57 bytes) holds it, so nothing is allocated
+            ("check-condition", {"mc.samples": "1000000000000000"}),
         ],
         ids=[
             "radius_window_1e300",
             "condition_gap_over_dt_1e-300",
             "radius_window_over_dt_inf",
             "condition_steps_over_float_max",
+            "condition_series_past_memory",
         ],
     )
     def test_unindexable_window_exits_2(self, tmp_path, capsys, command, overrides):
@@ -418,6 +439,24 @@ class TestWindowRefusals:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+
+class TestOneKernelPerCommand:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_builds_one_kernel(self, tmp_path, monkeypatch, command):
+        # each command builds the run's kernel once, whatever its seeds (1,2)
+        # and suites, and hands it to every experiment
+        builds = []
+        init = OUKernel.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OUKernel, "__init__", counted)
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+        assert len(builds) == 1
 
 
 class TestDivergence:

@@ -16,6 +16,7 @@ from qgsync.dynamics import (
     ModelParams,
     dealias,
     evolve,
+    start_state,
     step_imex,
     untransform,
 )
@@ -34,7 +35,7 @@ from qgsync.fields import (
 from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import dirichlet_poisson, streamfunction_coeffs
 
-from conftest import advection, beta_coeffs, dealiased, mode_field, nodal, random_field
+from conftest import advection, beta_coeffs, dealiased, evolve_fields, mode_field, nodal, random_field
 
 PARAMS = ModelParams(nu=1.0, r=1.0, beta=0.1)
 COV1 = CovarianceSpec(3e-4, 3.0, 4)
@@ -125,7 +126,7 @@ class TestStepImex:
         dt = 0.01
         z = masked_field(grid32, 1)
         stream = NoiseStream(seed=1, dt=dt)
-        _, state = evolve(dt, stream, (z,), PARAMS, COV_OFF, COV_OFF)
+        _, state = evolve_fields(dt, stream, (z,), PARAMS, COV_OFF, COV_OFF)
         b = dealias(advection(z.coeffs, z.coeffs))
         tendency = -b - PARAMS.beta * beta_coeffs(z.coeffs)
         expected = implicit_solve(grid32, z.coeffs + dt * tendency, dt)
@@ -136,7 +137,7 @@ class TestStepImex:
         # -dealias B(w,w) - beta G(w)_x - r w, solved implicitly
         dt = 0.01
         stream = NoiseStream(seed=2, dt=dt)
-        start, state = evolve(dt, stream, (Field.zeros(grid32, Basis.NEUMANN_COSINE),), PARAMS, COV1, COV2)
+        start, state = evolve_fields(dt, stream, (Field.zeros(grid32, Basis.NEUMANN_COSINE),), PARAMS, COV1, COV2)
         planes = start.kernel.planes(start.zw)
         w = planes[0] + planes[1]
         b = dealias(advection(w, w))
@@ -154,7 +155,7 @@ class TestStepImex:
         def terminal_norm(dt):
             z0 = mode_field(grid32, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
             stream = NoiseStream(seed=4, dt=dt)
-            state = last(evolve(t_end, stream, (z0,), params, COV_OFF, COV_OFF, check_cfl=False))
+            state = last(evolve_fields(t_end, stream, (z0,), params, COV_OFF, COV_OFF, check_cfl=False))
             assert state.step == round(t_end / dt)
             return norm_l2(state.members[0])
 
@@ -172,7 +173,8 @@ class TestStepImex:
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
         dt = 1e-3
         stream = NoiseStream(seed=5, dt=dt)
-        states = evolve(0.3, stream, (masked_field(grid32, 5, scale=1.0),), params, COV_OFF, COV_OFF, check_cfl=False)
+        start = (masked_field(grid32, 5, scale=1.0),)
+        states = evolve_fields(0.3, stream, start, params, COV_OFF, COV_OFF, check_cfl=False)
         norms = [norm_l2(next(states).members[0])]
         dissipated = 0.0
         from qgsync.fields import norm_h1
@@ -193,7 +195,7 @@ class TestStepImex:
 
         def solve(dt):
             stream = NoiseStream(seed=6, dt=dt)
-            return last(evolve(t_end, stream, (z0,), params, COV_OFF, COV_OFF, check_cfl=False)).members[0]
+            return last(evolve_fields(t_end, stream, (z0,), params, COV_OFF, COV_OFF, check_cfl=False)).members[0]
 
         z_a = solve(4e-3)
         z_b = solve(2e-3)
@@ -205,7 +207,7 @@ class TestStepImex:
 
     def test_mean_mode_stays_zero(self, grid32):
         stream = NoiseStream(seed=7, dt=0.01)
-        for state in evolve(0.5, stream, (masked_field(grid32, 7),), PARAMS, COV1, COV2, check_cfl=False):
+        for state in evolve_fields(0.5, stream, (masked_field(grid32, 7),), PARAMS, COV1, COV2, check_cfl=False):
             assert state.members[0][0, 0] == 0.0
         assert state.step == 50
 
@@ -216,7 +218,7 @@ class TestStepImex:
         with pytest.raises(DivergenceError):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CFLWarning)
-                for _ in evolve(500.0, stream, (z0,), params, COV_OFF, COV_OFF):
+                for _ in evolve_fields(500.0, stream, (z0,), params, COV_OFF, COV_OFF):
                     pass
 
     def test_overflowing_synthesis_is_a_divergence(self, grid32):
@@ -236,7 +238,7 @@ class TestStepImex:
         stream = NoiseStream(seed=11, dt=0.01)
         start = (masked_field(grid32, 11),)
         states = {
-            check_cfl: last(evolve(0.05, stream, start, PARAMS, COV1, COV2, check_cfl=check_cfl))
+            check_cfl: last(evolve_fields(0.05, stream, start, PARAMS, COV1, COV2, check_cfl=check_cfl))
             for check_cfl in (True, False)
         }
         assert states[True].step == 5
@@ -328,13 +330,13 @@ class TestCFLBound:
 class TestEvolve:
     def test_zero_time_is_identity(self, grid32):
         z0 = masked_field(grid32, 11)
-        (out,) = evolve(0.0, NoiseStream(seed=11, dt=0.01), (z0,), PARAMS, COV1, COV2)
+        (out,) = evolve_fields(0.0, NoiseStream(seed=11, dt=0.01), (z0,), PARAMS, COV1, COV2)
         assert np.array_equal(out.members[0], z0.coeffs)
 
     def test_determinism(self, grid32):
         z0 = masked_field(grid32, 12)
-        a = last(evolve(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
-        b = last(evolve(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        a = last(evolve_fields(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        b = last(evolve_fields(0.3, NoiseStream(seed=12, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
         assert np.array_equal(a.members[0], b.members[0])
 
     @pytest.mark.parametrize("n", [32, 256])
@@ -351,7 +353,7 @@ class TestEvolve:
         monkeypatch.setattr(dynamics, "step_imex", record)
         grid = GridSpec(n)
         start = (Field.zeros(grid, Basis.NEUMANN_COSINE),)
-        states = evolve(2.0, NoiseStream(seed=33, dt=0.01), start, PARAMS, COV1, COV2)
+        states = evolve_fields(2.0, NoiseStream(seed=33, dt=0.01), start, PARAMS, COV1, COV2)
         prev = next(states)
         for state in states:
             (w,) = seen
@@ -365,10 +367,10 @@ class TestEvolve:
 
     def test_time_must_be_step_multiple(self, grid32):
         with pytest.raises(ConfigError):
-            next(evolve(0.015, NoiseStream(seed=13, dt=0.01), (masked_field(grid32, 13),), PARAMS, COV1, COV2))
+            next(evolve_fields(0.015, NoiseStream(seed=13, dt=0.01), (masked_field(grid32, 13),), PARAMS, COV1, COV2))
 
     def test_yields_every_state(self, grid32):
-        states = evolve(
+        states = evolve_fields(
             0.05,
             NoiseStream(seed=14, dt=0.01),
             (masked_field(grid32, 14),),
@@ -384,8 +386,8 @@ class TestEvolve:
         # member a's z and the chain are the same bits alone and in a pair
         a, b = masked_field(grid32, 22), masked_field(grid32, 23)
         stream = NoiseStream(seed=22, dt=0.01)
-        pair = list(evolve(0.2, stream, (a, b), PARAMS, COV1, COV2, check_cfl=False))
-        alone = list(evolve(0.2, stream, (a,), PARAMS, COV1, COV2, check_cfl=False))
+        pair = list(evolve_fields(0.2, stream, (a, b), PARAMS, COV1, COV2, check_cfl=False))
+        alone = list(evolve_fields(0.2, stream, (a,), PARAMS, COV1, COV2, check_cfl=False))
         assert len(pair) == len(alone) == 21
         for shared, single in zip(pair, alone):
             assert shared.step == single.step
@@ -398,7 +400,7 @@ class TestEvolve:
     def test_members_are_read_only(self, grid32):
         # the start stack and every stepped stack
         stream = NoiseStream(seed=24, dt=0.01)
-        for state in evolve(0.02, stream, (masked_field(grid32, 24),), PARAMS, COV1, COV2, check_cfl=False):
+        for state in evolve_fields(0.02, stream, (masked_field(grid32, 24),), PARAMS, COV1, COV2, check_cfl=False):
             with pytest.raises(ValueError):
                 state.members[0, 1, 1] = 1.0
 
@@ -410,7 +412,7 @@ class TestEvolve:
         grid = GridSpec(n)
         stream = NoiseStream(seed=27, dt=0.001)
         start = (masked_field(grid, 27), masked_field(grid, 28))
-        states = list(evolve(0.003, stream, start, PARAMS, COV1, COV2))
+        states = list(evolve_fields(0.003, stream, start, PARAMS, COV1, COV2))
         held = list(fields._WORK.get(n)) + list(operators._JACOBIAN_WORK.get(n)) + list(dynamics._STEP_WORK.get(n))
         for prev, state in zip(states, states[1:]):
             planes = prev.kernel.planes(prev.zw)
@@ -424,24 +426,26 @@ class TestEvolve:
     def test_rejects_a_sine_start_field(self, grid32):
         # its sine coefficients would be stepped as cosine ones
         z0 = random_field(grid32, Basis.DIRICHLET_SINE, seed=25, scale=0.05)
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
         with pytest.raises(DimensionMismatch):
-            next(evolve(0.05, NoiseStream(seed=25, dt=0.01), (z0,), PARAMS, COV1, COV2))
+            start_state(kernel, NoiseStream(seed=25, dt=0.01), (z0,))
 
     def test_rejects_start_fields_on_two_grids(self, grid32, grid64):
         a, b = masked_field(grid32, 26), masked_field(grid64, 27)
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
         with pytest.raises(DimensionMismatch):
-            next(evolve(0.05, NoiseStream(seed=26, dt=0.01), (a, b), PARAMS, COV1, COV2))
+            start_state(kernel, NoiseStream(seed=26, dt=0.01), (a, b))
 
     def test_continuity_in_initial_state(self, grid32):
         # the flow map is continuous in z0: the response to a perturbation
         # eps * e1 shrinks linearly with eps (finite slope)
         z0 = masked_field(grid32, 21, scale=0.2)
         e1 = mode_field(grid32, Basis.NEUMANN_COSINE, {(1, 0): 1.0})
-        base = last(evolve(0.5, NoiseStream(seed=21, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        base = last(evolve_fields(0.5, NoiseStream(seed=21, dt=0.01), (z0,), PARAMS, COV1, COV2, check_cfl=False))
         gaps = []
         for eps in (1e-3, 5e-4, 2.5e-4):
             pert = last(
-                evolve(
+                evolve_fields(
                     0.5,
                     NoiseStream(seed=21, dt=0.01),
                     (Field(grid32, Basis.NEUMANN_COSINE, coeffs=z0.coeffs + eps * e1.coeffs),),
@@ -461,29 +465,29 @@ class TestCocycle:
     def test_flow_property_bitwise(self, grid32):
         z0 = masked_field(grid32, 15)
         stream = NoiseStream(seed=15, dt=0.01)
-        assert cocycle_check(stream, PARAMS, COV1, COV2, 0.05, 0.07, z0)
+        assert cocycle_check(stream, PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 0.05, 0.07, z0)
 
     def test_zero_legs(self, grid32):
         z0 = masked_field(grid32, 16)
         stream = NoiseStream(seed=16, dt=0.01)
-        assert cocycle_check(stream, PARAMS, COV1, COV2, 0.0, 0.05, z0)
-        assert cocycle_check(stream, PARAMS, COV1, COV2, 0.05, 0.0, z0)
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        assert cocycle_check(stream, PARAMS, kernel, 0.0, 0.05, z0)
+        assert cocycle_check(stream, PARAMS, kernel, 0.05, 0.0, z0)
 
     def test_negative_control(self, grid32):
         z0 = masked_field(grid32, 17)
         stream = NoiseStream(seed=17, dt=0.01)
-        assert not cocycle_check(
-            stream, PARAMS, COV1, COV2, 0.05, 0.07, z0, shift_override=0.08
-        )
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        assert not cocycle_check(stream, PARAMS, kernel, 0.05, 0.07, z0, shift_override=0.08)
 
     def test_restart_keeps_the_states_kernel(self, grid32):
-        # the state is the restart token: the covariances a restart is given
-        # do not rebuild its chain, which goes on with the state's kernel
+        # the state is the restart token: its chain goes on with the state's
+        # kernel
         z0 = masked_field(grid32, 30)
         stream = NoiseStream(seed=30, dt=0.01)
-        full = last(evolve(0.12, stream, (z0,), PARAMS, COV1, COV2, check_cfl=False))
-        mid = last(evolve(0.05, stream, (z0,), PARAMS, COV1, COV2, check_cfl=False))
-        second = last(evolve(0.07, wiener_shift(stream, 5), mid, PARAMS, COV_OFF, COV_OFF, check_cfl=False))
+        full = last(evolve_fields(0.12, stream, (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        mid = last(evolve_fields(0.05, stream, (z0,), PARAMS, COV1, COV2, check_cfl=False))
+        second = last(evolve(0.07, wiener_shift(stream, 5), mid, PARAMS, check_cfl=False))
         assert second.kernel is mid.kernel
         assert np.array_equal(second.zw, full.zw)
         assert np.array_equal(second.members, full.members)
@@ -491,20 +495,29 @@ class TestCocycle:
     def test_built_state_steps_its_chain_with_its_kernel(self, grid32):
         # a chain paired with a kernel of another viscosity (the same
         # support, other decays and gains) steps with that kernel, whatever
-        # parameters and covariances the run is given
+        # parameters the run is given
         kernel0 = OUKernel(grid32, 4.0 * PARAMS.nu, COV1, COV2, 0.01)
         kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
         stream = NoiseStream(seed=31, dt=0.01)
         zw = ou_init(kernel, stream).copy()
         start = CocycleState(step=0, members=masked_field(grid32, 31).coeffs[np.newaxis], zw=zw, kernel=kernel0)
         assert not start.zw.flags.writeable and not start.members.flags.writeable
-        states = list(evolve(0.02, stream, start, PARAMS, COV_OFF, COV_OFF, check_cfl=False))
+        states = list(evolve(0.02, stream, start, PARAMS, check_cfl=False))
         assert all(state.kernel is kernel0 for state in states)
         assert np.any(zw)
         increments = kernel0.step_gain * stream.normals(0, kernel0.n_channels).take(kernel0.channel)
         assert np.array_equal(states[1].zw, kernel0.decay * zw + increments)
         assert np.array_equal(states[2].zw, ou_step(kernel0, states[1].zw, stream, 1))
         assert not np.array_equal(states[1].zw, ou_step(kernel, zw, stream, 0))
+
+    def test_stream_of_another_dt_is_refused(self, grid32):
+        # the chain of a dt = 0.01 kernel would decay at 0.01 per step while
+        # the members step 0.02: the restart is refused, naming both
+        start = (masked_field(grid32, 34),)
+        mid = last(evolve_fields(0.05, NoiseStream(seed=34, dt=0.01), start, PARAMS, COV1, COV2, check_cfl=False))
+        assert mid.kernel.dt == 0.01
+        with pytest.raises(ConfigError, match=r"dt=0\.02.*dt=0\.01"):
+            next(evolve(0.04, NoiseStream(seed=34, dt=0.02), mid, PARAMS, check_cfl=False))
 
     def test_chain_of_another_kernel_is_refused(self, grid32):
         # a noisy chain paired with a noise-free kernel: the state refuses
@@ -545,7 +558,7 @@ class TestUntransform:
 
     def test_streamfunction_vanishes_on_boundary(self, grid32):
         stream = NoiseStream(seed=20, dt=0.01)
-        _, state = evolve(0.01, stream, (masked_field(grid32, 20),), PARAMS, COV1, COV2, check_cfl=False)
+        _, state = evolve_fields(0.01, stream, (masked_field(grid32, 20),), PARAMS, COV1, COV2, check_cfl=False)
         u = Field(grid32, Basis.NEUMANN_COSINE, untransform(state.members[0], state.kernel.planes(state.zw)))
         nod = nodal(dirichlet_poisson(u))
         edge = max(

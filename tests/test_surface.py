@@ -2,7 +2,7 @@
 
 Also: no module of the package or of the tests imports a name it never uses,
 no function of the package takes a parameter it never reads, and each
-experiment builds its coefficient kernel once.
+command builds its coefficient kernel once.
 """
 
 import ast
@@ -99,7 +99,7 @@ def test_one_stationary_draw_per_chain():
     # `ou_init` starts each chain; the condition's moments of its law are
     # closed forms, so no second sampler draws from it
     assert definitions_naming(PACKAGE, "ou_init") == {
-        "dynamics.evolve",
+        "dynamics.start_state",
         "analysis._coefficient_window",
         "cli._suite_ou",
     }
@@ -121,15 +121,25 @@ def definitions_calling(package: Path, name: str) -> set[str]:
 
 
 def test_one_kernel_build_per_experiment():
-    # radius and check-condition build the chain kernel once and hand it to
-    # the radius window and the exact stationary moments; evolve builds one
-    # per run
-    assert definitions_calling(PACKAGE, "OUKernel") == {
-        "dynamics.evolve",
-        "analysis.radius_invariance_experiment",
-        "analysis.check_condition",
-        "cli._suite_ou",
-    }
+    # a command builds the run's one kernel with `RunConfig.kernel` and hands
+    # it to `evolve`'s start states and to every experiment it runs
+    assert definitions_calling(PACKAGE, "OUKernel") == {"config.RunConfig"}
+
+
+def test_experiments_take_the_kernel():
+    # grid, step size and covariances reach `evolve` and the experiments
+    # only inside the kernel, so no run can pair a chain with other ones
+    takers = (
+        qgsync.evolve,
+        qgsync.radius_invariance_experiment,
+        qgsync.check_condition,
+        qgsync.synchronization_experiment,
+        qgsync.stationary_statistics,
+        qgsync.cocycle_check,
+    )
+    for fn in takers:
+        assert not set(inspect.signature(fn).parameters) & {"cov1", "cov2", "grid", "dt"}, fn.__name__
+    assert list(inspect.signature(qgsync.start_state).parameters) == ["kernel", "stream", "fields"]
 
 
 def test_rates_formed_once_per_experiment():
@@ -156,7 +166,7 @@ def test_one_trilinear_constant_per_grid():
 
 
 def test_field_is_a_boundary_type():
-    # a trajectory is arrays between `evolve`'s start fields and a caller's
+    # a trajectory is arrays between `start_state`'s fields and a caller's
     # snapshot: no step, untransform, analysis, validation suite or
     # constants search builds a field, and the remaining builders are the
     # snapshot, the random start state and the two field-level operators
