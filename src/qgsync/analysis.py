@@ -21,8 +21,9 @@ This module turns the stability theory into executable checks:
   * `cocycle_check` is the bitwise flow-property regression test.
 
 Each experiment takes the run's one coefficient kernel (`OUKernel`), built
-once per command, and reads the grid and the step size from it; a seed's
-noise is the stream `NoiseStream(seed, kernel.dt)`.  Each experiment
+once per command, and reads the grid and the step size from it; a kernel
+whose viscosity is not the model's is a `ConfigError`.  A seed's noise is
+the stream `NoiseStream(seed, kernel.dt)`.  Each experiment
 returns its report body as a plain dict, with the keys in
 the order its JSON report writes them; the entry that
 `synchronization_experiment` returns also carries the distance record,
@@ -153,6 +154,14 @@ def propagate_rho_squared(
     return path
 
 
+def _same_viscosity(params: ModelParams, kernel: OUKernel) -> None:
+    """A `ConfigError` unless the model and the coefficient kernel share one viscosity nu."""
+    if params.nu != kernel.nu:
+        raise ConfigError(
+            f"the model's viscosity nu={params.nu} differs from the coefficient kernel's nu={kernel.nu}"
+        )
+
+
 def _steps_at_least(t: float, dt: float, least: int) -> int:
     """A window time as whole steps of dt, rounded and at least `least`.
 
@@ -183,7 +192,7 @@ def _window_steps(
     return _steps_at_least(20.0 / margin if window is None else window, dt, 2)
 
 
-_NORM_BLOCK = 16  # chain steps whose norms `_coefficient_window` takes together
+_NORM_BLOCK = 32  # chain steps whose norms `_coefficient_window` takes together
 _RHO_CHUNK = 1024  # samples that `propagate_rho_squared` lists at a time
 
 
@@ -211,14 +220,19 @@ def _coefficient_window(kernel: OUKernel, stream: NoiseStream, steps: int):
     to be transported into a forward run with this kernel.  The series
     carry no condition constant: a consumer forms R with
     `driver_from_norms` under its own rates.  The chain advances one
-    `ou_step` at a time; each step's w at the cells is one row of a
-    `_NORM_BLOCK`-row buffer, and the norms of a full buffer are taken in
-    one go.  A window whose series of steps + 1 floats numpy cannot index
-    or the machine cannot allocate is a `ConfigError`.
+    `ou_step` at a time, and each step's `zw` is copied into one row of a
+    `_NORM_BLOCK`-row buffer.  A full buffer is combined into its rows of
+    w at the cells by one `bincount`, row i into bins i * cells.size
+    onwards, each summed from 0.0 in entry order, so every row has the
+    bits of `kernel.combined` of that step alone; the norms of the block
+    are then taken in one go.  A window whose series of steps + 1 floats
+    numpy cannot index or the machine cannot allocate is a `ConfigError`.
     """
     past = wiener_shift(stream, -steps)
     zw = ou_init(kernel, past)
-    block = np.empty((_NORM_BLOCK, kernel.cells.size))
+    ncells = kernel.cells.size
+    block = np.empty((_NORM_BLOCK, kernel.into.size))
+    into = (kernel.into + ncells * np.arange(_NORM_BLOCK)[:, np.newaxis]).ravel()
     lam = laplacian_eigenvalues(kernel.grid).take(kernel.cells)
     try:
         if (steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
@@ -235,8 +249,10 @@ def _coefficient_window(kernel: OUKernel, stream: NoiseStream, steps: int):
         for j, row in zip(range(lo, hi), block):
             if j:
                 zw = ou_step(kernel, zw, past, j - 1)
-            row[:] = kernel.combined(zw)
-        l2[lo:hi], h1[lo:hi] = _norm_squares(block[: hi - lo], lam)
+            row[:] = zw
+        rows = hi - lo
+        w = np.bincount(into[: rows * zw.size], weights=block[:rows].ravel(), minlength=rows * ncells)
+        l2[lo:hi], h1[lo:hi] = _norm_squares(w.astype(float, copy=False).reshape(rows, ncells), lam)
     return l2, h1, zw
 
 
@@ -292,6 +308,7 @@ def radius_invariance_experiment(
     depend on no seed, so they are formed once; each seed's window runs its
     own chain up to time 0, where rho^2 must be finite.
     """
+    _same_viscosity(params, kernel)
     grid, dt = kernel.grid, kernel.dt
     if c_b is None:
         c_b = estimate_constants(grid)
@@ -384,6 +401,7 @@ def check_condition(
     and terms, lhs, margin_se, E_rho2 and E_rho4 are None.  A moment or
     an lhs that is not finite is a `DecayConditionError`.
     """
+    _same_viscosity(params, kernel)
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
     if c_b is None:
@@ -491,6 +509,7 @@ def synchronization_experiment(
     and last distance, followed by the `times` and `distances` arrays of
     the whole distance record.
     """
+    _same_viscosity(params, kernel)
     stream = NoiseStream(seed, kernel.dt)
     states = evolve(t_end, stream, start_state(kernel, stream, (z0_a, z0_b)), params, check_cfl=False)
     dists = np.array([norm_l2(state.members[0] - state.members[1]) for state in states])
@@ -529,6 +548,7 @@ def stationary_statistics(
     A post-burn physical field whose energy or enstrophy is not finite
     raises `DivergenceError`: its moments are not estimable.
     """
+    _same_viscosity(params, kernel)
     grid = kernel.grid
     per_seed = []
     for seed in sorted(seeds):
@@ -597,6 +617,8 @@ def cocycle_check(
     leg, whose stream is the original shifted by t; `shift_override`
     mis-shifts it deliberately for negative controls.
     """
+    _same_viscosity(params, kernel)
+
     def final(span, noise, start):
         for state in evolve(span, noise, start, params, check_cfl=False):
             pass

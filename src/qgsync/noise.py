@@ -6,9 +6,11 @@ keyed by the seed with the step index in the counter.  This makes the time
 shift of a noise path a trivial re-indexing (`wiener_shift`, by a whole
 number of steps), lets negative step indices realize the two-sided past,
 and makes every experiment bit-reproducible.  One Philox generator per
-seed is cached and reseated for every draw (the step goes into counter
-word 1 and the buffer is emptied), which gives the bits of a newly built
-generator without the cost of building one.
+seed is cached together with a reseat state, the generator's state dict
+with its counter, key and buffer words as lists of plain Python ints.
+Each draw writes its step into counter word 1 and assigns the state back,
+which empties the buffer: the bits of a newly built generator, without
+the cost of building one or of converting numpy scalars in the setter.
 
 The two coefficient processes (one driven through the boundary lift, one by
 interior forcing) are advanced with the exact per-mode Ornstein-Uhlenbeck
@@ -21,8 +23,9 @@ at different rates, so its stationary correlation between them is below 1.
 
 `OUKernel(grid, nu, cov1, cov2, dt)` is the one place the coefficient
 processes are set up: it builds the boundary lift itself, sized to the
-boundary covariance, and keeps its grid and step size.  A run builds one
-kernel (`RunConfig.kernel`) and hands it to every experiment it runs.
+boundary covariance, and keeps its viscosity, grid and step size.  A run
+builds one kernel (`RunConfig.kernel`) and hands it to every experiment
+it runs.
 `ou_init(kernel, stream)` is the only stationary draw and `ou_step` the
 only update.  The state they return is one bare read-only float64 vector
 `zw`: the entries of the NEUMANN_COSINE coefficients zw1 and zw2 of the
@@ -49,7 +52,8 @@ Next to the index it keeps each entry's channel, decay, and step and
 stationary gains, so `ou_step` is decay * zw + step_gain * normals[channel],
 the products and sums of each process's update on its lattice plane.
 `planes` lays a vector out on the two planes, and `combined` sums it into
-w = zw1 + zw2 at the `cells` that either plane uses.
+w = zw1 + zw2 at the `cells` that either plane uses (the radius window
+does the same sum for a block of chain steps in one `bincount`).
 """
 
 from __future__ import annotations
@@ -80,12 +84,18 @@ def _philox(key: int):
     """One Philox generator per key, with the state that reseats it.
 
     The returned state dict is the freshly constructed one (counter zero,
-    buffer empty); `NoiseStream.normals` writes the step into its counter
-    word 1 and assigns it back, which makes the generator indistinguishable
-    from `Philox(key=key, counter=step << 64)` built anew.
+    buffer empty), its counter, key and buffer words held as lists of
+    plain Python ints below 2**64, which the `Philox.state` setter reads
+    without converting numpy scalars.  `NoiseStream.normals` writes the
+    step into counter word 1 and assigns the dict back, which makes the
+    generator indistinguishable from `Philox(key=key, counter=step << 64)`
+    built anew.
     """
     bitgen = Philox(key=key)
-    return bitgen, Generator(bitgen), bitgen.state
+    state = bitgen.state
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    return bitgen, Generator(bitgen), state
 
 
 @dataclass(frozen=True)
@@ -218,6 +228,7 @@ class OUKernel:
         if dt <= 0:
             raise ConfigError("step size must be positive")
         self.grid = grid
+        self.nu = nu
         self.dt = dt
 
         lam = laplacian_eigenvalues(grid)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qgsync.analysis import (
+    CONDITION_GAP_TIME,
+    _NORM_BLOCK,
     DecayConditionError,
     _coefficient_window,
     _norm_squares,
@@ -13,6 +15,7 @@ from qgsync.analysis import (
     _stationary_moments,
     _window_steps,
     check_condition,
+    cocycle_check,
     decay_margin,
     driver_from_norms,
     propagate_rho_squared,
@@ -20,11 +23,11 @@ from qgsync.analysis import (
     stationary_statistics,
     synchronization_experiment,
 )
-from qgsync import dynamics, operators
+from qgsync import analysis, dynamics, operators
 from qgsync.config import RunConfig
 from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, norm_l2
-from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
+from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import C_GX_EXACT, LAMBDA1, estimate_constants
 
 from conftest import dealiased, mode_field, random_field
@@ -108,9 +111,14 @@ class TestCoefficientWindow:
                 zw = ou_step(kernel, zw, past, j)
         return l2, h1, r, zw
 
-    @pytest.mark.parametrize("steps", [15, 16, 17, 33])
+    # windows within one block, and the block edges B - 1, B, B + 1 and 2B + 1 wherever `_NORM_BLOCK` lands
+    STEPS = sorted({15, 16, 17, 33, _NORM_BLOCK - 1, _NORM_BLOCK, _NORM_BLOCK + 1, 2 * _NORM_BLOCK + 1})
+
+    @pytest.mark.parametrize("steps", STEPS)
     @pytest.mark.parametrize(
-        "cov1, cov2", [(COV1, COV2), (COV_OFF, COV2), (COV1, COV_OFF)], ids=["both", "no_boundary", "no_interior"]
+        "cov1, cov2",
+        [(COV1, COV2), (COV_OFF, COV2), (COV1, COV_OFF), (COV_OFF, COV_OFF)],
+        ids=["both", "no_boundary", "no_interior", "neither"],
     )
     def test_matches_per_step_loop(self, grid32, steps, cov1, cov2):
         stream = NoiseStream(seed=913, dt=0.01)
@@ -400,6 +408,22 @@ class TestConditionEvaluator:
         ratio = rep_a["estimates"]["E_rho2"]["se"] / rep_b["estimates"]["E_rho2"]["se"]
         assert 1.4 < ratio < 2.9  # ~2 expected for 4x samples
 
+    def test_one_chain_step_per_window_step(self, grid32, monkeypatch):
+        # perfbench's traced check compares this count with the work it divides by:
+        # one OU step per step of the burn and the decimated samples, in order
+        steps = []
+
+        def counted(kernel, zw, stream, step):
+            steps.append(step)
+            return ou_step(kernel, zw, stream, step)
+
+        monkeypatch.setattr(analysis, "ou_step", counted)
+        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        check_condition(PARAMS, kernel, 100, 12, c_b=CONSTS)
+        burn = _window_steps(RATES, _stationary_moments(kernel, RATES)[0], None, kernel.dt)
+        gap = round(CONDITION_GAP_TIME / kernel.dt)
+        assert steps == list(range(burn + 100 * gap))
+
     def test_report_dict_shape(self, grid32):
         report = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 100, 11, c_b=CONSTS)
         assert set(report["estimates"]) == {"E_grad2", "E_grad4", "E_rho2", "E_rho4", "E_R"}
@@ -429,6 +453,25 @@ class TestOneTrilinearConstant:
         radius_invariance_experiment([3], PARAMS, kernel, t_end=0.05)
         check_condition(PARAMS, kernel, 100, 5)
         assert search.cache_info().misses == 1
+
+
+class TestOneViscosity:
+    """A kernel built for another nu than the model's would mix two viscosities in one experiment."""
+
+    EXPERIMENTS = {
+        "radius": lambda params, kernel, z0: radius_invariance_experiment([1], params, kernel, 0.02, c_b=CONSTS),
+        "check_condition": lambda params, kernel, z0: check_condition(params, kernel, 100, 1, c_b=CONSTS),
+        "synchronization": lambda params, kernel, z0: synchronization_experiment(1, params, kernel, z0, z0, 0.02),
+        "stationary": lambda params, kernel, z0: stationary_statistics([1], params, kernel, 0.02, 0.0),
+        "cocycle": lambda params, kernel, z0: cocycle_check(NoiseStream(1, kernel.dt), params, kernel, 0.01, 0.01, z0),
+    }
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_another_viscosity_is_a_config_error(self, grid32, experiment):
+        kernel = OUKernel(grid32, 2.0, COV1, COV2, 0.01)
+        z0 = dealiased(random_field(grid32, seed=27, scale=0.05))
+        with pytest.raises(ConfigError, match=r"nu=1\.0 .*nu=2\.0"):
+            self.EXPERIMENTS[experiment](PARAMS, kernel, z0)
 
 
 class TestSynchronization:

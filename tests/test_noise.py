@@ -12,6 +12,7 @@ from qgsync.noise import (
     CovarianceSpec,
     NoiseStream,
     OUKernel,
+    _philox,
     ou_init,
     ou_step,
     temperedness_diagnostic,
@@ -96,7 +97,7 @@ def fresh_normals(seed: int, step: int, count: int) -> np.ndarray:
 
 class TestReseatedGenerator:
     @pytest.mark.parametrize("seed", [0, 3, 2**64 + 5, -7])
-    @pytest.mark.parametrize("step", [0, 1, -1, -1000, 2**63])
+    @pytest.mark.parametrize("step", [0, 1, -1, -1000, 2**63, 2**64 - 1])
     def test_matches_a_fresh_generator(self, seed, step):
         got = NoiseStream(seed=seed, dt=0.1).normals(step, 37)
         assert np.array_equal(got, fresh_normals(seed, step, 37))
@@ -105,6 +106,16 @@ class TestReseatedGenerator:
         stream = NoiseStream(seed=11, dt=0.1, origin=-5)
         for j in (0, 4, 5, 123):
             assert np.array_equal(stream.normals(j, 9), fresh_normals(11, j - 5, 9))
+
+    def test_counter_wraps_past_two_to_the_64(self):
+        # step + origin runs from below 2**64 to past it; the reseat state keeps
+        # (step + origin) % 2**64, a plain int that fits its uint64 counter word
+        stream = NoiseStream(seed=11, dt=0.1, origin=2**64 - 2)
+        for j in (0, 1, 2, 3, 100):
+            assert np.array_equal(stream.normals(j, 9), fresh_normals(11, j + 2**64 - 2, 9))
+            state = _philox(11)[2]
+            for word in (*state["state"]["counter"], *state["state"]["key"], *state["buffer"]):
+                assert type(word) is int and 0 <= word < 2**64
 
     def test_interleaved_streams(self):
         # same seed at two origins, and a different seed, read in turn with
