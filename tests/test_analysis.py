@@ -23,7 +23,7 @@ from qgsync.analysis import (
     stationary_statistics,
     synchronization_experiment,
 )
-from qgsync import analysis, dynamics, operators
+from qgsync import analysis, dynamics, fields, operators
 from qgsync.config import RunConfig
 from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, norm_l2
@@ -453,6 +453,26 @@ class TestOneTrilinearConstant:
         radius_invariance_experiment([3], PARAMS, kernel, t_end=0.05)
         check_condition(PARAMS, kernel, 100, 5)
         assert search.cache_info().misses == 1
+
+    def test_no_witness_exceeds_the_constant(self):
+        # ROADMAP item 16's witness on the golden `default` case's synchronize
+        # pairs: rho_B = |<B(d, s), d>| / (|d| |grad s| |grad d|), with
+        # d = z_a - z_b and s = z_a + w, is a ratio that B attains, so a
+        # lower bound of its norm is at least rho_B
+        config = RunConfig(seeds=(1, 2), t_end=1.0, burn=0.5)
+        grid, kernel = config.grid(), config.kernel()
+        witness = 0.0
+        for seed in config.seeds:
+            rng = np.random.default_rng((seed, 0x51AC))  # the start states of `qgsync synchronize`
+            z0a, z0b = fields.random_field(grid, rng, 0.05), fields.random_field(grid, rng, 0.05)
+            stream = NoiseStream(seed, kernel.dt)
+            start = dynamics.start_state(kernel, stream, (z0a, z0b))
+            for state in dynamics.evolve(config.t_end, stream, start, config.params(), check_cfl=False):
+                if state.step % 10 == 0:
+                    za, zb = state.members
+                    s = za + np.add(*kernel.planes(state.zw))
+                    witness = max(witness, operators._triple_ratio(za - zb, s, za - zb, grid))
+        assert 0.0 < witness <= estimate_constants(grid)
 
 
 class TestOneViscosity:

@@ -16,7 +16,9 @@ import qgsync
 from qgsync import cli
 from qgsync.cli import main, write_json
 from qgsync.config import RunConfig, config_from_flat, parse_config
+from qgsync.fields import GridSpec
 from qgsync.noise import ConfigError, OUKernel
+from qgsync.operators import estimate_constants
 
 
 SMALL_CONFIG = """
@@ -332,25 +334,32 @@ class TestQuadratureOverflow:
     }
 
     # the condition's amplitudes keep the mean-damping margin positive, so
-    # the run reaches the sampled radius moments that overflow
+    # the run reaches the sampled radius moments that overflow.  The growth
+    # exponent dt (c |grad w|^2 - a) has c = 3 c_b^2 / nu, and |grad w|^2 is
+    # linear in the amplitudes, so each case gives its amplitudes times
+    # c_b^2: that fixes every step's growth factor whatever c_b the grid has
     @pytest.mark.parametrize(
-        "command, overrides, message",
+        "command, scaled, overrides, message",
         [
             (
                 "check-condition",
-                {"noise.q1_amplitude": "1.5e7", "noise.q2_amplitude": "1.2e6"},
+                {"noise.q1_amplitude": 0.8419, "noise.q2_amplitude": 0.06735},
+                {},
                 "a sampled moment is not finite",
             ),
             (
                 "radius",
-                {"noise.q1_amplitude": "1e7", "noise.q2_amplitude": "1e5", "rho.window": "1000"},
+                {"noise.q1_amplitude": 0.5613, "noise.q2_amplitude": 0.005613},
+                {"rho.window": "1000"},
                 "rho^2 at the origin is inf",
             ),
         ],
         ids=["condition_moments", "radius_origin"],
     )
-    def test_overflowing_growth_exits_3_with_one_line(self, tmp_path, capsys, command, overrides, message):
-        cfg = write_config(tmp_path, seeds="1", **self.BASE, **overrides)
+    def test_overflowing_growth_exits_3_with_one_line(self, tmp_path, capsys, command, scaled, overrides, message):
+        c_b = estimate_constants(GridSpec(32))
+        amplitudes = {key: repr(value / c_b**2) for key, value in scaled.items()}
+        cfg = write_config(tmp_path, seeds="1", **self.BASE, **amplitudes, **overrides)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err

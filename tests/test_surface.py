@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import qgsync
+from qgsync import operators
 
 PACKAGE = Path(qgsync.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -163,6 +164,15 @@ def test_one_trilinear_constant_per_grid():
     assert not hasattr(qgsync, "OperatorConstants")
     assert list(inspect.signature(qgsync.estimate_constants).parameters) == ["grid"]
     assert inspect.isfunction(qgsync.estimate_constants)
+
+
+def test_trilinear_constant_draws_no_random_number():
+    # c_b is the value of a deterministic power method from a fixed start
+    # (ROADMAP item 1): no trial count or ascent length is left, and no
+    # function of `operators` draws a random number, so no seed can reach it
+    assert not hasattr(operators, "TRIALS") and not hasattr(operators, "ASCENT_STEPS")
+    for name in ("default_rng", "random_coeffs", "standard_normal"):
+        assert not {d for d in definitions_calling(PACKAGE, name) if d.startswith("operators.")}, name
 
 
 def test_field_is_a_boundary_type():
