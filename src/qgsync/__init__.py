@@ -27,6 +27,7 @@ from .operators import (
 from .noise import (
     ConfigError,
     CovarianceSpec,
+    ModelParams,
     NoiseStream,
     OUKernel,
     ou_init,
@@ -38,7 +39,6 @@ from .dynamics import (
     CFLWarning,
     CocycleState,
     DivergenceError,
-    ModelParams,
     evolve,
     start_state,
     step_imex,

@@ -21,9 +21,8 @@ This module turns the stability theory into executable checks:
   * `cocycle_check` is the bitwise flow-property regression test.
 
 Each experiment takes the run's one coefficient kernel (`OUKernel`), built
-once per command, and reads the grid and the step size from it; a kernel
-whose viscosity is not the model's is a `ConfigError`.  A seed's noise is
-the stream `NoiseStream(seed, kernel.dt)`.  Each experiment
+once per command, and reads the model, the grid and the step size from
+it.  A seed's noise is the stream `NoiseStream(seed, kernel.dt)`.  Each experiment
 returns its report body as a plain dict, with the keys in
 the order its JSON report writes them; the entry that
 `synchronization_experiment` returns also carries the distance record,
@@ -152,14 +151,6 @@ def propagate_rho_squared(
             g_prev, r_prev = g_k, r_k
         path[lo:hi] = chunk
     return path
-
-
-def _same_viscosity(params: ModelParams, kernel: OUKernel) -> None:
-    """A `ConfigError` unless the model and the coefficient kernel share one viscosity nu."""
-    if params.nu != kernel.nu:
-        raise ConfigError(
-            f"the model's viscosity nu={params.nu} differs from the coefficient kernel's nu={kernel.nu}"
-        )
 
 
 def _steps_at_least(t: float, dt: float, least: int) -> int:
@@ -292,7 +283,6 @@ def _stationary_moments(kernel: OUKernel, rates: tuple[float, float, float]) -> 
 
 def radius_invariance_experiment(
     seeds,
-    params: ModelParams,
     kernel: OUKernel,
     t_end: float,
     c_b: float | None = None,
@@ -308,12 +298,11 @@ def radius_invariance_experiment(
     depend on no seed, so they are formed once; each seed's window runs its
     own chain up to time 0, where rho^2 must be finite.
     """
-    _same_viscosity(params, kernel)
     grid, dt = kernel.grid, kernel.dt
     if c_b is None:
         c_b = estimate_constants(grid)
     lam = laplacian_eigenvalues(grid).take(kernel.cells)
-    rates = _rates(params, c_b)
+    rates = _rates(kernel.params, c_b)
     grad2, _, _ = _stationary_moments(kernel, rates)
     steps = _window_steps(rates, grad2, window, dt)
     reports = []
@@ -333,7 +322,7 @@ def radius_invariance_experiment(
         # the norm series continue the window's from its last sample, time 0
         norms, z2 = [(l2[-1:], h1[-1:])], []
         start = CocycleState(step=0, members=z0[np.newaxis], zw=zw0, kernel=kernel)
-        states = evolve(t_end, stream, start, params, check_cfl=False)
+        states = evolve(t_end, stream, start, check_cfl=False)
         next(states)  # the start state
         for state in states:
             norms.append(_norm_squares(kernel.combined(state.zw)[np.newaxis], lam))
@@ -380,7 +369,6 @@ def _moment(vals: np.ndarray, power: int) -> dict:
 
 
 def check_condition(
-    params: ModelParams,
     kernel: OUKernel,
     samples: int,
     seed: int,
@@ -401,11 +389,11 @@ def check_condition(
     and terms, lhs, margin_se, E_rho2 and E_rho4 are None.  A moment or
     an lhs that is not finite is a `DecayConditionError`.
     """
-    _same_viscosity(params, kernel)
     if samples < 100:
         raise ValueError("condition check needs at least 100 samples")
     if c_b is None:
         c_b = estimate_constants(kernel.grid)
+    params = kernel.params
     rates = _rates(params, c_b)
 
     exact = zip(("E_grad2", "E_grad4", "E_R"), _stationary_moments(kernel, rates))
@@ -435,7 +423,7 @@ def check_condition(
 
     # one long radius path of the seed's noise: burn one window, then decimate
     stream = NoiseStream(seed, kernel.dt)
-    burn = _window_steps(rates, e_grad2, None, stream.dt)
+    burn = _steps_at_least(20.0 / margin, stream.dt, 2)
     gap = _steps_at_least(CONDITION_GAP_TIME, stream.dt, 1)
     total = burn + samples * gap
     l2, h1, _ = _coefficient_window(kernel, wiener_shift(stream, total), total)
@@ -494,7 +482,6 @@ def _fit_log_rate(times: np.ndarray, dists: np.ndarray):
 
 def synchronization_experiment(
     seed: int,
-    params: ModelParams,
     kernel: OUKernel,
     z0_a: Field,
     z0_b: Field,
@@ -509,9 +496,8 @@ def synchronization_experiment(
     and last distance, followed by the `times` and `distances` arrays of
     the whole distance record.
     """
-    _same_viscosity(params, kernel)
     stream = NoiseStream(seed, kernel.dt)
-    states = evolve(t_end, stream, start_state(kernel, stream, (z0_a, z0_b)), params, check_cfl=False)
+    states = evolve(t_end, stream, start_state(kernel, stream, (z0_a, z0_b)), check_cfl=False)
     dists = np.array([norm_l2(state.members[0] - state.members[1]) for state in states])
     times = kernel.dt * np.arange(dists.size)
     rate, stderr = _fit_log_rate(times, dists)
@@ -535,7 +521,6 @@ def synchronization_experiment(
 
 def stationary_statistics(
     seeds,
-    params: ModelParams,
     kernel: OUKernel,
     t_end: float,
     burn: float,
@@ -548,7 +533,6 @@ def stationary_statistics(
     A post-burn physical field whose energy or enstrophy is not finite
     raises `DivergenceError`: its moments are not estimable.
     """
-    _same_viscosity(params, kernel)
     grid = kernel.grid
     per_seed = []
     for seed in sorted(seeds):
@@ -562,7 +546,7 @@ def stationary_statistics(
         mean_field = np.zeros(grid.shape)
         max_gap = 0.0
         count = 0
-        for state in evolve(t_end, stream, start_state(kernel, stream, (z0a, z0b)), params, check_cfl=False):
+        for state in evolve(t_end, stream, start_state(kernel, stream, (z0a, z0b)), check_cfl=False):
             if state.step > burn_steps:
                 a, b = state.members
                 u = untransform(a, state.kernel.planes(state.zw))
@@ -603,7 +587,6 @@ def stationary_statistics(
 
 def cocycle_check(
     stream: NoiseStream,
-    params: ModelParams,
     kernel: OUKernel,
     s: float,
     t: float,
@@ -617,10 +600,9 @@ def cocycle_check(
     leg, whose stream is the original shifted by t; `shift_override`
     mis-shifts it deliberately for negative controls.
     """
-    _same_viscosity(params, kernel)
 
     def final(span, noise, start):
-        for state in evolve(span, noise, start, params, check_cfl=False):
+        for state in evolve(span, noise, start, check_cfl=False):
             pass
         return state
 

@@ -178,10 +178,9 @@ def _suite_ou(kernel: OUKernel) -> dict:
 
 
 def _suite_cocycle(config: RunConfig, kernel: OUKernel) -> dict:
-    params = config.params()
     z0 = random_field(kernel.grid, np.random.default_rng(31), 0.1)
     stream = NoiseStream(seed=9001, dt=config.dt)
-    ok = analysis.cocycle_check(stream, params, kernel, 5 * config.dt, 7 * config.dt, z0)
+    ok = analysis.cocycle_check(stream, kernel, 5 * config.dt, 7 * config.dt, z0)
     if kernel.n_channels == 0:
         # every shift of the stream drives nothing, so a mis-shifted run cannot differ
         return {
@@ -190,7 +189,7 @@ def _suite_cocycle(config: RunConfig, kernel: OUKernel) -> dict:
             "detail": f"aligned {ok}, mis-shifted control does not apply without noise",
         }
     bad = analysis.cocycle_check(
-        stream, params, kernel, 5 * config.dt, 7 * config.dt, z0, shift_override=8 * config.dt
+        stream, kernel, 5 * config.dt, 7 * config.dt, z0, shift_override=8 * config.dt
     )
     return {
         "name": "cocycle flow property",
@@ -224,13 +223,12 @@ def cmd_validate(config: RunConfig, outdir: str) -> int:
 
 def cmd_simulate(config: RunConfig, outdir: str) -> int:
     grid = config.grid()
-    params = config.params()
     kernel = config.kernel()
     for seed in sorted(config.seeds):
         stream = NoiseStream(seed=seed, dt=config.dt)
         start = start_state(kernel, stream, (Field.zeros(grid, Basis.NEUMANN_COSINE),))
         rows = []
-        for state in evolve(config.t_end, stream, start, params):
+        for state in evolve(config.t_end, stream, start):
             (z,) = state.members
             planes = state.kernel.planes(state.zw)
             rows.append(
@@ -266,7 +264,6 @@ def cmd_simulate(config: RunConfig, outdir: str) -> int:
 
 def cmd_synchronize(config: RunConfig, outdir: str) -> int:
     grid = config.grid()
-    params = config.params()
     kernel = config.kernel()
     all_converged = True
     summary = []
@@ -274,7 +271,7 @@ def cmd_synchronize(config: RunConfig, outdir: str) -> int:
         rng = np.random.default_rng((seed, 0x51AC))
         z0a = random_field(grid, rng, 0.05)
         z0b = random_field(grid, rng, 0.05)
-        report = analysis.synchronization_experiment(seed, params, kernel, z0a, z0b, config.t_end)
+        report = analysis.synchronization_experiment(seed, kernel, z0a, z0b, config.t_end)
         times, distances = report.pop("times"), report.pop("distances")
         all_converged = all_converged and report["converged"]
         write_csv(
@@ -296,14 +293,14 @@ def cmd_synchronize(config: RunConfig, outdir: str) -> int:
 
 def cmd_radius(config: RunConfig, outdir: str) -> int:
     report = analysis.radius_invariance_experiment(
-        config.seeds, config.params(), config.kernel(), config.t_end, window=config.rho_window
+        config.seeds, config.kernel(), config.t_end, window=config.rho_window
     )
     write_json(os.path.join(outdir, "radius.json"), _report_payload("radius", config, report))
     return 0 if report["total_violations"] == 0 else 1
 
 
 def cmd_check_condition(config: RunConfig, outdir: str) -> int:
-    report = analysis.check_condition(config.params(), config.kernel(), config.mc_samples, min(config.seeds))
+    report = analysis.check_condition(config.kernel(), config.mc_samples, min(config.seeds))
     write_json(
         os.path.join(outdir, "check-condition.json"),
         _report_payload("check-condition", config, report),
@@ -313,9 +310,7 @@ def cmd_check_condition(config: RunConfig, outdir: str) -> int:
 
 
 def cmd_stationary(config: RunConfig, outdir: str) -> int:
-    report = analysis.stationary_statistics(
-        config.seeds, config.params(), config.kernel(), config.t_end, config.burn
-    )
+    report = analysis.stationary_statistics(config.seeds, config.kernel(), config.t_end, config.burn)
     write_json(
         os.path.join(outdir, "stationary.json"),
         _report_payload("stationary", config, report),

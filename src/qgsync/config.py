@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import ModelParams
 from .fields import GridSpec
-from .noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel
+from .noise import ConfigError, CovarianceSpec, ModelParams, NoiseStream, OUKernel
 
 
 @dataclass
@@ -80,7 +79,13 @@ class RunConfig:
             )
         self.params()
         self.cov1()
-        self.cov2()
+        try:
+            self.cov2()
+        except MemoryError:
+            # the interior covariance is the first (n+1, n+1) lattice array
+            raise ConfigError(
+                f"grid.n = {self.grid_n} needs lattice arrays too large to allocate"
+            ) from None
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_n)
@@ -99,8 +104,8 @@ class RunConfig:
         return spec
 
     def kernel(self) -> OUKernel:
-        """The run's one coefficient kernel, which every experiment of a subcommand shares."""
-        return OUKernel(self.grid(), self.nu, self.cov1(), self.cov2(), self.dt)
+        """The run's one coefficient kernel and its model, which every experiment of a subcommand shares."""
+        return OUKernel(self.grid(), self.params(), self.cov1(), self.cov2(), self.dt)
 
     def to_flat_dict(self) -> dict:
         """The settings under their configuration keys, in `_KEY_PARSERS` order."""

@@ -13,9 +13,11 @@ states) become one (E, n+1, n+1) array of cosine coefficients, and from
 there a trajectory is arrays until a caller wraps one (a snapshot).  The
 members share one coefficient chain, the realized noise path, stepped by
 the kernel the caller built once for the run: each step advances the
-chain once and steps every member with it.
+chain once and steps every member with it under the kernel's model
+(`OUKernel.params`; `ModelParams` lives in `noise`, which this module
+imports).
 
-Trajectories are bit-reproducible functions of (seed, dt, z0, parameters).
+Trajectories are bit-reproducible functions of (seed, dt, z0, model).
 A member's path does not depend on which other members share its chain.
 Restarting from a yielded state and a shifted stream continues the same
 path bit-for-bit, which is the discrete cocycle property the test-suite
@@ -24,8 +26,6 @@ checks.
 
 from __future__ import annotations
 
-import math
-import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -46,7 +46,7 @@ from .fields import (
     nodal_from_coeffs,
     retained_mask,
 )
-from .noise import ConfigError, NoiseStream, OUKernel, ou_init, ou_step
+from .noise import ConfigError, ModelParams, NoiseStream, OUKernel, ou_init, ou_step
 from .operators import advection_coeffs, streamfunction_coeffs
 
 # B's field form, which `step_imex` computes on arrays instead; the name stays
@@ -60,31 +60,6 @@ class DivergenceError(RuntimeError):
 
 class CFLWarning(UserWarning):
     """The explicit advection step is under-resolved for the current state."""
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Viscosity, bottom friction and the planetary vorticity gradient."""
-
-    nu: float
-    r: float
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.nu, self.r, self.beta)):
-            raise ValueError(
-                f"model parameters must be finite, got nu={self.nu}, r={self.r}, beta={self.beta}"
-            )
-        if self.nu < sys.float_info.min:
-            # a subnormal viscosity overflows 1/(2 nu lambda) in the OU kernel and the lift
-            raise ValueError(f"viscosity must be positive and normal, got {self.nu}")
-        if not 0.0 < self.nu * self.nu < math.inf:
-            # the contraction condition divides by nu**2; a product, as `float ** 2` raises on overflow
-            raise ValueError(f"viscosity must have a finite, nonzero square, got {self.nu}")
-        if self.r <= 0:
-            raise ValueError(f"friction constant must be positive, got {self.r}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -256,7 +231,6 @@ def evolve(
     t: float,
     stream: NoiseStream,
     start: CocycleState,
-    params: ModelParams,
     check_cfl: bool = True,
 ) -> Iterator[CocycleState]:
     """Run the cocycle for time t (a multiple of the stream's dt); the only stepping loop.
@@ -264,16 +238,17 @@ def evolve(
     Yields the start state, then the state after each step.  The start
     keeps its members, chain and kernel and restarts at step 0 of the
     (shifted) stream, so that restarts continue the same noise path; its
-    chain steps with its own kernel, and a stream whose dt is not the
-    kernel's is a `ConfigError`.  Each step forms w = zw1 + zw2 once from
-    the chain's lattice planes, steps every member's array with it, and
-    advances the chain once.
+    chain and its members step with its own kernel and that kernel's
+    model, and a stream whose dt is not the kernel's is a `ConfigError`.
+    Each step forms w = zw1 + zw2 once from the chain's lattice planes,
+    steps every member's array with it, and advances the chain once.
     """
     if stream.dt != start.kernel.dt:
         raise ConfigError(f"a stream of dt={stream.dt} cannot step a chain whose kernel has dt={start.kernel.dt}")
     steps = stream.steps_for(t)
     if steps < 0:
         raise ValueError("evolution time must be nonnegative")
+    params = start.kernel.params
     state = replace(start, step=0)
     yield state
     for step in range(steps):

@@ -21,11 +21,12 @@ stationarity tests, which test marginals.  The joint law is not exact:
 correlated, while the chain shares that normal between modes that decay
 at different rates, so its stationary correlation between them is below 1.
 
-`OUKernel(grid, nu, cov1, cov2, dt)` is the one place the coefficient
+`OUKernel(grid, params, cov1, cov2, dt)` is the one place the coefficient
 processes are set up: it builds the boundary lift itself, sized to the
-boundary covariance, and keeps its viscosity, grid and step size.  A run
+boundary covariance, and keeps the run's model (`ModelParams`, defined
+here because `dynamics` imports this module), grid and step size.  A run
 builds one kernel (`RunConfig.kernel`) and hands it to every experiment
-it runs.
+it runs, which reads the model from it.
 `ou_init(kernel, stream)` is the only stationary draw and `ou_step` the
 only update.  The state they return is one bare read-only float64 vector
 `zw`: the entries of the NEUMANN_COSINE coefficients zw1 and zw2 of the
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -150,6 +152,31 @@ def wiener_shift(stream: NoiseStream, steps: int) -> NoiseStream:
 
 
 @dataclass(frozen=True)
+class ModelParams:
+    """Viscosity, bottom friction and the planetary vorticity gradient."""
+
+    nu: float
+    r: float
+    beta: float = 0.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.nu, self.r, self.beta)):
+            raise ValueError(
+                f"model parameters must be finite, got nu={self.nu}, r={self.r}, beta={self.beta}"
+            )
+        if self.nu < sys.float_info.min:
+            # a subnormal viscosity overflows 1/(2 nu lambda) in the OU kernel and the lift
+            raise ValueError(f"viscosity must be positive and normal, got {self.nu}")
+        if not 0.0 < self.nu * self.nu < math.inf:
+            # the contraction condition divides by nu**2; a product, as `float ** 2` raises on overflow
+            raise ValueError(f"viscosity must have a finite, nonzero square, got {self.nu}")
+        if self.r <= 0:
+            raise ValueError(f"friction constant must be positive, got {self.r}")
+        if self.beta < 0:
+            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+
+
+@dataclass(frozen=True)
 class CovarianceSpec:
     """Diagonal covariance with algebraic spectral decay.
 
@@ -205,7 +232,8 @@ class CovarianceSpec:
 class OUKernel:
     """Precomputed arrays for the exact per-mode coefficient updates.
 
-    For each interior mode the process has relaxation rate nu * lambda.
+    For each interior mode the process has relaxation rate nu * lambda,
+    nu the viscosity of the run's model `params`, which the kernel keeps.
     The boundary-driven process receives one shared Gaussian per edge
     channel per step, distributed through the lifting matrix with the
     per-mode variance matched to the exact stochastic convolution; the
@@ -218,18 +246,17 @@ class OUKernel:
     def __init__(
         self,
         grid: GridSpec,
-        nu: float,
+        params: ModelParams,
         cov1: CovarianceSpec,
         cov2: CovarianceSpec,
         dt: float,
     ):
-        if nu <= 0:
-            raise ConfigError("viscosity must be positive")
         if dt <= 0:
             raise ConfigError("step size must be positive")
         self.grid = grid
-        self.nu = nu
+        self.params = params
         self.dt = dt
+        nu = params.nu
 
         lam = laplacian_eigenvalues(grid)
         mask = retained_mask(grid, Basis.NEUMANN_COSINE)

@@ -40,9 +40,9 @@ def field_inits(monkeypatch):
 
 
 def evolve_fields(t, stream, fields, params, cov1, cov2, check_cfl=True):
-    """`evolve` from start fields, under a kernel of (params.nu, cov1, cov2) on the first field's grid at the stream's dt."""
-    kernel = OUKernel(fields[0].grid, params.nu, cov1, cov2, stream.dt)
-    return evolve(t, stream, start_state(kernel, stream, fields), params, check_cfl)
+    """`evolve` from start fields, under a kernel of (params, cov1, cov2) on the first field's grid at the stream's dt."""
+    kernel = OUKernel(fields[0].grid, params, cov1, cov2, stream.dt)
+    return evolve(t, stream, start_state(kernel, stream, fields), check_cfl)
 
 
 def random_field(grid, basis=Basis.NEUMANN_COSINE, seed=0, scale=1.0, slope=0.0):

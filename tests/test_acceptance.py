@@ -138,7 +138,7 @@ def test_criterion_3_ou_stationarity():
     # variances along one long chain; large steps decorrelate the samples
     # and the exact update has no step-size bias
     dt = 0.5
-    kernel = OUKernel(GRID, PARAMS.nu, cov1, cov2, dt)
+    kernel = OUKernel(GRID, PARAMS, cov1, cov2, dt)
     stream = NoiseStream(seed=33, dt=dt)
     zw = ou_init(kernel, stream)
     v1, v2 = kernel.planes(kernel.stat_gain**2)
@@ -153,7 +153,7 @@ def test_criterion_3_ou_stationarity():
 
     # autocovariance shape of a probe interior mode
     dt = 0.02
-    kernel = OUKernel(GRID, PARAMS.nu, cov1, cov2, dt)
+    kernel = OUKernel(GRID, PARAMS, cov1, cov2, dt)
     stream = NoiseStream(seed=34, dt=dt)
     zw = ou_init(kernel, stream)
     probe = chain_entry(kernel, 1, 1, 0)
@@ -183,11 +183,11 @@ def test_criterion_4_cocycle_law():
             Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask)
         )
         stream = NoiseStream(seed=seed, dt=DT)
-        assert cocycle_check(stream, PARAMS, kernel, s, t, z0)
+        assert cocycle_check(stream, kernel, s, t, z0)
     # negative control: a mis-shifted second leg must not match
     z0 = dealiased(Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask))
     stream = NoiseStream(seed=77, dt=DT)
-    assert not cocycle_check(stream, PARAMS, kernel, 5 * DT, 6 * DT, z0, shift_override=7 * DT)
+    assert not cocycle_check(stream, kernel, 5 * DT, 6 * DT, z0, shift_override=7 * DT)
 
 
 @criterion("criterion 5: noise-off synchronization rate within 20% of -(pi^2 + 2)")
@@ -195,8 +195,8 @@ def test_criterion_5_linear_rate():
     params = ModelParams(nu=1.0, r=1.0, beta=0.0)
     z0a = Field.zeros(GRID, Basis.NEUMANN_COSINE)
     z0b = mode_field(GRID, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
-    kernel = OUKernel(GRID, params.nu, COV_OFF, COV_OFF, 1e-3)
-    rep = synchronization_experiment(5, params, kernel, z0a, z0b, t_end=2.0)
+    kernel = OUKernel(GRID, params, COV_OFF, COV_OFF, 1e-3)
+    rep = synchronization_experiment(5, kernel, z0a, z0b, t_end=2.0)
     ref = -(math.pi**2 + 2.0)
     assert rep["fitted_rate"] < 0
     assert abs(rep["fitted_rate"] - ref) / abs(ref) < 0.2
@@ -206,7 +206,7 @@ def test_criterion_5_linear_rate():
 def test_criterion_6_condition_evaluator(c_b):
     # (a) noise off, beta = 0: exactly the two deterministic damping terms
     params0 = ModelParams(nu=1.0, r=1.0, beta=0.0)
-    rep = check_condition(params0, OUKernel(GRID, params0.nu, COV_OFF, COV_OFF, DT), 100, 6, c_b=c_b)
+    rep = check_condition(OUKernel(GRID, params0, COV_OFF, COV_OFF, DT), 100, 6, c_b=c_b)
     assert rep["satisfied"]
     assert rep["lhs"] == pytest.approx(-params0.nu * math.pi**2 - 2.0 * params0.r, abs=1e-12)
 
@@ -214,7 +214,7 @@ def test_criterion_6_condition_evaluator(c_b):
     gradient_trace = float(np.sum(laplacian_eigenvalues(GRID) * COV2.interior_variances(GRID)))
     total_trace = float(np.sum(COV1.boundary_variances(GRID))) + gradient_trace
     assert total_trace <= 1e-3
-    rep_b = check_condition(PARAMS, DEFAULT.kernel(), DEFAULT.mc_samples, 1, c_b=c_b)
+    rep_b = check_condition(DEFAULT.kernel(), DEFAULT.mc_samples, 1, c_b=c_b)
     assert rep_b["satisfied"]
     assert rep_b["margin_se"] is not None and rep_b["margin_se"] > 3.0
 
@@ -222,7 +222,7 @@ def test_criterion_6_condition_evaluator(c_b):
     big1 = CovarianceSpec(COV1.amplitude * 1e4, COV1.decay, COV1.cutoff)
     big2 = CovarianceSpec(COV2.amplitude * 1e4, COV2.decay, COV2.cutoff)
     params_c = ModelParams(nu=0.01, r=1.0, beta=0.1)
-    rep_c = check_condition(params_c, OUKernel(GRID, params_c.nu, big1, big2, DT), 100, 2, c_b=c_b)
+    rep_c = check_condition(OUKernel(GRID, params_c, big1, big2, DT), 100, 2, c_b=c_b)
     assert not rep_c["satisfied"]
 
 
@@ -236,20 +236,20 @@ def test_criterion_7_synchronization_at_scale():
         mask = retained_mask(GRID, Basis.NEUMANN_COSINE)
         z0a = dealiased(Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask))
         z0b = dealiased(Field(GRID, Basis.NEUMANN_COSINE, coeffs=0.05 * rng.standard_normal(GRID.shape) * mask))
-        rep = synchronization_experiment(seed, PARAMS, kernel, z0a, z0b, t_end=t_end)
+        rep = synchronization_experiment(seed, kernel, z0a, z0b, t_end=t_end)
         if rep["converged"] and rep["fitted_rate"] < 0 and rep["distances"][-1] < 1e-6 * rep["distances"][0]:
             good += 1
     assert good >= 15
 
     # pathwise uniqueness: two fresh initial conditions collapse after burn-in
-    stats = stationary_statistics(DEFAULT.seeds, PARAMS, kernel, t_end=4.0, burn=2.0)
+    stats = stationary_statistics(DEFAULT.seeds, kernel, t_end=4.0, burn=2.0)
     assert stats["max_postburn_distance"] < 1e-6
     assert stats["energy_cross_seed_std"] > 0.0
 
 
 @criterion("criterion 8: forward invariance of the absorbing ball on 16 seeds")
 def test_criterion_8_forward_invariance(c_b):
-    report = radius_invariance_experiment(DEFAULT.seeds, PARAMS, DEFAULT.kernel(), t_end=DEFAULT.t_end, c_b=c_b)
+    report = radius_invariance_experiment(DEFAULT.seeds, DEFAULT.kernel(), t_end=DEFAULT.t_end, c_b=c_b)
     assert report["total_violations"] == 0
     assert report["max_excursion"] <= 0.02
 
@@ -258,7 +258,7 @@ def test_criterion_8_forward_invariance(c_b):
 def test_criterion_9_temperedness():
     dt = 0.1
     horizon = 200.0
-    kernel = OUKernel(GRID, PARAMS.nu, COV1, COV2, dt)
+    kernel = OUKernel(GRID, PARAMS, COV1, COV2, dt)
     stream = NoiseStream(seed=9, dt=dt)
     zw = ou_init(kernel, stream)
     n_steps = int(horizon / dt) + 1

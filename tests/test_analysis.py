@@ -15,7 +15,6 @@ from qgsync.analysis import (
     _stationary_moments,
     _window_steps,
     check_condition,
-    cocycle_check,
     decay_margin,
     driver_from_norms,
     propagate_rho_squared,
@@ -27,7 +26,7 @@ from qgsync import analysis, dynamics, fields, operators
 from qgsync.config import RunConfig
 from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, norm_l2
-from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
+from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import C_GX_EXACT, LAMBDA1, estimate_constants
 
 from conftest import dealiased, mode_field, random_field
@@ -50,7 +49,7 @@ def window_series(kernel, stream, steps):
 
 class TestDriver:
     def test_zero_coefficients(self, grid32):
-        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV_OFF, COV_OFF, 0.01)
         zw = ou_init(kernel, NoiseStream(seed=1, dt=0.01))
         lam = laplacian_eigenvalues(grid32).take(kernel.cells)
         l2, h1 = _norm_squares(kernel.combined(zw)[np.newaxis], lam)
@@ -74,7 +73,7 @@ class TestDriver:
             )
 
     def test_matches_field_norms(self, grid32):
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         zw = ou_init(kernel, NoiseStream(seed=2, dt=0.01))
         planes = kernel.planes(zw)
         w = planes[0] + planes[1]
@@ -96,7 +95,7 @@ class TestCoefficientWindow:
     @staticmethod
     def reference(stream, cov1, cov2, grid, steps):
         past = wiener_shift(stream, -steps)
-        kernel = OUKernel(grid, PARAMS.nu, cov1, cov2, stream.dt)
+        kernel = OUKernel(grid, PARAMS, cov1, cov2, stream.dt)
         zw = ou_init(kernel, past)
         l2 = np.empty(steps + 1)
         h1 = np.empty(steps + 1)
@@ -122,7 +121,7 @@ class TestCoefficientWindow:
     )
     def test_matches_per_step_loop(self, grid32, steps, cov1, cov2):
         stream = NoiseStream(seed=913, dt=0.01)
-        kernel = OUKernel(grid32, PARAMS.nu, cov1, cov2, stream.dt)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov2, stream.dt)
         l2, h1, zw = _coefficient_window(kernel, stream, steps)
         l2_ref, h1_ref, r_ref, zw_ref = self.reference(stream, cov1, cov2, grid32, steps)
         np.testing.assert_allclose(l2, l2_ref, rtol=self.RTOL, atol=0.0)
@@ -131,7 +130,7 @@ class TestCoefficientWindow:
         assert np.array_equal(zw, zw_ref)
 
     def test_window_builds_no_field(self, grid32, field_inits):
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         _coefficient_window(kernel, NoiseStream(seed=3, dt=0.01), 100)
         assert field_inits[0] == 0
 
@@ -168,14 +167,14 @@ def rho_squared_at_origin(kernel, stream, window):
 class TestRadiusQuadrature:
     def test_recursion_is_the_trapezoid_quadrature(self, grid32):
         dt = 0.01
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, dt)
         g, r, _ = window_series(kernel, NoiseStream(seed=7, dt=dt), 5000)
         want = trapezoid_rho_squared(g, r, dt)
         assert want > 0
         assert pullback_rho_squared(g, r, dt) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_noise_off_gives_zero(self, grid32):
-        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV_OFF, COV_OFF, 0.01)
         assert rho_squared_at_origin(kernel, NoiseStream(seed=3, dt=0.01), 1.0) == 0.0
 
     def test_frozen_coefficients_closed_form(self):
@@ -208,7 +207,7 @@ class TestRadiusQuadrature:
         dt = 0.01
         stream = NoiseStream(seed=4, dt=dt)
         steps = 400
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, dt)
         g, r, _ = window_series(kernel, wiener_shift(stream, 1), steps + 1)
         rho2_old = pullback_rho_squared(g[:-1], r[:-1], dt)
         rho2_new = pullback_rho_squared(g[1:], r[1:], dt)
@@ -248,7 +247,7 @@ class TestRadiusQuadrature:
         # a window of several chunks, and windows whose growth factor or
         # products overflow: +inf from a positive path, nan from 0 * inf
         dt = 0.01
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, dt)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, dt)
         g, r, _ = window_series(kernel, NoiseStream(seed=12, dt=dt), 3000)
         spike = np.full(2100, 1.0)
         spike[1500] = 1e300
@@ -276,7 +275,7 @@ class TestRadiusQuadrature:
         for amp in (1e-4, 4e-4, 1.6e-3):
             c1 = CovarianceSpec(amp, 3.0, 4)
             c2 = CovarianceSpec(amp, 2.5, 4)
-            kernel = OUKernel(grid32, PARAMS.nu, c1, c2, 0.01)
+            kernel = OUKernel(grid32, PARAMS, c1, c2, 0.01)
             rho2s.append(rho_squared_at_origin(kernel, NoiseStream(seed=5, dt=0.01), None))
         assert rho2s[0] < rho2s[1] < rho2s[2]
 
@@ -294,13 +293,13 @@ class TestRadiusQuadrature:
 
 class TestForwardInvariance:
     def test_noise_off_trivial(self, grid32):
-        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
-        report = radius_invariance_experiment([1, 2], PARAMS, kernel, t_end=0.2, c_b=CONSTS, window=0.5)
+        kernel = OUKernel(grid32, PARAMS, COV_OFF, COV_OFF, 0.01)
+        report = radius_invariance_experiment([1, 2], kernel, t_end=0.2, c_b=CONSTS, window=0.5)
         assert report["total_violations"] == 0
 
     def test_small_noise_run(self, grid32):
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
-        report = radius_invariance_experiment([1, 2, 3], PARAMS, kernel, t_end=1.0, c_b=CONSTS)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
+        report = radius_invariance_experiment([1, 2, 3], kernel, t_end=1.0, c_b=CONSTS)
         assert report["total_violations"] == 0
         assert report["max_excursion"] <= 0.02
         assert [rep["seed"] for rep in report["per_seed"]] == [1, 2, 3]
@@ -320,7 +319,7 @@ class TestStationaryMoments:
         # the independent `ou_init` draws the closed form replaces, at the
         # default config; each moment within 4 standard errors
         config = RunConfig(**amplitudes)
-        kernel = OUKernel(config.grid(), config.nu, config.cov1(), config.cov2(), config.dt)
+        kernel = OUKernel(config.grid(), config.params(), config.cov1(), config.cov2(), config.dt)
         stream = NoiseStream(seed=17, dt=config.dt)
         lam = laplacian_eigenvalues(config.grid()).take(kernel.cells)
         cross_rates = _rates(PARAMS, self.CROSS_HEAVY)
@@ -341,7 +340,7 @@ class TestStationaryMoments:
         # w = L xi, with column j of L the `ou_init` draw of the j-th unit
         # init normal; Isserlis' theorem on the dense covariance, to round-off
         config = RunConfig(grid_n=16, q2_amplitude=2.5e-4)
-        kernel = OUKernel(config.grid(), config.nu, config.cov1(), config.cov2(), config.dt)
+        kernel = OUKernel(config.grid(), config.params(), config.cov1(), config.cov2(), config.dt)
         channels = kernel.n_channels
 
         class UnitNormal:
@@ -364,21 +363,21 @@ class TestStationaryMoments:
         assert _stationary_moments(kernel, RATES) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_noise_off_moments_are_zero(self, grid32):
-        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV_OFF, COV_OFF, 0.01)
         assert _stationary_moments(kernel, RATES) == (0.0, 0.0, 0.0)
 
 
 class TestConditionEvaluator:
     def test_noise_off_exact_value(self, grid32):
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
-        report = check_condition(params, OUKernel(grid32, params.nu, COV_OFF, COV_OFF, 0.01), 100, 6, c_b=CONSTS)
+        report = check_condition(OUKernel(grid32, params, COV_OFF, COV_OFF, 0.01), 100, 6, c_b=CONSTS)
         assert report["satisfied"]
         assert report["lhs"] == pytest.approx(-np.pi**2 - 2.0, abs=1e-12)
         assert report["lhs"] == pytest.approx(sum(report["terms"].values()), abs=1e-12)
         assert report["nu_lambda1"] == pytest.approx(np.pi**2, rel=1e-14)
 
     def test_small_noise_satisfied_with_margin(self, grid32):
-        report = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 200, 7, c_b=CONSTS)
+        report = check_condition(OUKernel(grid32, PARAMS, COV1, COV2, 0.01), 200, 7, c_b=CONSTS)
         assert report["satisfied"]
         assert report["margin_se"] is not None and report["margin_se"] > 3.0
         assert report["lhs"] < -10.0
@@ -389,7 +388,7 @@ class TestConditionEvaluator:
         big1 = CovarianceSpec(3e-4 * 1e4, 3.0, 4)
         big2 = CovarianceSpec(3e-4 * 1e4, 2.5, 4)
         params = ModelParams(nu=0.01, r=1.0, beta=0.1)
-        report = check_condition(params, OUKernel(grid32, params.nu, big1, big2, 0.01), 100, 8, c_b=CONSTS)
+        report = check_condition(OUKernel(grid32, params, big1, big2, 0.01), 100, 8, c_b=CONSTS)
         assert not report["satisfied"]
         assert report["reason"] is not None
 
@@ -397,13 +396,13 @@ class TestConditionEvaluator:
         values = []
         for nu in (0.5, 1.0, 2.0):
             params = ModelParams(nu=nu, r=1.0, beta=0.1)
-            rep = check_condition(params, OUKernel(grid32, params.nu, COV1, COV2, 0.01), 100, 9, c_b=CONSTS)
+            rep = check_condition(OUKernel(grid32, params, COV1, COV2, 0.01), 100, 9, c_b=CONSTS)
             values.append(rep["lhs"])
         assert values[0] > values[1] > values[2]
 
     def test_standard_errors_shrink(self, grid32):
-        rep_a = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 150, 10, c_b=CONSTS)
-        rep_b = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 600, 10, c_b=CONSTS)
+        rep_a = check_condition(OUKernel(grid32, PARAMS, COV1, COV2, 0.01), 150, 10, c_b=CONSTS)
+        rep_b = check_condition(OUKernel(grid32, PARAMS, COV1, COV2, 0.01), 600, 10, c_b=CONSTS)
         # E_grad2, E_grad4 and E_R are exact; the radius moments are sampled
         ratio = rep_a["estimates"]["E_rho2"]["se"] / rep_b["estimates"]["E_rho2"]["se"]
         assert 1.4 < ratio < 2.9  # ~2 expected for 4x samples
@@ -418,14 +417,14 @@ class TestConditionEvaluator:
             return ou_step(kernel, zw, stream, step)
 
         monkeypatch.setattr(analysis, "ou_step", counted)
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
-        check_condition(PARAMS, kernel, 100, 12, c_b=CONSTS)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
+        check_condition(kernel, 100, 12, c_b=CONSTS)
         burn = _window_steps(RATES, _stationary_moments(kernel, RATES)[0], None, kernel.dt)
         gap = round(CONDITION_GAP_TIME / kernel.dt)
         assert steps == list(range(burn + 100 * gap))
 
     def test_report_dict_shape(self, grid32):
-        report = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 100, 11, c_b=CONSTS)
+        report = check_condition(OUKernel(grid32, PARAMS, COV1, COV2, 0.01), 100, 11, c_b=CONSTS)
         assert set(report["estimates"]) == {"E_grad2", "E_grad4", "E_rho2", "E_rho4", "E_R"}
         assert report["lambda1"] == pytest.approx(np.pi**2)
         assert "norm_convention" in report
@@ -441,7 +440,7 @@ class TestOneTrilinearConstant:
     # no seed enters it, and radius and check-condition share one search
 
     def test_condition_reports_the_grids_constant(self, grid32):
-        report = check_condition(PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 100, 5)
+        report = check_condition(OUKernel(grid32, PARAMS, COV1, COV2, 0.01), 100, 5)
         assert list(report["constants"]) == ["lambda1", "c_b", "c_gx"]
         assert report["constants"]["c_b"] == estimate_constants(grid32)
         assert report["constants"]["lambda1"] == LAMBDA1 and report["constants"]["c_gx"] == C_GX_EXACT
@@ -449,9 +448,9 @@ class TestOneTrilinearConstant:
     def test_both_experiments_share_one_search(self, grid32):
         search = operators._trilinear_search
         search.cache_clear()
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
-        radius_invariance_experiment([3], PARAMS, kernel, t_end=0.05)
-        check_condition(PARAMS, kernel, 100, 5)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
+        radius_invariance_experiment([3], kernel, t_end=0.05)
+        check_condition(kernel, 100, 5)
         assert search.cache_info().misses == 1
 
     def test_no_witness_exceeds_the_constant(self):
@@ -467,7 +466,7 @@ class TestOneTrilinearConstant:
             z0a, z0b = fields.random_field(grid, rng, 0.05), fields.random_field(grid, rng, 0.05)
             stream = NoiseStream(seed, kernel.dt)
             start = dynamics.start_state(kernel, stream, (z0a, z0b))
-            for state in dynamics.evolve(config.t_end, stream, start, config.params(), check_cfl=False):
+            for state in dynamics.evolve(config.t_end, stream, start, check_cfl=False):
                 if state.step % 10 == 0:
                     za, zb = state.members
                     s = za + np.add(*kernel.planes(state.zw))
@@ -475,29 +474,10 @@ class TestOneTrilinearConstant:
         assert 0.0 < witness <= estimate_constants(grid)
 
 
-class TestOneViscosity:
-    """A kernel built for another nu than the model's would mix two viscosities in one experiment."""
-
-    EXPERIMENTS = {
-        "radius": lambda params, kernel, z0: radius_invariance_experiment([1], params, kernel, 0.02, c_b=CONSTS),
-        "check_condition": lambda params, kernel, z0: check_condition(params, kernel, 100, 1, c_b=CONSTS),
-        "synchronization": lambda params, kernel, z0: synchronization_experiment(1, params, kernel, z0, z0, 0.02),
-        "stationary": lambda params, kernel, z0: stationary_statistics([1], params, kernel, 0.02, 0.0),
-        "cocycle": lambda params, kernel, z0: cocycle_check(NoiseStream(1, kernel.dt), params, kernel, 0.01, 0.01, z0),
-    }
-
-    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
-    def test_another_viscosity_is_a_config_error(self, grid32, experiment):
-        kernel = OUKernel(grid32, 2.0, COV1, COV2, 0.01)
-        z0 = dealiased(random_field(grid32, seed=27, scale=0.05))
-        with pytest.raises(ConfigError, match=r"nu=1\.0 .*nu=2\.0"):
-            self.EXPERIMENTS[experiment](PARAMS, kernel, z0)
-
-
 class TestSynchronization:
     def test_identical_states_stay_identical(self, grid32):
         z0 = dealiased(random_field(grid32, seed=12, scale=0.05))
-        rep = synchronization_experiment(13, PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), z0, z0, t_end=0.3)
+        rep = synchronization_experiment(13, OUKernel(grid32, PARAMS, COV1, COV2, 0.01), z0, z0, t_end=0.3)
         assert np.all(rep["distances"] == 0.0)
 
     def test_noise_off_linear_rate(self, grid32):
@@ -506,8 +486,8 @@ class TestSynchronization:
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
         z0a = Field.zeros(grid32, Basis.NEUMANN_COSINE)
         z0b = mode_field(grid32, Basis.NEUMANN_COSINE, {(1, 0): 1e-3})
-        kernel = OUKernel(grid32, params.nu, COV_OFF, COV_OFF, 1e-3)
-        rep = synchronization_experiment(14, params, kernel, z0a, z0b, t_end=2.0)
+        kernel = OUKernel(grid32, params, COV_OFF, COV_OFF, 1e-3)
+        rep = synchronization_experiment(14, kernel, z0a, z0b, t_end=2.0)
         ref = -(np.pi**2 + 2.0)
         assert rep["converged"]
         assert rep["fitted_rate"] < 0
@@ -524,14 +504,14 @@ class TestSynchronization:
         monkeypatch.setattr(dynamics, "ou_step", counted)
         z0a = dealiased(random_field(grid32, seed=24, scale=0.05))
         z0b = dealiased(random_field(grid32, seed=25, scale=0.05))
-        synchronization_experiment(26, PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), z0a, z0b, t_end=0.1)
+        synchronization_experiment(26, OUKernel(grid32, PARAMS, COV1, COV2, 0.01), z0a, z0b, t_end=0.1)
         assert steps == list(range(10))
 
     def test_noisy_config_synchronizes(self, grid32):
         rng = np.random.default_rng(15)
         z0a = dealiased(random_field(grid32, seed=16, scale=0.05))
         z0b = dealiased(random_field(grid32, seed=17, scale=0.05))
-        rep = synchronization_experiment(18, PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), z0a, z0b, t_end=3.0)
+        rep = synchronization_experiment(18, OUKernel(grid32, PARAMS, COV1, COV2, 0.01), z0a, z0b, t_end=3.0)
         assert rep["converged"]
         assert rep["fitted_rate"] < 0
         assert rep["distances"][-1] < 1e-6 * rep["distances"][0]
@@ -543,8 +523,8 @@ class TestSynchronization:
         huge1, huge2 = CovarianceSpec(1e156, 3.0, 4), CovarianceSpec(1e156, 2.5, 4)
         z0a = dealiased(random_field(grid32, seed=27, scale=0.05))
         z0b = dealiased(random_field(grid32, seed=28, scale=0.05))
-        kernel = OUKernel(grid32, PARAMS.nu, huge1, huge2, 0.01)
-        rep = synchronization_experiment(29, PARAMS, kernel, z0a, z0b, t_end=0.02)
+        kernel = OUKernel(grid32, PARAMS, huge1, huge2, 0.01)
+        rep = synchronization_experiment(29, kernel, z0a, z0b, t_end=0.02)
         assert rep["distances"][0] > 0 and np.all(rep["distances"][1:] == 0.0)
         assert not rep["converged"]
 
@@ -552,15 +532,15 @@ class TestSynchronization:
 class TestStationaryStatistics:
     def test_noise_off_everything_zero(self, grid32):
         params = ModelParams(nu=1.0, r=1.0, beta=0.0)
-        kernel = OUKernel(grid32, params.nu, COV_OFF, COV_OFF, 0.01)
-        report = stationary_statistics([1], params, kernel, t_end=2.5, burn=1.5)
+        kernel = OUKernel(grid32, params, COV_OFF, COV_OFF, 0.01)
+        report = stationary_statistics([1], kernel, t_end=2.5, burn=1.5)
         assert report["per_seed"][0]["energy_mean"] < 1e-12
         assert report["per_seed"][0]["enstrophy_mean"] < 1e-9
         assert report["max_postburn_distance"] < 1e-6
 
     def test_synchronized_and_random(self, grid32):
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
-        report = stationary_statistics([1, 2, 3], PARAMS, kernel, t_end=3.0, burn=1.5)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
+        report = stationary_statistics([1, 2, 3], kernel, t_end=3.0, burn=1.5)
         assert report["max_postburn_distance"] < 1e-6
         assert report["energy_cross_seed_std"] > 0.0
         energies = [rep["energy_mean"] for rep in report["per_seed"]]

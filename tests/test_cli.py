@@ -248,6 +248,32 @@ class TestParseTimeRejections:
         cfg = parse_config(write_config(tmp_path, **{"grid.n": "8", "noise.cutoff": "7"}))
         assert cfg.cutoff == 7
 
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path):
+        # the (n+1, n+1) float lattice of n = 2^20 is 8 TiB.  The run's
+        # address space is capped at 1 GiB above what the imports hold, so
+        # no overcommit policy can fault it in: numpy's allocation fails
+        # and the parse refuses the grid in one line
+        cfg = write_config(tmp_path, **{"grid.n": "1048576"})
+        script = (
+            "import resource, sys\n"
+            "from qgsync.cli import main\n"
+            "pages = int(open('/proc/self/statm').read().split()[0])\n"
+            "limit = pages * resource.getpagesize() + (1 << 30)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(qgsync.__file__).parents[1])}
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--config", str(cfg), "--output", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "configuration error: grid.n = 1048576 needs lattice arrays too large to allocate\n"
+        assert not out.exists()
+
     def test_config_error_after_parsing_exits_2(self, tmp_path, capsys, monkeypatch):
         def failing(config, outdir):
             raise ConfigError("time 0.015 is not a multiple of dt=0.01")

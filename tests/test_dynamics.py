@@ -3,6 +3,7 @@
 import math
 import warnings
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ class TestStepImex:
         # terms, the CFL speed, the solve and the new z are all arrays
         stream = NoiseStream(seed=12, dt=0.01)
         z = masked_field(grid32, 12).coeffs
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         planes = kernel.planes(ou_init(kernel, stream))
         w = planes[0] + planes[1]
         field_inits[0] = 0
@@ -426,13 +427,13 @@ class TestEvolve:
     def test_rejects_a_sine_start_field(self, grid32):
         # its sine coefficients would be stepped as cosine ones
         z0 = random_field(grid32, Basis.DIRICHLET_SINE, seed=25, scale=0.05)
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         with pytest.raises(DimensionMismatch):
             start_state(kernel, NoiseStream(seed=25, dt=0.01), (z0,))
 
     def test_rejects_start_fields_on_two_grids(self, grid32, grid64):
         a, b = masked_field(grid32, 26), masked_field(grid64, 27)
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         with pytest.raises(DimensionMismatch):
             start_state(kernel, NoiseStream(seed=26, dt=0.01), (a, b))
 
@@ -465,20 +466,20 @@ class TestCocycle:
     def test_flow_property_bitwise(self, grid32):
         z0 = masked_field(grid32, 15)
         stream = NoiseStream(seed=15, dt=0.01)
-        assert cocycle_check(stream, PARAMS, OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01), 0.05, 0.07, z0)
+        assert cocycle_check(stream, OUKernel(grid32, PARAMS, COV1, COV2, 0.01), 0.05, 0.07, z0)
 
     def test_zero_legs(self, grid32):
         z0 = masked_field(grid32, 16)
         stream = NoiseStream(seed=16, dt=0.01)
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
-        assert cocycle_check(stream, PARAMS, kernel, 0.0, 0.05, z0)
-        assert cocycle_check(stream, PARAMS, kernel, 0.05, 0.0, z0)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
+        assert cocycle_check(stream, kernel, 0.0, 0.05, z0)
+        assert cocycle_check(stream, kernel, 0.05, 0.0, z0)
 
     def test_negative_control(self, grid32):
         z0 = masked_field(grid32, 17)
         stream = NoiseStream(seed=17, dt=0.01)
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
-        assert not cocycle_check(stream, PARAMS, kernel, 0.05, 0.07, z0, shift_override=0.08)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
+        assert not cocycle_check(stream, kernel, 0.05, 0.07, z0, shift_override=0.08)
 
     def test_restart_keeps_the_states_kernel(self, grid32):
         # the state is the restart token: its chain goes on with the state's
@@ -487,28 +488,32 @@ class TestCocycle:
         stream = NoiseStream(seed=30, dt=0.01)
         full = last(evolve_fields(0.12, stream, (z0,), PARAMS, COV1, COV2, check_cfl=False))
         mid = last(evolve_fields(0.05, stream, (z0,), PARAMS, COV1, COV2, check_cfl=False))
-        second = last(evolve(0.07, wiener_shift(stream, 5), mid, PARAMS, check_cfl=False))
+        second = last(evolve(0.07, wiener_shift(stream, 5), mid, check_cfl=False))
         assert second.kernel is mid.kernel
         assert np.array_equal(second.zw, full.zw)
         assert np.array_equal(second.members, full.members)
 
     def test_built_state_steps_its_chain_with_its_kernel(self, grid32):
-        # a chain paired with a kernel of another viscosity (the same
-        # support, other decays and gains) steps with that kernel, whatever
-        # parameters the run is given
-        kernel0 = OUKernel(grid32, 4.0 * PARAMS.nu, COV1, COV2, 0.01)
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        # a chain paired with a kernel of another model (the same support,
+        # other decays and gains) steps with that kernel, and the members
+        # step with that kernel's model
+        kernel0 = OUKernel(grid32, replace(PARAMS, nu=4.0 * PARAMS.nu), COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         stream = NoiseStream(seed=31, dt=0.01)
         zw = ou_init(kernel, stream).copy()
         start = CocycleState(step=0, members=masked_field(grid32, 31).coeffs[np.newaxis], zw=zw, kernel=kernel0)
         assert not start.zw.flags.writeable and not start.members.flags.writeable
-        states = list(evolve(0.02, stream, start, PARAMS, check_cfl=False))
+        states = list(evolve(0.02, stream, start, check_cfl=False))
         assert all(state.kernel is kernel0 for state in states)
         assert np.any(zw)
         increments = kernel0.step_gain * stream.normals(0, kernel0.n_channels).take(kernel0.channel)
         assert np.array_equal(states[1].zw, kernel0.decay * zw + increments)
         assert np.array_equal(states[2].zw, ou_step(kernel0, states[1].zw, stream, 1))
         assert not np.array_equal(states[1].zw, ou_step(kernel, zw, stream, 0))
+        w = np.add(*kernel0.planes(zw))
+        member = step_imex(start.members[0], w, kernel0.params, 0.01, 0, check_cfl=False)
+        assert np.array_equal(states[1].members[0], member)
+        assert not np.array_equal(member, step_imex(start.members[0], w, PARAMS, 0.01, 0, check_cfl=False))
 
     def test_stream_of_another_dt_is_refused(self, grid32):
         # the chain of a dt = 0.01 kernel would decay at 0.01 per step while
@@ -517,13 +522,13 @@ class TestCocycle:
         mid = last(evolve_fields(0.05, NoiseStream(seed=34, dt=0.01), start, PARAMS, COV1, COV2, check_cfl=False))
         assert mid.kernel.dt == 0.01
         with pytest.raises(ConfigError, match=r"dt=0\.02.*dt=0\.01"):
-            next(evolve(0.04, NoiseStream(seed=34, dt=0.02), mid, PARAMS, check_cfl=False))
+            next(evolve(0.04, NoiseStream(seed=34, dt=0.02), mid, check_cfl=False))
 
     def test_chain_of_another_kernel_is_refused(self, grid32):
         # a noisy chain paired with a noise-free kernel: the state refuses
         # it, naming both sizes, before a step can index the planes with it
-        noisy = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
-        quiet = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        noisy = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
+        quiet = OUKernel(grid32, PARAMS, COV_OFF, COV_OFF, 0.01)
         zw = ou_init(noisy, NoiseStream(seed=32, dt=0.01))
         assert zw.size != quiet.index.size
         members = masked_field(grid32, 32).coeffs[np.newaxis]
@@ -531,7 +536,7 @@ class TestCocycle:
             CocycleState(step=0, members=members, zw=zw, kernel=quiet)
 
     def test_members_on_another_grid_are_refused(self, grid32):
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         zw = ou_init(kernel, NoiseStream(seed=33, dt=0.01))
         members = masked_field(GridSpec(16), 33).coeffs[np.newaxis]
         with pytest.raises(DimensionMismatch, match=r"\(17, 17\).*\(33, 33\)"):
@@ -541,7 +546,7 @@ class TestCocycle:
 class TestUntransform:
     def test_zero_coefficients_identity(self, grid32):
         z = masked_field(grid32, 18)
-        kernel = OUKernel(grid32, PARAMS.nu, COV_OFF, COV_OFF, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV_OFF, COV_OFF, 0.01)
         zw = ou_init(kernel, NoiseStream(seed=18, dt=0.01))
         u = untransform(z.coeffs, kernel.planes(zw))
         assert np.array_equal(u, z.coeffs)
@@ -549,7 +554,7 @@ class TestUntransform:
 
     def test_transform_untransform_round_trip(self, grid32):
         z = masked_field(grid32, 19)
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         zw = ou_init(kernel, NoiseStream(seed=19, dt=0.01))
         planes = kernel.planes(zw)
         u = untransform(z.coeffs, planes)

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, GridSpec, laplacian_eigenvalues, norm_h1, retained_mask
 from qgsync.noise import (
     ConfigError,
     CovarianceSpec,
+    ModelParams,
     NoiseStream,
     OUKernel,
     _philox,
@@ -168,7 +168,7 @@ class TestCovarianceSpec:
 class TestStationaryLaw:
     def test_zero_amplitude_gives_zero_fields(self, grid32):
         cov0 = CovarianceSpec(0.0, 3.0, 4)
-        kernel = OUKernel(grid32, 1.0, cov0, cov0, 0.1)
+        kernel = OUKernel(grid32, PARAMS, cov0, cov0, 0.1)
         zw = ou_init(kernel, NoiseStream(seed=1, dt=0.1))
         planes = kernel.planes(zw)
         assert not planes[0].any() and not planes[1].any()
@@ -178,7 +178,7 @@ class TestStationaryLaw:
         # with gain nu*lambda through the lift and rate nu*lambda
         cov1 = CovarianceSpec(1.0, 3.0, 1)
         cov0 = CovarianceSpec(0.0, 3.0, 1)
-        kernel = OUKernel(grid32, 1.0, cov1, cov0, 0.1)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov0, 0.1)
         lift = lifting_matrix(grid32, 1.0, n_modes=1)
         v1, _ = kernel.planes(kernel.stat_gain**2)
         lam = np.pi**2 * (np.arange(grid32.n + 1) ** 2 + 1.0)
@@ -194,7 +194,7 @@ class TestStationaryLaw:
     def test_empirical_variance_matches_analytic(self, grid32):
         cov1 = CovarianceSpec(1e-2, 3.0, 3)
         cov2 = CovarianceSpec(1e-2, 2.5, 3)
-        kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov2, 0.1)
         stream = NoiseStream(seed=42, dt=0.1)
         v1, v2 = kernel.planes(kernel.stat_gain**2)
         n_samples = 3000
@@ -214,7 +214,7 @@ class TestStationaryLaw:
         # boundary-driven and interior-driven processes must be uncorrelated
         cov1 = CovarianceSpec(1.0, 3.0, 2)
         cov2 = CovarianceSpec(1.0, 2.5, 2)
-        kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov2, 0.1)
         stream = NoiseStream(seed=7, dt=0.1)
         n_samples = 4000
         a = np.empty(n_samples)
@@ -239,7 +239,7 @@ class TestArrayState:
     """The chain is a bare read-only float64 vector over the kernel's support: no `Field` is built and no wrapper."""
 
     def test_init_and_step_build_no_field(self, grid32, field_inits):
-        kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
+        kernel = OUKernel(grid32, PARAMS, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
         stream = NoiseStream(seed=4, dt=0.1)
         zw = ou_init(kernel, stream)
         assert field_inits[0] == 0
@@ -248,7 +248,7 @@ class TestArrayState:
 
     @pytest.mark.parametrize("plane", [0, 1], ids=["zw1", "zw2"])
     def test_state_arrays_are_read_only(self, grid32, plane):
-        kernel = OUKernel(grid32, 1.0, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
+        kernel = OUKernel(grid32, PARAMS, CovarianceSpec(1e-2, 3.0, 3), CovarianceSpec(1e-2, 2.5, 3), 0.1)
         stream = NoiseStream(seed=5, dt=0.1)
         for zw in (ou_init(kernel, stream), ou_step(kernel, ou_init(kernel, stream), stream, 0)):
             with pytest.raises(ValueError):
@@ -256,7 +256,7 @@ class TestArrayState:
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES))
     def test_init_and_step_return_read_only_ndarrays(self, grid32, case):
-        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        kernel = OUKernel(grid32, PARAMS, *NOISE_CASES[case], 0.1)
         stream = NoiseStream(seed=6, dt=0.1)
         zw = ou_init(kernel, stream)
         for new in (zw, ou_step(kernel, zw, stream, 0)):
@@ -297,7 +297,7 @@ class TestChainUpdate:
         + [pytest.param(case, 256, id=f"{case}-256") for case in sorted(NOISE_CASES)],
     )
     def test_matches_full_array_update_bit_for_bit(self, case, n):
-        kernel = OUKernel(GridSpec(n), 1.0, *NOISE_CASES[case], 0.1)
+        kernel = OUKernel(GridSpec(n), PARAMS, *NOISE_CASES[case], 0.1)
         stream = NoiseStream(seed=31, dt=0.1, origin=-50)
         zw = ou_init(kernel, stream)
         ref = kernel.planes(zw)
@@ -311,7 +311,7 @@ class TestChainUpdate:
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES))
     def test_each_state_owns_read_only_arrays(self, grid32, case):
-        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        kernel = OUKernel(grid32, PARAMS, *NOISE_CASES[case], 0.1)
         stream = NoiseStream(seed=8, dt=0.1)
         zw = ou_init(kernel, stream)
         tables = (
@@ -330,7 +330,7 @@ class TestChainUpdate:
     def test_cells_are_the_union_of_the_planes(self, grid32, case):
         # `cells` and `into` are np.unique of the entries' lattice cells with
         # its inverse, and `combined` is zw1 + zw2 of the planes there
-        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        kernel = OUKernel(grid32, PARAMS, *NOISE_CASES[case], 0.1)
         cells, into = np.unique(kernel.index % grid32.shape[0] ** 2, return_inverse=True)
         assert np.array_equal(kernel.cells, cells) and np.array_equal(kernel.into, into)
         zw = ou_step(kernel, ou_init(kernel, NoiseStream(seed=9, dt=0.1)), NoiseStream(seed=9, dt=0.1), 0)
@@ -340,7 +340,7 @@ class TestChainUpdate:
 
     @pytest.mark.parametrize("case", sorted(NOISE_CASES.keys() - {"off"}))
     def test_draws_per_call(self, grid32, monkeypatch, case):
-        kernel = OUKernel(grid32, 1.0, *NOISE_CASES[case], 0.1)
+        kernel = OUKernel(grid32, PARAMS, *NOISE_CASES[case], 0.1)
         counts = []
         normals = NoiseStream.normals
 
@@ -360,7 +360,7 @@ class TestOUStep:
     def test_pure_decay_without_noise(self, grid32):
         cov1 = CovarianceSpec(1e-3, 3.0, 2)
         cov0 = CovarianceSpec(0.0, 3.0, 2)
-        kernel = OUKernel(grid32, 1.0, cov1, cov0, 0.2)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov0, 0.2)
         stream = NoiseStream(seed=3, dt=0.2)
         zw = ou_init(kernel, stream)
 
@@ -383,7 +383,7 @@ class TestOUStep:
         cov0 = CovarianceSpec(0.0, 3.0, 1)
         cov2 = CovarianceSpec(1.0, 2.5, 1)
         dt = 0.1
-        kernel = OUKernel(grid32, 1.0, cov0, cov2, dt)
+        kernel = OUKernel(grid32, PARAMS, cov0, cov2, dt)
         stream = NoiseStream(seed=11, dt=dt)
         zw = ou_init(kernel, stream)
         probe = chain_entry(kernel, 1, 1, 0)
@@ -402,7 +402,7 @@ class TestOUStep:
         cov1 = CovarianceSpec(1e-2, 3.0, 2)
         cov2 = CovarianceSpec(1e-2, 2.5, 2)
         dt = 0.4
-        kernel = OUKernel(grid32, 1.0, cov1, cov2, dt)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov2, dt)
         stream = NoiseStream(seed=13, dt=dt)
         zw = ou_init(kernel, stream)
         _, v2 = kernel.planes(kernel.stat_gain**2)
@@ -426,7 +426,7 @@ class TestOUStep:
         # steps, given the initial state is transported
         cov1 = CovarianceSpec(1e-2, 3.0, 2)
         cov2 = CovarianceSpec(1e-2, 2.5, 2)
-        kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov2, 0.1)
         s0 = NoiseStream(seed=21, dt=0.1)
         s3 = wiener_shift(s0, 3)
         zw = ou_init(kernel, s0)
@@ -441,7 +441,7 @@ class TestOUStep:
     def test_gradient_moments_stable_under_doubling(self, grid32):
         cov1 = CovarianceSpec(1e-2, 3.0, 3)
         cov2 = CovarianceSpec(1e-2, 2.5, 3)
-        kernel = OUKernel(grid32, 1.0, cov1, cov2, 0.1)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov2, 0.1)
         stream = NoiseStream(seed=17, dt=0.1)
 
         def moments(m):
@@ -490,7 +490,7 @@ class TestTemperedness:
         cov1 = CovarianceSpec(3e-4, 3.0, 4)
         cov2 = CovarianceSpec(3e-4, 2.5, 4)
         dt = 0.1
-        kernel = OUKernel(grid32, 1.0, cov1, cov2, dt)
+        kernel = OUKernel(grid32, PARAMS, cov1, cov2, dt)
         stream = NoiseStream(seed=29, dt=dt)
         zw = ou_init(kernel, stream)
         n_steps = 2001

@@ -614,7 +614,7 @@ class TestBilinearForm:
     def test_cross_term_inner_product_identity(self, grid32):
         # <(-B(z,w) - B(w,z)), z> == <-B(z,w), z> because <B(w,z), z> = 0
         z = masked_field(grid32, 3, scale=0.5)
-        kernel = OUKernel(grid32, PARAMS.nu, COV1, COV2, 0.01)
+        kernel = OUKernel(grid32, PARAMS, COV1, COV2, 0.01)
         zw1, zw2 = kernel.planes(ou_init(kernel, NoiseStream(seed=3, dt=0.01)))
         w = Field(grid32, Basis.NEUMANN_COSINE, coeffs=zw1 + zw2)
         b_zw = bilinear_b(z, w).coeffs

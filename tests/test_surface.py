@@ -128,8 +128,9 @@ def test_one_kernel_build_per_experiment():
 
 
 def test_experiments_take_the_kernel():
-    # grid, step size and covariances reach `evolve` and the experiments
-    # only inside the kernel, so no run can pair a chain with other ones
+    # the model, grid, step size and covariances reach `evolve` and the
+    # experiments only inside the kernel, so no run can pair a chain with
+    # other ones or step its members under a second viscosity
     takers = (
         qgsync.evolve,
         qgsync.radius_invariance_experiment,
@@ -139,7 +140,7 @@ def test_experiments_take_the_kernel():
         qgsync.cocycle_check,
     )
     for fn in takers:
-        assert not set(inspect.signature(fn).parameters) & {"cov1", "cov2", "grid", "dt"}, fn.__name__
+        assert not set(inspect.signature(fn).parameters) & {"cov1", "cov2", "grid", "dt", "params", "nu"}, fn.__name__
     assert list(inspect.signature(qgsync.start_state).parameters) == ["kernel", "stream", "fields"]
 
 
@@ -255,7 +256,7 @@ def test_chain_is_a_vector_over_its_support():
     assert definitions_calling(PACKAGE, "at") == set()
     assert not hasattr(qgsync.OUKernel, "stationary_variances")
     kernel = qgsync.OUKernel(
-        qgsync.GridSpec(16), 1.0, qgsync.CovarianceSpec(1e-2, 3.0, 3), qgsync.CovarianceSpec(1e-2, 2.5, 3), 0.1
+        qgsync.GridSpec(16), qgsync.ModelParams(nu=1.0, r=1.0), qgsync.CovarianceSpec(1e-2, 3.0, 3), qgsync.CovarianceSpec(1e-2, 2.5, 3), 0.1
     )
     zw = qgsync.ou_init(kernel, qgsync.NoiseStream(seed=1, dt=0.1))
     assert zw.shape == (kernel.index.size,) and zw.dtype == float
