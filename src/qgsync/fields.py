@@ -21,10 +21,15 @@ axis.  From DENSE_BELOW_N cells per side they are computed as real FFTs
 of the even/odd extension with numpy.fft.  This is how pocketfft computes
 them inside scipy.fft, and numpy ships the same pocketfft, so the results
 are those of scipy.fft's dct/dst bit for bit; the package itself needs
-numpy alone.  On smaller grids a 2D transform is two BLAS matmuls,
+numpy alone.  On smaller grids a 2D transform is two BLAS products,
 Mx @ a @ My.T, against per-axis matrices built once from that FFT line
 transform; they differ from the FFT path by round-off only (at most a few
-n * eps * max|a|).  DENSE_BELOW_N is also where `operators` switches its
+n * eps * max|a|).  Each call fetches its (Mx, My.T) pair from one cache
+(`_dense_matrices`) and zeroes the slots off the retained modes by row
+and column slices.  The products are `np.dot`, the same BLAS call as
+`np.matmul` with less work around it (0.6 us less at n = 32), and My.T
+is a transposed view: against a contiguous copy OpenBLAS rounds
+differently.  DENSE_BELOW_N is also where `operators` switches its
 difference operators from dense matrices to flat-lattice stencils, so
 one rule holds: below it every linear operator is a dense matrix.
 
@@ -37,16 +42,20 @@ coefficients of psi_x, from it.
 Lattice-sized work arrays are held per thread and per grid size in
 `WorkArrays`, built on first use and kept for the life of the thread: the
 FFT transforms' rfft buffers here, the Arakawa Jacobian's arrays in
-`operators` and the step's arrays in `dynamics`.  Reusing them keeps the
-allocator from handing freed pages back to the OS and faulting them in
+`operators` and the step's arrays in `dynamics`, each held in that
+module's per-grid plan with what the step reads there.  Reusing them keeps
+the allocator from handing freed pages back to the OS and faulting them in
 again on the next call.  A transform, `derivative`, or
 `operators.streamfunction_coeffs` or `advection_coeffs` writes into a
 caller's `out` array when given one (only the step passes one, and `evolve`
 passes the step a row of the next members stack); otherwise it returns a
-fresh array that its caller owns.  No function returns a view of a work
-array.  Every cached table (grid tables, masks, scales, the
-`random_coeffs` envelope, line and difference matrices) is read-only, so a
-misplaced `out=` raises instead of corrupting every later call.
+fresh array that its caller owns.  A transform's `out` must be
+C-contiguous, as the dense path writes it by `np.dot`, which takes no
+other; any other raises a ValueError that says so, at every n.  No
+function returns a view of a work array.
+Every cached table (grid tables, masks, scales, the `random_coeffs`
+envelope, line and difference matrices, the plans' tables) is read-only,
+so a misplaced `out=` raises instead of corrupting every later call.
 """
 
 from __future__ import annotations
@@ -173,6 +182,21 @@ def _off_mask(n: int, kinds: tuple[str, str]) -> np.ndarray:
     return off
 
 
+def _zero_off_modes(a: np.ndarray, basis: Basis, n: int) -> np.ndarray:
+    """Write +0.0 into the slots of `a` off the retained modes of a basis (`_off_mask`), by slices."""
+    if basis.xkind == "sin":
+        a[::n] = 0.0
+    else:
+        a[n] = 0.0
+    if basis.ykind == "sin":
+        a[:, ::n] = 0.0
+    else:
+        a[:, n] = 0.0
+        if basis.xkind == "cos":
+            a[0, 0] = 0.0
+    return a
+
+
 # ---------------------------------------------------------------------------
 # One-dimensional transforms (orthonormal-coefficient conventions)
 #
@@ -296,8 +320,7 @@ def _fft_coeffs_from_nodal(nodal: np.ndarray, basis: Basis, n: int, out: np.ndar
     _transform_lines(ext, spec, basis.xkind, n, synthesis=False, out=a)
     lines[...] = a.T
     _transform_lines(ext, spec, basis.ykind, n, synthesis=False, out=a)
-    a[_off_mask(n, basis.value)] = 0.0
-    return a
+    return _zero_off_modes(a, basis, n)
 
 
 def _fft_nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -312,23 +335,41 @@ def _fft_nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, n: int, out: np.nda
     return v
 
 
+@lru_cache(maxsize=None)
+def _dense_matrices(n: int, xkind: str, ykind: str, synthesis: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(Mx, My.T) of the dense 2D transform Mx @ a @ My.T on grid n, from `_line_matrix`.
+
+    My.T stays a transposed view: OpenBLAS rounds a product against it (NT)
+    differently from one against a contiguous copy (NN).
+    """
+    return _line_matrix(n, xkind, synthesis), _line_matrix(n, ykind, synthesis).T
+
+
+def _check_out(out: np.ndarray | None) -> None:
+    """Refuse an `out` that is not C-contiguous: the dense transforms write it by `np.dot`, which takes no other."""
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("a transform writes by np.dot: out must be C-contiguous")
+
+
 def coeffs_from_nodal(nodal: np.ndarray, basis: Basis, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Project nodal values onto the retained modes of a basis, into `out` if given (not `nodal`)."""
+    _check_out(out)
     n = grid.n
     if n >= DENSE_BELOW_N:
         return _fft_coeffs_from_nodal(nodal, basis, n, out)
-    a = np.matmul(_line_matrix(n, basis.xkind, False) @ nodal, _line_matrix(n, basis.ykind, False).T, out=out)
-    a[_off_mask(n, basis.value)] = 0.0
-    return a
+    mx, my_t = _dense_matrices(n, basis.xkind, basis.ykind, False)
+    return _zero_off_modes(np.dot(np.dot(mx, nodal), my_t, out=out), basis, n)
 
 
 def nodal_from_coeffs(coeffs: np.ndarray, basis: Basis, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Lattice values of a coefficient array, into `out` if given (not `coeffs`); +0.0 on the edges of a sine axis."""
+    _check_out(out)
     n = grid.n
     if n >= DENSE_BELOW_N:
         v = _fft_nodal_from_coeffs(coeffs, basis, n, out)
     else:
-        v = np.matmul(_line_matrix(n, basis.xkind, True) @ coeffs, _line_matrix(n, basis.ykind, True).T, out=out)
+        mx, my_t = _dense_matrices(n, basis.xkind, basis.ykind, True)
+        v = np.dot(np.dot(mx, coeffs), my_t, out=out)
     # whatever sign the dense path's 0 * x terms or the DST's scaling of a
     # zero line left there
     if basis.xkind == "sin":
@@ -357,6 +398,7 @@ def cosine_from_cosine_sine(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray 
     line matrices; from it up, two FFT line passes, the first of which
     writes its lattice values back into the rfft lines.
     """
+    _check_out(out)
     n = grid.n
     if n >= DENSE_BELOW_N:
         ext, spec = _WORK.get(n)
@@ -366,9 +408,8 @@ def cosine_from_cosine_sine(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray 
         a = np.empty((n + 1, n + 1)) if out is None else out
         _transform_lines(ext, spec, "cos", n, synthesis=False, out=a)
     else:
-        a = np.matmul(coeffs, _sine_to_cosine_matrix(n).T, out=out)
-    a[_off_mask(n, Basis.NEUMANN_COSINE.value)] = 0.0
-    return a
+        a = np.dot(coeffs, _sine_to_cosine_matrix(n).T, out=out)
+    return _zero_off_modes(a, Basis.NEUMANN_COSINE, n)
 
 
 class Field:

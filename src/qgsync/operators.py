@@ -30,7 +30,7 @@ as their two off-diagonals.  From n = `fields.DENSE_BELOW_N` cells per side
 each is applied as a flat-lattice stencil: one subtract over the flattened
 lattice, offset by one line or one entry, one multiply by the interior
 factor n/2 and a rewrite of the first and last node along the axis (see
-`_diff`).  On smaller grids one BLAS matmul against the dense matrix is
+`_diff`).  On smaller grids one BLAS product with the dense matrix is
 faster, as it is for the transforms in `fields`, which switch at the same
 size.  At power-of-two n the factor n/2 is a power of two, so
 (a[i+1] - a[i-1]) * n/2 rounds as n/2 * a[i+1] - n/2 * a[i-1] does
@@ -41,17 +41,20 @@ matrix product +0.0; Do agrees bit for bit.  At other n the two forms
 differ by round-off, at most 4 eps * n/2 * (|a[i+1]| + |a[i-1]|) per
 entry.
 
-The Jacobian writes its lattice arrays (the four first differences, the
-running sum of the three forms and one product) into six per-thread, per-n
-`fields.WorkArrays`, built on first use, so a call allocates only the
-coefficients it returns.
+`advection_coeffs` fetches one per-thread, per-n plan (`_JacobianPlan`,
+built on first use): its four differences, bound once to their matrices
+or stencils, and six lattice work arrays (the four first differences, the
+running sum of the three forms and one product), so a call allocates only
+the coefficients it returns and writes the three Arakawa forms once for
+both kinds of difference.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,10 +254,10 @@ def _difference_operators(n: int):
 
 
 def _diff(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """Apply one difference operator along an axis of a nodal array, into `out` (not `a`).
+    """Apply one difference operator along an axis of a nodal array as a stencil, into `out` (not `a`).
 
-    The stencil form writes through the flat view of `out`, so `out` must
-    be C-contiguous; `a` is only read.  One subtract over the flattened
+    The stencil writes through the flat view of `out`, so `out` must be
+    C-contiguous; `a` is only read.  One subtract over the flattened
     lattice, offset by one line (axis 0) or one entry (axis 1), gives
     a[i+1] - a[i-1], and one multiply scales it by the interior factor
     upper[1] = n/2.  The first and last node along the axis are then
@@ -263,9 +266,7 @@ def _diff(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     flat difference crossed a row break, zeroed before the scaling so that
     it cannot overflow on them.
     """
-    lower, upper, dense = op
-    if dense is not None:
-        return np.matmul(dense, a, out=out) if axis == 0 else np.matmul(a, dense.T, out=out)
+    lower, upper, _ = op
     if not out.flags.c_contiguous:
         raise ValueError("the difference stencil writes through a flat view: out must be C-contiguous")
     # the lines along `axis` as rows: on 2D arrays a transpose is np.moveaxis(x, 1, 0)
@@ -283,9 +284,45 @@ def _diff(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# px, py, ax, ay (then the differences of t2 and t3), the running sum of
-# the three forms and the product being differenced
-_JACOBIAN_WORK = WorkArrays(lambda n: tuple(np.empty((n + 1, n + 1)) for _ in range(6)))
+class _JacobianPlan(NamedTuple):
+    """The Jacobian's four differences on grid n and this thread's six lattice work arrays for it.
+
+    Each difference is a `partial`, called as d(a, out=out).  Below
+    DENSE_BELOW_N it is one BLAS product with the dense matrix D, D @ a
+    along x and a @ D.T along y (`_dot_right`, against the transposed
+    view: a contiguous copy of D.T rounds differently at n such as 18 and
+    50); from it up, the stencil `_diff`.  The work arrays are px, py, ax,
+    ay (then the differences of t2 and t3), the running sum of the three
+    forms and the product being differenced.
+    """
+
+    do_x: partial
+    do_y: partial
+    de_x: partial
+    de_y: partial
+    work: tuple[np.ndarray, ...]
+
+
+def _dot_right(dense_t: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ dense_t into `out`."""
+    return np.dot(a, dense_t, out=out)
+
+
+def _jacobian_plan(n: int) -> _JacobianPlan:
+    De, Do = _difference_operators(n)
+    if n < DENSE_BELOW_N:
+        differences = (
+            partial(np.dot, Do[2]),
+            partial(_dot_right, Do[2].T),
+            partial(np.dot, De[2]),
+            partial(_dot_right, De[2].T),
+        )
+    else:
+        differences = tuple(partial(_diff, op, axis=axis) for op in (Do, De) for axis in (0, 1))
+    return _JacobianPlan(*differences, work=tuple(np.empty((n + 1, n + 1)) for _ in range(6)))
+
+
+_JACOBIAN_PLANS = WorkArrays(_jacobian_plan)
 
 
 def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -308,12 +345,11 @@ def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec, out: np.nda
     with t1 = px ay - py ax, t2 = Do_x(psi ay) - Do_y(psi ax) and
     t3 = Do_y(px a) - Do_x(py a), so the bits are those of that expression.
     """
-    De, Do = _difference_operators(grid.n)
-    px, py, ax, ay, acc, prod = _JACOBIAN_WORK.get(grid.n)
-    _diff(Do, psi, 0, px)
-    _diff(Do, psi, 1, py)
-    _diff(De, a, 0, ax)
-    _diff(De, a, 1, ay)
+    do_x, do_y, de_x, de_y, (px, py, ax, ay, acc, prod) = _JACOBIAN_PLANS.get(grid.n)
+    do_x(psi, out=px)
+    do_y(psi, out=py)
+    de_x(a, out=ax)
+    de_y(a, out=ay)
     # t1 into acc
     np.multiply(px, ay, out=acc)
     np.multiply(py, ax, out=prod)
@@ -321,16 +357,16 @@ def advection_coeffs(psi: np.ndarray, a: np.ndarray, grid: GridSpec, out: np.nda
     # t2: ay and then ax are free once their products with psi are taken,
     # and each product is free once it is differenced
     np.multiply(psi, ay, out=prod)
-    _diff(Do, prod, 0, ay)
+    do_x(prod, out=ay)
     np.multiply(psi, ax, out=prod)
-    _diff(Do, prod, 1, ax)
+    do_y(prod, out=ax)
     np.subtract(ay, ax, out=ay)
     np.add(acc, ay, out=acc)
     # t3
     np.multiply(px, a, out=prod)
-    _diff(Do, prod, 1, ay)
+    do_y(prod, out=ay)
     np.multiply(py, a, out=prod)
-    _diff(Do, prod, 0, ax)
+    do_x(prod, out=ax)
     np.subtract(ay, ax, out=ay)
     np.add(acc, ay, out=acc)
     np.divide(acc, 3.0, out=acc)

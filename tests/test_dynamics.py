@@ -272,17 +272,138 @@ class TestStepImex:
         assert f"(speed {speed:.3g})" in str(record[0].message)
 
 
+    @pytest.mark.parametrize("check_cfl", [True, False])
     @pytest.mark.parametrize("n", [32, 256])
-    def test_four_transforms_per_step(self, n, transforms):
-        # beta > 0 and the CFL check on a state whose gradient bounds are
-        # below 1/2: the synthesis of s, the Poisson analysis, the synthesis
-        # of psi and B's analysis; the beta term and the CFL speed take none
+    def test_four_transforms_per_step(self, n, check_cfl, transforms):
+        # beta > 0, with the CFL check on a state whose gradient bounds are
+        # below 1/2 or with it off, as the experiments step: the synthesis of
+        # s, the Poisson analysis, the synthesis of psi and B's analysis; the
+        # beta term and the CFL speed take none
         grid = GridSpec(n)
         z, w = masked_field(grid, 28, scale=0.01).coeffs, masked_field(grid, 29, scale=0.001).coeffs
         assert max(gradient_bounds(z, w, grid)) <= 0.5
         transforms.clear()
-        step_imex(z, w, PARAMS, 0.5 * grid.h, 0, check_cfl=True)
-        assert len(transforms) == 4
+        step_imex(z, w, PARAMS, 0.5 * grid.h, 0, check_cfl=check_cfl)
+        assert transforms == [
+            ("nodal_from_coeffs", Basis.NEUMANN_COSINE),
+            ("coeffs_from_nodal", Basis.DIRICHLET_SINE),
+            ("nodal_from_coeffs", Basis.DIRICHLET_SINE),
+            ("coeffs_from_nodal", Basis.NEUMANN_COSINE),
+        ]
+
+
+def dense_transform(a, kinds, synthesis):
+    """Mx @ a @ My.T from the line matrices of the two axis kinds, My.T a transposed view."""
+    n = len(a) - 1
+    mx, my = (fields._line_matrix(n, kind, synthesis) for kind in kinds)
+    return (mx @ a) @ my.T
+
+
+def divergence_message(z, step, dt):
+    """The text of the `DivergenceError` of a step from the old state z."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        zmag = float(np.sqrt(np.nansum(np.square(z))))
+    return f"trajectory diverged at t={(step + 1) * dt} (|z| was {zmag:.6g})"
+
+
+def reference_dense_step(z, w, params, dt, step=0):
+    """One step below DENSE_BELOW_N, one expression per term in the step's order.
+
+    The transforms are `_line_matrix` products, the differences the dense
+    matrices built from `_difference_operators`' off-diagonals and the beta
+    term's y-axis map the product of the cosine analysis and the sine
+    synthesis line matrices, each applied on the right as a transposed view.
+    A non-finite B or new z raises the step's `DivergenceError`.
+    """
+    n = len(z) - 1
+    grid = GridSpec(n)
+    off = {basis: ~retained_mask(grid, basis) for basis in Basis}
+    De, Do = (np.diag(lower, -1) + np.diag(upper, 1) for lower, upper, _ in operators._difference_operators(n))
+    lam = laplacian_eigenvalues(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = z + w
+        a = dense_transform(s, ("cos", "cos"), True)
+        src = dense_transform(a, ("sin", "sin"), False)
+        src[off[Basis.DIRICHLET_SINE]] = 0.0
+        psi = src / np.where(off[Basis.DIRICHLET_SINE], np.inf, -lam)
+        p = dense_transform(psi, ("sin", "sin"), True)
+        p[::n] = 0.0
+        p[:, ::n] = 0.0
+        px, py, ax, ay = Do @ p, p @ Do.T, De @ a, a @ De.T
+        t1 = px * ay - py * ax
+        t2 = Do @ (p * ay) - (p * ax) @ Do.T
+        t3 = (px * a) @ Do.T - Do @ (py * a)
+        b = dense_transform((t1 + t2 + t3) / 3.0, ("cos", "cos"), False)
+        b[off[Basis.NEUMANN_COSINE]] = 0.0
+        if not np.isfinite(b).all():
+            raise DivergenceError(divergence_message(z, step, dt))
+        explicit = -1.0 * (b * dynamics._dealias_mask(n)) - params.r * w
+        if params.beta != 0.0:
+            psi_x = (np.pi * np.arange(n + 1.0)[:, np.newaxis] * psi) * retained_mask(grid, Basis.COSINE_SINE)
+            sine_to_cosine = fields._line_matrix(n, "cos", False) @ fields._line_matrix(n, "sin", True)
+            beta_term = psi_x @ sine_to_cosine.T
+            beta_term[off[Basis.NEUMANN_COSINE]] = 0.0
+            explicit = explicit - params.beta * beta_term
+        new = (z + dt * explicit) / (1.0 + dt * (params.nu * lam + params.r))
+        new = new * retained_mask(grid, Basis.NEUMANN_COSINE)
+    if not np.isfinite(new).all():
+        raise DivergenceError(divergence_message(z, step, dt))
+    return new
+
+
+def dense_step_states(grid):
+    """(name, z, w): random states, states with -0.0 on retained modes, and the zero state.
+
+    A z of -0.0 with w = +0.0 steps the zero state, and the new z keeps
+    the sign of the zeros of the dealiased B on the modes the 2/3 rule drops.
+    """
+    z, w = masked_field(grid, 40, scale=0.5).coeffs, random_field(grid, seed=41, scale=0.01).coeffs
+    retained = retained_mask(grid, Basis.NEUMANN_COSINE)
+    negative_zeros = np.where(retained, -0.0, 0.0)
+    signed = z.copy()
+    signed[::2] = negative_zeros[::2]
+    zero = np.zeros(grid.shape)
+    return [
+        ("random", z, w),
+        ("negative zeros", signed, negative_zeros),
+        ("negative zero z", negative_zeros, zero),
+        ("zero", zero, zero),
+    ]
+
+
+class TestDenseStepBits:
+    """Below DENSE_BELOW_N the step has the bits of the dense expressions it replaces, and raises as they would."""
+
+    @pytest.mark.parametrize("check_cfl", [True, False])
+    @pytest.mark.parametrize("beta", [0.0, 0.4])
+    @pytest.mark.parametrize("n", [16, 18, 32])
+    def test_step_matches_the_reference(self, n, beta, check_cfl):
+        # n = 18: n/2 is not a power of two, and a contiguous copy of a
+        # difference matrix's transpose would round some entries otherwise
+        grid = GridSpec(n)
+        params = ModelParams(nu=0.7, r=1.3, beta=beta)
+        for name, z, w in dense_step_states(grid):
+            got = step_imex(z, w, params, 1e-3, 0, check_cfl=check_cfl)
+            want = reference_dense_step(z, w, params, 1e-3)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+    @pytest.mark.parametrize("n", [16, 32, 256])
+    def test_overflow_raises_the_same_error_with_and_without_the_check(self, n):
+        # with the check on, B's first check raises; without it, the
+        # non-finite entries reach the final check, which raises the same
+        # text as the reference (n = 256 is on the FFT path, which has none)
+        grid = GridSpec(n)
+        z, w = np.zeros(grid.shape), np.zeros(grid.shape)
+        z[1 : n // 2, 1 : n // 2] = 1e306
+        want = divergence_message(z, 1, 0.01)
+        if n < fields.DENSE_BELOW_N:
+            with pytest.raises(DivergenceError) as caught:
+                reference_dense_step(z, w, PARAMS, 0.01, 1)
+            assert str(caught.value) == want
+        for check_cfl in (True, False):
+            with pytest.raises(DivergenceError) as caught:
+                step_imex(z, w, PARAMS, 0.01, 1, check_cfl=check_cfl)
+            assert str(caught.value) == want
 
 
 class TestCFLBound:
@@ -414,7 +535,7 @@ class TestEvolve:
         stream = NoiseStream(seed=27, dt=0.001)
         start = (masked_field(grid, 27), masked_field(grid, 28))
         states = list(evolve_fields(0.003, stream, start, PARAMS, COV1, COV2))
-        held = list(fields._WORK.get(n)) + list(operators._JACOBIAN_WORK.get(n)) + list(dynamics._STEP_WORK.get(n))
+        held = [*fields._WORK.get(n), *operators._JACOBIAN_PLANS.get(n).work, *dynamics._STEP_PLANS.get(n).work]
         for prev, state in zip(states, states[1:]):
             planes = prev.kernel.planes(prev.zw)
             w = planes[0] + planes[1]
@@ -514,6 +635,21 @@ class TestCocycle:
         member = step_imex(start.members[0], w, kernel0.params, 0.01, 0, check_cfl=False)
         assert np.array_equal(states[1].members[0], member)
         assert not np.array_equal(member, step_imex(start.members[0], w, PARAMS, 0.01, 0, check_cfl=False))
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_members_of_any_layout_step(self, n):
+        # each new members stack is C-ordered whatever the start's layout:
+        # its rows are the steps' outs, which the transforms write by np.dot
+        grid = GridSpec(n)
+        kernel = OUKernel(grid, PARAMS, COV1, COV2, 0.01)
+        stream = NoiseStream(seed=35, dt=0.01)
+        zw = ou_init(kernel, stream)
+        members = np.stack([masked_field(grid, seed).coeffs for seed in (35, 36)])
+        ends = [
+            last(evolve(0.02, stream, CocycleState(step=0, members=layout, zw=zw, kernel=kernel), check_cfl=False))
+            for layout in (members, np.asfortranarray(members))
+        ]
+        assert ends[1].members.tobytes() == ends[0].members.tobytes()
 
     def test_stream_of_another_dt_is_refused(self, grid32):
         # the chain of a dt = 0.01 kernel would decay at 0.01 per step while

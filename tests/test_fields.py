@@ -267,8 +267,8 @@ class TestDensePath:
         held = (
             matrices
             + list(fields._WORK.get(n))
-            + list(operators._JACOBIAN_WORK.get(n))
-            + list(dynamics._STEP_WORK.get(n))
+            + list(operators._JACOBIAN_PLANS.get(n).work)
+            + list(dynamics._STEP_PLANS.get(n).work)
         )
         for basis in Basis:
             outputs += [
@@ -279,6 +279,29 @@ class TestDensePath:
         for out in outputs:
             assert out.flags.owndata and out.flags.writeable
             assert not any(np.shares_memory(out, h) for h in held)
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_non_contiguous_out_is_refused(self, n):
+        # the dense path writes an out by np.dot, which takes a C-contiguous
+        # one only; every transform names the requirement, on both paths,
+        # and so do the functions that pass their out on to one
+        grid = GridSpec(n)
+        x = np.random.default_rng(26).standard_normal(grid.shape)
+        outs = (np.empty(grid.shape, order="F"), np.empty((n + 1, 2 * (n + 1)))[:, ::2])
+        calls = [
+            lambda out: fields.cosine_from_cosine_sine(x * retained_mask(grid, Basis.COSINE_SINE), grid, out=out),
+            lambda out: operators.streamfunction_coeffs(x, grid, out=out),
+            lambda out: operators.advection_coeffs(x * retained_mask(grid, Basis.DIRICHLET_SINE), x, grid, out=out),
+        ]
+        for basis in Basis:
+            calls += [
+                lambda out, basis=basis: coeffs_from_nodal(x, basis, grid, out=out),
+                lambda out, basis=basis: nodal_from_coeffs(x * retained_mask(grid, basis), basis, grid, out=out),
+            ]
+        for call in calls:
+            for out in outs:
+                with pytest.raises(ValueError, match="C-contiguous"):
+                    call(out)
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_fft_path_from_the_cutoff_up(self, basis):

@@ -1,6 +1,7 @@
 """Elliptic operators, semigroup, Jacobian and the bilinear form identities."""
 
 import itertools
+import math
 import sys
 import threading
 import warnings
@@ -294,8 +295,18 @@ def bracket_and_adjoint_matrices(psi):
 
 
 def diff(op, a, axis):
-    """`_diff` into a fresh array."""
-    return _diff(op, a, axis, np.empty_like(a, order="C"))
+    """One difference into a fresh array, as `advection_coeffs` applies it.
+
+    An operator with a dense matrix goes through the Jacobian plan's
+    product bound to that matrix and axis; one without, through `_diff`.
+    """
+    out = np.empty_like(a, order="C")
+    if op[2] is None:
+        return _diff(op, a, axis, out)
+    De, Do = _difference_operators(a.shape[0] - 1)
+    plan = operators._JACOBIAN_PLANS.get(a.shape[0] - 1)
+    bound = {id(Do[2]): (plan.do_x, plan.do_y), id(De[2]): (plan.de_x, plan.de_y)}[id(op[2])]
+    return bound[axis](a, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +483,15 @@ class TestWorkArrays:
         ]
         tables += [fields._retained_mask(n, b.value) for b in Basis] + [fields._off_mask(n, b.value) for b in Basis]
         tables += [a for op in _difference_operators(n) for a in op if a is not None]
+        # the per-grid plans the step reads: its folded tables (every array
+        # but the work arrays), the dense transform matrices and the arrays
+        # its differences are bound to
+        tables += [a for a in dynamics._STEP_PLANS.get(n) if isinstance(a, np.ndarray)]
+        tables += [a for d in operators._JACOBIAN_PLANS.get(n)[:4] for a in d.args if isinstance(a, np.ndarray)]
+        if n < DENSE_BELOW_N:
+            tables += [
+                m for b in Basis for synthesis in (False, True) for m in fields._dense_matrices(n, *b.value, synthesis)
+            ]
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -503,15 +523,26 @@ class TestDifferenceOperators:
                     s, m = s[1:], m[1:]
                 assert s.tobytes() == m.tobytes()
 
-    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("n", [18, 32, 128])
     def test_exact_on_linear_data(self, n):
-        # x_i = i h with power-of-two h: every product and difference is
-        # exact, so both centred differences return exactly 1 inside
-        x = np.arange(n + 1) / n
-        a = np.outer(x, np.ones(n + 1))
+        # x_i = i h with power-of-two h = 1/n or below: every product and
+        # difference is exact, so both centred differences return exactly
+        # n h inside (1 at power-of-two n)
+        h = 2.0 ** -math.ceil(math.log2(n))
+        a = np.outer(np.arange(n + 1) * h, np.ones(n + 1))
         for op in _difference_operators(n):
-            assert np.all(diff(op, a, 0)[1:-1] == 1.0)
-            assert np.all(diff(op, a.T, 1)[:, 1:-1] == 1.0)
+            assert np.all(diff(op, a, 0)[1:-1] == n * h)
+            assert np.all(diff(op, a.T, 1)[:, 1:-1] == n * h)
+
+    @pytest.mark.parametrize("n", [16, 18, 32, 50])
+    def test_plan_products_have_the_matrix_product_bits(self, n):
+        # the plan's differences are D @ a and a @ D.T against the
+        # transposed view, bit for bit, at power-of-two n and at others,
+        # where a contiguous copy of D.T rounds some entries differently
+        a = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+        for op in _difference_operators(n):
+            for axis in (0, 1):
+                assert diff(op, a, axis).tobytes() == reference_diff(op, a, axis).tobytes()
 
     def test_matrices_only_below_the_stencil_switch(self):
         assert all(op[2] is not None for op in _difference_operators(DENSE_BELOW_N - 2))
