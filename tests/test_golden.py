@@ -73,6 +73,18 @@ CASES = {
         {"grid.n": "128", "time.dt": "0.001", "time.t_end": "0.005", "time.burn": "0", "seeds": "1"},
         [("simulate", 0), ("validate", 0)],
     ),
+    # a grid that is not a power of two, where the dense difference products round
+    "n50": (
+        {"grid.n": "50", "time.dt": "0.005", "seeds": "1,2", "time.t_end": "0.5", "time.burn": "0.25"},
+        [
+            ("simulate", 0),
+            ("synchronize", 0),
+            ("check-condition", 0),
+            ("validate", 0),
+            ("radius", 0),
+            ("stationary", 0),
+        ],
+    ),
     # strong noise at small nu: the mean-damping margin is negative, so
     # check-condition writes its refusal report and radius refuses with exit 3
     "no-margin": (
