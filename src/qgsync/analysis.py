@@ -47,7 +47,6 @@ import numpy as np
 from .dynamics import (
     CocycleState,
     DivergenceError,
-    ModelParams,
     dealias,
     evolve,
     start_state,
@@ -63,6 +62,7 @@ from .fields import (
 )
 from .noise import (
     ConfigError,
+    ModelParams,
     NoiseStream,
     OUKernel,
     ou_init,

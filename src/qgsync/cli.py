@@ -84,8 +84,8 @@ def _report_payload(name: str, config: RunConfig, body: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _suite_bilinear(config: RunConfig) -> dict:
-    grid = config.grid()
+def _suite_bilinear(kernel: OUKernel) -> dict:
+    grid = kernel.grid
     rng = np.random.default_rng(2024)
     worst_self = 0.0
     worst_anti = 0.0
@@ -107,8 +107,8 @@ def _suite_bilinear(config: RunConfig) -> dict:
     }
 
 
-def _suite_poisson(config: RunConfig) -> dict:
-    grid = config.grid()
+def _suite_poisson(kernel: OUKernel) -> dict:
+    grid = kernel.grid
     rng = np.random.default_rng(7)
     worst = 0.0
     lam = laplacian_eigenvalues(grid)
@@ -127,12 +127,12 @@ def _suite_poisson(config: RunConfig) -> dict:
     }
 
 
-def _suite_lift(config: RunConfig) -> dict:
-    grid = config.grid()
+def _suite_lift(kernel: OUKernel) -> dict:
+    nu = kernel.params.nu
     g = np.array([1.0, 0.5, -0.25])
-    u = neumann_lift(g, grid, config.nu)
-    harm = harmonicity_residual(u, config.nu)
-    flux = boundary_flux(u, config.nu)
+    u = neumann_lift(g, kernel.grid, nu)
+    harm = harmonicity_residual(u, nu)
+    flux = boundary_flux(u, nu)
     fluxerr = float(np.max(np.abs(flux[:3] - g)))
     ok = harm < 1e-8 and fluxerr < 1e-8
     return {
@@ -142,16 +142,14 @@ def _suite_lift(config: RunConfig) -> dict:
     }
 
 
-def _suite_semigroup(config: RunConfig) -> dict:
-    grid = config.grid()
-    f = random_coeffs(grid, np.random.default_rng(11))
+def _suite_semigroup(kernel: OUKernel) -> dict:
+    nu = kernel.params.nu
+    f = random_coeffs(kernel.grid, np.random.default_rng(11))
     s, t = 0.21, 0.34
-    once = semigroup(f, config.nu, s + t)
-    twice = semigroup(semigroup(f, config.nu, s), config.nu, t)
+    once = semigroup(f, nu, s + t)
+    twice = semigroup(semigroup(f, nu, s), nu, t)
     err = float(np.max(np.abs(once - twice)))
-    contract = norm_l2(semigroup(f, config.nu, 0.5)) <= math.exp(
-        -config.nu * math.pi**2 * 0.5
-    ) * norm_l2(f) * (1 + 1e-12)
+    contract = norm_l2(semigroup(f, nu, 0.5)) <= math.exp(-nu * math.pi**2 * 0.5) * norm_l2(f) * (1 + 1e-12)
     ok = err < 1e-14 * max(1.0, norm_l2(f)) and contract
     return {
         "name": "heat semigroup law",
@@ -177,10 +175,11 @@ def _suite_ou(kernel: OUKernel) -> dict:
     }
 
 
-def _suite_cocycle(config: RunConfig, kernel: OUKernel) -> dict:
+def _suite_cocycle(kernel: OUKernel) -> dict:
+    dt = kernel.dt
     z0 = random_field(kernel.grid, np.random.default_rng(31), 0.1)
-    stream = NoiseStream(seed=9001, dt=config.dt)
-    ok = analysis.cocycle_check(stream, kernel, 5 * config.dt, 7 * config.dt, z0)
+    stream = NoiseStream(seed=9001, dt=dt)
+    ok = analysis.cocycle_check(stream, kernel, 5 * dt, 7 * dt, z0)
     if kernel.n_channels == 0:
         # every shift of the stream drives nothing, so a mis-shifted run cannot differ
         return {
@@ -188,9 +187,7 @@ def _suite_cocycle(config: RunConfig, kernel: OUKernel) -> dict:
             "passed": bool(ok),
             "detail": f"aligned {ok}, mis-shifted control does not apply without noise",
         }
-    bad = analysis.cocycle_check(
-        stream, kernel, 5 * config.dt, 7 * config.dt, z0, shift_override=8 * config.dt
-    )
+    bad = analysis.cocycle_check(stream, kernel, 5 * dt, 7 * dt, z0, shift_override=8 * dt)
     return {
         "name": "cocycle flow property",
         "passed": bool(ok and not bad),
@@ -200,14 +197,8 @@ def _suite_cocycle(config: RunConfig, kernel: OUKernel) -> dict:
 
 def cmd_validate(config: RunConfig, outdir: str) -> int:
     kernel = config.kernel()
-    checks = [
-        _suite_bilinear(config),
-        _suite_poisson(config),
-        _suite_lift(config),
-        _suite_semigroup(config),
-        _suite_ou(kernel),
-        _suite_cocycle(config, kernel),
-    ]
+    suites = (_suite_bilinear, _suite_poisson, _suite_lift, _suite_semigroup, _suite_ou, _suite_cocycle)
+    checks = [suite(kernel) for suite in suites]
     passed = all(c["passed"] for c in checks)
     payload = _report_payload("validate", config, {"passed": passed, "checks": checks})
     write_json(os.path.join(outdir, "validate.json"), payload)
@@ -222,10 +213,10 @@ def cmd_validate(config: RunConfig, outdir: str) -> int:
 
 
 def cmd_simulate(config: RunConfig, outdir: str) -> int:
-    grid = config.grid()
     kernel = config.kernel()
+    grid = kernel.grid
     for seed in sorted(config.seeds):
-        stream = NoiseStream(seed=seed, dt=config.dt)
+        stream = NoiseStream(seed=seed, dt=kernel.dt)
         start = start_state(kernel, stream, (Field.zeros(grid, Basis.NEUMANN_COSINE),))
         rows = []
         for state in evolve(config.t_end, stream, start):
@@ -233,7 +224,7 @@ def cmd_simulate(config: RunConfig, outdir: str) -> int:
             planes = state.kernel.planes(state.zw)
             rows.append(
                 (
-                    state.step * config.dt,
+                    state.step * kernel.dt,
                     norm_l2(z),
                     norm_h1(z),
                     norm_l2(untransform(z, planes)),
@@ -263,8 +254,8 @@ def cmd_simulate(config: RunConfig, outdir: str) -> int:
 
 
 def cmd_synchronize(config: RunConfig, outdir: str) -> int:
-    grid = config.grid()
     kernel = config.kernel()
+    grid = kernel.grid
     all_converged = True
     summary = []
     for seed in sorted(config.seeds):

@@ -13,11 +13,10 @@ states) become one (E, n+1, n+1) array of cosine coefficients, and from
 there a trajectory is arrays until a caller wraps one (a snapshot).  The
 members share one coefficient chain, the realized noise path, stepped by
 the kernel the caller built once for the run: each step advances the
-chain once and steps every member with it under the kernel's model
-(`OUKernel.params`; `ModelParams` lives in `noise`, which this module
-imports).
+chain once and steps every member with it.  `step_imex` reads the run's
+grid, model, dt and implicit divisor from that kernel.
 
-A step fetches one per-thread, per-n plan (`_StepPlan`): its grid, two
+A step fetches one per-thread, per-n plan (`_StepPlan`): two
 read-only tables that fold the dealias and its sign into one product and
 the x derivative's three products into one, and its work arrays.
 It calls the public transforms, `streamfunction_coeffs` and
@@ -37,7 +36,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -48,16 +46,13 @@ from .fields import (
     Basis,
     DimensionMismatch,
     Field,
-    GridSpec,
     WorkArrays,
-    _off_mask,
     _read_only,
     cosine_from_cosine_sine,
     derivative,
-    laplacian_eigenvalues,
     nodal_from_coeffs,
 )
-from .noise import ConfigError, ModelParams, NoiseStream, OUKernel, ou_init, ou_step
+from .noise import ConfigError, NoiseStream, OUKernel, ou_init, ou_step
 from .operators import advection_coeffs, streamfunction_coeffs
 
 # B's field form, which `step_imex` computes on arrays instead; the name stays
@@ -100,22 +95,19 @@ class CocycleState:
         self.zw.flags.writeable = False
 
 
-@lru_cache(maxsize=None)
-def _dealias_mask(n: int) -> np.ndarray:
-    """2/3-rule mask on grid n: keeps modes k, l <= 2n // 3."""
+def _two_thirds_rule(n: int) -> np.ndarray:
+    """The 2/3 rule on grid n: True on the modes k, l <= 2n // 3 that dealiasing keeps."""
     keep = np.arange(n + 1) <= (2 * n) // 3
-    mask = np.outer(keep, keep)
-    mask.flags.writeable = False
-    return mask
+    return np.outer(keep, keep)
 
 
 def dealias(coeffs: np.ndarray) -> np.ndarray:
     """A coefficient array with its modes above the 2/3 cutoff zeroed (applied to advection products only)."""
-    return coeffs * _dealias_mask(len(coeffs) - 1)
+    return coeffs * _two_thirds_rule(len(coeffs) - 1)
 
 
 class _StepPlan(NamedTuple):
-    """What a step on grid n reads besides its inputs and the step's divisor, fetched once per call.
+    """What a step on grid n reads besides its inputs and its kernel, fetched once per call.
 
     Two read-only tables fold two products of the step into one each.
     `negated_dealias` is -1.0 on the modes the 2/3 rule keeps and -0.0
@@ -132,7 +124,6 @@ class _StepPlan(NamedTuple):
     coefficients; psi_nodal then |psi|, the beta term and psi_x, then psi_y.
     """
 
-    grid: GridSpec
     negated_dealias: np.ndarray
     x_derivative: np.ndarray
     work: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -141,58 +132,43 @@ class _StepPlan(NamedTuple):
 def _step_plan(n: int) -> _StepPlan:
     pi_k = np.pi * np.arange(n + 1.0)[:, np.newaxis]
     if n < DENSE_BELOW_N:
-        negated_dealias = np.where(_dealias_mask(n), -1.0, -0.0)
+        negated_dealias = np.where(_two_thirds_rule(n), -1.0, -0.0)
         x_derivative = pi_k * np.ones(n + 1)
     else:
-        negated_dealias = np.where(_dealias_mask(n), np.float32(-1.0), np.float32(-0.0))
+        negated_dealias = np.where(_two_thirds_rule(n), np.float32(-1.0), np.float32(-0.0))
         x_derivative = pi_k
     work = tuple(np.empty((n + 1, n + 1)) for _ in range(3))
-    return _StepPlan(GridSpec(n), *_read_only(negated_dealias, x_derivative), work)
+    return _StepPlan(*_read_only(negated_dealias, x_derivative), work)
 
 
 _STEP_PLANS = WorkArrays(_step_plan)
 
 
-@lru_cache(maxsize=32)
-def _implicit_divisor(n: int, dt: float, nu: float, r: float) -> np.ndarray:
-    """Read-only 1 + dt (nu lambda + r) on the retained modes and +inf off them: the diffusion-plus-friction solve.
-
-    With dt > 0 every finite divisor is positive, and x / inf has the bits
-    of (x / d) * 0.0 for any positive d, signed zeros and NaN included, so
-    the division also applies the retained mask.
-    """
-    d = np.multiply(nu, laplacian_eigenvalues(GridSpec(n)))
-    d += r
-    d *= dt
-    d += 1.0
-    d[_off_mask(n, Basis.NEUMANN_COSINE.value)] = np.inf
-    d.flags.writeable = False
-    return d
-
-
 def step_imex(
     z: np.ndarray,
     w: np.ndarray,
-    params: ModelParams,
-    dt: float,
+    kernel: OUKernel,
     step: int,
     check_cfl: bool = True,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One semi-implicit step of the transformed equation: the next z.
 
-    `z` is one member's NEUMANN_COSINE coefficient array (its shape fixes
-    the grid), `w` the combined array zw1 + zw2 of the old state and `step`
-    the index of the step being taken.  Explicit: the advection self-term,
-    the beta term and the coefficient-process forcing, all at the old
-    state.  Implicit: the diagonal solve for diffusion plus friction.  The
-    chain is not advanced here; `evolve` does that.  The new z is an array,
-    finite and zero off the retained modes: the step builds no field.  It
-    is written into `out` if given (not `z` or `w`), else into a fresh
-    array; every other lattice array is a work array of this thread for
-    the grid size, overwritten by the next step.
+    `z` is one member's NEUMANN_COSINE coefficient array on the grid of
+    `kernel`, the run's kernel, whose model and step size the step reads,
+    `w` the combined array zw1 + zw2 of the old state and `step` the index
+    of the step being taken.  Explicit: the advection self-term, the beta
+    term and the coefficient-process forcing, all at the old state.
+    Implicit: the diagonal solve for diffusion plus friction, a division
+    by the kernel's `implicit_divisor`.  The chain is not advanced here;
+    `evolve` does that.  The new z is an array, finite and zero off the
+    retained modes: the step builds no field.  It is written into `out`
+    if given (not `z` or `w`), else into a fresh array; every other
+    lattice array is a work array of this thread for the grid size,
+    overwritten by the next step.
     """
-    grid, negated_dealias, x_derivative, (s, s_nodal, psi_nodal) = _STEP_PLANS.get(len(z) - 1)
+    grid, params, dt = kernel.grid, kernel.params, kernel.dt
+    negated_dealias, x_derivative, (s, s_nodal, psi_nodal) = _STEP_PLANS.get(grid.n)
 
     def _diverged() -> DivergenceError:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -261,7 +237,7 @@ def step_imex(
                 )
         np.multiply(b, dt, out=b)
         np.add(z, b, out=b)
-        np.divide(b, _implicit_divisor(grid.n, dt, params.nu, params.r), out=b)
+        np.divide(b, kernel.implicit_divisor, out=b)
     if not np.isfinite(b).all():
         raise _diverged()
     return b
@@ -301,7 +277,6 @@ def evolve(
     steps = stream.steps_for(t)
     if steps < 0:
         raise ValueError("evolution time must be nonnegative")
-    params = start.kernel.params
     state = replace(start, step=0)
     yield state
     for step in range(steps):
@@ -312,7 +287,7 @@ def evolve(
         # a step's out, which the transforms write by np.dot
         members = np.empty(state.members.shape)
         for z, new in zip(state.members, members):
-            step_imex(z, w, params, stream.dt, step, check_cfl, out=new)
+            step_imex(z, w, state.kernel, step, check_cfl, out=new)
         zw = ou_step(state.kernel, state.zw, stream, step)
         state = CocycleState(step=step + 1, members=members, zw=zw, kernel=state.kernel)
         yield state

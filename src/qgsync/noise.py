@@ -24,7 +24,9 @@ at different rates, so its stationary correlation between them is below 1.
 `OUKernel(grid, params, cov1, cov2, dt)` is the one place the coefficient
 processes are set up: it builds the boundary lift itself, sized to the
 boundary covariance, and keeps the run's model (`ModelParams`, defined
-here because `dynamics` imports this module), grid and step size.  A run
+here because `dynamics` imports this module), grid and step size, and the
+per-mode tables of the model's linear part nu (-Laplacian) + r: the
+chain's decay and the step's implicit divisor.  A run
 builds one kernel (`RunConfig.kernel`) and hands it to every experiment
 it runs, which reads the model from it.
 `ou_init(kernel, stream)` is the only stationary draw and `ou_step` the
@@ -240,7 +242,8 @@ class OUKernel:
     interior-driven process is diagonal.  Within-step cross-mode weighting
     of shared channels is approximate at O(dt) weak order, marginal laws
     are exact.  The lift is built here, with one column per boundary
-    channel, and no columns when the boundary noise is off.
+    channel, and no columns when the boundary noise is off.  The kernel
+    also holds the divisor of the members' implicit step (`implicit_divisor`).
     """
 
     def __init__(
@@ -295,6 +298,15 @@ class OUKernel:
         self.channel = np.concatenate([lift_ch, self.n_boundary + np.arange(idx[0].size)])
         cell = self.index % lam.size  # the entry's lattice cell
         self.decay = np.where(mask, np.exp(-rate * dt), 0.0).take(cell)
+        # the step's diffusion-plus-friction solve divides by 1 + dt (nu lambda + r)
+        # on the retained modes and by +inf off them: with dt > 0 every finite
+        # divisor is positive, and x / inf has the bits of (x / d) * 0.0, so
+        # the division also applies the retained mask
+        divisor = rate + params.r
+        divisor *= dt
+        divisor += 1.0
+        divisor[~mask] = np.inf
+        self.implicit_divisor = divisor
         self.step_gain = np.concatenate([w1_step.ravel(), w2_step])
         self.stat_gain = np.concatenate([w1_stat.ravel(), w2_stat])
         self.n_channels = self.n_boundary + idx[0].size
@@ -302,7 +314,9 @@ class OUKernel:
         # (as np.unique(cell, return_inverse=True), without its 0.3 MB of RSS)
         self.cells = np.flatnonzero(np.bincount(cell, minlength=lam.size))
         self.into = self.cells.searchsorted(cell)
-        for table in (self.index, self.channel, self.decay, self.step_gain, self.stat_gain, self.cells, self.into):
+        for table in (
+            self.index, self.channel, self.decay, self.implicit_divisor, self.step_gain, self.stat_gain, self.cells, self.into
+        ):
             table.flags.writeable = False
 
     def planes(self, zw: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from qgsync.fields import (
     nodal_from_coeffs,
     retained_mask,
 )
-from qgsync.noise import OUKernel
+from qgsync.noise import CovarianceSpec, OUKernel
 from qgsync.operators import advection_coeffs, streamfunction_coeffs
 
 
@@ -43,6 +43,12 @@ def evolve_fields(t, stream, fields, params, cov1, cov2, check_cfl=True):
     """`evolve` from start fields, under a kernel of (params, cov1, cov2) on the first field's grid at the stream's dt."""
     kernel = OUKernel(fields[0].grid, params, cov1, cov2, stream.dt)
     return evolve(t, stream, start_state(kernel, stream, fields), check_cfl)
+
+
+def model_kernel(grid, params, dt):
+    """A kernel of `params` at step size dt on `grid` with both noises off: what `step_imex` reads of a run."""
+    off = CovarianceSpec(0.0, 3.0, 1)
+    return OUKernel(grid, params, off, off, dt)
 
 
 def random_field(grid, basis=Basis.NEUMANN_COSINE, seed=0, scale=1.0, slope=0.0):

@@ -20,7 +20,6 @@ from qgsync.analysis import (
 )
 from qgsync.cli import main
 from qgsync.config import RunConfig
-from qgsync.dynamics import ModelParams
 from qgsync.fields import (
     Basis,
     Field,
@@ -31,6 +30,7 @@ from qgsync.fields import (
 )
 from qgsync.noise import (
     CovarianceSpec,
+    ModelParams,
     NoiseStream,
     OUKernel,
     ou_init,

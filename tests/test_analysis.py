@@ -24,9 +24,8 @@ from qgsync.analysis import (
 )
 from qgsync import analysis, dynamics, fields, operators
 from qgsync.config import RunConfig
-from qgsync.dynamics import ModelParams
 from qgsync.fields import Basis, Field, laplacian_eigenvalues, norm_h1, norm_l2
-from qgsync.noise import CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
+from qgsync.noise import CovarianceSpec, ModelParams, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import C_GX_EXACT, LAMBDA1, estimate_constants
 
 from conftest import dealiased, mode_field, random_field

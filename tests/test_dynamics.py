@@ -14,7 +14,6 @@ from qgsync.dynamics import (
     CFLWarning,
     CocycleState,
     DivergenceError,
-    ModelParams,
     dealias,
     evolve,
     start_state,
@@ -33,10 +32,10 @@ from qgsync.fields import (
     norm_l2,
     retained_mask,
 )
-from qgsync.noise import ConfigError, CovarianceSpec, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
+from qgsync.noise import ConfigError, CovarianceSpec, ModelParams, NoiseStream, OUKernel, ou_init, ou_step, wiener_shift
 from qgsync.operators import dirichlet_poisson, streamfunction_coeffs
 
-from conftest import advection, beta_coeffs, dealiased, evolve_fields, mode_field, nodal, random_field
+from conftest import advection, beta_coeffs, dealiased, evolve_fields, mode_field, model_kernel, nodal, random_field
 
 PARAMS = ModelParams(nu=1.0, r=1.0, beta=0.1)
 COV1 = CovarianceSpec(3e-4, 3.0, 4)
@@ -96,7 +95,7 @@ def step_cfl_text(z, w, params, dt, grid):
     """The speed text of the CFL warning that one step raises, or None."""
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        step_imex(z, w, params, dt, 0)
+        step_imex(z, w, model_kernel(grid, params, dt), 0)
     messages = [str(r.message) for r in record if issubclass(r.category, CFLWarning)]
     assert len(messages) <= 1
     if not messages:
@@ -119,6 +118,24 @@ class TestModelParams:
     def test_smallest_viscosities_with_a_square(self):
         for nu in (1e-154, 2.3e-162):
             assert ModelParams(nu=nu, r=1.0).nu**2 > 0.0
+
+
+@pytest.mark.parametrize("n", [16, 50, 256])
+def test_dealias_is_the_product_with_the_two_thirds_mask(n):
+    # signed zeros and magnitudes from 1e-300 to 1e300, on and off the kept
+    # modes: the bits of the product with the mask of the modes k, l <= 2n // 3
+    rng = np.random.default_rng(n)
+    c = np.where(rng.random((n + 1, n + 1)) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-300.0, 300.0, (n + 1, n + 1))
+    c[::3, ::2] = 0.0
+    c[1::3, ::2] = -0.0
+    keep = np.arange(n + 1) <= (2 * n) // 3
+    mask = np.outer(keep, keep)
+    got = dealias(c)
+    assert got.tobytes() == (c * mask).tobytes()
+    # the inputs exercise both signs of zero on the kept modes and off them
+    kept_zeros = got[mask & (c == 0.0)]
+    assert np.signbit(kept_zeros).any() and not np.signbit(kept_zeros).all()
+    assert np.signbit(got[~mask]).any() and not np.signbit(got[~mask]).all()
 
 
 class TestStepImex:
@@ -227,13 +244,14 @@ class TestStepImex:
         # streamfunction is finite but B(s, s) overflows (1e160): a
         # divergence, never a NonFiniteField, and with the CFL check on it
         # is raised before the check can warn (pytest errors on CFLWarning)
+        kernel = model_kernel(grid32, PARAMS, 0.01)
         for amplitude in (1e306, 1e160):
             coeffs = np.zeros(grid32.shape)
             coeffs[1:20, 1:20] = amplitude
             z0 = Field(grid32, Basis.NEUMANN_COSINE, coeffs=coeffs)
             for check_cfl in (True, False):
                 with pytest.raises(DivergenceError):
-                    step_imex(z0.coeffs, np.zeros(grid32.shape), PARAMS, 0.01, 0, check_cfl=check_cfl)
+                    step_imex(z0.coeffs, np.zeros(grid32.shape), kernel, 0, check_cfl=check_cfl)
 
     def test_cfl_check_leaves_the_step_unchanged(self, grid32):
         stream = NoiseStream(seed=11, dt=0.01)
@@ -258,13 +276,13 @@ class TestStepImex:
         planes = kernel.planes(ou_init(kernel, stream))
         w = planes[0] + planes[1]
         field_inits[0] = 0
-        step_imex(z, w, PARAMS, 0.01, 0, check_cfl=check_cfl)
+        step_imex(z, w, kernel, 0, check_cfl=check_cfl)
         assert field_inits[0] == 0
 
     def test_cfl_warning(self, grid32):
         z0 = dealiased(random_field(grid32, seed=9, scale=100.0))
         with pytest.warns(CFLWarning) as record:
-            step_imex(z0.coeffs, np.zeros(grid32.shape), PARAMS, 0.1, 0)
+            step_imex(z0.coeffs, np.zeros(grid32.shape), model_kernel(grid32, PARAMS, 0.1), 0)
         # the speed it reports is max |grad psi| on the lattice
         psi = streamfunction_coeffs(nodal(z0), grid32)
         grad = [nodal_from_coeffs(*derivative(psi, Basis.DIRICHLET_SINE, axis), grid32) for axis in (0, 1)]
@@ -283,7 +301,7 @@ class TestStepImex:
         z, w = masked_field(grid, 28, scale=0.01).coeffs, masked_field(grid, 29, scale=0.001).coeffs
         assert max(gradient_bounds(z, w, grid)) <= 0.5
         transforms.clear()
-        step_imex(z, w, PARAMS, 0.5 * grid.h, 0, check_cfl=check_cfl)
+        step_imex(z, w, model_kernel(grid, PARAMS, 0.5 * grid.h), 0, check_cfl=check_cfl)
         assert transforms == [
             ("nodal_from_coeffs", Basis.NEUMANN_COSINE),
             ("coeffs_from_nodal", Basis.DIRICHLET_SINE),
@@ -337,7 +355,8 @@ def reference_dense_step(z, w, params, dt, step=0):
         b[off[Basis.NEUMANN_COSINE]] = 0.0
         if not np.isfinite(b).all():
             raise DivergenceError(divergence_message(z, step, dt))
-        explicit = -1.0 * (b * dynamics._dealias_mask(n)) - params.r * w
+        keep = np.arange(n + 1) <= (2 * n) // 3
+        explicit = -1.0 * (b * np.outer(keep, keep)) - params.r * w
         if params.beta != 0.0:
             psi_x = (np.pi * np.arange(n + 1.0)[:, np.newaxis] * psi) * retained_mask(grid, Basis.COSINE_SINE)
             sine_to_cosine = fields._line_matrix(n, "cos", False) @ fields._line_matrix(n, "sin", True)
@@ -383,7 +402,7 @@ class TestDenseStepBits:
         grid = GridSpec(n)
         params = ModelParams(nu=0.7, r=1.3, beta=beta)
         for name, z, w in dense_step_states(grid):
-            got = step_imex(z, w, params, 1e-3, 0, check_cfl=check_cfl)
+            got = step_imex(z, w, model_kernel(grid, params, 1e-3), 0, check_cfl=check_cfl)
             want = reference_dense_step(z, w, params, 1e-3)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
@@ -402,7 +421,7 @@ class TestDenseStepBits:
             assert str(caught.value) == want
         for check_cfl in (True, False):
             with pytest.raises(DivergenceError) as caught:
-                step_imex(z, w, PARAMS, 0.01, 1, check_cfl=check_cfl)
+                step_imex(z, w, model_kernel(grid, PARAMS, 0.01), 1, check_cfl=check_cfl)
             assert str(caught.value) == want
 
 
@@ -467,7 +486,7 @@ class TestEvolve:
         # planes byte for byte, and `combined` is that sum at the cells
         seen = []
 
-        def record(z, w, params, dt, step, check_cfl, out):
+        def record(z, w, kernel, step, check_cfl, out):
             seen.append(w.copy())
             out[...] = z
             return out
@@ -539,7 +558,7 @@ class TestEvolve:
         for prev, state in zip(states, states[1:]):
             planes = prev.kernel.planes(prev.zw)
             w = planes[0] + planes[1]
-            fresh = np.array([step_imex(z, w, PARAMS, stream.dt, prev.step) for z in prev.members])
+            fresh = np.array([step_imex(z, w, prev.kernel, prev.step) for z in prev.members])
             assert np.array_equal(state.members.view(np.int64), fresh.view(np.int64))
             assert not np.shares_memory(state.members, prev.members)
             assert not any(np.shares_memory(state.members, h) for h in held)
@@ -632,9 +651,9 @@ class TestCocycle:
         assert np.array_equal(states[2].zw, ou_step(kernel0, states[1].zw, stream, 1))
         assert not np.array_equal(states[1].zw, ou_step(kernel, zw, stream, 0))
         w = np.add(*kernel0.planes(zw))
-        member = step_imex(start.members[0], w, kernel0.params, 0.01, 0, check_cfl=False)
+        member = step_imex(start.members[0], w, kernel0, 0, check_cfl=False)
         assert np.array_equal(states[1].members[0], member)
-        assert not np.array_equal(member, step_imex(start.members[0], w, PARAMS, 0.01, 0, check_cfl=False))
+        assert not np.array_equal(member, step_imex(start.members[0], w, kernel, 0, check_cfl=False))
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_members_of_any_layout_step(self, n):

@@ -19,8 +19,9 @@ from qgsync.fields import (
     retained_mask,
     save_field,
 )
+from qgsync.noise import ModelParams
 
-from conftest import inner, mode_field, nodal, nodes, random_field, trapezoid_quadrature
+from conftest import inner, mode_field, model_kernel, nodal, nodes, random_field, trapezoid_quadrature
 
 
 class TestGridSpec:
@@ -261,7 +262,7 @@ class TestDensePath:
         outputs = [
             operators.streamfunction_coeffs(x, grid32),
             operators.advection_coeffs(x * retained_mask(grid32, Basis.DIRICHLET_SINE), x, grid32),
-            dynamics.step_imex(z, 0.1 * z, dynamics.ModelParams(1.0, 1.0, 0.1), 0.01, 0),
+            dynamics.step_imex(z, 0.1 * z, model_kernel(grid32, ModelParams(1.0, 1.0, 0.1), 0.01), 0),
             fields.cosine_from_cosine_sine(x * retained_mask(grid32, Basis.COSINE_SINE), grid32),
         ]
         held = (

@@ -338,6 +338,19 @@ class TestChainUpdate:
         assert np.array_equal(kernel.combined(zw), (planes[0] + planes[1]).take(kernel.cells))
         assert not np.any(np.delete(planes.sum(axis=0), kernel.cells))
 
+    @pytest.mark.parametrize("n", [16, 50, 256])
+    def test_implicit_divisor(self, n):
+        # the step's diffusion-plus-friction solve, kept next to the chain's
+        # decay: 1 + dt (nu lambda + r) on the retained modes, +inf off them
+        grid = GridSpec(n)
+        params = ModelParams(nu=0.7, r=1.3)
+        kernel = OUKernel(grid, params, *NOISE_CASES["off"], 0.01)
+        lam = laplacian_eigenvalues(grid)
+        retained = retained_mask(grid, Basis.NEUMANN_COSINE)
+        want = np.where(retained, 1.0 + 0.01 * (params.nu * lam + params.r), np.inf)
+        assert kernel.implicit_divisor.tobytes() == want.tobytes()
+        assert not kernel.implicit_divisor.flags.writeable
+
     @pytest.mark.parametrize("case", sorted(NOISE_CASES.keys() - {"off"}))
     def test_draws_per_call(self, grid32, monkeypatch, case):
         kernel = OUKernel(grid32, PARAMS, *NOISE_CASES[case], 0.1)

@@ -20,7 +20,7 @@ from qgsync.fields import (
     retained_mask,
 )
 from qgsync.fields import DENSE_BELOW_N, coeffs_from_nodal, derivative, nodal_from_coeffs
-from qgsync.dynamics import ModelParams, step_imex
+from qgsync.dynamics import step_imex
 from qgsync.operators import (
     C_GX_EXACT,
     LAMBDA1,
@@ -37,9 +37,9 @@ from qgsync.operators import (
 )
 from qgsync.operators import _diff, _difference_operators, _form_gradient, _power_sweeps, _triple_ratio
 
-from qgsync.noise import NoiseStream, OUKernel, ou_init
+from qgsync.noise import ModelParams, NoiseStream, OUKernel, ou_init
 
-from conftest import beta_coeffs, inner, mode_field, nodal, nodes, random_field
+from conftest import beta_coeffs, inner, mode_field, model_kernel, nodal, nodes, random_field
 from test_dynamics import COV1, COV2, PARAMS, masked_field
 from test_fields import _same_bits
 
@@ -354,7 +354,8 @@ def reference_step(z, w, params, dt):
     s_nodal = nodal_from_coeffs(s, Basis.NEUMANN_COSINE, grid)
     psi = reference_streamfunction_coeffs(s_nodal, grid)
     b = reference_advection_coeffs(nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid), s_nodal, grid)
-    explicit = -1.0 * (b * dynamics._dealias_mask(grid.n)) - params.r * w
+    keep = np.arange(grid.n + 1) <= (2 * grid.n) // 3
+    explicit = -1.0 * (b * np.outer(keep, keep)) - params.r * w
     psi_x = derivative(psi, Basis.DIRICHLET_SINE, 0)[0]
     explicit = explicit - params.beta * fields.cosine_from_cosine_sine(psi_x, grid)
     lam = laplacian_eigenvalues(grid)
@@ -385,7 +386,7 @@ class TestReferenceBits:
         grid = GridSpec(n)
         params = ModelParams(nu=0.7, r=1.3, beta=0.4)
         z, w = step_inputs(grid, 50)
-        new = step_imex(z, w, params, 1e-4, 0, check_cfl=True)
+        new = step_imex(z, w, model_kernel(grid, params, 1e-4), 0, check_cfl=True)
         assert _same_bits(new, reference_step(z, w, params, 1e-4))
 
 
@@ -394,14 +395,14 @@ class TestWorkArrays:
     def test_outputs_survive_the_next_call(self, n):
         # a second call with other inputs reuses the work arrays, never the outputs
         grid = GridSpec(n)
-        params = ModelParams(nu=0.7, r=1.3, beta=0.4)
+        kernel = model_kernel(grid, ModelParams(nu=0.7, r=1.3, beta=0.4), 1e-4)
         first, kept = [], []
         for seed in (60, 70):
             z, w = step_inputs(grid, seed)
             u = nodal(random_field(grid, seed=seed + 2))
             psi = streamfunction_coeffs(u, grid)
             psi_nodal = nodal_from_coeffs(psi, Basis.DIRICHLET_SINE, grid)
-            outputs = [psi, advection_coeffs(psi_nodal, u, grid), step_imex(z, w, params, 1e-4, 0)]
+            outputs = [psi, advection_coeffs(psi_nodal, u, grid), step_imex(z, w, kernel, 0)]
             if not first:
                 first, kept = outputs, [a.copy() for a in outputs]
         for a, copy, b in zip(first, kept, outputs):
@@ -412,12 +413,12 @@ class TestWorkArrays:
         # more threads than cores and a short switch interval interleave the
         # steps; a work array shared between threads would mix their states
         grid = GridSpec(32)
-        params = ModelParams(nu=0.7, r=1.3, beta=0.4)
+        kernel = model_kernel(grid, ModelParams(nu=0.7, r=1.3, beta=0.4), 1e-3)
         inputs = [step_inputs(grid, 90 + 2 * k) for k in range(4)]
 
         def run(z, w):
             for step in range(20):
-                z = step_imex(z, w, params, 1e-3, step)
+                z = step_imex(z, w, kernel, step)
             return z
 
         expected = [run(z, w) for z, w in inputs]
@@ -459,11 +460,11 @@ class TestWorkArrays:
         assert _same_bits(o, streamfunction_coeffs(x, grid))
         psi = x * retained_mask(grid, Basis.DIRICHLET_SINE)
         z, w = step_inputs(grid, 81)
-        params = ModelParams(nu=0.7, r=1.3, beta=0.4)
+        kernel = model_kernel(grid, ModelParams(nu=0.7, r=1.3, beta=0.4), 1e-4)
         for call in (
             lambda out: advection_coeffs(psi, x, grid, out=out),
             lambda out: fields.cosine_from_cosine_sine(x * retained_mask(grid, Basis.COSINE_SINE), grid, out=out),
-            lambda out: step_imex(z, w, params, 1e-4, 0, out=out),
+            lambda out: step_imex(z, w, kernel, 0, out=out),
         ):
             o.fill(np.nan)
             assert call(o) is o and _same_bits(o, call(None))
@@ -477,8 +478,7 @@ class TestWorkArrays:
             fields._envelope(n, 0.6),
             operators._edge_scales(n),
             operators._poisson_divisors(n),
-            dynamics._dealias_mask(n),
-            dynamics._implicit_divisor(n, 0.01, 1.0, 1.0),
+            model_kernel(GridSpec(n), ModelParams(nu=1.0, r=1.0), 0.01).implicit_divisor,
             fields._sine_to_cosine_matrix(n),
         ]
         tables += [fields._retained_mask(n, b.value) for b in Basis] + [fields._off_mask(n, b.value) for b in Basis]

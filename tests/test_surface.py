@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import qgsync
-from qgsync import operators
+from qgsync import cli, dynamics, operators
 
 PACKAGE = Path(qgsync.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -132,6 +132,7 @@ def test_experiments_take_the_kernel():
     # experiments only inside the kernel, so no run can pair a chain with
     # other ones or step its members under a second viscosity
     takers = (
+        qgsync.step_imex,
         qgsync.evolve,
         qgsync.radius_invariance_experiment,
         qgsync.check_condition,
@@ -142,6 +143,21 @@ def test_experiments_take_the_kernel():
     for fn in takers:
         assert not set(inspect.signature(fn).parameters) & {"cov1", "cov2", "grid", "dt", "params", "nu"}, fn.__name__
     assert list(inspect.signature(qgsync.start_state).parameters) == ["kernel", "stream", "fields"]
+    assert list(inspect.signature(qgsync.step_imex).parameters) == ["z", "w", "kernel", "step", "check_cfl", "out"]
+    # the validate suites read the grid, the viscosity and the step size from the command's kernel
+    suites = [fn for name, fn in vars(cli).items() if name.startswith("_suite_")]
+    assert len(suites) == 6
+    for suite in suites:
+        assert list(inspect.signature(suite).parameters) == ["kernel"], suite.__name__
+
+
+def test_step_keeps_no_cache_of_its_own():
+    # the implicit divisor is a table of the run's kernel, and the 2/3 mask
+    # is built where it is applied, by `dealias` and the step plan, so the
+    # step's only per-grid state is its plan
+    assert not hasattr(dynamics, "_implicit_divisor")
+    assert not hasattr(dynamics, "_dealias_mask")
+    assert not hasattr(dynamics, "lru_cache")
 
 
 def test_rates_formed_once_per_experiment():
